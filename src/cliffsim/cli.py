@@ -134,6 +134,14 @@ def _require(cond: bool, key: str, detail: str) -> None:
         raise ConfigError(f"{key}: {detail}")
 
 
+def _finite(compute) -> bool:
+    """Whether compute() gives finite doubles rather than overflowing."""
+    try:
+        return bool(np.isfinite(compute()).all())
+    except OverflowError:
+        return False
+
+
 def _check(cond: bool, name: str, detail: str) -> None:
     if not cond:
         raise CheckFailure(name, detail)
@@ -191,6 +199,8 @@ def _gqft_grid(cfg):
     _require(1 <= n <= 4, "n", "must be in 1..4")
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     _require(all(t >= 0 for t in cfg["thetas"]), "thetas", "must all be >= 0")
+    _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
+             "thetas", f"too large: the distance bound overflows at n={n}")
     for theta in cfg["thetas"]:
         for i in range(cfg["trials"]):
             seed = cfg["seed"] + i
@@ -235,10 +245,12 @@ def _cmd_trotter_sweep(cfg):
     n, terms_n, t = cfg["n"], cfg["terms"], cfg["t"]
     _require(1 <= n <= 2, "n", "must be in 1..2")
     _require(1 <= terms_n <= 4 ** n - 1, "terms", f"must be in 1..{4 ** n - 1} for n={n}")
-    _require(math.isfinite(t), "t", "must be finite")
     _require(len(cfg["rs"]) >= 1 and all(r >= 1 for r in cfg["rs"]), "rs",
              "need at least one r, all >= 1")
     terms = trotter.random_instance(n, terms_n, cfg["seed"])
+    omega = trotter.noncommuting_pair_count(terms)
+    _require(_finite(lambda: [trotter.bounds(terms, t, r, omega) for r in cfg["rs"]]),
+             "t, rs", "must keep every Trotter bound finite")
     rows = []
     for rep in trotter.error_sweep(terms, t, cfg["rs"]):
         _check(rep.measured_error <= rep.bound_full, "trotter-bound",
@@ -256,7 +268,8 @@ def _cmd_trotter_sweep(cfg):
 def _cmd_swap_test(cfg):
     n = cfg["n"]
     _require(1 <= n <= 4, "n", "must be in 1..4")
-    _require(all(s >= 1 for s in cfg["shots"]), "shots", "must all be >= 1")
+    _require(all(1 <= s < 2 ** 63 for s in cfg["shots"]), "shots",
+             "must all be in 1..2^63-1")
     rng = np.random.default_rng(cfg["seed"])
     psi = simulator.random_state(n, rng)
     phi = simulator.random_state(n, rng)
@@ -282,8 +295,16 @@ def _cmd_swap_test(cfg):
 def _cmd_train_cqp(cfg):
     n = cfg["n"]
     _require(1 <= n <= 2, "n", "must be in 1..2")
-    _require(cfg["eta"] > 0, "eta", "must be > 0")
+    _require(math.isfinite(cfg["beta"]), "beta", "must be finite")
+    _require(0 < cfg["eta"] < math.inf, "eta", "must be finite and > 0")
+    _require(0 < cfg["fd_step"] < cqp.FD_STEP_MAX, "fd_step",
+             f"must be in (0, {cqp.FD_STEP_MAX})")
     _require(1 <= cfg["iterations"] <= 20000, "iterations", "must be in 1..20000")
+    # theta0 lies in [0, 0.5) and fidelities in [0, 1], so one step moves a
+    # weight by at most eta / (2 fd_step)
+    weight_bound = 0.5 + cfg["iterations"] * cfg["eta"] / (2.0 * cfg["fd_step"])
+    _require(math.isfinite(math.sqrt(2 * n) * weight_bound), "eta",
+             "too large: the weight bound overflows")
     _require(0 <= cfg["output_index"] < 2 * n, "output_index",
              f"must be in 0..{2 * n - 1}")
     _require(0 <= cfg["require_fidelity"] <= 1, "require_fidelity", "must be in [0, 1]")
@@ -339,8 +360,9 @@ def _cmd_equivalence(cfg):
 
 def _cmd_decompose(cfg):
     theta1, theta2 = cfg["theta1"], cfg["theta2"]
-    _require(math.isfinite(theta1) and math.isfinite(theta2),
-             "theta1", "angles must be finite")
+    # the generator's entries are sums of the two angles
+    _require(math.isfinite(abs(theta1) + abs(theta2)), "theta1, theta2",
+             "|theta1| + |theta2| must be finite")
     u = circuits.xy_yx_unitary(theta1, theta2)
     factors = circuits.two_level_decompose(u)
     recon = linalg.frobenius_norm(circuits.gates_product(factors, 4) - u)

@@ -157,10 +157,6 @@ class Blade:
         return self._dense
 
 
-def blade_dense(b: Blade) -> np.ndarray:
-    return b.dense()
-
-
 def hermitian_basis(n: int) -> list[Blade]:
     """All 4^n blades, grade-major, index-lexicographic inside each grade."""
     if not 1 <= n <= 4:

@@ -3,6 +3,9 @@
 States are prepared by exponentiating real combinations of Hermitian
 blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses exactly
 the 2n single-generator blades; Type I may use any explicit blade list.
+The generators anticommute, so a Type II sum squares to |c|^2 I and is
+exponentiated in closed form, as is every single-blade rotation below;
+a Type I sum goes through the general linalg.expm_i.
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -29,6 +32,7 @@ from .clifford import Blade
 from .simulator import basis_state, inner
 
 _ACT_RANGE_SLACK = 1e-12
+FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
 
 
 class Activation(enum.Enum):
@@ -107,8 +111,15 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
             f"expected {len(config.active_blades)} coefficients, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
-    h = np.tensordot(c, config._blade_stack, axes=1)
-    return linalg.expm_i(h) @ basis_state(config.n, 0)
+    if config.flavor == "I":
+        h = np.tensordot(c, config._blade_stack, axes=1)
+        return linalg.expm_i(h) @ basis_state(config.n, 0)
+    # Type II generators anticommute, so (sum_j c_j gamma_j)^2 = |c|^2 I
+    norm = math.hypot(*c)
+    if norm == 0.0:
+        return basis_state(config.n, 0)
+    h = np.tensordot(c / norm, config._blade_stack, axes=1)
+    return linalg.expm_i_involution(h, norm) @ basis_state(config.n, 0)
 
 
 def forward(x, w, activation: Activation, output_blade: Blade,
@@ -121,13 +132,15 @@ def forward(x, w, activation: Activation, output_blade: Blade,
         raise ValueError(
             f"activation output {v!r} is outside [-1, 1]; arccos undefined")
     phi = math.acos(min(1.0, max(-1.0, v)))
-    y = linalg.expm_i(output_blade.dense(), phi) @ basis_state(output_blade.n, 0)
+    y = (linalg.expm_i_involution(output_blade.dense(), phi)
+         @ basis_state(output_blade.n, 0))
     return phi, y
 
 
 def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
     """Reference state rotated opposite to the output rotation."""
-    return linalg.expm_i(output_blade.dense(), -target_angle) @ basis_state(output_blade.n, 0)
+    return (linalg.expm_i_involution(output_blade.dense(), -target_angle)
+            @ basis_state(output_blade.n, 0))
 
 
 def fidelity(y, target_angle: float, output_blade: Blade) -> float:
@@ -175,8 +188,8 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     """Gradient ascent on the fidelity; one record per iteration, initial included."""
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
-    if not 0 < fd_step < 1e-2:
-        raise ValueError(f"fd_step {fd_step} outside (0, 1e-2)")
+    if not 0 < fd_step < FD_STEP_MAX:
+        raise ValueError(f"fd_step {fd_step} outside (0, {FD_STEP_MAX})")
     theta = np.asarray(theta0, dtype=float).copy()
     if theta.shape != (len(config.active_blades),):
         raise ValueError(

@@ -6,10 +6,15 @@ most significant bit of a computational-basis index, so ``tensor(A, B)``
 places ``A`` on the high bits.
 
 Every exponential in this package is of the form exp(i*s*H) with H
-Hermitian, so the matrix exponential is computed through an explicit
-Hermitian eigendecomposition (cyclic-by-rows Jacobi) instead of a general
-Pade scheme.  Failure of the Jacobi sweep to converge signals pathological
-input and is a hard error, never a silent fallback.
+Hermitian.  Blade exponentials use the closed form of a Hermitian
+involution, ``expm_i_involution``: a blade B squares to I, so
+exp(i*s*B) = cos(s) I + i sin(s) B.  The general ``expm_i`` goes through
+a Hermitian eigendecomposition (LAPACK ``eigh``) instead of a Pade scheme.
+It is the oracle of the closed forms: the tests compare them with it, and
+the dense GQFT and the exact Trotter evolution use it, so the factored
+GQFT and the product formula are checked against an independent route.
+An eigendecomposition that fails its residual or orthonormality check is
+a hard error, never a silent fallback.
 """
 from __future__ import annotations
 
@@ -19,14 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_TOL = 1e-10
-
-# Jacobi termination: all off-diagonal moduli below this, within the sweep cap.
-_JACOBI_OFF_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reach the off-diagonal threshold."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -97,64 +94,28 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, paired with eigenvalues
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    off = np.abs(a - np.diag(np.diag(a)))
-    return float(off.max()) if off.size else 0.0
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q] (and a[q, p])."""
-    apq = a[p, q]
-    phase = apq / abs(apq)
-    theta = 0.5 * math.atan2(2.0 * abs(apq), (a[p, p] - a[q, q]).real)
-    c, s = math.cos(theta), math.sin(theta)
-
-    # a <- R^dag a R with R the identity apart from the (p, q) block
-    # [[c, -s e^{i phi}], [s e^{-i phi}, c]].
-    cp, cq = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * cp + s * np.conj(phase) * cq
-    a[:, q] = -s * phase * cp + c * cq
-    rp, rq = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * rp + s * phase * rq
-    a[q, :] = -s * np.conj(phase) * rp + c * rq
-
-    vp, vq = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vp + s * np.conj(phase) * vq
-    v[:, q] = -s * phase * vp + c * vq
-
-    # the rotation annihilates the pair analytically; drop the roundoff residue
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-
 def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic-by-rows Jacobi."""
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+
+    The result is re-checked: a residual max|AV - V diag(lam)| above
+    tol * max(1, max|lam|), or an orthonormality defect max|V^dag V - I|
+    above tol, raises ``numpy.linalg.LinAlgError``.
+    """
     a = _square(h, "hermitian_eigen")
     defect = hermiticity_defect(a)
     if defect > tol:
         raise ValueError(
             f"hermitian_eigen: input is not Hermitian (defect {defect:.3e} > tol {tol:.3e})")
-    a = (a + adjoint(a)) / 2.0
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _max_offdiag(a) < _JACOBI_OFF_TOL:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(a[p, q]) >= _JACOBI_OFF_TOL:
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        residue = _max_offdiag(a)
-        if residue >= _JACOBI_OFF_TOL:
-            raise JacobiConvergenceError(
-                f"no convergence after {_JACOBI_MAX_SWEEPS} sweeps "
-                f"(max off-diagonal {residue:.3e})")
-    lam = np.diag(a).real.copy()
-    order = np.argsort(lam, kind="stable")
-    return HermitianEigen(lam[order], v[:, order])
+    a = a / 2.0 + adjoint(a) / 2.0  # halve first: no overflow near the float limit
+    lam, v = np.linalg.eigh(a)
+    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
+    residual = float(np.abs(a @ v - v * lam).max(initial=0.0))
+    ortho = float(np.abs(adjoint(v) @ v - np.eye(a.shape[0])).max(initial=0.0))
+    if residual > tol * scale or ortho > tol:
+        raise np.linalg.LinAlgError(
+            f"hermitian_eigen: eigh result fails its check (residual {residual:.3e}, "
+            f"orthonormality defect {ortho:.3e}, tol {tol:.3e})")
+    return HermitianEigen(lam, v)
 
 
 def expm_i(h, s: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -166,6 +127,16 @@ def expm_i(h, s: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"expm_i: input is not Hermitian (defect {defect:.3e} > tol {tol:.3e})")
     lam, v = hermitian_eigen(m, tol)
     return (v * np.exp(1j * s * lam)) @ adjoint(v)
+
+
+def expm_i_involution(h, s: float = 1.0) -> np.ndarray:
+    """exp(i*s*H) = cos(s) I + i sin(s) H, for a Hermitian H with H^2 = I.
+
+    H^2 = I is the caller's to guarantee (every blade squares to I); it is
+    not re-checked here.  The tests compare this closed form with expm_i.
+    """
+    m = np.asarray(h, dtype=complex)
+    return math.cos(s) * np.eye(m.shape[0]) + 1j * math.sin(s) * m
 
 
 def spectral_norm(a) -> float:

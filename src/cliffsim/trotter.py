@@ -79,7 +79,7 @@ def product_formula(terms: Sequence[HamiltonianTerm], t: float, r: int) -> np.nd
     n = _register_size(terms)
     step = np.eye(2 ** n, dtype=complex)
     for term in terms:
-        step = step @ linalg.expm_i(term.dense(), -t / r)
+        step = step @ linalg.expm_i_involution(term.blade.dense(), -term.coeff * t / r)
     return np.linalg.matrix_power(step, r)
 
 
@@ -88,7 +88,8 @@ def noncommuting_pair_count(terms: Sequence[HamiltonianTerm]) -> int:
                if anticommutes(a.blade.indices, b.blade.indices))
 
 
-def _bounds(terms, t: float, r: int, omega: int) -> tuple[float, float, float]:
+def bounds(terms, t: float, r: int, omega: int) -> tuple[float, float, float]:
+    """(bound_simple, bound_full, bound_commutator) for r steps up to time t."""
     count = len(terms)
     lam = max((abs(term.coeff) for term in terms), default=0.0)
     simple = (count * lam * t) ** 2 / r
@@ -102,27 +103,21 @@ def _bounds(terms, t: float, r: int, omega: int) -> tuple[float, float, float]:
 def trotter_report(terms: Sequence[HamiltonianTerm], t: float, r: int) -> TrotterReport:
     measured = linalg.spectral_norm(exact_unitary(terms, t) - product_formula(terms, t, r))
     omega = noncommuting_pair_count(terms)
-    simple, full, commutator = _bounds(terms, t, r, omega)
+    simple, full, commutator = bounds(terms, t, r, omega)
     return TrotterReport(r, t, measured, simple, full, commutator, omega)
 
 
 def error_sweep(terms: Sequence[HamiltonianTerm], t: float,
                 rs: Sequence[int]) -> list[TrotterReport]:
-    """Reports over an r grid, reusing the per-term eigendecompositions."""
+    """Reports over an r grid, reusing the exact evolution."""
     if any(r < 1 for r in rs):
         raise ValueError(f"need every r >= 1, got {list(rs)}")
-    n = _register_size(terms)
-    dim = 2 ** n
     exact = exact_unitary(terms, t)
-    eigs = [linalg.hermitian_eigen(term.dense()) for term in terms]
     omega = noncommuting_pair_count(terms)
     reports = []
     for r in rs:
-        step = np.eye(dim, dtype=complex)
-        for lam, v in eigs:
-            step = step @ ((v * np.exp(-1j * (t / r) * lam)) @ linalg.adjoint(v))
-        measured = linalg.spectral_norm(exact - np.linalg.matrix_power(step, int(r)))
-        simple, full, commutator = _bounds(terms, t, int(r), omega)
+        measured = linalg.spectral_norm(exact - product_formula(terms, t, int(r)))
+        simple, full, commutator = bounds(terms, t, int(r), omega)
         reports.append(TrotterReport(int(r), t, measured, simple, full, commutator, omega))
     return reports
 

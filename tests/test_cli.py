@@ -109,6 +109,26 @@ def test_bad_value_exits_3(tmp_path, capsys):
     assert cli.main(["trotter-sweep", "--rs", "ten", "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-cqp", "--beta", "nan"],
+    ["train-cqp", "--eta", "inf"],
+    ["train-cqp", "--fd-step", "0.5"],
+    ["train-cqp", "--fd-step", "nan"],
+    ["trotter-sweep", "--t", "1e308"],
+    ["gqft-distance", "--thetas", "400"],
+    ["verify-gqft", "--thetas", "1e308"],
+    ["swap-test", "--shots", "10000000000000000000"],
+    ["train-cqp", "--eta", "1e308"],
+    ["trotter-sweep", "--rs", "1," + "1" + "0" * 400],
+    ["decompose", "--theta1=1.7e308", "--theta2=1.7e308"],
+])
+def test_out_of_range_value_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert "ERROR invalid config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -29,6 +29,16 @@ def test_encode_single_blade_matches_expm():
     np.testing.assert_allclose(cqp.encode(config, [c]), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_type_ii_encode_matches_expm_i_route(n):
+    config = PerceptronConfig.type_ii(n)
+    rng = np.random.default_rng(60 + n)
+    for c in [np.zeros(2 * n), *rng.uniform(-2.0, 2.0, size=(5, 2 * n))]:
+        h = sum(cj * b.dense() for cj, b in zip(c, config.active_blades))
+        want = linalg.expm_i(h) @ simulator.basis_state(n, 0)
+        np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
+
+
 def test_encode_generates_entanglement():
     config = PerceptronConfig.type_ii(2)
     state = cqp.encode(config, [0.3, 0.7, 0.1, 0.5])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cliffsim import linalg
+from cliffsim import clifford, linalg
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,12 +59,27 @@ def test_hermitian_eigen_reconstructs_and_orders():
             (v * eig.eigenvalues) @ v.conj().T, h, atol=1e-10)
 
 
-def test_hermitian_eigen_matches_lapack_eigenvalues():
-    rng = np.random.default_rng(19)
-    for dim in (2, 4, 8, 16):
-        h = linalg.random_hermitian(dim, rng)
-        mine = linalg.hermitian_eigen(h).eigenvalues
-        np.testing.assert_allclose(mine, np.linalg.eigvalsh(h), atol=1e-10)
+@pytest.mark.parametrize("fault", ["non-orthonormal basis", "wrong eigenvalue"])
+def test_hermitian_eigen_rejects_a_bad_lapack_result(monkeypatch, fault):
+    h = linalg.random_hermitian(4, np.random.default_rng(19))
+    lam, v = np.linalg.eigh(h)
+    if fault == "non-orthonormal basis":
+        v[:, 0] *= 1.0 + 1e-6  # still an eigenvector, so only orthonormality fails
+    else:
+        lam[0] += 1e-6
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (lam, v))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.hermitian_eigen(h)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3, -0.3, np.pi / 2, -np.pi / 2, 2.7])
+def test_involution_closed_form_matches_expm_i(s):
+    for n in (1, 2, 3):
+        for blade in clifford.hermitian_basis(n):
+            b = blade.dense()
+            np.testing.assert_allclose(
+                linalg.expm_i_involution(b, s), linalg.expm_i(b, s), atol=1e-12,
+                err_msg=f"n={n} indices={blade.indices}")
 
 
 def test_spectral_norm_examples():
