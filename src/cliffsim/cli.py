@@ -22,17 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, circuits, clifford, cqp, gqft, linalg, simulator, trotter
+from .linalg import CheckFailure
 
 
 class ConfigError(Exception):
     pass
-
-
-class CheckFailure(Exception):
-    def __init__(self, name: str, detail: str):
-        super().__init__(f"{name}: {detail}")
-        self.name = name
-        self.detail = detail
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +73,8 @@ _COMMAND_KEYS = {
 
 
 def _coerce(key: str, kind: str, raw):
-    if not isinstance(raw, str):
-        return raw
+    if not isinstance(raw, str):  # argparse gives [] for a value of "--"
+        raise ConfigError(f"bad value for {key!r}: {raw!r}")
     try:
         if kind == "int":
             return int(raw)
@@ -198,7 +192,8 @@ def _gqft_grid(cfg):
     n = cfg["n"]
     _require(1 <= n <= 4, "n", "must be in 1..4")
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
-    _require(all(t >= 0 for t in cfg["thetas"]), "thetas", "must all be >= 0")
+    _require(len(cfg["thetas"]) >= 1 and all(t >= 0 for t in cfg["thetas"]), "thetas",
+             "need at least one theta, all >= 0")
     _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
              "thetas", f"too large: the distance bound overflows at n={n}")
     for theta in cfg["thetas"]:
@@ -212,11 +207,8 @@ def _cmd_verify_gqft(cfg):
     rows = []
     worst_u = worst_f = 0.0
     for theta, seed, params in _gqft_grid(cfg):
-        f_g = gqft.gqft_dense(params)
-        defect = linalg.unitarity_defect(f_g)
-        fact = max(
-            float(np.linalg.norm(f_g[:, j] - gqft.gqft_column_factored(params, j)))
-            for j in range(2 ** params.n))
+        rep = gqft.distance_report(params)
+        defect, fact = rep.unitarity_defect, rep.max_column_factorization_error
         _check(defect <= 1e-10, "gqft-unitarity",
                f"theta={theta} seed={seed} defect {defect:.3e}")
         _check(fact <= 1e-10, "gqft-factorization",
@@ -245,8 +237,8 @@ def _cmd_trotter_sweep(cfg):
     n, terms_n, t = cfg["n"], cfg["terms"], cfg["t"]
     _require(1 <= n <= 2, "n", "must be in 1..2")
     _require(1 <= terms_n <= 4 ** n - 1, "terms", f"must be in 1..{4 ** n - 1} for n={n}")
-    _require(len(cfg["rs"]) >= 1 and all(r >= 1 for r in cfg["rs"]), "rs",
-             "need at least one r, all >= 1")
+    _require(len(cfg["rs"]) >= 1 and all(1 <= r <= trotter.R_MAX for r in cfg["rs"]), "rs",
+             f"need at least one r, all in 1..{trotter.R_MAX}")
     terms = trotter.random_instance(n, terms_n, cfg["seed"])
     omega = trotter.noncommuting_pair_count(terms)
     _require(_finite(lambda: [trotter.bounds(terms, t, r, omega) for r in cfg["rs"]]),
@@ -268,21 +260,18 @@ def _cmd_trotter_sweep(cfg):
 def _cmd_swap_test(cfg):
     n = cfg["n"]
     _require(1 <= n <= 4, "n", "must be in 1..4")
-    _require(all(1 <= s < 2 ** 63 for s in cfg["shots"]), "shots",
-             "must all be in 1..2^63-1")
+    _require(len(cfg["shots"]) >= 1 and all(1 <= s < 2 ** 63 for s in cfg["shots"]),
+             "shots", "need at least one shot count, all in 1..2^63-1")
     rng = np.random.default_rng(cfg["seed"])
     psi = simulator.random_state(n, rng)
     phi = simulator.random_state(n, rng)
-    formula = (1.0 + abs(simulator.inner(psi, phi)) ** 2) / 2.0
-    protocol = simulator.swap_test_circuit_probability(psi, phi)
-    _check(abs(formula - protocol) <= 1e-10, "swap-agreement",
-           f"formula {formula!r} vs protocol {protocol!r}")
+    p0 = simulator.swap_test_exact(psi, phi)  # raises CheckFailure("swap-agreement")
     overlap = abs(simulator.inner(psi, phi))
     rows = []
     for idx, shots in enumerate(cfg["shots"]):
         row_seed = cfg["seed"] + 1 + idx
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
-        spread = 8.0 * math.sqrt(formula * (1.0 - formula) / shots) + 1e-12
+        spread = 8.0 * math.sqrt(p0 * (1.0 - p0) / shots) + 1e-12
         _check(abs(estimate ** 2 - overlap ** 2) <= spread, "swap-concentration",
                f"shots={shots}: |est^2 - exact^2| = "
                f"{abs(estimate ** 2 - overlap ** 2):.6e} > {spread:.6e}")
@@ -343,12 +332,9 @@ def _cmd_equivalence(cfg):
         seed = cfg["seed"] + i
         rng = np.random.default_rng(seed)
         u = linalg.random_unitary(2 ** n, rng)
-        x = cqp.encode(config, rng.uniform(-1.0, 1.0, 2 * n))
-        w = cqp.encode(config, rng.uniform(-1.0, 1.0, 2 * n))
-        phi, y = cqp.forward(x, w, config.activation, config.output_blade)
-        phi_u, y_u = cqp.forward(u @ x, u @ w, config.activation, config.output_blade)
-        phi_defect = abs(phi - phi_u)
-        state_defect = float(np.linalg.norm(y - y_u))
+        x_coeffs = rng.uniform(-1.0, 1.0, 2 * n)
+        w_coeffs = rng.uniform(-1.0, 1.0, 2 * n)
+        phi_defect, state_defect = cqp.equivalence_defects(config, u, x_coeffs, w_coeffs)
         _check(phi_defect <= 1e-10 and state_defect <= 1e-10, "equivalence-defect",
                f"seed={seed}: phi defect {phi_defect:.3e}, "
                f"state defect {state_defect:.3e}")

@@ -14,6 +14,11 @@ reference state is rotated by the opposite angle, r = exp(-i*beta*B_mu)|0..0>,
 so that for output blades with zero diagonal expectation the fidelity obeys
 F = |cos(phi + beta)|.
 
+Joint unitary invariance: rotating both |x> and |w> by one unitary U leaves
+<x|w>, hence phi and y, unchanged.  equivalence_defects measures how far
+the two forward passes differ; type_equivalence_check is the predicate
+over it.
+
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
 """
@@ -61,7 +66,6 @@ class PerceptronConfig:
     output_blade: Blade
     activation: Activation = Activation.TANH
     eta: float = 0.1
-    overlap_mode: str = "real"         # "real" or "abs" (sensitivity studies)
 
     def __post_init__(self):
         if self.flavor not in ("I", "II"):
@@ -83,8 +87,6 @@ class PerceptronConfig:
             raise ValueError("output_blade must be a non-identity blade on the same register")
         if not self.eta > 0:
             raise ValueError(f"need eta > 0, got {self.eta}")
-        if self.overlap_mode not in ("real", "abs"):
-            raise ValueError(f"overlap_mode must be 'real' or 'abs', got {self.overlap_mode!r}")
 
     @classmethod
     def type_ii(cls, n: int, output_index: int = 0, **kw) -> "PerceptronConfig":
@@ -122,16 +124,18 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     return linalg.expm_i_involution(h, norm) @ basis_state(config.n, 0)
 
 
-def forward(x, w, activation: Activation, output_blade: Blade,
-            overlap_mode: str = "real") -> tuple[float, np.ndarray]:
-    """Perceptron forward pass: returns (phi, output state)."""
-    raw = inner(x, w)
-    u = abs(raw) if overlap_mode == "abs" else raw.real
-    v = activation.apply(u)
+def _angle(x, w, activation: Activation) -> float:
+    """phi = arccos(activation(Re<x|w>))."""
+    v = activation.apply(inner(x, w).real)
     if abs(v) > 1.0 + _ACT_RANGE_SLACK:
         raise ValueError(
             f"activation output {v!r} is outside [-1, 1]; arccos undefined")
-    phi = math.acos(min(1.0, max(-1.0, v)))
+    return math.acos(min(1.0, max(-1.0, v)))
+
+
+def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[float, np.ndarray]:
+    """Perceptron forward pass: returns (phi, output state)."""
+    phi = _angle(x, w, activation)
     y = (linalg.expm_i_involution(output_blade.dense(), phi)
          @ basis_state(output_blade.n, 0))
     return phi, y
@@ -199,7 +203,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
 
     def score(t: np.ndarray) -> float:
         w = encode(config, t)
-        _, y = forward(x, w, config.activation, config.output_blade, config.overlap_mode)
+        _, y = forward(x, w, config.activation, config.output_blade)
         return float(min(abs(inner(ref, y)), 1.0))
 
     records = [TrainRecord(0, theta.copy(), score(theta))]
@@ -225,17 +229,20 @@ def multilayer_forward(layers: Sequence[np.ndarray], x_coeffs,
             raise ValueError(
                 f"layer {depth}: expected shape ({m_blades}, {m_blades}), "
                 f"got {weights.shape}")
-        phis = np.empty(m_blades)
-        for j in range(m_blades):
-            w = encode(config, weights[j])
-            raw = inner(state, w)
-            u = abs(raw) if config.overlap_mode == "abs" else raw.real
-            v = config.activation.apply(u)
-            if abs(v) > 1.0 + _ACT_RANGE_SLACK:
-                raise ValueError(f"layer {depth} neuron {j}: activation out of range")
-            phis[j] = math.acos(min(1.0, max(-1.0, v)))
+        phis = [_angle(state, encode(config, row), config.activation) for row in weights]
         state = encode(config, phis)
     return state
+
+
+def equivalence_defects(config: PerceptronConfig, u, x_coeffs,
+                        w_coeffs) -> tuple[float, float]:
+    """(|phi - phi_u|, ||y - y_u||) for the encoded input and weight, and for
+    both rotated by the unitary u; joint unitary invariance makes both zero."""
+    x = encode(config, x_coeffs)
+    w = encode(config, w_coeffs)
+    phi, y = forward(x, w, config.activation, config.output_blade)
+    phi_u, y_u = forward(u @ x, u @ w, config.activation, config.output_blade)
+    return abs(phi - phi_u), float(np.linalg.norm(y - y_u))
 
 
 def type_equivalence_check(config: PerceptronConfig, u, x_coeffs=None,
@@ -253,12 +260,8 @@ def type_equivalence_check(config: PerceptronConfig, u, x_coeffs=None,
             x_coeffs = rng.uniform(-1.0, 1.0, size)
         if w_coeffs is None:
             w_coeffs = rng.uniform(-1.0, 1.0, size)
-    x = encode(config, x_coeffs)
-    w = encode(config, w_coeffs)
-    phi, y = forward(x, w, config.activation, config.output_blade, config.overlap_mode)
-    phi_u, y_u = forward(m @ x, m @ w, config.activation, config.output_blade,
-                         config.overlap_mode)
-    return abs(phi - phi_u) <= tol and float(np.linalg.norm(y - y_u)) <= tol
+    phi_defect, state_defect = equivalence_defects(config, m, x_coeffs, w_coeffs)
+    return phi_defect <= tol and state_defect <= tol
 
 
 def operator_activation_forward(x, activation: Activation, reference_index: int,

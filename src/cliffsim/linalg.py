@@ -26,6 +26,18 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
+class CheckFailure(Exception):
+    """A cross-check between two independent routes failed.
+
+    ``name`` is the check's name as the CLI reports it (``FAIL <name>``).
+    """
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name}: {detail}")
+        self.name = name
+        self.detail = detail
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -79,14 +91,6 @@ def unitarity_defect(a) -> float:
     eye = np.eye(m.shape[0])
     return max(frobenius_norm(m @ adjoint(m) - eye),
                frobenius_norm(adjoint(m) @ m - eye))
-
-
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    return hermiticity_defect(a) <= tol
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
-    return unitarity_defect(a) <= tol
 
 
 class HermitianEigen(NamedTuple):

@@ -1,15 +1,17 @@
 """Statevector simulation utilities.
 
 States are 1-d complex arrays of length 2^n, unit normalized, with qubit 1
-on the most significant bit of the basis index.  Sampling operations take
-an explicit 64-bit seed (or a Generator) and record the seed alongside the
-counts so every stochastic result is reproducible.
+on the most significant bit of the basis index.  Swap-test sampling takes
+an explicit 64-bit seed and records it alongside the counts so every
+stochastic result is reproducible.
 
 The overlap test runs both as the closed-form probability
 Pr(0) = (1 + |<psi|phi>|^2) / 2 and as the full (2n+1)-qubit ancilla
-protocol (Hadamard, controlled register swap, Hadamard, projection); the
-two routes are required to agree and the protocol is simulated directly on
-the statevector, never through dense exponentials.
+protocol (Hadamard, controlled register swap, Hadamard, projection),
+simulated directly on the statevector, never through dense exponentials.
+swap_test_exact requires the two routes to agree and raises
+linalg.CheckFailure when they do not; swap_test_sampled draws from the
+closed form alone, so a caller compares the routes once per state pair.
 """
 from __future__ import annotations
 
@@ -79,25 +81,6 @@ def state_tensor(*states) -> np.ndarray:
     return out
 
 
-def measure(state, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Projective computational-basis measurement; collapses the state."""
-    v = _require_state(state)
-    probs = np.abs(v) ** 2
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(v), p=probs))
-    return outcome, basis_state(n_qubits(v), outcome)
-
-
-def sample_counts(state, shots: int, seed: int) -> np.ndarray:
-    """Multinomial outcome counts over the computational basis."""
-    if shots < 1:
-        raise ValueError(f"need shots >= 1, got {shots}")
-    v = _require_state(state)
-    probs = np.abs(v) ** 2
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / probs.sum())
-
-
 @dataclass(frozen=True)
 class ShotTally:
     shots: int
@@ -112,12 +95,21 @@ class ShotTally:
             raise ValueError(f"zero_count {self.zero_count} out of range 0..{self.shots}")
 
 
-def swap_test_circuit_probability(psi, phi) -> float:
-    """Pr(ancilla = 0) from the full (2n+1)-qubit protocol, statevector path."""
+def _state_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:
     p = _require_state(psi, "psi")
     q = _require_state(phi, "phi")
     if p.shape != q.shape:
         raise ValueError(f"register sizes differ: {p.shape[0]} vs {q.shape[0]}")
+    return p, q
+
+
+def _swap_formula(p: np.ndarray, q: np.ndarray) -> float:
+    return (1.0 + abs(inner(p, q)) ** 2) / 2.0
+
+
+def swap_test_circuit_probability(psi, phi) -> float:
+    """Pr(ancilla = 0) from the full (2n+1)-qubit protocol, statevector path."""
+    p, q = _state_pair(psi, phi)
     dim = p.shape[0]
     # |0, phi, psi>: ancilla on the most significant bit
     full = state_tensor(basis_state(1, 0), q, p)
@@ -135,28 +127,31 @@ def swap_test_circuit_probability(psi, phi) -> float:
 
 
 def swap_test_exact(psi, phi, tol: float = STATE_TOL) -> float:
-    """Pr(0) = (1 + |<psi|phi>|^2) / 2, cross-checked against the protocol."""
-    p = _require_state(psi, "psi")
-    q = _require_state(phi, "phi")
-    overlap = abs(inner(p, q))
-    formula = (1.0 + overlap ** 2) / 2.0
+    """Pr(0) = (1 + |<psi|phi>|^2) / 2, cross-checked against the protocol.
+
+    Raises ``linalg.CheckFailure("swap-agreement", ...)`` when the two
+    routes differ by more than tol.
+    """
+    p, q = _state_pair(psi, phi)
+    formula = _swap_formula(p, q)
     protocol = swap_test_circuit_probability(p, q)
     if abs(formula - protocol) > tol:
-        raise RuntimeError(
-            f"swap-test routes disagree: formula {formula!r} vs protocol {protocol!r}")
+        raise linalg.CheckFailure("swap-agreement",
+                                  f"formula {formula!r} vs protocol {protocol!r}")
     return formula
 
 
 def swap_test_sampled(psi, phi, shots: int, seed: int) -> tuple[ShotTally, float]:
     """Sample ancilla outcomes and invert Pr(0) = (1 + ov^2)/2 for |ov|.
 
-    The estimate is sqrt(max(0, 2*zero_count/shots - 1)); a negative
-    radicand (possible only through sampling noise) clamps to zero and is
-    flagged on the tally.
+    Outcomes are drawn from the closed-form Pr(0); swap_test_exact is the
+    one place that compares it with the protocol.  The estimate is
+    sqrt(max(0, 2*zero_count/shots - 1)); a negative radicand (possible
+    only through sampling noise) clamps to zero and is flagged on the tally.
     """
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
-    p0 = swap_test_exact(psi, phi)
+    p0 = _swap_formula(*_state_pair(psi, phi))
     rng = np.random.default_rng(seed)
     zeros = int(rng.binomial(shots, p0))
     radicand = 2.0 * zeros / shots - 1.0

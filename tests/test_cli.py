@@ -1,8 +1,10 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
+import itertools
+
 import numpy as np
 import pytest
 
-from cliffsim import cli
+from cliffsim import cli, cqp, gqft, simulator
 
 SMALL_ARGS = {
     "verify-basis": ["--n", "2"],
@@ -121,6 +123,11 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["train-cqp", "--eta", "1e308"],
     ["trotter-sweep", "--rs", "1," + "1" + "0" * 400],
     ["decompose", "--theta1=1.7e308", "--theta2=1.7e308"],
+    ["verify-gqft", "--thetas", ","],
+    ["gqft-distance", "--thetas", ","],
+    ["swap-test", "--shots", ","],
+    ["omega-count", "--seed=--"],
+    ["trotter-sweep", "--t", "61565208610", "--rs", "9223372036854775807"],
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, argv):
     out = tmp_path / "r.csv"
@@ -141,6 +148,43 @@ def test_check_failure_exits_1(tmp_path, capsys):
     assert code == 1
     printed = capsys.readouterr().out
     assert printed.startswith("FAIL train-converged")
+    assert not out.exists()
+
+
+def _shifted(real):
+    return lambda *args: real(*args) + 1e-6
+
+
+def _shrunk(real):
+    return lambda *args: real(*args) * 1e-6
+
+
+def _perturbed_under_u(real):
+    calls = itertools.count()
+
+    def forward(*args):
+        phi, y = real(*args)
+        # equivalence_defects runs the plain pass, then the pass under u
+        return (phi + 1e-6 if next(calls) % 2 else phi), y
+    return forward
+
+
+# check name -> (command, library module, function, wrapper that breaks it)
+LIBRARY_BREAKS = {
+    "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored", _shifted),
+    "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
+    "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
+    "equivalence-defect": ("equivalence", cqp, "forward", _perturbed_under_u),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LIBRARY_BREAKS))
+def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
+    command, module, name, patch = LIBRARY_BREAKS[check]
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    out = tmp_path / "r.csv"
+    assert _run(command, out) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {check} (")
     assert not out.exists()
 
 

@@ -1,0 +1,63 @@
+"""Property test of the CLI flag surface: every flag value, in range or not,
+ends in exit code 0, 1 or 3 and never in a traceback."""
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cliffsim import cli
+
+_HUGE = st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30, 10 ** 400])
+_JUNK = st.sampled_from(["", "abc", "1.5", "0x10", "--"])
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _ints(lo, hi):
+    """Small in-range ints, values just outside [lo, hi], huge ints, junk."""
+    return st.one_of(st.integers(lo, hi), st.sampled_from([lo - 1, hi + 1, -(10 ** 30)]),
+                     _HUGE, _JUNK)
+
+
+def _floats(lo, hi):
+    return st.one_of(st.floats(lo, hi), _ANY_FLOAT, st.sampled_from([1e308, -1e-300]), _JUNK)
+
+
+def _csv(element):
+    return st.lists(element, max_size=3).map(lambda xs: ",".join(str(x) for x in xs))
+
+
+_FLOAT = _floats(-3.0, 3.0)
+_VALUES = {
+    "seed": _ints(0, 2 ** 64 - 1),
+    "n": _ints(1, 4),
+    # a huge trial or iteration count is a valid config, just a long job;
+    # only the rejected ones are drawn large
+    "trials": st.integers(-2, 2),
+    "iterations": st.one_of(st.integers(-2, 4), st.sampled_from([20001, 10 ** 30])),
+    "terms": _ints(1, 15),
+    "output_index": _ints(0, 3),
+    "t": _FLOAT,
+    "beta": _FLOAT,
+    "eta": _floats(0.0, 1.0),
+    "fd_step": _floats(0.0, 0.02),
+    "require_fidelity": st.one_of(st.just(0.0), _floats(0.0, 1.0)),
+    "theta1": _FLOAT,
+    "theta2": _FLOAT,
+    "thetas": _csv(st.one_of(st.floats(0.0, 3.0), _ANY_FLOAT)),
+    "shots": _csv(st.one_of(st.integers(-1, 10 ** 6), _HUGE)),
+    "rs": _csv(st.one_of(st.integers(-1, 10 ** 6 + 1), _HUGE)),
+    "activation": st.sampled_from(["tanh", "identity", "clamp", "relu", ""]),
+}
+_ALWAYS_SET = {"trials", "iterations"}  # their defaults are the slow end
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_flag_surface_exits_0_1_or_3(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(cli._COMMAND_KEYS)), label="command")
+    argv = [command, f"--out={tmp_path / 'report'}"]
+    for key in ["seed", *cli._COMMAND_KEYS[command]]:
+        values = _VALUES[key] if key in _ALWAYS_SET else st.none() | _VALUES[key]
+        value = data.draw(values, label=key)
+        if value is not None:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    assert cli.main(argv) in (0, 1, 3), argv

@@ -140,7 +140,6 @@ def test_distance_z_axis_closed_form():
         want = np.sqrt(4.0 * (1.0 - np.cos(theta)))
         assert rep.distance_to_qft == pytest.approx(want, abs=1e-12)
         assert rep.distance_to_qft <= rep.bound
-        assert rep.spectral_distance_to_qft <= rep.distance_to_qft + 1e-12
 
 
 def test_distance_bound_on_grid():
@@ -162,14 +161,3 @@ def test_distance_scales_linearly_for_small_theta():
         rep = gqft.distance_report(GqftParams(2, theta, axes))
         ratios.append(rep.distance_to_qft / theta)
     assert abs(ratios[1] - ratios[0]) <= 0.05 * ratios[0]
-
-
-def test_k_dependent_angles_run_without_claims():
-    rng = np.random.default_rng(21)
-    params = GqftParams(2, 0.4, gqft.random_axes(2, rng))
-    same = gqft.gqft_dense(params, k_thetas=np.full(4, 0.4))
-    np.testing.assert_allclose(same, gqft.gqft_dense(params), atol=1e-12)
-    varied = gqft.gqft_dense(params, k_thetas=np.array([0.1, 0.2, 0.3, 0.4]))
-    assert varied.shape == (4, 4)
-    with pytest.raises(ValueError):
-        gqft.gqft_dense(params, k_thetas=np.array([0.1]))

@@ -122,9 +122,9 @@ def test_adjoint_and_defects():
     a = np.array([[1.0, 2.0 + 1j], [0.0, 1j]])
     np.testing.assert_allclose(linalg.adjoint(a), a.conj().T)
     assert linalg.hermiticity_defect(X) == pytest.approx(0.0, abs=1e-15)
-    assert linalg.is_hermitian(Y)
-    assert linalg.is_unitary(np.eye(3))
-    assert not linalg.is_unitary(2 * np.eye(3))
+    assert linalg.hermiticity_defect(Y) == pytest.approx(0.0, abs=1e-15)
+    assert linalg.unitarity_defect(np.eye(3)) == 0.0
+    assert linalg.unitarity_defect(2 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
 
 
 def test_random_unitary_is_unitary():

@@ -119,13 +119,3 @@ def test_entanglement_entropy_rejects_bad_cut():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     with pytest.raises(ValueError):
         simulator.entanglement_entropy(bell, 2)
-
-
-def test_measure_and_sample_counts():
-    rng = np.random.default_rng(3)
-    outcome, post = simulator.measure(PLUS, rng)
-    assert outcome in (0, 1)
-    np.testing.assert_allclose(post, simulator.basis_state(1, outcome), atol=1e-12)
-    counts = simulator.sample_counts(PLUS, shots=1000, seed=5)
-    assert counts.sum() == 1000
-    assert counts.shape == (2,)
