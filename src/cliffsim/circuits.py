@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,6 +229,24 @@ def compile_unitary(u, n: int) -> GateCircuit:
     for factor in reversed(two_level_decompose(u)):
         gates.extend(compile_two_level(factor, n).gates)
     return GateCircuit(n, tuple(gates))
+
+
+class DecomposeReport(NamedTuple):
+    factors: tuple[TwoLevelGate, ...]
+    circuit: GateCircuit
+    reconstruction_defect: float
+    compilation_defect: float
+
+
+def decompose_report(theta1: float, theta2: float) -> DecomposeReport:
+    """Two-level factors and compiled circuit of xy_yx_unitary(theta1, theta2),
+    with the Frobenius defect of each against the unitary; asserts neither."""
+    u = xy_yx_unitary(theta1, theta2)
+    factors = tuple(two_level_decompose(u))
+    circuit = compile_unitary(u, 2)
+    return DecomposeReport(factors, circuit,
+                           linalg.frobenius_norm(gates_product(factors, 4) - u),
+                           linalg.frobenius_norm(circuit.dense() - u))
 
 
 def _fmt_complex(z: complex) -> str:

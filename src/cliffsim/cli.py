@@ -157,24 +157,14 @@ def _fmt(value) -> str:
 def _cmd_verify_basis(cfg):
     n = cfg["n"]
     _require(1 <= n <= 3, "n", "must be in 1..3")
-    basis = clifford.hermitian_basis(n)
-    herm = max(linalg.hermiticity_defect(b.dense()) for b in basis)
-    eye = np.eye(2 ** n)
-    gen = 0.0
-    for a in range(2 * n):
-        ga = clifford.gamma(n, a).dense()
-        for b in range(a, 2 * n):
-            gb = clifford.gamma(n, b).dense()
-            want = 2.0 * eye if a == b else 0.0 * eye
-            gen = max(gen, linalg.frobenius_norm(ga @ gb + gb @ ga - want))
-    rank = clifford.gram_rank([b.dense() for b in basis])
+    _, count, herm, gen, rank = clifford.basis_report(n)
     _check(herm <= 1e-12, "basis-hermiticity", f"max defect {herm:.3e}")
     _check(gen <= 1e-12, "generator-relations", f"max defect {gen:.3e}")
     _check(rank == 4 ** n, "basis-independence", f"gram rank {rank} != {4 ** n}")
     header = ["n", "blade_count", "max_hermiticity_defect",
               "max_generator_relation_defect", "gram_rank"]
-    rows = [[n, len(basis), herm, gen, rank]]
-    return header, rows, [f"verify-basis: n={n}, {len(basis)} blades, "
+    rows = [[n, count, herm, gen, rank]]
+    return header, rows, [f"verify-basis: n={n}, {count} blades, "
                           f"hermiticity {herm:.3e}, relations {gen:.3e}, rank {rank}"]
 
 
@@ -225,7 +215,9 @@ def _cmd_gqft_distance(cfg):
     rows = []
     for theta, seed, params in _gqft_grid(cfg):
         rep = gqft.distance_report(params)
-        _check(rep.distance_to_qft <= rep.bound, "gqft-distance-bound",
+        # 1e-12 absorbs roundoff: at theta = 0 the bound is 0 and the
+        # distance is rounding alone
+        _check(rep.distance_to_qft <= rep.bound + 1e-12, "gqft-distance-bound",
                f"theta={theta} seed={seed} distance {rep.distance_to_qft:.6e} "
                f"> bound {rep.bound:.6e}")
         rows.append([theta, params.n, seed, rep.distance_to_qft, rep.bound])
@@ -245,9 +237,13 @@ def _cmd_trotter_sweep(cfg):
              "t, rs", "must keep every Trotter bound finite")
     rows = []
     for rep in trotter.error_sweep(terms, t, cfg["rs"]):
-        _check(rep.measured_error <= rep.bound_full, "trotter-bound",
+        # roundoff of product_formula: a step multiplies L rounded 2^n x 2^n
+        # factors, so it is off by about L * 2^n * eps in norm (eps = 2^-52);
+        # for contractions ||A^r - B^r|| <= r ||A - B||, so V is off r times that
+        roundoff = rep.r * terms_n * 2 ** n * 2.0 ** -52
+        _check(rep.measured_error <= rep.bound_full + roundoff, "trotter-bound",
                f"r={rep.r}: measured {rep.measured_error:.6e} "
-               f"> bound_full {rep.bound_full:.6e}")
+               f"> bound_full {rep.bound_full:.6e} + roundoff {roundoff:.6e}")
         rows.append([rep.r, rep.t, rep.measured_error, rep.bound_simple,
                      rep.bound_full, rep.bound_commutator, rep.omega])
     header = ["r", "t", "measured_error", "bound_simple", "bound_full",
@@ -349,12 +345,8 @@ def _cmd_decompose(cfg):
     # the generator's entries are sums of the two angles
     _require(math.isfinite(abs(theta1) + abs(theta2)), "theta1, theta2",
              "|theta1| + |theta2| must be finite")
-    u = circuits.xy_yx_unitary(theta1, theta2)
-    factors = circuits.two_level_decompose(u)
-    recon = linalg.frobenius_norm(circuits.gates_product(factors, 4) - u)
+    factors, circuit, recon, compiled = circuits.decompose_report(theta1, theta2)
     _check(recon <= 1e-9, "decompose-reconstruction", f"defect {recon:.3e}")
-    circuit = circuits.compile_unitary(u, 2)
-    compiled = linalg.frobenius_norm(circuit.dense() - u)
     _check(compiled <= 1e-9, "decompose-compilation", f"defect {compiled:.3e}")
     lines = [f"# two-level factors ({len(factors)})"]
     lines += circuits.format_two_level(factors)

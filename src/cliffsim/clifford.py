@@ -1,4 +1,4 @@
-"""Symbolic Pauli strings and Hermitian Clifford generator products.
+"""Pauli-word generators and Hermitian Clifford generator products.
 
 A register of n qubits carries 2n anticommuting generators, each realized
 as a Pauli string with a single X or Y letter followed by a Z tail:
@@ -9,26 +9,23 @@ as a Pauli string with a single X or Y letter followed by a Z tail:
 Products of distinct generators ("blades") are made Hermitian by a phase
 factor omega in {1, i} chosen from the grade: omega = i exactly when
 zeta*(zeta-1)/2 is odd (zeta = number of factors), i.e. zeta = 2, 3 mod 4.
-The factor multiplies the product on the left; construction certifies the
-result is Hermitian and aborts otherwise rather than flipping the factor.
-
-All symbolic products track a global phase i**phase_power (phase_power
-mod 4), so every algebraic identity here can be checked without building
-dense matrices, while ``dense()`` provides the 2^n x 2^n realization with
-qubit 1 on the most significant bit.
+A blade's matrix is omega times the dense product of its generator
+matrices, which are built once at import.  Pauli-word matrices are monomial
+with entries in {0, +-1, +-i}, so every such product is exact in floating
+point: construction certifies B = B^dag by exact equality and aborts
+otherwise rather than flipping the factor.  Matrices put qubit 1 on the
+most significant bit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
-
-DEFAULT_TOL = linalg.DEFAULT_TOL
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -37,24 +34,13 @@ PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-letter products: (a, b) -> (c, k) meaning a*b = i**k * c
-_MUL = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0), ("Y", "I"): ("Y", 0), ("Z", "I"): ("Z", 0),
-    ("X", "X"): ("I", 0), ("Y", "Y"): ("I", 0), ("Z", "Z"): ("I", 0),
-    ("X", "Y"): ("Z", 1), ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1), ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1), ("X", "Z"): ("Y", 3),
-}
-
 
 @dataclass(frozen=True)
 class PauliString:
-    """A tensor word over {I, X, Y, Z} with global phase i**phase_power."""
+    """A phase-free tensor word over {I, X, Y, Z}."""
 
     n: int
     letters: tuple[str, ...]
-    phase_power: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -64,38 +50,9 @@ class PauliString:
         bad = [c for c in self.letters if c not in PAULI]
         if bad:
             raise ValueError(f"invalid Pauli letters: {bad}")
-        object.__setattr__(self, "phase_power", self.phase_power % 4)
-
-    @property
-    def phase(self) -> complex:
-        return 1j ** self.phase_power
-
-    def is_hermitian_symbolic(self) -> bool:
-        # a bare Pauli word is Hermitian; the phase must be +-1
-        return self.phase_power % 2 == 0
 
     def dense(self) -> np.ndarray:
-        return self.phase * linalg.tensor(*(PAULI[c] for c in self.letters))
-
-    def __matmul__(self, other: "PauliString") -> "PauliString":
-        return pauli_mul(self, other)
-
-
-def identity_string(n: int) -> PauliString:
-    return PauliString(n, ("I",) * n)
-
-
-def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
-    """Symbolic product with exact phase tracking (never builds matrices)."""
-    if p.n != q.n:
-        raise ValueError(f"length mismatch: {p.n} vs {q.n}")
-    power = p.phase_power + q.phase_power
-    letters = []
-    for a, b in zip(p.letters, q.letters):
-        c, k = _MUL[(a, b)]
-        letters.append(c)
-        power += k
-    return PauliString(p.n, tuple(letters), power % 4)
+        return linalg.tensor(*(PAULI[c] for c in self.letters))
 
 
 def gamma(n: int, a: int) -> PauliString:
@@ -110,6 +67,17 @@ def gamma(n: int, a: int) -> PauliString:
     return PauliString(n, tuple(letters))
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+# The 2n generator matrices of every register size, built once at import so
+# that blades share them and no job pays (or traces) their construction.
+_GENERATORS = {n: tuple(_read_only(gamma(n, a).dense()) for a in range(2 * n))
+               for n in range(1, 5)}
+
+
 @dataclass(frozen=True)
 class Blade:
     """Hermitian product omega * gamma_{j1} ... gamma_{jz}, indices ascending."""
@@ -118,6 +86,8 @@ class Blade:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n not in _GENERATORS:
+            raise ValueError(f"need 1 <= n <= 4, got n={self.n}")
         idx = tuple(self.indices)
         if list(idx) != sorted(set(idx)):
             raise ValueError(f"indices must be strictly ascending, got {idx}")
@@ -134,24 +104,18 @@ class Blade:
         z = self.grade
         return 1j if (z * (z - 1) // 2) % 2 else 1.0 + 0j
 
-    @cached_property
-    def word(self) -> PauliString:
-        w = identity_string(self.n)
-        for a in self.indices:
-            w = pauli_mul(w, gamma(self.n, a))
-        if self.omega == 1j:
-            w = PauliString(w.n, w.letters, w.phase_power + 1)
-        if not w.is_hermitian_symbolic():
-            # the omega rule guarantees Hermiticity; reaching this means the
-            # construction itself is broken, so fail loudly
-            raise ValueError(
-                f"blade {self.indices} on n={self.n} is not Hermitian "
-                f"(phase power {w.phase_power}); refusing to flip omega")
-        return w
-
-    @cached_property
+    @functools.cached_property
     def _dense(self) -> np.ndarray:
-        return self.word.dense()
+        gens = _GENERATORS[self.n]
+        m = self.omega * functools.reduce(
+            np.matmul, (gens[a] for a in self.indices), np.eye(2 ** self.n, dtype=complex))
+        if not np.array_equal(m, linalg.adjoint(m)):
+            # the omega rule guarantees Hermiticity and the product is exact,
+            # so reaching this means the construction itself is broken
+            raise ValueError(
+                f"blade {self.indices} on n={self.n} is not Hermitian; "
+                "refusing to flip omega")
+        return _read_only(m)
 
     def dense(self) -> np.ndarray:
         return self._dense
@@ -161,11 +125,8 @@ def hermitian_basis(n: int) -> list[Blade]:
     """All 4^n blades, grade-major, index-lexicographic inside each grade."""
     if not 1 <= n <= 4:
         raise ValueError(f"need 1 <= n <= 4, got n={n}")
-    blades = []
-    for grade in range(2 * n + 1):
-        for idx in itertools.combinations(range(2 * n), grade):
-            blades.append(Blade(n, idx))
-    return blades
+    return [Blade(n, idx) for grade in range(2 * n + 1)
+            for idx in itertools.combinations(range(2 * n), grade)]
 
 
 def pauli_word_basis(n: int) -> list[PauliString]:
@@ -174,6 +135,28 @@ def pauli_word_basis(n: int) -> list[PauliString]:
         raise ValueError(f"need 1 <= n <= 4, got n={n}")
     return [PauliString(n, letters)
             for letters in itertools.product("IXYZ", repeat=n)]
+
+
+class BasisReport(NamedTuple):
+    n: int
+    blade_count: int
+    max_hermiticity_defect: float
+    max_generator_relation_defect: float
+    gram_rank: int
+
+
+def basis_report(n: int) -> BasisReport:
+    """Hermiticity of every blade, the generator relations
+    gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab I, and the Gram rank of
+    the basis; asserts none of them, the thresholds are the caller's."""
+    mats = [b.dense() for b in hermitian_basis(n)]
+    eye = np.eye(2 ** n)
+    relations = max(
+        linalg.frobenius_norm(ga @ gb + gb @ ga - (2.0 * eye if a == b else 0.0))
+        for (a, ga), (b, gb) in itertools.combinations_with_replacement(
+            enumerate(_GENERATORS[n]), 2))
+    return BasisReport(n, len(mats), max(map(linalg.hermiticity_defect, mats)),
+                       relations, gram_rank(mats))
 
 
 def anticommutes(j1: Iterable[int], j2: Iterable[int]) -> bool:
@@ -201,11 +184,8 @@ def omega_count_dense(n: int) -> int:
     if not 1 <= n <= 3:
         raise ValueError(f"need 1 <= n <= 3, got n={n}")
     mats = [b.dense() for b in hermitian_basis(n)]
-    count = 0
-    for a, b in itertools.combinations(mats, 2):
-        if linalg.frobenius_norm(a @ b - b @ a) > 1e-9:
-            count += 1
-    return count
+    return sum(1 for a, b in itertools.combinations(mats, 2)
+               if linalg.frobenius_norm(a @ b - b @ a) > 1e-9)
 
 
 def gram_rank(mats: Sequence[np.ndarray], tol: float = 1e-8) -> int:
@@ -236,7 +216,7 @@ def pauli_coefficients(h, n: int) -> np.ndarray:
 
 
 def lie_embedding_check(first: Sequence[np.ndarray], second: Sequence[np.ndarray],
-                        tol: float = DEFAULT_TOL) -> bool:
+                        tol: float = linalg.DEFAULT_TOL) -> bool:
     """Certify psi([B,C]) = [psi(B), psi(C)] for per-qubit su(2) components.
 
     psi places each 2x2 anti-Hermitian traceless component on its own qubit

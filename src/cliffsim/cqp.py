@@ -1,11 +1,12 @@
 """Clifford quantum perceptrons.
 
 States are prepared by exponentiating real combinations of Hermitian
-blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses exactly
-the 2n single-generator blades; Type I may use any explicit blade list.
-The generators anticommute, so a Type II sum squares to |c|^2 I and is
-exponentiated in closed form, as is every single-blade rotation below;
-a Type I sum goes through the general linalg.expm_i.
+blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses the 2n
+single-generator blades; a Type I unit may use any explicit blade list.
+When the active blades pairwise anticommute (always so for Type II), the
+sum squares to |c|^2 I and is exponentiated in closed form, as is every
+single-blade rotation below; any other sum goes through the general
+linalg.expm_i.
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -25,6 +26,7 @@ finite-difference gradients; no analytic gradient is trusted anywhere.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import Blade
+from .clifford import Blade, anticommutes
 from .simulator import basis_state, inner
 
 _ACT_RANGE_SLACK = 1e-12
@@ -53,23 +55,15 @@ class Activation(enum.Enum):
         return min(1.0, max(-1.0, float(u)))
 
 
-def generator_blades(n: int) -> tuple[Blade, ...]:
-    """The 2n single-generator blades (omega = 1 for grade 1)."""
-    return tuple(Blade(n, (a,)) for a in range(2 * n))
-
-
 @dataclass(frozen=True)
 class PerceptronConfig:
     n: int
-    flavor: str                        # "I" or "II"
     active_blades: tuple[Blade, ...]
     output_blade: Blade
     activation: Activation = Activation.TANH
     eta: float = 0.1
 
     def __post_init__(self):
-        if self.flavor not in ("I", "II"):
-            raise ValueError(f"flavor must be 'I' or 'II', got {self.flavor!r}")
         if not self.active_blades:
             raise ValueError("active_blades must be non-empty")
         seen = set()
@@ -81,8 +75,6 @@ class PerceptronConfig:
             if b.indices in seen:
                 raise ValueError(f"duplicate active blade {b.indices}")
             seen.add(b.indices)
-        if self.flavor == "II" and self.active_blades != generator_blades(self.n):
-            raise ValueError("Type II requires exactly the 2n generator blades, in order")
         if self.output_blade.n != self.n or not self.output_blade.indices:
             raise ValueError("output_blade must be a non-identity blade on the same register")
         if not self.eta > 0:
@@ -90,19 +82,24 @@ class PerceptronConfig:
 
     @classmethod
     def type_ii(cls, n: int, output_index: int = 0, **kw) -> "PerceptronConfig":
-        return cls(n=n, flavor="II", active_blades=generator_blades(n),
+        return cls(n=n, active_blades=tuple(Blade(n, (a,)) for a in range(2 * n)),
                    output_blade=Blade(n, (output_index,)), **kw)
 
     @classmethod
     def type_i(cls, n: int, blade_index_sets: Sequence[Sequence[int]],
                output_indices: Sequence[int], **kw) -> "PerceptronConfig":
         blades = tuple(Blade(n, tuple(s)) for s in blade_index_sets)
-        return cls(n=n, flavor="I", active_blades=blades,
+        return cls(n=n, active_blades=blades,
                    output_blade=Blade(n, tuple(output_indices)), **kw)
 
     @cached_property
     def _blade_stack(self) -> np.ndarray:
         return np.stack([b.dense() for b in self.active_blades])
+
+    @cached_property
+    def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
+        return all(anticommutes(a.indices, b.indices)
+                   for a, b in itertools.combinations(self.active_blades, 2))
 
 
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
@@ -113,10 +110,9 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
             f"expected {len(config.active_blades)} coefficients, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
-    if config.flavor == "I":
+    if not config._anticommuting:
         h = np.tensordot(c, config._blade_stack, axes=1)
         return linalg.expm_i(h) @ basis_state(config.n, 0)
-    # Type II generators anticommute, so (sum_j c_j gamma_j)^2 = |c|^2 I
     norm = math.hypot(*c)
     if norm == 0.0:
         return basis_state(config.n, 0)

@@ -93,7 +93,7 @@ def axis_dot_sigma(axis) -> np.ndarray:
 
 def axis_rotation(axis, theta: float) -> np.ndarray:
     """exp(i theta n.sigma) = cos(theta) I + i sin(theta) n.sigma (2x2 closed form)."""
-    return math.cos(theta) * PAULI["I"] + 1j * math.sin(theta) * axis_dot_sigma(axis)
+    return linalg.expm_i_involution(axis_dot_sigma(axis), theta)
 
 
 def _bit(k: int, l: int, n: int) -> int:

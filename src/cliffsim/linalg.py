@@ -139,8 +139,9 @@ def expm_i_involution(h, s: float = 1.0) -> np.ndarray:
     H^2 = I is the caller's to guarantee (every blade squares to I); it is
     not re-checked here.  The tests compare this closed form with expm_i.
     """
-    m = np.asarray(h, dtype=complex)
-    return math.cos(s) * np.eye(m.shape[0]) + 1j * math.sin(s) * m
+    m = 1j * math.sin(s) * np.asarray(h, dtype=complex)  # a new array
+    m.flat[::m.shape[0] + 1] += math.cos(s)
+    return m
 
 
 def spectral_norm(a) -> float:

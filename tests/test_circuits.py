@@ -131,3 +131,12 @@ def test_format_two_level_and_circuit():
     netlist = circuits.format_circuit(circuit)
     assert len(netlist) == len(circuit.gates)
     assert all(("cu" in line) or ("cx" in line) for line in netlist)
+
+
+def test_decompose_report():
+    rep = circuits.decompose_report(0.3, -0.7)
+    u = circuits.xy_yx_unitary(0.3, -0.7)
+    assert len(rep.factors) <= 6
+    assert rep.reconstruction_defect == linalg.frobenius_norm(
+        circuits.gates_product(rep.factors, 4) - u) <= 1e-9
+    assert rep.compilation_defect == linalg.frobenius_norm(rep.circuit.dense() - u) <= 1e-9

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cliffsim import cli, cqp, gqft, simulator
+from cliffsim import circuits, cli, clifford, cqp, gqft, simulator, trotter
 
 SMALL_ARGS = {
     "verify-basis": ["--n", "2"],
@@ -159,6 +159,22 @@ def _shrunk(real):
     return lambda *args: real(*args) * 1e-6
 
 
+def _shrunk_each(real):
+    return lambda *args: tuple(v * 1e-6 for v in real(*args))
+
+
+def _shrunk_generators(real):
+    return {n: tuple(g * 1e-6 for g in gens) for n, gens in real.items()}
+
+
+def _tilted(real):
+    return lambda *args: real(*args) + 1e-6j
+
+
+def _reversed(real):
+    return lambda *args: real(*args)[::-1]
+
+
 def _perturbed_under_u(real):
     calls = itertools.count()
 
@@ -171,10 +187,20 @@ def _perturbed_under_u(real):
 
 # check name -> (command, library module, function, wrapper that breaks it)
 LIBRARY_BREAKS = {
+    "basis-hermiticity": ("verify-basis", clifford.Blade, "dense", _tilted),
+    # scaled generators still give exactly Hermitian blades, so only the
+    # relations check sees them
+    "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
+    "basis-independence": ("verify-basis", clifford, "gram_rank", _shrunk),
+    "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
     "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored", _shifted),
     "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
     "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
     "equivalence-defect": ("equivalence", cqp, "forward", _perturbed_under_u),
+    "trotter-bound": ("trotter-sweep", trotter, "bounds", _shrunk_each),
+    "train-monotone": ("train-cqp", cqp, "train", _reversed),
+    "decompose-reconstruction": ("decompose", circuits, "gates_product", _shifted),
+    "decompose-compilation": ("decompose", circuits.GateCircuit, "dense", _shifted),
 }
 
 
@@ -186,6 +212,18 @@ def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
     assert _run(command, out) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {check} (")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    *(["gqft-distance", "--n", str(n), "--thetas", "0"] for n in (1, 2, 3, 4)),
+    ["trotter-sweep", "--t", "0.000001", "--rs", "1000"],
+    ["trotter-sweep", "--t", "0.001", "--rs", "1000000"],
+])
+def test_roundoff_above_a_tiny_bound_passes(tmp_path, argv):
+    """At theta = 0 the distance bound is 0, and at tiny t the Trotter bound
+    falls below the float error of the product formula; the checks allow
+    for roundoff rather than failing correct output."""
+    assert cli.main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
 
 
 def test_decompose_netlist_sections(tmp_path):

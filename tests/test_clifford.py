@@ -1,11 +1,13 @@
-"""Symbolic Clifford/Pauli algebra tests, cross-checked against dense oracles."""
+"""Clifford/Pauli algebra tests: generators, blades built as exact dense
+generator products, and the parity rules, cross-checked against
+independent dense oracles (Kronecker-built Pauli words, dense commutators)."""
 import itertools
 
 import numpy as np
 import pytest
 
 from cliffsim import clifford, linalg
-from cliffsim.clifford import Blade, PauliString, gamma
+from cliffsim.clifford import Blade, gamma
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -33,27 +35,6 @@ def test_gamma_rejects_bad_index():
         gamma(2, 4)
     with pytest.raises(ValueError):
         gamma(2, -1)
-
-
-def test_pauli_mul_single_letters():
-    x = PauliString(1, ("X",), 0)
-    y = PauliString(1, ("Y",), 0)
-    xy = clifford.pauli_mul(x, y)
-    assert xy.letters == ("Z",) and xy.phase_power == 1
-    xx = clifford.pauli_mul(x, x)
-    assert xx.letters == ("I",) and xx.phase_power == 0
-
-
-def test_pauli_mul_matches_dense_product():
-    for a, b in itertools.product(range(4), repeat=2):
-        p, q = gamma(2, a), gamma(2, b)
-        np.testing.assert_allclose(
-            clifford.pauli_mul(p, q).dense(), p.dense() @ q.dense(), atol=1e-15)
-
-
-def test_pauli_mul_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        clifford.pauli_mul(gamma(1, 0), gamma(2, 0))
 
 
 def test_generator_relations():
@@ -93,6 +74,58 @@ def test_blade_dense_equals_generator_product():
                 for a in subset:
                     prod = prod @ gamma(n, a).dense()
                 np.testing.assert_allclose(b.dense(), b.omega * prod, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blades_are_exactly_hermitian_involutions(n):
+    eye = np.eye(2 ** n)
+    for b in clifford.hermitian_basis(n):
+        m = b.dense()
+        assert np.array_equal(m, m.conj().T), b.indices
+        assert np.array_equal(m @ m, eye), b.indices
+        assert not m.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blades_are_signed_distinct_pauli_words(n):
+    """Each blade is +-1 times a Kronecker-built Pauli word, and the 4^n
+    blades hit the 4^n words one to one."""
+    def key(m):
+        return (m + 0j).tobytes()  # adding +0 clears the signs of zeros
+
+    words = {key(w.dense()): w.letters for w in clifford.pauli_word_basis(n)}
+    hit = set()
+    for b in clifford.hermitian_basis(n):
+        matches = [words.get(key(sign * b.dense())) for sign in (1.0, -1.0)]
+        letters = [w for w in matches if w is not None]
+        assert len(letters) == 1, b.indices
+        hit.add(letters[0])
+    assert len(hit) == 4 ** n
+
+
+def test_wrong_omega_aborts_construction(monkeypatch):
+    # grade 2 needs omega = i; forcing 1 leaves an anti-Hermitian product
+    monkeypatch.setattr(Blade, "omega", property(lambda self: 1.0 + 0j))
+    with pytest.raises(ValueError, match="refusing to flip omega"):
+        Blade(2, (0, 1)).dense()
+
+
+def test_generator_matrices_are_shared_and_read_only():
+    for n in range(1, 5):
+        mats = clifford._GENERATORS[n]
+        assert len(mats) == 2 * n and not any(m.flags.writeable for m in mats)
+        for a, m in enumerate(mats):
+            assert np.array_equal(m, gamma(n, a).dense())
+    with pytest.raises(ValueError):
+        Blade(5, ())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_report(n):
+    rep = clifford.basis_report(n)
+    assert (rep.n, rep.blade_count, rep.gram_rank) == (n, 4 ** n, 4 ** n)
+    assert rep.max_hermiticity_defect == 0.0
+    assert rep.max_generator_relation_defect == 0.0
 
 
 def test_hermitian_basis_shape_and_order():

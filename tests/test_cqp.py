@@ -39,6 +39,26 @@ def test_type_ii_encode_matches_expm_i_route(n):
         np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("index_sets, anticommuting", [
+    ([(0,), (1, 2)], False),        # commuting pair: expm_i route
+    ([(0, 1), (1, 2), (1, 3)], True),  # anticommuting, not generators: closed form
+])
+def test_type_i_encode_matches_expm_i_route(index_sets, anticommuting):
+    config = PerceptronConfig.type_i(2, index_sets, (0,))
+    assert config._anticommuting is anticommuting
+    rng = np.random.default_rng(70)
+    for c in [np.zeros(len(index_sets)), *rng.uniform(-2.0, 2.0, size=(5, len(index_sets)))]:
+        h = sum(cj * b.dense() for cj, b in zip(c, config.active_blades))
+        want = linalg.expm_i(h) @ simulator.basis_state(2, 0)
+        np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
+        if not anticommuting:
+            # commuting blades: the exponential is the product of single-blade ones
+            prod = np.eye(4)
+            for cj, b in zip(c, config.active_blades):
+                prod = prod @ linalg.expm_i_involution(b.dense(), cj)
+            np.testing.assert_allclose(cqp.encode(config, c), prod[:, 0], atol=1e-12)
+
+
 def test_encode_generates_entanglement():
     config = PerceptronConfig.type_ii(2)
     state = cqp.encode(config, [0.3, 0.7, 0.1, 0.5])
@@ -60,9 +80,6 @@ def test_config_validation():
         PerceptronConfig.type_i(1, [()], (0,))  # identity blade
     with pytest.raises(ValueError):
         PerceptronConfig.type_i(1, [(0,), (0,)], (0,))  # duplicate
-    with pytest.raises(ValueError):
-        PerceptronConfig(n=1, flavor="II", active_blades=(Blade(1, (0, 1)),),
-                         output_blade=Blade(1, (0,)))  # not the generator list
 
 
 def test_forward_identical_states():
