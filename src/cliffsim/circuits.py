@@ -9,10 +9,13 @@ matrix and never exceeds dim*(dim-1)/2 factors.
 ``compile_two_level`` lowers a single two-level gate to a register
 circuit: the basis indices are connected by a bit-flip path (one bit per
 step), each step is a fully controlled X, and the 2x2 block lands on the
-qubit of the final flip as a controlled single-qubit gate, with the path
-undone afterwards.  On two qubits this reproduces the familiar
+qubit of the final flip as a fully controlled single-qubit gate, with the
+path undone afterwards.  On two qubits this reproduces the familiar
 CNOT-conjugated controlled-gate patterns, including open (polarity 0)
-controls.
+controls.  A single-qubit gate controlled on every other qubit is itself
+a two-level gate on the two basis states its target flips between, so
+``ControlledGate.dense`` is that gate's embedding.  ``decompose_report``
+decomposes once and compiles the factors it already has.
 
 ``xy_yx_unitary`` is the worked two-qubit example used across the tests:
 U(t1, t2) = exp(i (t1 X(x)Y + t2 Y(x)X)), whose action on |00> is
@@ -20,6 +23,7 @@ cos(t1+t2)|00> - sin(t1+t2)|11>.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -78,14 +82,14 @@ def gates_product(gates: Sequence[TwoLevelGate], dim: int) -> np.ndarray:
     return out
 
 
-def two_level_decompose(u, tol: float = linalg.DEFAULT_TOL) -> list[TwoLevelGate]:
+def two_level_decompose(u) -> list[TwoLevelGate]:
     """Factor a unitary into at most dim*(dim-1)/2 two-level gates."""
     m = linalg.as_matrix(u).copy()
     dim = m.shape[0]
     if m.shape[0] != m.shape[1] or not 2 <= dim <= 16:
         raise ValueError(f"need a square matrix with 2 <= dim <= 16, got {m.shape}")
     defect = linalg.unitarity_defect(m)
-    if defect > tol:
+    if defect > linalg.DEFAULT_TOL:
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
 
     factors: list[TwoLevelGate] = []
@@ -123,10 +127,12 @@ def two_level_decompose(u, tol: float = linalg.DEFAULT_TOL) -> list[TwoLevelGate
 
 @dataclass(frozen=True)
 class ControlledGate:
-    """A 2x2 block on `target`, applied when every control matches its polarity.
+    """A 2x2 block on `target`, applied when every other qubit matches its control.
 
     Qubits are 1-based with qubit 1 on the most significant bit; controls
-    are (qubit, polarity) pairs with polarity 0 selecting |0>.
+    are (qubit, polarity) pairs with polarity 0 selecting |0>, one on every
+    qubit except the target.  Such a gate is the two-level gate on the two
+    basis states that the target flips between.
     """
 
     n: int
@@ -137,39 +143,25 @@ class ControlledGate:
     def __post_init__(self):
         if not 1 <= self.target <= self.n:
             raise ValueError(f"target {self.target} out of range 1..{self.n}")
-        qubits = [q for q, _ in self.controls]
-        if len(set(qubits)) != len(qubits) or self.target in qubits:
-            raise ValueError(f"controls {self.controls} overlap or hit the target")
-        for q, pol in self.controls:
-            if not 1 <= q <= self.n or pol not in (0, 1):
-                raise ValueError(f"bad control ({q}, {pol})")
-        b = linalg.as_matrix(self.block)
-        if b.shape != (2, 2):
-            raise ValueError(f"block must be 2x2, got {b.shape}")
-        defect = linalg.unitarity_defect(b)
-        if defect > linalg.DEFAULT_TOL:
-            raise ValueError(f"block is not unitary (defect {defect:.3e})")
-        object.__setattr__(self, "block", b)
-        object.__setattr__(self, "controls", tuple(sorted(self.controls)))
+        controls = tuple(sorted(self.controls))
+        others = [q for q in range(1, self.n + 1) if q != self.target]
+        if [q for q, _ in controls] != others or any(pol not in (0, 1) for _, pol in controls):
+            raise ValueError(
+                f"controls {self.controls} must give one 0/1 polarity to each of qubits {others}")
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "block", self._two_level.block)  # checks the block
+
+    @functools.cached_property
+    def _two_level(self) -> TwoLevelGate:
+        i = sum(pol << (self.n - q) for q, pol in self.controls)
+        return TwoLevelGate(2 ** self.n, i, i | (1 << (self.n - self.target)), self.block)
 
     @property
     def kind(self) -> str:
         return "cx" if np.abs(self.block - PAULI["X"]).max() <= 1e-12 else "cu"
 
     def dense(self) -> np.ndarray:
-        dim = 2 ** self.n
-        t_mask = 1 << (self.n - self.target)
-        out = np.eye(dim, dtype=complex)
-        for base in range(dim):
-            if base & t_mask:
-                continue
-            if all(((base >> (self.n - q)) & 1) == pol for q, pol in self.controls):
-                top, bot = base, base | t_mask
-                out[top, top] = self.block[0, 0]
-                out[top, bot] = self.block[0, 1]
-                out[bot, top] = self.block[1, 0]
-                out[bot, bot] = self.block[1, 1]
-        return out
+        return self._two_level.embed()
 
 
 @dataclass(frozen=True)
@@ -221,14 +213,18 @@ def compile_two_level(gate: TwoLevelGate, n: int) -> GateCircuit:
     return GateCircuit(n, tuple(routing + [core] + routing[::-1]))
 
 
-def compile_unitary(u, n: int) -> GateCircuit:
-    """Decompose and lower a full register unitary."""
+def _compile_factors(factors: Sequence[TwoLevelGate], n: int) -> GateCircuit:
     gates: list[ControlledGate] = []
     # the factor list multiplies left-to-right (first factor leftmost), so a
     # circuit must apply the last factor first
-    for factor in reversed(two_level_decompose(u)):
+    for factor in reversed(factors):
         gates.extend(compile_two_level(factor, n).gates)
     return GateCircuit(n, tuple(gates))
+
+
+def compile_unitary(u, n: int) -> GateCircuit:
+    """Decompose and lower a full register unitary."""
+    return _compile_factors(two_level_decompose(u), n)
 
 
 class DecomposeReport(NamedTuple):
@@ -243,7 +239,7 @@ def decompose_report(theta1: float, theta2: float) -> DecomposeReport:
     with the Frobenius defect of each against the unitary; asserts neither."""
     u = xy_yx_unitary(theta1, theta2)
     factors = tuple(two_level_decompose(u))
-    circuit = compile_unitary(u, 2)
+    circuit = _compile_factors(factors, 2)
     return DecomposeReport(factors, circuit,
                            linalg.frobenius_norm(gates_product(factors, 4) - u),
                            linalg.frobenius_norm(circuit.dense() - u))

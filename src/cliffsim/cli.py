@@ -6,7 +6,9 @@ lets flags override file values, runs its computation with an explicit
 and exits 0 only if every invariant asserted by that command holds.
 
 Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
-is printed), 2 unknown command / unparseable flags, 3 invalid config.
+is printed), 2 unknown command / unparseable flags, 3 invalid config
+(including a config file that cannot be read or decoded as UTF-8, and a
+report path that cannot be written).
 Data rows are deterministic: identical command, config and seed give
 byte-identical rows (floats carry 17 significant digits); metadata such as
 the seed, package version and command line rides in trailing # comments.
@@ -90,11 +92,12 @@ def _coerce(key: str, kind: str, raw):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -418,7 +421,11 @@ def main(argv=None) -> int:
     meta = [f"seed = {cfg['seed']}",
             f"version = {__version__}",
             f"command = cliffsim {' '.join(argv)}"]
-    _write_report(out, header, payload, meta)
+    try:
+        _write_report(out, header, payload, meta)
+    except OSError as exc:
+        print(f"ERROR invalid config: cannot write report {out}: {exc}", file=sys.stderr)
+        return 3
     for line in summary:
         print(line)
     print(f"OK wrote {out}")

@@ -188,13 +188,12 @@ def omega_count_dense(n: int) -> int:
                if linalg.frobenius_norm(a @ b - b @ a) > 1e-9)
 
 
-def gram_rank(mats: Sequence[np.ndarray], tol: float = 1e-8) -> int:
-    """Rank of the Gram matrix of vectorized matrices (linear independence)."""
+def gram_rank(mats: Sequence[np.ndarray]) -> int:
+    """Rank of the Gram matrix of vectorized matrices (linear independence): its
+    eigenvalues, the squared singular values of the stack, above 1e-8*max(1, largest)."""
     vecs = np.array([np.asarray(m).ravel() for m in mats])
-    g = np.conj(vecs) @ vecs.T  # G[a,b] = <vec a, vec b>; Hermitian PSD
-    w = linalg.hermitian_eigen(g).eigenvalues
-    cutoff = tol * max(1.0, float(w[-1]))
-    return int(np.sum(w > cutoff))
+    w = np.linalg.svd(vecs, compute_uv=False) ** 2
+    return int(np.sum(w > 1e-8 * max(1.0, float(w[0]))))
 
 
 def pauli_coefficients(h, n: int) -> np.ndarray:

@@ -241,21 +241,17 @@ def equivalence_defects(config: PerceptronConfig, u, x_coeffs,
     return abs(phi - phi_u), float(np.linalg.norm(y - y_u))
 
 
-def type_equivalence_check(config: PerceptronConfig, u, x_coeffs=None,
-                           w_coeffs=None, seed: int = 0,
+def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,
                            tol: float = linalg.DEFAULT_TOL) -> bool:
-    """Joint unitary change of input and weight leaves (phi, y) unchanged."""
+    """Joint unitary change of input and weight leaves (phi, y) unchanged; both
+    coefficient vectors are drawn from U(-1, 1), input first, seeded by `seed`."""
     m = linalg.as_matrix(u)
     defect = linalg.unitarity_defect(m)
     if defect > tol:
         raise ValueError(f"u is not unitary (defect {defect:.3e})")
-    if x_coeffs is None or w_coeffs is None:
-        rng = np.random.default_rng(seed)
-        size = len(config.active_blades)
-        if x_coeffs is None:
-            x_coeffs = rng.uniform(-1.0, 1.0, size)
-        if w_coeffs is None:
-            w_coeffs = rng.uniform(-1.0, 1.0, size)
+    rng = np.random.default_rng(seed)
+    x_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
+    w_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
     phi_defect, state_defect = equivalence_defects(config, m, x_coeffs, w_coeffs)
     return phi_defect <= tol and state_defect <= tol
 

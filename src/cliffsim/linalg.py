@@ -14,7 +14,8 @@ It is the oracle of the closed forms: the tests compare them with it, and
 the dense GQFT and the exact Trotter evolution use it, so the factored
 GQFT and the product formula are checked against an independent route.
 An eigendecomposition that fails its residual or orthonormality check is
-a hard error, never a silent fallback.
+a hard error, never a silent fallback.  ``expm_i`` is the only library
+caller of ``hermitian_eigen``; singular values come from LAPACK's SVD.
 """
 from __future__ import annotations
 
@@ -98,38 +99,38 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray  # orthonormal columns, paired with eigenvalues
 
 
-def hermitian_eigen(h, tol: float = DEFAULT_TOL) -> HermitianEigen:
+def hermitian_eigen(h) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     The result is re-checked: a residual max|AV - V diag(lam)| above
-    tol * max(1, max|lam|), or an orthonormality defect max|V^dag V - I|
-    above tol, raises ``numpy.linalg.LinAlgError``.
+    DEFAULT_TOL * max(1, max|lam|), or an orthonormality defect
+    max|V^dag V - I| above DEFAULT_TOL, raises ``numpy.linalg.LinAlgError``.
     """
     a = _square(h, "hermitian_eigen")
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(
-            f"hermitian_eigen: input is not Hermitian (defect {defect:.3e} > tol {tol:.3e})")
+    if defect > DEFAULT_TOL:
+        raise ValueError(f"hermitian_eigen: input is not Hermitian "
+                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
     a = a / 2.0 + adjoint(a) / 2.0  # halve first: no overflow near the float limit
     lam, v = np.linalg.eigh(a)
     scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
     residual = float(np.abs(a @ v - v * lam).max(initial=0.0))
     ortho = float(np.abs(adjoint(v) @ v - np.eye(a.shape[0])).max(initial=0.0))
-    if residual > tol * scale or ortho > tol:
+    if residual > DEFAULT_TOL * scale or ortho > DEFAULT_TOL:
         raise np.linalg.LinAlgError(
             f"hermitian_eigen: eigh result fails its check (residual {residual:.3e}, "
-            f"orthonormality defect {ortho:.3e}, tol {tol:.3e})")
+            f"orthonormality defect {ortho:.3e}, tol {DEFAULT_TOL:.3e})")
     return HermitianEigen(lam, v)
 
 
-def expm_i(h, s: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_i(h, s: float = 1.0) -> np.ndarray:
     """exp(i*s*H) for Hermitian H, unitary by construction."""
     m = _square(h, "expm_i")
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise ValueError(
-            f"expm_i: input is not Hermitian (defect {defect:.3e} > tol {tol:.3e})")
-    lam, v = hermitian_eigen(m, tol)
+    if defect > DEFAULT_TOL:
+        raise ValueError(f"expm_i: input is not Hermitian "
+                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+    lam, v = hermitian_eigen(m)
     return (v * np.exp(1j * s * lam)) @ adjoint(v)
 
 
@@ -145,15 +146,13 @@ def expm_i_involution(h, s: float = 1.0) -> np.ndarray:
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value, via the eigenvalues of A^dag A."""
-    m = _square(a, "spectral_norm")
-    w = hermitian_eigen(adjoint(m) @ m).eigenvalues
-    return float(math.sqrt(max(float(w[-1]), 0.0)))
+    """Largest singular value (LAPACK SVD)."""
+    return float(np.linalg.norm(_square(a, "spectral_norm"), 2))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (m + adjoint(m)) / 2.0
+    return (m + adjoint(m)) / 2.0
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -74,13 +74,6 @@ def apply(u, state) -> np.ndarray:
     return m @ v
 
 
-def state_tensor(*states) -> np.ndarray:
-    out = np.ones(1, dtype=complex)
-    for s in states:
-        out = np.kron(out, np.asarray(s, dtype=complex))
-    return out
-
-
 @dataclass(frozen=True)
 class ShotTally:
     shots: int
@@ -111,8 +104,8 @@ def swap_test_circuit_probability(psi, phi) -> float:
     """Pr(ancilla = 0) from the full (2n+1)-qubit protocol, statevector path."""
     p, q = _state_pair(psi, phi)
     dim = p.shape[0]
-    # |0, phi, psi>: ancilla on the most significant bit
-    full = state_tensor(basis_state(1, 0), q, p)
+    # |0, phi, psi>: ancilla on the most significant bit, so |1, ...> is zero
+    full = np.concatenate([np.kron(q, p), np.zeros(dim * dim, dtype=complex)])
 
     def hadamard_ancilla(v):
         r = v.reshape(2, dim * dim)
@@ -126,16 +119,16 @@ def swap_test_circuit_probability(psi, phi) -> float:
     return float(np.sum(np.abs(full[: dim * dim]) ** 2))
 
 
-def swap_test_exact(psi, phi, tol: float = STATE_TOL) -> float:
+def swap_test_exact(psi, phi) -> float:
     """Pr(0) = (1 + |<psi|phi>|^2) / 2, cross-checked against the protocol.
 
     Raises ``linalg.CheckFailure("swap-agreement", ...)`` when the two
-    routes differ by more than tol.
+    routes differ by more than STATE_TOL.
     """
     p, q = _state_pair(psi, phi)
     formula = _swap_formula(p, q)
     protocol = swap_test_circuit_probability(p, q)
-    if abs(formula - protocol) > tol:
+    if abs(formula - protocol) > STATE_TOL:
         raise linalg.CheckFailure("swap-agreement",
                                   f"formula {formula!r} vs protocol {protocol!r}")
     return formula
@@ -165,9 +158,7 @@ def entanglement_entropy(state, cut: int) -> float:
     n = n_qubits(v)
     if not 1 <= cut < n:
         raise ValueError(f"cut must satisfy 1 <= cut < {n}, got {cut}")
-    m = v.reshape(2 ** cut, 2 ** (n - cut))
-    # Schmidt weights from the smaller reduced density matrix
-    rho = m @ np.conj(m).T if cut <= n - cut else np.conj(m).T @ m
-    w = np.clip(linalg.hermitian_eigen(rho).eigenvalues, 0.0, 1.0)
+    # Schmidt weights: squared singular values of the cut-reshaped state
+    w = np.linalg.svd(v.reshape(2 ** cut, 2 ** (n - cut)), compute_uv=False) ** 2
     w = w[w > 1e-15]
     return float(-np.sum(w * np.log2(w)))

@@ -119,7 +119,40 @@ def test_compile_unitary_three_qubits():
     circuit = circuits.compile_unitary(u, 3)
     np.testing.assert_allclose(circuit.dense(), u, atol=1e-9)
     for g in circuit.gates:
+        assert len(g.controls) == 2  # every qubit but the target
         assert linalg.unitarity_defect(g.dense()) <= 1e-10
+
+
+def test_controlled_gate_dense_is_projector_sum():
+    # open control on qubit 1, closed control on qubit 3, block on qubit 2
+    block = linalg.expm_i(Y, 0.4)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    want = (np.eye(8) - linalg.tensor(p0, np.eye(2), p1)
+            + linalg.tensor(p0, block, p1))
+    gate = circuits.ControlledGate(3, 2, ((3, 1), (1, 0)), block)
+    assert gate.controls == ((1, 0), (3, 1))
+    np.testing.assert_array_equal(gate.dense(), want)
+
+
+@pytest.mark.parametrize("target, controls", [
+    (2, ((1, 1),)),                  # qubit 3 has no control
+    (2, ((1, 1), (1, 0), (3, 1))),   # qubit 1 twice
+    (2, ((1, 1), (3, 1), (4, 0))),   # qubit 4 is not on the register
+    (2, ((1, 1), (2, 0), (3, 1))),   # a control on the target
+    (2, ((1, 2), (3, 1))),           # polarity 2
+    (0, ((1, 1), (2, 1), (3, 1))),   # target below 1
+    (4, ((1, 1), (2, 1), (3, 1))),   # target above n
+])
+def test_controlled_gate_rejects_bad_controls(target, controls):
+    with pytest.raises(ValueError):
+        circuits.ControlledGate(3, target, controls, X)
+
+
+def test_controlled_gate_rejects_bad_block():
+    with pytest.raises(ValueError):
+        circuits.ControlledGate(2, 2, ((1, 1),), 2.0 * X)
+    with pytest.raises(ValueError):
+        circuits.ControlledGate(2, 2, ((1, 1),), np.eye(3))
 
 
 def test_format_two_level_and_circuit():
@@ -140,3 +173,15 @@ def test_decompose_report():
     assert rep.reconstruction_defect == linalg.frobenius_norm(
         circuits.gates_product(rep.factors, 4) - u) <= 1e-9
     assert rep.compilation_defect == linalg.frobenius_norm(rep.circuit.dense() - u) <= 1e-9
+
+
+def test_decompose_report_decomposes_once(monkeypatch):
+    calls = []
+    real = circuits.two_level_decompose
+
+    def counting(u):
+        calls.append(1)
+        return real(u)
+    monkeypatch.setattr(circuits, "two_level_decompose", counting)
+    circuits.decompose_report(0.3, -0.7)
+    assert len(calls) == 1

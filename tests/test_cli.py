@@ -128,11 +128,20 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["swap-test", "--shots", ","],
     ["omega-count", "--seed=--"],
     ["trotter-sweep", "--t", "61565208610", "--rs", "9223372036854775807"],
+    ["omega-count", "--config", "{tmp}/undecodable.cfg"],
+    ["omega-count", "--config", "{tmp}/missing.cfg"],
+    ["omega-count", "--out", "{tmp}/no/such/dir/o.csv"],
+    ["omega-count", "--out", "{tmp}"],
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, argv):
+    (tmp_path / "undecodable.cfg").write_bytes(b"n = \xff\n")
     out = tmp_path / "r.csv"
-    assert cli.main([*argv, "--out", str(out)]) == 3
-    assert "ERROR invalid config" in capsys.readouterr().err
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    # an --out in argv comes later, so it overrides this one
+    assert cli.main([argv[0], "--out", str(out), *argv[1:]]) == 3
+    printed = capsys.readouterr()
+    assert "ERROR invalid config" in printed.err
+    assert "OK wrote" not in printed.out
     assert not out.exists()
 
 

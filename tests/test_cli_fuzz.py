@@ -1,5 +1,6 @@
-"""Property test of the CLI flag surface: every flag value, in range or not,
-ends in exit code 0, 1 or 3 and never in a traceback."""
+"""Property test of the CLI input surface: every flag value, config file
+and report path, valid or not, ends in exit code 0, 1 or 3 and never in a
+traceback."""
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -49,12 +50,36 @@ _VALUES = {
 _ALWAYS_SET = {"trials", "iterations"}  # their defaults are the slow end
 
 
+def _config_line(key):
+    """A `key = value` line, an unknown key, or a junk line."""
+    known = st.builds("{} = {}".format, st.just(key), _VALUES[key])
+    unknown = st.builds("{} = {}".format, st.sampled_from(["bogus", "out", "config"]),
+                        st.text(max_size=8))
+    return st.one_of(known, unknown, st.text(max_size=12))
+
+
+def _config_file(command):
+    """Config-file contents: arbitrary bytes, or lines for the command's keys.
+
+    Flags are set after a file is read, so a file can never make the
+    always-set trial and iteration counts large."""
+    keys = st.sampled_from(["seed", *cli._COMMAND_KEYS[command]])
+    lines = st.lists(keys.flatmap(_config_line), max_size=4)
+    return st.one_of(st.binary(max_size=40),
+                     lines.map(lambda ls: "\n".join(ls).encode("utf-8")))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flag_surface_exits_0_1_or_3(tmp_path, data):
     command = data.draw(st.sampled_from(sorted(cli._COMMAND_KEYS)), label="command")
-    argv = [command, f"--out={tmp_path / 'report'}"]
+    out = data.draw(st.sampled_from(["report", "missing/report"]), label="out")
+    argv = [command, f"--out={tmp_path / out}"]
+    config = data.draw(st.none() | _config_file(command), label="config")
+    if config is not None:
+        (tmp_path / "fuzz.cfg").write_bytes(config)
+        argv.append(f"--config={tmp_path / 'fuzz.cfg'}")
     for key in ["seed", *cli._COMMAND_KEYS[command]]:
         values = _VALUES[key] if key in _ALWAYS_SET else st.none() | _VALUES[key]
         value = data.draw(values, label=key)

@@ -16,12 +16,6 @@ def test_basis_state_and_inner():
     assert simulator.inner(simulator.basis_state(2, 0), s) == pytest.approx(0.0)
 
 
-def test_state_tensor_is_big_endian():
-    # qubit 1 (the first factor) is the most significant bit
-    s = simulator.state_tensor(KET1, KET0)
-    np.testing.assert_allclose(s, simulator.basis_state(2, 2))
-
-
 def test_apply_preserves_norm():
     rng = np.random.default_rng(17)
     u = linalg.random_unitary(8, rng)
