@@ -16,6 +16,7 @@ the seed, package version and command line rides in trailing # comments.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -270,10 +271,11 @@ def _cmd_swap_test(cfg):
     for idx, shots in enumerate(cfg["shots"]):
         row_seed = cfg["seed"] + 1 + idx
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
+        # an 8-sigma test of the binomial frequency of ancilla zeros
+        deviation = abs(tally.zero_count / shots - p0)
         spread = 8.0 * math.sqrt(p0 * (1.0 - p0) / shots) + 1e-12
-        _check(abs(estimate ** 2 - overlap ** 2) <= spread, "swap-concentration",
-               f"shots={shots}: |est^2 - exact^2| = "
-               f"{abs(estimate ** 2 - overlap ** 2):.6e} > {spread:.6e}")
+        _check(deviation <= spread, "swap-concentration",
+               f"shots={shots}: |zeros/shots - p0| = {deviation:.6e} > {spread:.6e}")
         rows.append([tally.shots, tally.seed, tally.zero_count, estimate, overlap])
     header = ["shots", "seed", "zero_count", "estimate", "exact_overlap"]
     return header, rows, [f"swap-test: n={n}, exact overlap {overlap:.6f}, "
@@ -373,7 +375,13 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every main() call.
+
+    Each parse returns a fresh namespace whose flags default to None, so no
+    value carries over from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="cliffsim",
         description="Clifford-algebra quantum network verification tools")

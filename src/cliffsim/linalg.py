@@ -13,9 +13,14 @@ a Hermitian eigendecomposition (LAPACK ``eigh``) instead of a Pade scheme.
 It is the oracle of the closed forms: the tests compare them with it, and
 the dense GQFT and the exact Trotter evolution use it, so the factored
 GQFT and the product formula are checked against an independent route.
-An eigendecomposition that fails its residual or orthonormality check is
-a hard error, never a silent fallback.  ``expm_i`` is the only library
-caller of ``hermitian_eigen``; singular values come from LAPACK's SVD.
+``hermitian_eigen`` and ``expm_i`` take one matrix or a stack of them,
+shape (..., d, d), and hand the whole stack to LAPACK in one ``eigh``
+call; a single matrix is a stack of shape ().  Every guard (finite and
+square input, Hermiticity, residual, orthonormality) applies to each
+matrix of the stack.  An eigendecomposition that fails its residual or
+orthonormality check is a hard error, never a silent fallback.
+``expm_i`` is the only library caller of ``hermitian_eigen``; singular
+values come from LAPACK's SVD.
 """
 from __future__ import annotations
 
@@ -49,15 +54,27 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _square_stack(a, where: str) -> np.ndarray:
+    """Coerce to a finite complex stack of square matrices, shape (..., d, d)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{where}: expected a square matrix or a stack of them, "
+                         f"got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    return m
+
+
 def _square(a, where: str) -> np.ndarray:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{where}: matrix must be square, got shape {m.shape}")
+    m = _square_stack(a, where)
+    if m.ndim != 2:
+        raise ValueError(f"{where}: expected a 2-d matrix, got ndim={m.ndim}")
     return m
 
 
 def adjoint(a) -> np.ndarray:
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def tensor(*factors) -> np.ndarray:
@@ -82,9 +99,21 @@ def frobenius_norm(a) -> float:
     return float(np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2)))
 
 
+def _max_hermiticity_defect(m: np.ndarray) -> float:
+    """Largest Frobenius norm of M - M^dag over the matrices of a stack (..., d, d)."""
+    squares = (np.abs(m - adjoint(m)) ** 2).sum(axis=(-2, -1), keepdims=True)
+    return math.sqrt(squares.max(initial=0.0))
+
+
+def _require_hermitian(m: np.ndarray, where: str) -> None:
+    defect = _max_hermiticity_defect(m)
+    if defect > DEFAULT_TOL:
+        raise ValueError(f"{where}: input is not Hermitian "
+                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+
+
 def hermiticity_defect(a) -> float:
-    m = _square(a, "hermiticity_defect")
-    return frobenius_norm(m - adjoint(m))
+    return _max_hermiticity_defect(_square(a, "hermiticity_defect"))
 
 
 def unitarity_defect(a) -> float:
@@ -100,38 +129,36 @@ class HermitianEigen(NamedTuple):
 
 
 def hermitian_eigen(h) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., d, d), by one LAPACK call (``numpy.linalg.eigh``).
 
-    The result is re-checked: a residual max|AV - V diag(lam)| above
-    DEFAULT_TOL * max(1, max|lam|), or an orthonormality defect
-    max|V^dag V - I| above DEFAULT_TOL, raises ``numpy.linalg.LinAlgError``.
+    Each result is re-checked: a residual max|AV - V diag(lam)| above
+    DEFAULT_TOL * max(1, max|lam|) of its own matrix, or an orthonormality
+    defect max|V^dag V - I| above DEFAULT_TOL, raises
+    ``numpy.linalg.LinAlgError``.
     """
-    a = _square(h, "hermitian_eigen")
-    defect = hermiticity_defect(a)
-    if defect > DEFAULT_TOL:
-        raise ValueError(f"hermitian_eigen: input is not Hermitian "
-                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+    a = _square_stack(h, "hermitian_eigen")
+    _require_hermitian(a, "hermitian_eigen")
     a = a / 2.0 + adjoint(a) / 2.0  # halve first: no overflow near the float limit
     lam, v = np.linalg.eigh(a)
-    scale = max(1.0, float(np.abs(lam).max(initial=0.0)))
-    residual = float(np.abs(a @ v - v * lam).max(initial=0.0))
-    ortho = float(np.abs(adjoint(v) @ v - np.eye(a.shape[0])).max(initial=0.0))
-    if residual > DEFAULT_TOL * scale or ortho > DEFAULT_TOL:
+    # each matrix's residual is measured against its own max(1, max|lam|)
+    scale = np.abs(lam).max(axis=-1, keepdims=True, initial=1.0)
+    residual = (np.abs(a @ v - v * lam[..., None, :]) / scale[..., None]).max(initial=0.0)
+    ortho = np.abs(adjoint(v) @ v - np.eye(a.shape[-1])).max(initial=0.0)
+    if residual > DEFAULT_TOL or ortho > DEFAULT_TOL:
         raise np.linalg.LinAlgError(
-            f"hermitian_eigen: eigh result fails its check (residual {residual:.3e}, "
-            f"orthonormality defect {ortho:.3e}, tol {DEFAULT_TOL:.3e})")
+            f"hermitian_eigen: eigh result fails its check (relative residual "
+            f"{residual:.3e}, orthonormality defect {ortho:.3e}, tol {DEFAULT_TOL:.3e})")
     return HermitianEigen(lam, v)
 
 
 def expm_i(h, s: float = 1.0) -> np.ndarray:
-    """exp(i*s*H) for Hermitian H, unitary by construction."""
-    m = _square(h, "expm_i")
-    defect = hermiticity_defect(m)
-    if defect > DEFAULT_TOL:
-        raise ValueError(f"expm_i: input is not Hermitian "
-                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+    """exp(i*s*H) for a Hermitian H, or for each H of a stack (..., d, d);
+    unitary by construction."""
+    m = _square_stack(h, "expm_i")
+    _require_hermitian(m, "expm_i")
     lam, v = hermitian_eigen(m)
-    return (v * np.exp(1j * s * lam)) @ adjoint(v)
+    return (v * np.exp(1j * s * lam)[..., None, :]) @ adjoint(v)
 
 
 def expm_i_involution(h, s: float = 1.0) -> np.ndarray:

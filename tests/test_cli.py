@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,16 @@ def _perturbed_under_u(real):
     return forward
 
 
+def _biased_9_sigma(real):
+    """A sampler whose zero frequency sits 9 standard deviations below Pr(0)."""
+    def sampled(psi, phi, shots, seed):
+        p0 = simulator.swap_test_exact(psi, phi)
+        zeros = round(shots * (p0 - 9.0 * math.sqrt(p0 * (1.0 - p0) / shots)))
+        return (simulator.ShotTally(shots, zeros, seed),
+                math.sqrt(max(2.0 * zeros / shots - 1.0, 0.0)))
+    return sampled
+
+
 # check name -> (command, library module, function, wrapper that breaks it)
 LIBRARY_BREAKS = {
     "basis-hermiticity": ("verify-basis", clifford.Blade, "dense", _tilted),
@@ -205,6 +216,7 @@ LIBRARY_BREAKS = {
     "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored", _shifted),
     "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
     "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
+    "swap-concentration": ("swap-test", simulator, "swap_test_sampled", _biased_9_sigma),
     "equivalence-defect": ("equivalence", cqp, "forward", _perturbed_under_u),
     "trotter-bound": ("trotter-sweep", trotter, "bounds", _shrunk_each),
     "train-monotone": ("train-cqp", cqp, "train", _reversed),
@@ -233,6 +245,28 @@ def test_roundoff_above_a_tiny_bound_passes(tmp_path, argv):
     falls below the float error of the product formula; the checks allow
     for roundoff rather than failing correct output."""
     assert cli.main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_swap_concentration_is_an_8_sigma_test(tmp_path):
+    """At this seed one row's zero frequency is 4.1 standard deviations from
+    Pr(0); an 8-sigma check passes it."""
+    assert cli.main(["swap-test", "--n", "4", "--seed", "2427",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+
+
+def test_cached_parser_carries_no_value_between_calls(tmp_path, capsys):
+    parser = cli._build_parser()
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify-gqft", "--n", "3", "--thetas", "0.1", "--trials", "1",
+                     "--out", str(out)]) == 0
+    assert cli.main(["verify-gqft", "--n"]) == 2
+    assert cli.main(["verify-gqft", "--out", str(out)]) == 0
+    assert cli._build_parser() is parser
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
+    # the defaults: n = 2, five thetas, five trials each
+    assert len(rows) == 25
+    assert {row[1] for row in rows} == {"2"}
+    capsys.readouterr()
 
 
 def test_decompose_netlist_sections(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from cliffsim import gqft, linalg
 from cliffsim.gqft import GqftParams
+from cliffsim.simulator import basis_state
 
 THETAS = (0.01, 0.1, 0.5, 1.0, 2.0)
 
@@ -23,8 +24,10 @@ def test_standard_qft_two_qubits_roots_of_unity():
 def test_gamma_k_z_axes():
     params = GqftParams(1, 0.3, gqft.z_axes(1))
     z = np.diag([1.0, -1.0])
-    np.testing.assert_allclose(gqft.gamma_k(params, 0), z, atol=1e-15)
-    np.testing.assert_allclose(gqft.gamma_k(params, 1), z, atol=1e-15)
+    gammas = gqft.gamma_stack(params)
+    assert gammas.shape == (2, 2, 2)
+    np.testing.assert_allclose(gammas[0], z, atol=1e-15)
+    np.testing.assert_allclose(gammas[1], z, atol=1e-15)
 
 
 def test_gamma_k_uniform_x_axes():
@@ -33,24 +36,59 @@ def test_gamma_k_uniform_x_axes():
     params = GqftParams(2, 0.3, ax)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     want = np.kron(x, np.eye(2)) + np.kron(np.eye(2), x)
-    for k in range(4):
-        np.testing.assert_allclose(gqft.gamma_k(params, k), want, atol=1e-15)
+    for g in gqft.gamma_stack(params):
+        np.testing.assert_allclose(g, want, atol=1e-15)
 
 
 def test_gamma_k_spectrum_and_hermiticity():
     rng = np.random.default_rng(2)
     params = GqftParams(2, 0.4, gqft.random_bit_axes(2, rng))
-    for k in range(4):
-        g = gqft.gamma_k(params, k)
+    for g in gqft.gamma_stack(params):
         assert linalg.hermiticity_defect(g) <= 1e-12
         np.testing.assert_allclose(
             linalg.hermitian_eigen(g).eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
 
 
-def test_gamma_k_index_range():
-    params = GqftParams(1, 0.1, gqft.z_axes(1))
-    with pytest.raises(ValueError):
-        gqft.gamma_k(params, 2)
+def _gamma_k_by_kron(params, k):
+    """Gamma_k as an explicit sum of Kronecker chains, one per qubit."""
+    n = params.n
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for l in range(n):
+        bit = (k >> (n - 1 - l)) & 1
+        out += np.kron(np.kron(np.eye(2 ** l), gqft.axis_dot_sigma(params.axes[l][bit])),
+                       np.eye(2 ** (n - 1 - l)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_dense_transform_matches_a_per_k_loop(n):
+    """Distinct bit axes make every Gamma_k differ, so a wrong k index in the
+    stacked build or in the column pick cannot pass."""
+    params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(30 + n)))
+    gammas = gqft.gamma_stack(params)
+    cols = np.empty((2 ** n, 2 ** n), dtype=complex)
+    for k in range(2 ** n):
+        gamma = _gamma_k_by_kron(params, k)
+        np.testing.assert_allclose(gammas[k], gamma, atol=1e-15)
+        cols[:, k] = linalg.expm_i(gamma, params.theta) @ basis_state(n, k)
+    np.testing.assert_allclose(
+        gqft.gqft_dense(params), cols @ gqft.standard_qft(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factored_columns_match_kron_chains(n):
+    theta = 0.7
+    params = GqftParams(n, theta, gqft.random_bit_axes(n, np.random.default_rng(40 + n)))
+    cols = gqft.gqft_column_factored(params)
+    assert cols.shape == (2 ** n, 2 ** n)
+    for j in range(2 ** n):
+        col = np.ones(1, dtype=complex)
+        for l in range(1, n + 1):
+            r0 = gqft.axis_rotation(params.axes[l - 1][0], theta)
+            r1 = gqft.axis_rotation(params.axes[l - 1][1], theta)
+            phase = np.exp(2j * np.pi * j / 2 ** l)
+            col = np.kron(col, (r0 @ [1, 0] + phase * (r1 @ [0, 1])) / np.sqrt(2.0))
+        np.testing.assert_allclose(cols[:, j], col, atol=1e-15)
 
 
 def test_params_validation():
@@ -77,8 +115,7 @@ def test_gqft_z_axis_columns_closed_form():
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)
     np.testing.assert_allclose(f[:, 0], np.array([ep, em]) / np.sqrt(2.0), atol=1e-12)
     np.testing.assert_allclose(f[:, 1], np.array([ep, -em]) / np.sqrt(2.0), atol=1e-12)
-    np.testing.assert_allclose(
-        gqft.gqft_column_factored(params, 0), f[:, 0], atol=1e-12)
+    np.testing.assert_allclose(gqft.gqft_column_factored(params), f, atol=1e-12)
 
 
 def test_gqft_unitary_for_shared_axes():
@@ -104,16 +141,9 @@ def test_factored_columns_match_dense():
         for seed, draw in ((0, gqft.random_axes), (1, gqft.random_bit_axes)):
             rng = np.random.default_rng(50 * n + seed)
             params = GqftParams(n, 0.8, draw(n, rng))
-            f = gqft.gqft_dense(params)
-            for j in range(2 ** n):
-                err = np.linalg.norm(f[:, j] - gqft.gqft_column_factored(params, j))
-                assert err <= 1e-10
-
-
-def test_column_index_range():
-    params = GqftParams(1, 0.1, gqft.z_axes(1))
-    with pytest.raises(ValueError):
-        gqft.gqft_column_factored(params, 2)
+            err = np.linalg.norm(gqft.gqft_dense(params) - gqft.gqft_column_factored(params),
+                                 axis=0)
+            assert err.max() <= 1e-10
 
 
 def test_rotation_resolution_check():

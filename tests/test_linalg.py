@@ -59,17 +59,56 @@ def test_hermitian_eigen_reconstructs_and_orders():
             (v * eig.eigenvalues) @ v.conj().T, h, atol=1e-10)
 
 
+def _corrupt(lam, v, fault):
+    if fault == "non-orthonormal basis":
+        v[..., :, 0] *= 1.0 + 1e-6  # still an eigenvector, so only orthonormality fails
+    else:
+        lam[..., 0] += 1e-6
+
+
 @pytest.mark.parametrize("fault", ["non-orthonormal basis", "wrong eigenvalue"])
 def test_hermitian_eigen_rejects_a_bad_lapack_result(monkeypatch, fault):
-    h = linalg.random_hermitian(4, np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    h = linalg.random_hermitian(4, rng)
+    # in a stack, a fault in one slice alone is caught; slice 0 has the
+    # largest eigenvalues, so a check against the stack's largest scale
+    # would let the fault in slice 1 through
+    stack = np.stack([1e5 * linalg.random_hermitian(4, rng), h, linalg.random_hermitian(4, rng)])
     lam, v = np.linalg.eigh(h)
-    if fault == "non-orthonormal basis":
-        v[:, 0] *= 1.0 + 1e-6  # still an eigenvector, so only orthonormality fails
-    else:
-        lam[0] += 1e-6
+    lam_s, v_s = np.linalg.eigh(stack)
+    _corrupt(lam, v, fault)
+    _corrupt(lam_s[1], v_s[1], fault)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (lam, v))
     with pytest.raises(np.linalg.LinAlgError):
         linalg.hermitian_eigen(h)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (lam_s, v_s))
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.hermitian_eigen(stack)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_stacked_eigen_and_expm_i_match_per_matrix_calls(dim):
+    rng = np.random.default_rng(60 + dim)
+    stack = np.stack([linalg.random_hermitian(dim, rng) for _ in range(3)])
+    lam, v = linalg.hermitian_eigen(stack)
+    u = linalg.expm_i(stack, 0.47)
+    assert lam.shape == (3, dim) and v.shape == u.shape == (3, dim, dim)
+    for i, h in enumerate(stack):
+        one = linalg.hermitian_eigen(h)
+        np.testing.assert_allclose(lam[i], one.eigenvalues, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(v[i], one.eigenvectors, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(u[i], linalg.expm_i(h, 0.47), rtol=0, atol=1e-14)
+
+
+def test_stack_with_one_non_hermitian_slice_is_rejected():
+    rng = np.random.default_rng(5)
+    stack = np.stack([linalg.random_hermitian(4, rng) for _ in range(3)])
+    stack[2, 0, 1] += 1e-6
+    for kernel in (linalg.hermitian_eigen, linalg.expm_i):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            kernel(stack)
+    with pytest.raises(ValueError):
+        linalg.expm_i(np.zeros((3, 2, 4)))
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3, -0.3, np.pi / 2, -np.pi / 2, 2.7])
