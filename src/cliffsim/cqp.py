@@ -4,9 +4,14 @@ States are prepared by exponentiating real combinations of Hermitian
 blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses the 2n
 single-generator blades; a Type I unit may use any explicit blade list.
 When the active blades pairwise anticommute (always so for Type II), the
-sum squares to |c|^2 I and is exponentiated in closed form, as is every
-single-blade rotation below; any other sum goes through the general
-linalg.expm_i.
+sum squares to |c|^2 I, so the state is cos|c| |0..0> + i sin|c| (c.B/|c|)
+|0..0>, read off column 0 of the blades, as is every single-blade rotation
+below; any other sum goes through the general linalg.expm_i.
+
+encode and the activations work on stacks: coefficients of shape (..., m)
+give states (..., d).  forward takes one input state and a stack of weight
+states (..., d), and gives angles (...) and output states (..., d).  Every
+guard applies to each row; one vector is a stack of shape ().
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -22,15 +27,16 @@ over it.
 
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
+Each iteration scores theta and its 2m neighbours theta +- h*e_j as one
+(2m + 1, m) stack through a single encode and forward pass.
 """
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,12 +53,13 @@ class Activation(enum.Enum):
     TANH = "tanh"
     CLAMP = "clamp"
 
-    def apply(self, u: float) -> float:
+    def apply(self, u):
+        """Elementwise on a number or an array."""
         if self is Activation.IDENTITY:
-            return float(u)
+            return np.asarray(u, dtype=float)
         if self is Activation.TANH:
-            return math.tanh(u)
-        return min(1.0, max(-1.0, float(u)))
+            return np.tanh(u)
+        return np.minimum(np.maximum(u, -1.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -102,45 +109,52 @@ class PerceptronConfig:
                    for a, b in itertools.combinations(self.active_blades, 2))
 
 
+def _rotate_ground(n: int, column0: np.ndarray, angle) -> np.ndarray:
+    """exp(i*angle*H)|0..0> = cos(angle)|0..0> + i sin(angle) H|0..0> for an
+    involution H whose first column is column0 (..., d), per angle (...)."""
+    a = np.asarray(angle)[..., None]
+    return np.cos(a) * basis_state(n, 0) + 1j * np.sin(a) * column0
+
+
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
-    """|x> = exp(i * sum_j coeffs[j] * B_j) |0..0>."""
+    """|x> = exp(i * sum_j coeffs[..., j] * B_j) |0..0>, shape (..., d), for
+    coeffs of shape (..., m); one vector is a stack of shape ()."""
     c = np.asarray(coeffs, dtype=float)
-    if c.shape != (len(config.active_blades),):
-        raise ValueError(
-            f"expected {len(config.active_blades)} coefficients, got shape {c.shape}")
+    m = len(config.active_blades)
+    if c.ndim == 0 or c.shape[-1] != m:
+        raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     if not config._anticommuting:
-        h = np.tensordot(c, config._blade_stack, axes=1)
-        return linalg.expm_i(h) @ basis_state(config.n, 0)
-    norm = math.hypot(*c)
-    if norm == 0.0:
-        return basis_state(config.n, 0)
-    h = np.tensordot(c / norm, config._blade_stack, axes=1)
-    return linalg.expm_i_involution(h, norm) @ basis_state(config.n, 0)
+        return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
+    norm = np.hypot.reduce(c, axis=-1)  # finite wherever c is; sum(c^2) may overflow
+    unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
+    return _rotate_ground(config.n, unit @ config._blade_stack[:, :, 0], norm)
 
 
-def _angle(x, w, activation: Activation) -> float:
-    """phi = arccos(activation(Re<x|w>))."""
-    v = activation.apply(inner(x, w).real)
-    if abs(v) > 1.0 + _ACT_RANGE_SLACK:
-        raise ValueError(
-            f"activation output {v!r} is outside [-1, 1]; arccos undefined")
-    return math.acos(min(1.0, max(-1.0, v)))
+def _angle(x, w, activation: Activation) -> np.ndarray:
+    """phi = arccos(activation(Re<x|w>)) for one state x (d,) and states w (..., d)."""
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one state of shape (d,), got {x.shape}")
+    v = activation.apply((np.asarray(w) @ np.conj(x)).real)
+    out_of_range = np.abs(v) > 1.0 + _ACT_RANGE_SLACK
+    if out_of_range.any():
+        raise ValueError(f"activation output {float(np.asarray(v)[out_of_range][0])!r} "
+                         f"is outside [-1, 1]; arccos undefined")
+    return np.arccos(Activation.CLAMP.apply(v))
 
 
-def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[float, np.ndarray]:
-    """Perceptron forward pass: returns (phi, output state)."""
+def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
+    """Perceptron forward pass of one input state x (d,) against weight states
+    w (..., d): returns (phi (...), output states (..., d))."""
     phi = _angle(x, w, activation)
-    y = (linalg.expm_i_involution(output_blade.dense(), phi)
-         @ basis_state(output_blade.n, 0))
-    return phi, y
+    return phi, _rotate_ground(output_blade.n, output_blade.dense()[:, 0], phi)
 
 
 def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
     """Reference state rotated opposite to the output rotation."""
-    return (linalg.expm_i_involution(output_blade.dense(), -target_angle)
-            @ basis_state(output_blade.n, 0))
+    return _rotate_ground(output_blade.n, output_blade.dense()[:, 0], -target_angle)
 
 
 def fidelity(y, target_angle: float, output_blade: Blade) -> float:
@@ -169,43 +183,42 @@ class TrainRecord:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def _fd_gradient(score: Callable[[np.ndarray], float], theta: np.ndarray,
-                 step: float) -> np.ndarray:
-    grad = np.empty_like(theta)
-    for j in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[j] = step
-        grad[j] = (score(theta + bump) - score(theta - bump)) / (2.0 * step)
-        if not math.isfinite(grad[j]):
-            raise ValueError(
-                f"non-finite finite-difference gradient at component {j} "
-                f"(activation kink or overflow)")
-    return grad
-
-
 def train(config: PerceptronConfig, sample: TrainingSample, theta0,
           iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
-    """Gradient ascent on the fidelity; one record per iteration, initial included."""
+    """Gradient ascent on the fidelity; one record per iteration, initial included.
+
+    Each iteration scores the (2m + 1, m) stack [theta, theta + fd_step*e_j,
+    theta - fd_step*e_j] in one pass: row 0 is the record's fidelity and the
+    other rows give the central-difference gradient.
+    """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
     if not 0 < fd_step < FD_STEP_MAX:
         raise ValueError(f"fd_step {fd_step} outside (0, {FD_STEP_MAX})")
     theta = np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (len(config.active_blades),):
-        raise ValueError(
-            f"theta0 must have {len(config.active_blades)} components, got {theta.shape}")
+    m = len(config.active_blades)
+    if theta.shape != (m,):
+        raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
     x = encode(config, sample.input_coeffs)
-    ref = target_state(config.output_blade, sample.target_angle)
+    ref = np.conj(target_state(config.output_blade, sample.target_angle))
 
-    def score(t: np.ndarray) -> float:
-        w = encode(config, t)
-        _, y = forward(x, w, config.activation, config.output_blade)
-        return float(min(abs(inner(ref, y)), 1.0))
+    def score(thetas: np.ndarray) -> np.ndarray:
+        _, y = forward(x, encode(config, thetas), config.activation, config.output_blade)
+        return np.minimum(np.abs(y @ ref), 1.0)
 
-    records = [TrainRecord(0, theta.copy(), score(theta))]
-    for k in range(1, iterations + 1):
-        theta = theta + config.eta * _fd_gradient(score, theta, fd_step)
-        records.append(TrainRecord(k, theta.copy(), score(theta)))
+    bumps = fd_step * np.eye(m)
+    offsets = np.concatenate([np.zeros((1, m)), bumps, -bumps])
+    records = []
+    for k in range(iterations):
+        f = score(theta + offsets)
+        records.append(TrainRecord(k, theta.copy(), float(f[0])))
+        grad = (f[1:m + 1] - f[m + 1:]) / (2.0 * fd_step)
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size:
+            raise ValueError(f"non-finite finite-difference gradient at component "
+                             f"{bad[0]} (activation kink or overflow)")
+        theta = theta + config.eta * grad
+    records.append(TrainRecord(iterations, theta.copy(), float(score(theta))))
     return records
 
 
@@ -225,8 +238,7 @@ def multilayer_forward(layers: Sequence[np.ndarray], x_coeffs,
             raise ValueError(
                 f"layer {depth}: expected shape ({m_blades}, {m_blades}), "
                 f"got {weights.shape}")
-        phis = [_angle(state, encode(config, row), config.activation) for row in weights]
-        state = encode(config, phis)
+        state = encode(config, _angle(state, encode(config, weights), config.activation))
     return state
 
 
@@ -238,7 +250,7 @@ def equivalence_defects(config: PerceptronConfig, u, x_coeffs,
     w = encode(config, w_coeffs)
     phi, y = forward(x, w, config.activation, config.output_blade)
     phi_u, y_u = forward(u @ x, u @ w, config.activation, config.output_blade)
-    return abs(phi - phi_u), float(np.linalg.norm(y - y_u))
+    return float(abs(phi - phi_u)), float(np.linalg.norm(y - y_u))
 
 
 def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,
@@ -273,7 +285,7 @@ def operator_activation_forward(x, activation: Activation, reference_index: int,
     if not 0 <= reference_index < v.shape[0]:
         raise ValueError(f"reference_index {reference_index} out of range")
     moduli = np.abs(v)
-    acted = np.array([activation.apply(m) for m in moduli])
+    acted = activation.apply(moduli)
     norm = abs(acted[reference_index])
     if norm <= 1e-300:
         raise ValueError(

@@ -287,6 +287,13 @@ def test_train_cqp_reaches_target_by_default(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(fid, fid[1:]))
 
 
+def test_train_cqp_survives_a_huge_learning_rate(tmp_path):
+    """At eta = 1e290 the weights reach ~1e295, where sum(theta^2) overflows;
+    one ulp there moves theta completely, so only the exit code is pinned."""
+    assert cli.main(["train-cqp", "--eta", "1e290", "--iterations", "3",
+                     "--require-fidelity", "0", "--out", str(tmp_path / "r.csv")]) == 0
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["omega-count", "--n", "1"]) == 0

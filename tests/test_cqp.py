@@ -1,4 +1,6 @@
 """Perceptron encode/forward/train tests with closed-form oracles."""
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,78 @@ def test_type_i_encode_matches_expm_i_route(index_sets, anticommuting):
             np.testing.assert_allclose(cqp.encode(config, c), prod[:, 0], atol=1e-12)
 
 
+_STACK_CONFIGS = [
+    *(PerceptronConfig.type_ii(n) for n in (1, 2, 3)),
+    PerceptronConfig.type_i(2, [(0, 1), (1, 2), (1, 3)], (0,)),  # anticommuting
+    PerceptronConfig.type_i(2, [(0,), (1, 2)], (0,)),            # expm_i stack route
+]
+
+
+@pytest.mark.parametrize("config", _STACK_CONFIGS)
+def test_stacked_encode_and_forward_equal_per_row_calls(config):
+    m = len(config.active_blades)
+    rng = np.random.default_rng(80 + m)
+    coeffs = rng.uniform(-2.0, 2.0, size=(2, 3, m))
+    coeffs[1, 2] = 0.0  # a zero row inside the stack gives |0..0>
+    states = cqp.encode(config, coeffs)
+    assert states.shape == (2, 3, 2 ** config.n)
+    x = cqp.encode(config, rng.uniform(-2.0, 2.0, m))
+    phis, ys = cqp.forward(x, states, config.activation, config.output_blade)
+    assert phis.shape == (2, 3) and ys.shape == states.shape
+    for idx in np.ndindex(2, 3):
+        row = cqp.encode(config, coeffs[idx])
+        np.testing.assert_allclose(states[idx], row, rtol=0, atol=1e-14)
+        phi, y = cqp.forward(x, row, config.activation, config.output_blade)
+        assert abs(phis[idx] - phi) <= 1e-14
+        np.testing.assert_allclose(ys[idx], y, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(states[1, 2], simulator.basis_state(config.n, 0), atol=0)
+
+
+@pytest.mark.parametrize("config", [_STACK_CONFIGS[1], _STACK_CONFIGS[-1]])
+def test_stack_with_one_non_finite_row_raises(config):
+    coeffs = np.zeros((3, len(config.active_blades)))
+    coeffs[1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        cqp.encode(config, coeffs)
+
+
+def test_activation_out_of_range_in_one_row_raises():
+    config = PerceptronConfig.type_ii(1)
+    x = cqp.encode(config, [0.2, 0.1])
+    ws = np.stack([x, 2.0 * x, x])  # row 1 is not a unit state: Re<x|w> = 2
+    cqp.forward(x, ws[[0, 2]], Activation.IDENTITY, config.output_blade)
+    with pytest.raises(ValueError, match="outside"):
+        cqp.forward(x, ws, Activation.IDENTITY, config.output_blade)
+
+
+def test_forward_takes_one_input_state():
+    config = PerceptronConfig.type_ii(1)
+    xs = cqp.encode(config, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="one state"):
+        cqp.forward(xs, xs, Activation.TANH, config.output_blade)
+
+
+def test_encode_does_not_overflow_the_norm():
+    config = PerceptronConfig.type_ii(1)
+    c = np.array([1e200, 1e200])
+    got = cqp.encode(config, c)
+    assert np.isfinite(got).all()
+    assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-14)
+    norm = math.hypot(*c)
+    column = sum(cj / norm * b.dense()[:, 0] for cj, b in zip(c, config.active_blades))
+    want = math.cos(norm) * simulator.basis_state(1, 0) + 1j * math.sin(norm) * column
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_activation_apply_is_elementwise():
+    u = np.array([[-3.0, -0.5], [0.0, 2.5]])
+    for act in Activation:
+        got = act.apply(u)
+        assert got.shape == u.shape
+        for idx in np.ndindex(u.shape):
+            assert got[idx] == act.apply(u[idx])
+
+
 def test_encode_generates_entanglement():
     config = PerceptronConfig.type_ii(2)
     state = cqp.encode(config, [0.3, 0.7, 0.1, 0.5])
@@ -71,6 +145,9 @@ def test_encode_rejects_bad_coeffs():
         cqp.encode(config, [0.1])
     with pytest.raises(ValueError):
         cqp.encode(config, [np.nan, 0.0])
+    for bad in (np.zeros((3, 3)), 0.5):  # rows of the wrong length, or no row
+        with pytest.raises(ValueError, match="coefficients per row"):
+            cqp.encode(config, bad)
 
 
 def test_config_validation():
@@ -164,6 +241,77 @@ def test_train_records_start_at_initial_theta():
     records = cqp.train(config, sample, theta0, iterations=2)
     np.testing.assert_allclose(records[0].theta, theta0)
     assert records[0].iteration == 0 and records[2].iteration == 2
+
+
+def _oracle_fidelity(config, sample, theta):
+    """F(theta) by dense eigendecomposition exponentials, not encode/forward;
+    the activation is tanh."""
+    e0 = simulator.basis_state(config.n, 0)
+
+    def state(c):
+        return linalg.expm_i(sum(cj * b.dense() for cj, b in zip(c, config.active_blades))) @ e0
+
+    phi = math.acos(math.tanh(np.vdot(state(sample.input_coeffs), state(theta)).real))
+    out = config.output_blade.dense()
+    y = linalg.expm_i(out, phi) @ e0
+    ref = linalg.expm_i(out, -sample.target_angle) @ e0
+    return min(abs(np.vdot(ref, y)), 1.0)
+
+
+@pytest.mark.parametrize("config", [
+    PerceptronConfig.type_ii(1, activation=Activation.TANH, eta=0.3),
+    PerceptronConfig.type_ii(2, output_index=3, activation=Activation.TANH, eta=0.2),
+    PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), activation=Activation.TANH, eta=0.5),
+])
+def test_one_training_step_matches_a_scalar_oracle(config):
+    m = len(config.active_blades)
+    rng = np.random.default_rng(90 + m)
+    sample = TrainingSample(rng.uniform(0.1, 0.6, m), 0.7)
+    theta0 = rng.uniform(0.0, 0.5, m)
+    step = 1e-5
+    records = cqp.train(config, sample, theta0, iterations=1, fd_step=step)
+    grad = np.empty(m)
+    for j in range(m):
+        bump = np.zeros(m)
+        bump[j] = step
+        grad[j] = (_oracle_fidelity(config, sample, theta0 + bump)
+                   - _oracle_fidelity(config, sample, theta0 - bump)) / (2.0 * step)
+    assert np.abs(grad).max() > 1e-3  # the step moves theta
+    np.testing.assert_allclose(records[1].theta, theta0 + config.eta * grad, rtol=0, atol=1e-9)
+    assert records[0].fidelity == pytest.approx(
+        _oracle_fidelity(config, sample, theta0), abs=1e-12)
+
+
+def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
+    config, sample, theta0 = _toy_task(2)
+    shapes = []
+    encode = cqp.encode
+
+    def counting_encode(cfg, coeffs):
+        shapes.append(np.shape(coeffs))
+        return encode(cfg, coeffs)
+
+    monkeypatch.setattr(cqp, "encode", counting_encode)
+    cqp.train(config, sample, theta0, iterations=4)
+    # the input, one (2m + 1, m) stack per iteration, then the final theta
+    assert shapes == [(2,)] + [(5, 2)] * 4 + [(2,)]
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
+    config, sample, theta0 = _toy_task(4)
+    forward = cqp.forward
+
+    def nan_neighbour(x, w, activation, output_blade):
+        phi, y = forward(x, w, activation, output_blade)
+        if y.ndim == 2:
+            y = y.copy()
+            y[1 + component] = np.nan  # the score of theta + h*e_component
+        return phi, y
+
+    monkeypatch.setattr(cqp, "forward", nan_neighbour)
+    with pytest.raises(ValueError, match=f"gradient at component {component} "):
+        cqp.train(config, sample, theta0, iterations=2)
 
 
 def test_multilayer_single_neuron_reduces_to_forward():
