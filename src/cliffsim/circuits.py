@@ -55,12 +55,9 @@ class TwoLevelGate:
         if not 0 <= self.i < self.j < self.dim:
             raise ValueError(
                 f"need 0 <= i < j < dim, got i={self.i}, j={self.j}, dim={self.dim}")
-        b = linalg.as_matrix(self.block)
+        b = linalg.require_unitary(self.block, "TwoLevelGate")
         if b.shape != (2, 2):
             raise ValueError(f"block must be 2x2, got {b.shape}")
-        defect = linalg.unitarity_defect(b)
-        if defect > linalg.DEFAULT_TOL:
-            raise ValueError(f"block is not unitary (defect {defect:.3e})")
         object.__setattr__(self, "block", b)
 
     def embed(self) -> np.ndarray:
@@ -84,13 +81,10 @@ def gates_product(gates: Sequence[TwoLevelGate], dim: int) -> np.ndarray:
 
 def two_level_decompose(u) -> list[TwoLevelGate]:
     """Factor a unitary into at most dim*(dim-1)/2 two-level gates."""
-    m = linalg.as_matrix(u).copy()
+    m = linalg.require_unitary(u, "two_level_decompose").copy()
     dim = m.shape[0]
-    if m.shape[0] != m.shape[1] or not 2 <= dim <= 16:
-        raise ValueError(f"need a square matrix with 2 <= dim <= 16, got {m.shape}")
-    defect = linalg.unitarity_defect(m)
-    if defect > linalg.DEFAULT_TOL:
-        raise ValueError(f"input is not unitary (defect {defect:.3e})")
+    if not 2 <= dim <= 16:
+        raise ValueError(f"need 2 <= dim <= 16, got {m.shape}")
 
     factors: list[TwoLevelGate] = []
 
@@ -170,12 +164,8 @@ class GateCircuit:
     gates: tuple[ControlledGate, ...]
 
     def dense(self) -> np.ndarray:
-        out = np.eye(2 ** self.n, dtype=complex)
-        for g in self.gates:
-            if g.n != self.n:
-                raise ValueError(f"gate register size {g.n} != circuit size {self.n}")
-            out = g.dense() @ out  # gates listed in application order
-        return out
+        # gates are listed in application order, so the last one is leftmost
+        return gates_product([g._two_level for g in reversed(self.gates)], 2 ** self.n)
 
 
 def _bits(index: int, n: int) -> list[int]:

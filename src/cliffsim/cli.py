@@ -293,8 +293,8 @@ def _cmd_train_cqp(cfg):
     # theta0 lies in [0, 0.5) and fidelities in [0, 1], so one step moves a
     # weight by at most eta / (2 fd_step)
     weight_bound = 0.5 + cfg["iterations"] * cfg["eta"] / (2.0 * cfg["fd_step"])
-    _require(math.isfinite(math.sqrt(2 * n) * weight_bound), "eta",
-             "too large: the weight bound overflows")
+    _require(math.isfinite(math.sqrt(2 * n) * weight_bound), "eta, fd_step",
+             "eta / fd_step too large: the weight bound overflows")
     _require(0 <= cfg["output_index"] < 2 * n, "output_index",
              f"must be in 0..{2 * n - 1}")
     _require(0 <= cfg["require_fidelity"] <= 1, "require_fidelity", "must be in [0, 1]")

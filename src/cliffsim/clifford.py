@@ -201,13 +201,10 @@ def pauli_coefficients(h, n: int) -> np.ndarray:
 
     c_w = Tr(w h) / 2^n; reconstruction sum(c_w * w) recovers h exactly.
     """
-    m = linalg.as_matrix(h)
+    m = linalg.require_hermitian(h, "pauli_coefficients")
     dim = 2 ** n
     if m.shape != (dim, dim):
         raise ValueError(f"expected {dim}x{dim} matrix for n={n}, got {m.shape}")
-    defect = linalg.hermiticity_defect(m)
-    if defect > linalg.DEFAULT_TOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     coeffs = np.array([np.trace(w.dense() @ m) / dim for w in pauli_word_basis(n)])
     if np.abs(coeffs.imag).max() > 1e-9:
         raise ValueError("trace coefficients of a Hermitian matrix must be real")
@@ -228,10 +225,7 @@ def lie_embedding_check(first: Sequence[np.ndarray], second: Sequence[np.ndarray
     def psi(components):
         out = np.zeros((2 ** n, 2 ** n), dtype=complex)
         for pos, comp in enumerate(components, start=1):
-            c = linalg.as_matrix(comp)
-            if c.shape != (2, 2):
-                raise ValueError(f"component {pos} must be 2x2, got {c.shape}")
-            out += linalg.embed_qubit_operator(c, pos, n)
+            out += linalg.embed_qubit_operator(comp, pos, n)  # checks the 2x2 shape
         return out
 
     pb, pc = psi(first), psi(second)

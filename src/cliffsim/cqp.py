@@ -257,10 +257,7 @@ def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,
                            tol: float = linalg.DEFAULT_TOL) -> bool:
     """Joint unitary change of input and weight leaves (phi, y) unchanged; both
     coefficient vectors are drawn from U(-1, 1), input first, seeded by `seed`."""
-    m = linalg.as_matrix(u)
-    defect = linalg.unitarity_defect(m)
-    if defect > tol:
-        raise ValueError(f"u is not unitary (defect {defect:.3e})")
+    m = linalg.require_unitary(u, "type_equivalence_check")
     rng = np.random.default_rng(seed)
     x_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
     w_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))

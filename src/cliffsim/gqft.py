@@ -47,11 +47,13 @@ class GqftParams:
     def __post_init__(self):
         if not 1 <= self.n <= 4:
             raise ValueError(f"need 1 <= n <= 4, got n={self.n}")
-        if self.theta < 0:
-            raise ValueError(f"need theta >= 0, got {self.theta}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"need a finite theta >= 0, got {self.theta}")
         ax = np.asarray(self.axes, dtype=float)
         if ax.shape != (self.n, 2, 3):
             raise ValueError(f"axes must have shape ({self.n}, 2, 3), got {ax.shape}")
+        if not np.isfinite(ax).all():
+            raise ValueError("axes contain non-finite entries")
         norms = np.linalg.norm(ax, axis=2)
         if np.abs(norms - 1.0).max() > _AXIS_TOL:
             raise ValueError(
@@ -154,11 +156,8 @@ def gqft_column_factored(params: GqftParams) -> np.ndarray:
 
 
 def rotation_resolution_check(r_op, tol: float = linalg.DEFAULT_TOL) -> bool:
-    """Certify sum_k R|k><k|R^dag = I for a unitary R."""
-    m = linalg.as_matrix(r_op)
-    defect = linalg.unitarity_defect(m)
-    if defect > tol:
-        raise ValueError(f"operator is not unitary (defect {defect:.3e})")
+    """Certify sum_k R|k><k|R^dag = I to `tol`, for R unitary to DEFAULT_TOL."""
+    m = linalg.require_unitary(r_op, "rotation_resolution_check")
     dim = m.shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):

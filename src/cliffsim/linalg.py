@@ -6,21 +6,26 @@ most significant bit of a computational-basis index, so ``tensor(A, B)``
 places ``A`` on the high bits.
 
 Every exponential in this package is of the form exp(i*s*H) with H
-Hermitian.  Blade exponentials use the closed form of a Hermitian
-involution, ``expm_i_involution``: a blade B squares to I, so
-exp(i*s*B) = cos(s) I + i sin(s) B.  The general ``expm_i`` goes through
-a Hermitian eigendecomposition (LAPACK ``eigh``) instead of a Pade scheme.
-It is the oracle of the closed forms: the tests compare them with it, and
-the dense GQFT and the exact Trotter evolution use it, so the factored
-GQFT and the product formula are checked against an independent route.
-``hermitian_eigen`` and ``expm_i`` take one matrix or a stack of them,
-shape (..., d, d), and hand the whole stack to LAPACK in one ``eigh``
-call; a single matrix is a stack of shape ().  Every guard (finite and
-square input, Hermiticity, residual, orthonormality) applies to each
-matrix of the stack.  An eigendecomposition that fails its residual or
-orthonormality check is a hard error, never a silent fallback.
+Hermitian.  ``expm_i_involution`` is the closed form of a Hermitian
+involution: H^2 = I gives exp(i*s*H) = cos(s) I + i sin(s) H.  The product
+formula (``trotter``) and the GQFT axis rotations use it; the perceptron
+(``cqp``) applies the same closed form to |0..0> only.  The general
+``expm_i`` goes through a Hermitian eigendecomposition (LAPACK ``eigh``)
+instead of a Pade scheme.  It is the oracle of the closed forms: the tests
+compare them with it, and the dense GQFT and the exact Trotter evolution
+use it, so the factored GQFT and the product formula are checked against
+an independent route.  ``hermitian_eigen`` and ``expm_i`` take one matrix
+or a stack of them, shape (..., d, d), and hand the whole stack to LAPACK
+in one ``eigh`` call; a single matrix is a stack of shape ().  Every guard
+(finite and square input, Hermiticity, residual, orthonormality) applies
+to each matrix of the stack.  An eigendecomposition that fails its
+residual or orthonormality check is a hard error, never a silent fallback.
 ``expm_i`` is the only library caller of ``hermitian_eigen``; singular
 values come from LAPACK's SVD.
+
+Valid matrix input is decided here only: ``as_matrix`` coerces one finite
+square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
+coerce, check against DEFAULT_TOL and return their input.
 """
 from __future__ import annotations
 
@@ -44,13 +49,11 @@ class CheckFailure(Exception):
         self.detail = detail
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=complex)
+def as_matrix(a, where: str) -> np.ndarray:
+    """Coerce to one finite complex square matrix, shape (d, d)."""
+    m = _square_stack(a, where)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"{where}: expected a 2-d matrix, got ndim={m.ndim}")
     return m
 
 
@@ -61,14 +64,7 @@ def _square_stack(a, where: str) -> np.ndarray:
         raise ValueError(f"{where}: expected a square matrix or a stack of them, "
                          f"got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def _square(a, where: str) -> np.ndarray:
-    m = _square_stack(a, where)
-    if m.ndim != 2:
-        raise ValueError(f"{where}: expected a 2-d matrix, got ndim={m.ndim}")
+        raise ValueError(f"{where}: matrix contains non-finite entries")
     return m
 
 
@@ -87,7 +83,7 @@ def tensor(*factors) -> np.ndarray:
 
 def embed_qubit_operator(op, qubit: int, n: int) -> np.ndarray:
     """Embed a single-qubit operator on 1-based `qubit` of an n-qubit register."""
-    m = _square(op, "embed_qubit_operator")
+    m = as_matrix(op, "embed_qubit_operator")
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got {m.shape}")
     if not 1 <= qubit <= n:
@@ -105,22 +101,37 @@ def _max_hermiticity_defect(m: np.ndarray) -> float:
     return math.sqrt(squares.max(initial=0.0))
 
 
-def _require_hermitian(m: np.ndarray, where: str) -> None:
+def require_hermitian(a, where: str) -> np.ndarray:
+    """The input as a finite complex stack (..., d, d) of matrices Hermitian
+    to DEFAULT_TOL, else ValueError naming `where`."""
+    m = _square_stack(a, where)
     defect = _max_hermiticity_defect(m)
     if defect > DEFAULT_TOL:
         raise ValueError(f"{where}: input is not Hermitian "
                          f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+    return m
+
+
+def require_unitary(a, where: str) -> np.ndarray:
+    """The input as a finite complex matrix unitary to DEFAULT_TOL, else
+    ValueError naming `where`."""
+    m = as_matrix(a, where)
+    defect = unitarity_defect(m)
+    if defect > DEFAULT_TOL:
+        raise ValueError(f"{where}: input is not unitary "
+                         f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
+    return m
 
 
 def hermiticity_defect(a) -> float:
-    return _max_hermiticity_defect(_square(a, "hermiticity_defect"))
+    return _max_hermiticity_defect(as_matrix(a, "hermiticity_defect"))
 
 
 def unitarity_defect(a) -> float:
-    m = _square(a, "unitarity_defect")
-    eye = np.eye(m.shape[0])
-    return max(frobenius_norm(m @ adjoint(m) - eye),
-               frobenius_norm(adjoint(m) @ m - eye))
+    """Frobenius norm of M M^dag - I.  For a square M this equals the norm of
+    M^dag M - I: both are the norm of Sigma^2 - I over M's singular values."""
+    m = as_matrix(a, "unitarity_defect")
+    return frobenius_norm(m @ adjoint(m) - np.eye(m.shape[0]))
 
 
 class HermitianEigen(NamedTuple):
@@ -137,8 +148,7 @@ def hermitian_eigen(h) -> HermitianEigen:
     defect max|V^dag V - I| above DEFAULT_TOL, raises
     ``numpy.linalg.LinAlgError``.
     """
-    a = _square_stack(h, "hermitian_eigen")
-    _require_hermitian(a, "hermitian_eigen")
+    a = require_hermitian(h, "hermitian_eigen")
     a = a / 2.0 + adjoint(a) / 2.0  # halve first: no overflow near the float limit
     lam, v = np.linalg.eigh(a)
     # each matrix's residual is measured against its own max(1, max|lam|)
@@ -155,8 +165,8 @@ def hermitian_eigen(h) -> HermitianEigen:
 def expm_i(h, s: float = 1.0) -> np.ndarray:
     """exp(i*s*H) for a Hermitian H, or for each H of a stack (..., d, d);
     unitary by construction."""
-    m = _square_stack(h, "expm_i")
-    _require_hermitian(m, "expm_i")
+    # also checked in hermitian_eigen; a bad input must stop before it is entered
+    m = require_hermitian(h, "expm_i")
     lam, v = hermitian_eigen(m)
     return (v * np.exp(1j * s * lam)[..., None, :]) @ adjoint(v)
 
@@ -174,7 +184,7 @@ def expm_i_involution(h, s: float = 1.0) -> np.ndarray:
 
 def spectral_norm(a) -> float:
     """Largest singular value (LAPACK SVD)."""
-    return float(np.linalg.norm(_square(a, "spectral_norm"), 2))
+    return float(np.linalg.norm(as_matrix(a, "spectral_norm"), 2))
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

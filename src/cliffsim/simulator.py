@@ -67,7 +67,7 @@ def inner(a, b) -> complex:
 
 
 def apply(u, state) -> np.ndarray:
-    m = linalg.as_matrix(u)
+    m = linalg.as_matrix(u, "apply")
     v = np.asarray(state, dtype=complex)
     if m.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} applied to length {v.shape[0]}")

@@ -78,8 +78,10 @@ def test_decompose_random_eight_dim():
 
 
 def test_decompose_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
         circuits.two_level_decompose(np.arange(16.0).reshape(4, 4))
+    with pytest.raises(ValueError, match="not unitary"):
+        TwoLevelGate(4, 0, 1, 2.0 * X)
 
 
 def test_compile_adjacent_indices_single_gate():
@@ -153,6 +155,12 @@ def test_controlled_gate_rejects_bad_block():
         circuits.ControlledGate(2, 2, ((1, 1),), 2.0 * X)
     with pytest.raises(ValueError):
         circuits.ControlledGate(2, 2, ((1, 1),), np.eye(3))
+
+
+def test_circuit_dense_rejects_a_gate_of_another_register():
+    gate = circuits.ControlledGate(3, 2, ((1, 1), (3, 0)), X)
+    with pytest.raises(ValueError, match="dimension"):
+        circuits.GateCircuit(2, (gate,)).dense()
 
 
 def test_format_two_level_and_circuit():

@@ -294,6 +294,13 @@ def test_train_cqp_survives_a_huge_learning_rate(tmp_path):
                      "--require-fidelity", "0", "--out", str(tmp_path / "r.csv")]) == 0
 
 
+def test_weight_bound_overflow_names_fd_step(tmp_path, capsys):
+    # eta stays at its default: the tiny step alone overflows the bound
+    assert cli.main(["train-cqp", "--fd-step", "1e-320",
+                     "--out", str(tmp_path / "r.csv")]) == 3
+    assert "fd_step" in capsys.readouterr().err
+
+
 def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["omega-count", "--n", "1"]) == 0

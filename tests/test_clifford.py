@@ -219,6 +219,8 @@ def test_pauli_coefficients_reconstruct_hermitian():
         words = clifford.pauli_word_basis(n)
         rebuilt = sum(c * w.dense() for c, w in zip(coeffs, words))
         np.testing.assert_allclose(rebuilt, h, atol=1e-10)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        clifford.pauli_coefficients(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
 def test_lie_embedding_check_trivial_cases():
@@ -244,3 +246,7 @@ def test_lie_embedding_check_shape_mismatch():
         clifford.lie_embedding_check(
             clifford.random_su2_components(2, rng),
             clifford.random_su2_components(3, rng))
+    good = clifford.random_su2_components(2, rng)
+    for bad, message in ((np.zeros((3, 3)), "2x2"), (np.full((2, 2), np.nan), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            clifford.lie_embedding_check(good, [good[0], bad])

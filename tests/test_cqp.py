@@ -378,7 +378,7 @@ def test_type_equivalence_under_unitaries():
 
 def test_type_equivalence_rejects_non_unitary():
     config = PerceptronConfig.type_ii(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
         cqp.type_equivalence_check(config, 2.0 * np.eye(2))
 
 

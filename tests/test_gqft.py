@@ -100,6 +100,20 @@ def test_params_validation():
         GqftParams(5, 0.1, gqft.z_axes(5))
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_params_reject_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="finite theta"):
+        GqftParams(1, theta, gqft.z_axes(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_params_reject_a_non_finite_axis(bad):
+    axes = gqft.z_axes(2)
+    axes[1, 0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        GqftParams(2, 0.3, axes)
+
+
 def test_gqft_theta_zero_is_standard():
     for n in (1, 2, 3):
         rng = np.random.default_rng(n)
@@ -152,7 +166,7 @@ def test_rotation_resolution_check():
     assert gqft.rotation_resolution_check(h)
     axis = np.array([0.6, 0.0, 0.8])
     assert gqft.rotation_resolution_check(gqft.axis_rotation(axis, 0.37))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
         gqft.rotation_resolution_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 

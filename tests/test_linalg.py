@@ -166,6 +166,19 @@ def test_adjoint_and_defects():
     assert linalg.unitarity_defect(2 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_unitarity_defect_is_the_larger_of_both_gram_defects(dim):
+    # one Gram product suffices: for square M both defects are ||Sigma^2 - I||
+    rng = np.random.default_rng(90 + dim)
+    eye = np.eye(dim)
+    for _ in range(5):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        both = max(np.linalg.norm(m @ m.conj().T - eye), np.linalg.norm(m.conj().T @ m - eye))
+        assert linalg.unitarity_defect(m) == pytest.approx(both, rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="here: input is not unitary"):
+            linalg.require_unitary(m, "here")
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(23)
     u = linalg.random_unitary(8, rng)
