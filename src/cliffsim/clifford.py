@@ -15,6 +15,10 @@ with entries in {0, +-1, +-i}, so every such product is exact in floating
 point: construction certifies B = B^dag by exact equality and aborts
 otherwise rather than flipping the factor.  Matrices put qubit 1 on the
 most significant bit.
+
+Two blades commute or anticommute.  Anticommuting basis pairs are counted
+two ways that share no code: the parity rule on index sets, for all pairs
+at once (anticommutation_matrix), and stacked dense commutators.
 """
 from __future__ import annotations
 
@@ -145,47 +149,68 @@ class BasisReport(NamedTuple):
     gram_rank: int
 
 
+def _basis_stack(n: int) -> np.ndarray:
+    """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d)."""
+    return np.array([b.dense() for b in hermitian_basis(n)])
+
+
 def basis_report(n: int) -> BasisReport:
     """Hermiticity of every blade, the generator relations
     gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab I, and the Gram rank of
     the basis; asserts none of them, the thresholds are the caller's."""
-    mats = [b.dense() for b in hermitian_basis(n)]
+    mats = _basis_stack(n)
     eye = np.eye(2 ** n)
     relations = max(
         linalg.frobenius_norm(ga @ gb + gb @ ga - (2.0 * eye if a == b else 0.0))
         for (a, ga), (b, gb) in itertools.combinations_with_replacement(
             enumerate(_GENERATORS[n]), 2))
-    return BasisReport(n, len(mats), max(map(linalg.hermiticity_defect, mats)),
+    return BasisReport(n, len(mats), linalg.hermiticity_defect(mats),
                        relations, gram_rank(mats))
 
 
-def anticommutes(j1: Iterable[int], j2: Iterable[int]) -> bool:
-    """Whether the blades with index sets j1, j2 anticommute.
+def anticommutation_matrix(index_sets: Sequence[Iterable[int]]) -> np.ndarray:
+    """Boolean (k, k) matrix whose (i, j) entry says whether the blades with
+    index sets s_i, s_j anticommute.
 
     Commuting each generator of one product past each generator of the
     other flips the sign unless the indices coincide, so the products
-    anticommute exactly when |j1|*|j2| - |intersection| is odd.
+    anticommute exactly when |s_i|*|s_j| - |s_i & s_j| is odd.  The
+    intersection sizes are the Gram matrix of the sets' 0/1 incidence rows.
     """
-    s1, s2 = set(j1), set(j2)
-    return (len(s1) * len(s2) - len(s1 & s2)) % 2 == 1
+    sets = [set(s) for s in index_sets]
+    labels = sorted(set().union(*sets))
+    inc = np.array([[a in s for a in labels] for s in sets],
+                   dtype=np.int64).reshape(len(sets), len(labels))
+    sizes = inc.sum(axis=1)
+    return (np.outer(sizes, sizes) - inc @ inc.T) % 2 == 1
+
+
+def anticommutes(j1: Iterable[int], j2: Iterable[int]) -> bool:
+    """Whether the blades with index sets j1, j2 anticommute: the two-set
+    case of anticommutation_matrix."""
+    return bool(anticommutation_matrix([j1, j2])[0, 1])
 
 
 def omega_count(n: int) -> int:
     """Number of unordered non-commuting basis pairs, by the parity rule."""
     if not 1 <= n <= 3:
         raise ValueError(f"need 1 <= n <= 3, got n={n}")
-    subsets = [b.indices for b in hermitian_basis(n)]
-    return sum(1 for a, b in itertools.combinations(subsets, 2)
-               if anticommutes(a, b))
+    anti = anticommutation_matrix([b.indices for b in hermitian_basis(n)])
+    return int(np.triu(anti, 1).sum())
 
 
 def omega_count_dense(n: int) -> int:
-    """Brute-force count via dense commutators; oracle for omega_count."""
+    """Brute-force count via dense commutators; oracle for omega_count.  One
+    stacked product per blade against the later ones keeps memory O(4^n d^2)."""
     if not 1 <= n <= 3:
         raise ValueError(f"need 1 <= n <= 3, got n={n}")
-    mats = [b.dense() for b in hermitian_basis(n)]
-    return sum(1 for a, b in itertools.combinations(mats, 2)
-               if linalg.frobenius_norm(a @ b - b @ a) > 1e-9)
+    mats = _basis_stack(n)
+    count = 0
+    for i, a in enumerate(mats[:-1]):
+        rest = mats[i + 1:]
+        norms = np.linalg.norm(a @ rest - rest @ a, axis=(-2, -1))
+        count += int(np.count_nonzero(norms > 1e-9))
+    return count
 
 
 def gram_rank(mats: Sequence[np.ndarray]) -> int:

@@ -33,7 +33,6 @@ Each iteration scores theta and its 2m neighbours theta +- h*e_j as one
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -41,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import Blade, anticommutes
+from .clifford import Blade, anticommutation_matrix
 from .simulator import basis_state, inner
 
 _ACT_RANGE_SLACK = 1e-12
@@ -105,8 +104,8 @@ class PerceptronConfig:
 
     @cached_property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
-        return all(anticommutes(a.indices, b.indices)
-                   for a, b in itertools.combinations(self.active_blades, 2))
+        anti = anticommutation_matrix([b.indices for b in self.active_blades])
+        return bool((anti | np.eye(len(anti), dtype=bool)).all())
 
 
 def _rotate_ground(n: int, column0: np.ndarray, angle) -> np.ndarray:

@@ -124,7 +124,8 @@ def require_unitary(a, where: str) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
-    return _max_hermiticity_defect(as_matrix(a, "hermiticity_defect"))
+    """Frobenius norm of M - M^dag, or its largest value over a stack (..., d, d)."""
+    return _max_hermiticity_defect(_square_stack(a, "hermiticity_defect"))
 
 
 def unitarity_defect(a) -> float:

@@ -68,7 +68,7 @@ def inner(a, b) -> complex:
 
 def apply(u, state) -> np.ndarray:
     m = linalg.as_matrix(u, "apply")
-    v = np.asarray(state, dtype=complex)
+    v = _require_state(state)
     if m.shape[1] != v.shape[0]:
         raise ValueError(f"dimension mismatch: {m.shape} applied to length {v.shape[0]}")
     return m @ v

@@ -2,6 +2,7 @@
 generator products, and the parity rules, cross-checked against
 independent dense oracles (Kronecker-built Pauli words, dense commutators)."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,8 +194,50 @@ def test_omega_count_single_qubit():
 
 
 def test_omega_count_matches_dense():
-    for n in (1, 2):
-        assert clifford.omega_count(n) == clifford.omega_count_dense(n)
+    # closed form: a non-identity blade anticommutes with half of the 4^n blades
+    for n, want in ((1, 3), (2, 60), (3, 1008)):
+        assert want == 4 ** n * (4 ** n - 1) // 4
+        assert clifford.omega_count(n) == clifford.omega_count_dense(n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_omega_count_dense_matches_per_pair_loop(n):
+    mats = [b.dense() for b in clifford.hermitian_basis(n)]
+    want = sum(1 for a, b in itertools.combinations(mats, 2)
+               if np.linalg.norm(a @ b - b @ a) > 1e-9)
+    assert clifford.omega_count_dense(n) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_anticommutation_matrix_matches_set_arithmetic(n):
+    sets = [b.indices for b in clifford.hermitian_basis(n)]
+    anti = clifford.anticommutation_matrix(sets)
+    assert anti.shape == (4 ** n, 4 ** n) and anti.dtype == bool
+    assert np.array_equal(anti, anti.T)
+    assert not anti.diagonal().any()
+    for (i, si), (j, sj) in itertools.product(enumerate(sets), repeat=2):
+        a, b = set(si), set(sj)
+        assert anti[i, j] == ((len(a) * len(b) - len(a & b)) % 2 == 1), (si, sj)
+
+
+def test_anticommutation_matrix_edge_cases():
+    assert clifford.anticommutation_matrix([]).shape == (0, 0)
+    assert not clifford.anticommutation_matrix([()]).any()
+    # labels are set members, not column positions
+    assert clifford.anticommutes((-1,), (7,))
+    assert not clifford.anticommutes(iter((0, 1)), iter((2, 3)))
+
+
+def test_omega_count_dense_working_memory():
+    """The dense route stays O(4^n d^2): one (4^n, 4^n, 8, 8) complex
+    product tensor alone would be 4 MB at n = 3."""
+    tracemalloc.start()
+    try:
+        assert clifford.omega_count_dense(3) == 1008
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_pauli_word_basis():

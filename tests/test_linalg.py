@@ -166,6 +166,21 @@ def test_adjoint_and_defects():
     assert linalg.unitarity_defect(2 * np.eye(3)) == pytest.approx(3.0 * np.sqrt(3.0))
 
 
+def test_hermiticity_defect_of_a_stack_is_its_largest_slice():
+    rng = np.random.default_rng(31)
+    stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    per_slice = [linalg.frobenius_norm(m - m.conj().T) for m in stack.reshape(6, 4, 4)]
+    assert linalg.hermiticity_defect(stack) == pytest.approx(max(per_slice), rel=1e-14)
+    a = stack[0, 0]
+    assert linalg.hermiticity_defect(a) == linalg.hermiticity_defect(a[None])
+    assert linalg.hermiticity_defect(np.stack([X, Y, a[:2, :2]])) == pytest.approx(
+        linalg.frobenius_norm(a[:2, :2] - a[:2, :2].conj().T), rel=1e-14)
+    for bad, message in ((np.zeros(4), "square"), (np.zeros((3, 2, 3)), "square"),
+                         (np.full((2, 2, 2), np.nan), "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            linalg.hermiticity_defect(bad)
+
+
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_unitarity_defect_is_the_larger_of_both_gram_defects(dim):
     # one Gram product suffices: for square M both defects are ||Sigma^2 - I||

@@ -27,6 +27,10 @@ def test_apply_preserves_norm():
 def test_apply_rejects_bad_shapes():
     with pytest.raises(ValueError):
         simulator.apply(np.eye(4), KET0)
+    with pytest.raises(ValueError, match="1-d"):
+        simulator.apply(np.eye(2), 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        simulator.apply(np.eye(2), [np.nan, 0])
     with pytest.raises(ValueError):
         simulator.basis_state(0, 0)
 
