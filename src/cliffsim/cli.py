@@ -190,25 +190,29 @@ def _gqft_grid(cfg):
              "need at least one theta, all >= 0")
     _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
              "thetas", f"too large: the distance bound overflows at n={n}")
-    for theta in cfg["thetas"]:
-        for i in range(cfg["trials"]):
-            seed = cfg["seed"] + i
-            axes = gqft.random_axes(n, np.random.default_rng(seed))
-            yield theta, seed, gqft.GqftParams(n, theta, axes)
+    # one axis draw per seed, and one theta grid (one eigendecomposition) per draw
+    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
+    by_seed = []
+    for seed in seeds:
+        axes = gqft.random_axes(n, np.random.default_rng(seed))
+        by_seed.append(gqft.distance_reports(
+            [gqft.GqftParams(n, theta, axes) for theta in cfg["thetas"]]))
+    for t, theta in enumerate(cfg["thetas"]):  # rows stay theta-major
+        for seed, reports in zip(seeds, by_seed):
+            yield theta, seed, reports[t]
 
 
 def _cmd_verify_gqft(cfg):
     rows = []
     worst_u = worst_f = 0.0
-    for theta, seed, params in _gqft_grid(cfg):
-        rep = gqft.distance_report(params)
+    for theta, seed, rep in _gqft_grid(cfg):
         defect, fact = rep.unitarity_defect, rep.max_column_factorization_error
         _check(defect <= 1e-10, "gqft-unitarity",
                f"theta={theta} seed={seed} defect {defect:.3e}")
         _check(fact <= 1e-10, "gqft-factorization",
                f"theta={theta} seed={seed} error {fact:.3e}")
         worst_u, worst_f = max(worst_u, defect), max(worst_f, fact)
-        rows.append([theta, params.n, seed, defect, fact])
+        rows.append([theta, rep.n, seed, defect, fact])
     header = ["theta", "n", "seed", "unitarity_defect", "factorization_error"]
     return header, rows, [f"verify-gqft: {len(rows)} rows, "
                           f"max unitarity defect {worst_u:.3e}, "
@@ -217,14 +221,13 @@ def _cmd_verify_gqft(cfg):
 
 def _cmd_gqft_distance(cfg):
     rows = []
-    for theta, seed, params in _gqft_grid(cfg):
-        rep = gqft.distance_report(params)
+    for theta, seed, rep in _gqft_grid(cfg):
         # 1e-12 absorbs roundoff: at theta = 0 the bound is 0 and the
         # distance is rounding alone
         _check(rep.distance_to_qft <= rep.bound + 1e-12, "gqft-distance-bound",
                f"theta={theta} seed={seed} distance {rep.distance_to_qft:.6e} "
                f"> bound {rep.bound:.6e}")
-        rows.append([theta, params.n, seed, rep.distance_to_qft, rep.bound])
+        rows.append([theta, rep.n, seed, rep.distance_to_qft, rep.bound])
     header = ["theta", "n", "seed", "distance", "bound"]
     return header, rows, [f"gqft-distance: {len(rows)} rows, all within bound"]
 

@@ -10,7 +10,8 @@ Products of distinct generators ("blades") are made Hermitian by a phase
 factor omega in {1, i} chosen from the grade: omega = i exactly when
 zeta*(zeta-1)/2 is odd (zeta = number of factors), i.e. zeta = 2, 3 mod 4.
 A blade's matrix is omega times the dense product of its generator
-matrices, which are built once at import.  Pauli-word matrices are monomial
+matrices, which are built once at import; one blade and the whole basis
+share one construction, a masked stacked product per generator.  Pauli-word matrices are monomial
 with entries in {0, +-1, +-i}, so every such product is exact in floating
 point: construction certifies B = B^dag by exact equality and aborts
 otherwise rather than flipping the factor.  Matrices put qubit 1 on the
@@ -110,19 +111,37 @@ class Blade:
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
-        gens = _GENERATORS[self.n]
-        m = self.omega * functools.reduce(
-            np.matmul, (gens[a] for a in self.indices), np.eye(2 ** self.n, dtype=complex))
-        if not np.array_equal(m, linalg.adjoint(m)):
-            # the omega rule guarantees Hermiticity and the product is exact,
-            # so reaching this means the construction itself is broken
-            raise ValueError(
-                f"blade {self.indices} on n={self.n} is not Hermitian; "
-                "refusing to flip omega")
-        return _read_only(m)
+        return _read_only(_blade_products(self.n, [self])[0])
 
     def dense(self) -> np.ndarray:
         return self._dense
+
+
+def _blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
+    """The matrices of blades on n qubits, stacked (k, d, d).
+
+    Every product starts from the identity and takes one masked stacked
+    product per generator, in ascending index order, so each matrix is the
+    left-to-right product of its own generators; then it is scaled by its
+    omega and the whole stack is certified Hermitian by exact equality.
+    """
+    gens = _GENERATORS[n]
+    m = np.empty((len(blades), 2 ** n, 2 ** n), dtype=complex)
+    m[:] = np.eye(2 ** n)
+    for a in sorted({a for b in blades for a in b.indices}):
+        rows = [i for i, b in enumerate(blades) if a in b.indices]
+        if len(rows) == len(blades):  # every blade has the factor: no gather needed
+            m = m @ gens[a]
+        else:
+            m[rows] = m[rows] @ gens[a]
+    m *= np.array([b.omega for b in blades])[:, None, None]
+    if not (m == linalg.adjoint(m)).all():
+        # the omega rule guarantees Hermiticity and the product is exact,
+        # so reaching this means the construction itself is broken
+        bad = next(b for b, x in zip(blades, m) if not np.array_equal(x, linalg.adjoint(x)))
+        raise ValueError(f"blade {bad.indices} on n={n} is not Hermitian; "
+                         "refusing to flip omega")
+    return m
 
 
 def hermitian_basis(n: int) -> list[Blade]:
@@ -151,7 +170,7 @@ class BasisReport(NamedTuple):
 
 def _basis_stack(n: int) -> np.ndarray:
     """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d)."""
-    return np.array([b.dense() for b in hermitian_basis(n)])
+    return _blade_products(n, hermitian_basis(n))
 
 
 def basis_report(n: int) -> BasisReport:

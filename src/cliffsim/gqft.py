@@ -14,20 +14,23 @@ factorizes qubit by qubit:
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
 The dense route stacks all 2^n Gamma_k (from 2n embedded single-qubit
 operators, picked by the bits of k) and exponentiates the stack with one
-eigendecomposition call; the factored route builds every column at once
+eigendecomposition call.  Gamma_k depends on the axes only, so that one
+call serves every theta of a grid (gqft_dense_grid, distance_reports);
+one theta is the one-element grid.  The factored route builds every column at once
 as a column-wise Kronecker product of n (2, 2^n) factors, using only the
 2x2 closed form.  The two routes share nothing beyond axis_dot_sigma, so
 they cross-check each other.  theta = 0 recovers the standard transform;
 the Frobenius distance from it is bounded by 2^(3n/2) * theta * n *
-sqrt(2) * exp(theta * n * sqrt(2)).  distance_report computes these
-checked quantities and asserts none of them: the thresholds are the
-caller's.
+sqrt(2) * exp(theta * n * sqrt(2)).  distance_reports computes these
+checked quantities for each theta of a grid and asserts none of them: the
+thresholds are the caller's.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -127,12 +130,25 @@ def standard_qft(n: int) -> np.ndarray:
     return qft
 
 
+def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
+    """Dense transforms of parameter sets that differ in theta only, shape
+    (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every k, times the
+    standard transform.  Gamma_k does not depend on theta, so one gamma_stack
+    and one stacked eigendecomposition serve every theta of the grid."""
+    if not grid:
+        raise ValueError("need at least one parameter set")
+    first = grid[0]
+    if any(p.n != first.n or not np.array_equal(p.axes, first.axes) for p in grid):
+        raise ValueError("a theta grid needs one n and one set of axes")
+    k = np.arange(2 ** first.n)
+    # exps[t, k] = exp(i theta_t Gamma_k)
+    exps = linalg.expm_i(gamma_stack(first), np.array([p.theta for p in grid]))
+    return exps[:, k, :, k].transpose(1, 2, 0) @ standard_qft(first.n)
+
+
 def gqft_dense(params: GqftParams) -> np.ndarray:
-    """Dense transform: column k of exp(i theta Gamma_k) for every k, from one
-    stacked eigendecomposition, times the standard transform."""
-    k = np.arange(2 ** params.n)
-    exps = linalg.expm_i(gamma_stack(params), params.theta)  # exps[k] = exp(i theta Gamma_k)
-    return exps[k, :, k].T @ standard_qft(params.n)
+    """Dense transform of one parameter set: the one-theta grid."""
+    return gqft_dense_grid([params])[0]
 
 
 def gqft_column_factored(params: GqftParams) -> np.ndarray:
@@ -180,10 +196,18 @@ class GqftReport:
     bound: float
 
 
+def distance_reports(grid: Sequence[GqftParams]) -> list[GqftReport]:
+    """Unitarity defect, factorization error, distance and bound for each
+    parameter set of a theta grid (see gqft_dense_grid), in grid order."""
+    reports = []
+    for params, f_g in zip(grid, gqft_dense_grid(grid)):
+        col_err = float(np.linalg.norm(f_g - gqft_column_factored(params), axis=0).max())
+        reports.append(GqftReport(params.n, params.theta, linalg.unitarity_defect(f_g), col_err,
+                                  linalg.frobenius_norm(f_g - standard_qft(params.n)),
+                                  distance_bound(params.n, params.theta)))
+    return reports
+
+
 def distance_report(params: GqftParams) -> GqftReport:
-    """Unitarity defect, factorization error, distance and bound for one parameter set."""
-    f_g = gqft_dense(params)
-    col_err = float(np.linalg.norm(f_g - gqft_column_factored(params), axis=0).max())
-    return GqftReport(params.n, params.theta, linalg.unitarity_defect(f_g), col_err,
-                      linalg.frobenius_norm(f_g - standard_qft(params.n)),
-                      distance_bound(params.n, params.theta))
+    """The report of one parameter set: the one-theta grid."""
+    return distance_reports([params])[0]

@@ -20,8 +20,11 @@ in one ``eigh`` call; a single matrix is a stack of shape ().  Every guard
 (finite and square input, Hermiticity, residual, orthonormality) applies
 to each matrix of the stack.  An eigendecomposition that fails its
 residual or orthonormality check is a hard error, never a silent fallback.
+``expm_i`` also takes an array of s: exp(i*s*H) = V diag(e^{i s lam}) V^dag,
+so one eigendecomposition gives every s, and a non-finite s*lam raises.
 ``expm_i`` is the only library caller of ``hermitian_eigen``; singular
-values come from LAPACK's SVD.
+values come from LAPACK's SVD.  ``tensor`` builds each Kronecker step as
+one broadcast multiply and reshape, not with ``np.kron``.
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
@@ -74,10 +77,14 @@ def adjoint(a) -> np.ndarray:
 
 
 def tensor(*factors) -> np.ndarray:
-    """Kronecker product; the first factor acts on the most significant qubit."""
+    """Kronecker product of matrices; the first factor acts on the most
+    significant qubit.  Each step is one broadcast multiply and a reshape, so
+    every entry is a single product, as in ``np.kron``."""
     out = np.eye(1, dtype=complex)
     for f in factors:
-        out = np.kron(out, np.asarray(f, dtype=complex))
+        f = np.asarray(f, dtype=complex)
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(
+            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
     return out
 
 
@@ -163,13 +170,23 @@ def hermitian_eigen(h) -> HermitianEigen:
     return HermitianEigen(lam, v)
 
 
-def expm_i(h, s: float = 1.0) -> np.ndarray:
+def expm_i(h, s=1.0) -> np.ndarray:
     """exp(i*s*H) for a Hermitian H, or for each H of a stack (..., d, d);
-    unitary by construction."""
+    unitary by construction.
+
+    `s` is a number or an array of them; an array of shape S gives every
+    exp(i*s*H) from the one eigendecomposition, shape S + (..., d, d).  A
+    non-finite s*lambda (s not finite, or the product overflowing) raises
+    ValueError.
+    """
     # also checked in hermitian_eigen; a bad input must stop before it is entered
     m = require_hermitian(h, "expm_i")
     lam, v = hermitian_eigen(m)
-    return (v * np.exp(1j * s * lam)[..., None, :]) @ adjoint(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.multiply.outer(s, lam)
+    if not np.isfinite(phase).all():
+        raise ValueError("expm_i: s * eigenvalue is not finite")
+    return (v * np.exp(1j * phase)[..., None, :]) @ adjoint(v)
 
 
 def expm_i_involution(h, s: float = 1.0) -> np.ndarray:

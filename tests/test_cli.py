@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cliffsim import circuits, cli, clifford, cqp, gqft, simulator, trotter
+from cliffsim import circuits, cli, clifford, cqp, gqft, linalg, simulator, trotter
 
 SMALL_ARGS = {
     "verify-basis": ["--n", "2"],
@@ -207,7 +207,7 @@ def _biased_9_sigma(real):
 
 # check name -> (command, library module, function, wrapper that breaks it)
 LIBRARY_BREAKS = {
-    "basis-hermiticity": ("verify-basis", clifford.Blade, "dense", _tilted),
+    "basis-hermiticity": ("verify-basis", clifford, "_basis_stack", _tilted),
     # scaled generators still give exactly Hermitian blades, so only the
     # relations check sees them
     "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
@@ -267,6 +267,28 @@ def test_cached_parser_carries_no_value_between_calls(tmp_path, capsys):
     assert len(rows) == 25
     assert {row[1] for row in rows} == {"2"}
     capsys.readouterr()
+
+
+def test_gqft_grid_is_one_eigendecomposition_per_seed(tmp_path, monkeypatch):
+    calls = []
+    real = linalg.hermitian_eigen
+    monkeypatch.setattr(linalg, "hermitian_eigen", lambda h: calls.append(1) or real(h))
+    out = tmp_path / "r.csv"
+    assert cli.main(["verify-gqft", "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
+                     "--seed", "7", "--out", str(out)]) == 0
+    assert len(calls) == 3
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]
+            if not line.startswith("#")]
+    # theta-major: every seed of one theta before the next theta
+    want = [(theta, seed) for theta in (0.1, 0.5, 2.0) for seed in (7, 8, 9)]
+    assert [(float(r[0]), int(r[2])) for r in rows] == want
+    for (theta, seed), row in zip(want, rows):
+        axes = gqft.random_axes(3, np.random.default_rng(seed))
+        rep = gqft.distance_report(gqft.GqftParams(3, theta, axes))
+        assert int(row[1]) == 3
+        np.testing.assert_allclose(
+            [float(row[3]), float(row[4])],
+            [rep.unitarity_defect, rep.max_column_factorization_error], rtol=0, atol=1e-14)
 
 
 def test_decompose_netlist_sections(tmp_path):

@@ -77,6 +77,18 @@ def test_blade_dense_equals_generator_product():
                 np.testing.assert_allclose(b.dense(), b.omega * prod, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_stack_equals_the_blades_exactly(n):
+    stack = clifford._basis_stack(n)
+    blades = clifford.hermitian_basis(n)
+    assert np.array_equal(stack, [b.dense() for b in blades])
+    for b, m in zip(blades, stack):
+        prod = np.eye(2 ** n, dtype=complex)
+        for a in b.indices:
+            prod = prod @ gamma(n, a).dense()
+        assert np.array_equal(m, b.omega * prod), b.indices
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blades_are_exactly_hermitian_involutions(n):
     eye = np.eye(2 ** n)

@@ -150,6 +150,33 @@ def test_unitarity_requires_shared_axes_per_qubit():
     assert linalg.unitarity_defect(gqft.gqft_dense(params)) > 0.1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_theta_grid_matches_per_theta_transforms(n):
+    """T = 2^n thetas: a theta applied along the k axis would still broadcast."""
+    axes = gqft.random_bit_axes(n, np.random.default_rng(80 + n))
+    grid = [GqftParams(n, theta, axes) for theta in np.linspace(0.05, 2.0, 2 ** n)]
+    dense = gqft.gqft_dense_grid(grid)
+    assert dense.shape == (2 ** n, 2 ** n, 2 ** n)
+    for params, f_g, rep in zip(grid, dense, gqft.distance_reports(grid)):
+        np.testing.assert_allclose(f_g, gqft.gqft_dense(params), rtol=0, atol=1e-14)
+        one = gqft.distance_report(params)
+        assert rep.theta == params.theta
+        np.testing.assert_allclose(
+            [rep.unitarity_defect, rep.max_column_factorization_error, rep.distance_to_qft],
+            [one.unitarity_defect, one.max_column_factorization_error, one.distance_to_qft],
+            rtol=0, atol=1e-14)
+        assert rep.bound == one.bound
+
+
+def test_theta_grid_needs_one_n_and_one_set_of_axes():
+    rng = np.random.default_rng(4)
+    a, b = gqft.random_axes(2, rng), gqft.random_axes(2, rng)
+    for grid in ([], [GqftParams(2, 0.1, a), GqftParams(2, 0.2, b)],
+                 [GqftParams(1, 0.1, a[:1]), GqftParams(2, 0.1, a)]):
+        with pytest.raises(ValueError):
+            gqft.gqft_dense_grid(grid)
+
+
 def test_factored_columns_match_dense():
     for n in (1, 2, 3):
         for seed, draw in ((0, gqft.random_axes), (1, gqft.random_bit_axes)):

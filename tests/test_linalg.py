@@ -111,6 +111,35 @@ def test_stack_with_one_non_hermitian_slice_is_rejected():
         linalg.expm_i(np.zeros((3, 2, 4)))
 
 
+@pytest.mark.parametrize("dim", [2, 16])
+def test_expm_i_of_an_array_of_s_matches_per_s_calls(dim):
+    rng = np.random.default_rng(70 + dim)
+    stack = np.stack([linalg.random_hermitian(dim, rng) for _ in range(3)])
+    s = np.array([0.05, -0.8, 2.0, 0.3])  # T = 4 != K = 3: a swapped axis cannot broadcast
+    u = linalg.expm_i(stack, s)
+    assert u.shape == (4, 3, dim, dim)
+    for t, s_t in enumerate(s):
+        np.testing.assert_allclose(u[t], linalg.expm_i(stack, s_t), rtol=0, atol=1e-14)
+        for k, h in enumerate(stack):
+            np.testing.assert_allclose(u[t, k], linalg.expm_i(h, s_t), rtol=0, atol=1e-14)
+    # T = K: one s per matrix would also broadcast, so it must be caught by value
+    square = linalg.expm_i(stack, s[:3])
+    for t in range(3):
+        np.testing.assert_allclose(square[t], u[t], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("h, s", [
+    (np.diag([1.0, 2.0]), float("nan")),
+    (np.diag([1.0, 2.0]), float("inf")),
+    (np.diag([1e300, 2.0]), 1e10),  # s * lambda overflows
+    (np.diag([1.0, 2.0]), np.array([0.5, np.nan])),
+    (np.stack([np.diag([1e300, 2.0]), np.eye(2)]), np.array([1.0, 1e10])),
+])
+def test_expm_i_rejects_a_non_finite_phase(h, s):
+    with pytest.raises(ValueError, match="expm_i"):
+        linalg.expm_i(h, s)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.3, -0.3, np.pi / 2, -np.pi / 2, 2.7])
 def test_involution_closed_form_matches_expm_i(s):
     for n in (1, 2, 3):
@@ -147,6 +176,18 @@ def test_tensor_mixed_product_rule():
         np.testing.assert_allclose(
             linalg.tensor(a, b) @ linalg.tensor(c, d),
             linalg.tensor(a @ c, b @ d), atol=1e-12)
+
+
+def test_tensor_equals_a_kron_chain_exactly():
+    rng = np.random.default_rng(12)
+    shapes = [[(2, 2), (2, 2), (2, 2)], [(4, 4), (2, 2)], [(2, 3), (1, 4), (3, 2)], [(3, 1)]]
+    for dims in shapes:
+        factors = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+        want = np.eye(1, dtype=complex)
+        for f in factors:
+            want = np.kron(want, f)
+        assert np.array_equal(linalg.tensor(*factors), want), dims
+    assert np.array_equal(linalg.tensor(), np.eye(1))
 
 
 def test_embed_qubit_operator_positions():
