@@ -12,14 +12,17 @@ factorizes qubit by qubit:
     F_G |j> = (x)_l  ( R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1> ) / sqrt(2)
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
-The dense route stacks all 2^n Gamma_k (from 2n embedded single-qubit
-operators, picked by the bits of k) and exponentiates the stack with one
-eigendecomposition call.  Gamma_k depends on the axes only, so that one
-call serves every theta of a grid (gqft_dense_grid, distance_reports);
-one theta is the one-element grid.  The factored route builds every column at once
-as a column-wise Kronecker product of n (2, 2^n) factors, using only the
-2x2 closed form.  The two routes share nothing beyond axis_dot_sigma, so
-they cross-check each other.  theta = 0 recovers the standard transform;
+The dense route builds all 2^n Gamma_k by contracting the axes with a
+cached table of sigma_x, sigma_y, sigma_z embedded on each qubit, and
+exponentiates each distinct Gamma_k once, all in one eigendecomposition
+call: a qubit with equal axes gives every Gamma_k the same term, so the
+shared-axis draw needs one matrix.  Gamma_k depends on the axes only, so
+that one call serves every theta of a grid (gqft_dense_grid,
+distance_reports); one theta is the one-element grid.  The factored route
+builds every column at once as a column-wise Kronecker product of n
+(2, 2^n) factors, using only axis_dot_sigma and the 2x2 closed form.  The
+two routes share nothing beyond the Pauli matrices, so they cross-check
+each other.  theta = 0 recovers the standard transform;
 the Frobenius distance from it is bounded by 2^(3n/2) * theta * n *
 sqrt(2) * exp(theta * n * sqrt(2)).  distance_reports computes these
 checked quantities for each theta of a grid and asserts none of them: the
@@ -90,12 +93,6 @@ def random_bit_axes(n: int, rng: np.random.Generator) -> np.ndarray:
     return ax / np.linalg.norm(ax, axis=2, keepdims=True)
 
 
-def z_axes(n: int) -> np.ndarray:
-    ax = np.zeros((n, 2, 3))
-    ax[:, :, 2] = 1.0
-    return ax
-
-
 def axis_dot_sigma(axis) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
@@ -106,17 +103,29 @@ def axis_rotation(axis, theta: float) -> np.ndarray:
     return linalg.expm_i_involution(axis_dot_sigma(axis), theta)
 
 
+@functools.cache
+def _pauli_table(n: int) -> np.ndarray:
+    """sigma_x, sigma_y, sigma_z embedded on each qubit of an n-qubit register,
+    shape (n, 3, 2^n, 2^n), built once per n and read-only."""
+    table = np.array([[linalg.embed_qubit_operator(PAULI[p], l + 1, n) for p in "XYZ"]
+                      for l in range(n)])
+    table.flags.writeable = False
+    return table
+
+
 def gamma_stack(params: GqftParams) -> np.ndarray:
     """Every Gamma_k, stacked along the first axis: shape (2^n, 2^n, 2^n).
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
-    l; the 2n embedded operators are built once and picked by the bits of k.
+    l; the 2n embedded operators come from one contraction of the axes with
+    the embedded Pauli table and are picked by the bits of k.
     """
-    n = params.n
-    ops = np.array([[linalg.embed_qubit_operator(axis_dot_sigma(params.axes[l][b]), l + 1, n)
-                     for b in (0, 1)] for l in range(n)])  # (n, 2, 2^n, 2^n)
+    n, dim = params.n, 2 ** params.n
+    # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
+    # of an entry is one product of an axis component with 0 or +-1
+    ops = (params.axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)
     qubits = np.arange(n)[:, None]
-    bits = (np.arange(2 ** n) >> (n - 1 - qubits)) & 1  # bits[l, k]: bit of qubit l + 1
+    bits = (np.arange(dim) >> (n - 1 - qubits)) & 1  # bits[l, k]: bit of qubit l + 1
     return ops[qubits, bits].sum(axis=0)
 
 
@@ -133,17 +142,28 @@ def standard_qft(n: int) -> np.ndarray:
 def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
     """Dense transforms of parameter sets that differ in theta only, shape
     (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every k, times the
-    standard transform.  Gamma_k does not depend on theta, so one gamma_stack
-    and one stacked eigendecomposition serve every theta of the grid."""
+    standard transform.  Gamma_k does not depend on theta, so one stacked
+    eigendecomposition call serves every theta of the grid, with one
+    eigendecomposition per distinct Gamma_k: a qubit whose two axes are equal
+    contributes the same term whichever its bit, so Gamma_k = Gamma_{k & mask},
+    where mask keeps the bits of the qubits whose axes differ (one matrix for
+    random_axes, 2^n for random_bit_axes)."""
     if not grid:
         raise ValueError("need at least one parameter set")
     first = grid[0]
     if any(p.n != first.n or not np.array_equal(p.axes, first.axes) for p in grid):
         raise ValueError("a theta grid needs one n and one set of axes")
-    k = np.arange(2 ** first.n)
-    # exps[t, k] = exp(i theta_t Gamma_k)
-    exps = linalg.expm_i(gamma_stack(first), np.array([p.theta for p in grid]))
-    return exps[:, k, :, k].transpose(1, 2, 0) @ standard_qft(first.n)
+    n = first.n
+    # Plain Python on at most 16 ints: numpy forms of these lines (np.unique, or bit
+    # masks over np.arange) touch numpy code that adds 0.2-0.5 MB to peak RSS.
+    mask = sum(1 << (n - 1 - l) for l in range(n)
+               if not np.array_equal(first.axes[l, 0], first.axes[l, 1]))
+    reps = [r for r in range(2 ** n) if r & mask == r]  # the distinct k & mask, ascending
+    index = [reps.index(j & mask) for j in range(2 ** n)]  # Gamma_k = Gamma_{reps[index[k]]}
+    # exps[t, r] = exp(i theta_t Gamma_{reps[r]})
+    exps = linalg.expm_i(gamma_stack(first)[reps], np.array([p.theta for p in grid]))
+    k = np.arange(2 ** n)
+    return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
 
 def gqft_dense(params: GqftParams) -> np.ndarray:

@@ -21,10 +21,11 @@ in one ``eigh`` call; a single matrix is a stack of shape ().  Every guard
 to each matrix of the stack.  An eigendecomposition that fails its
 residual or orthonormality check is a hard error, never a silent fallback.
 ``expm_i`` also takes an array of s: exp(i*s*H) = V diag(e^{i s lam}) V^dag,
-so one eigendecomposition gives every s, and a non-finite s*lam raises.
-``expm_i`` is the only library caller of ``hermitian_eigen``; singular
-values come from LAPACK's SVD.  ``tensor`` builds each Kronecker step as
-one broadcast multiply and reshape, not with ``np.kron``.
+so one eigendecomposition gives every s; a non-real s or a non-finite
+s*lam raises.  ``expm_i`` is the only library caller of
+``hermitian_eigen``; singular values come from LAPACK's SVD.  ``tensor``
+builds each Kronecker step as one broadcast multiply and reshape, not with
+``np.kron``.
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
@@ -175,15 +176,19 @@ def expm_i(h, s=1.0) -> np.ndarray:
     unitary by construction.
 
     `s` is a number or an array of them; an array of shape S gives every
-    exp(i*s*H) from the one eigendecomposition, shape S + (..., d, d).  A
+    exp(i*s*H) from the one eigendecomposition, shape S + (..., d, d).  An s
+    with a nonzero imaginary part (the result would not be unitary) or a
     non-finite s*lambda (s not finite, or the product overflowing) raises
     ValueError.
     """
     # also checked in hermitian_eigen; a bad input must stop before it is entered
     m = require_hermitian(h, "expm_i")
     lam, v = hermitian_eigen(m)
+    s = np.asarray(s)
+    if np.iscomplexobj(s) and (s.imag != 0).any():
+        raise ValueError("expm_i: s has a nonzero imaginary part, so exp(i*s*H) is not unitary")
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.multiply.outer(s, lam)
+        phase = np.multiply.outer(s.real, lam)
     if not np.isfinite(phase).all():
         raise ValueError("expm_i: s * eigenvalue is not finite")
     return (v * np.exp(1j * phase)[..., None, :]) @ adjoint(v)

@@ -9,6 +9,13 @@ from cliffsim.simulator import basis_state
 THETAS = (0.01, 0.1, 0.5, 1.0, 2.0)
 
 
+def z_axes(n):
+    """Every axis along z: Gamma_k is then diagonal."""
+    ax = np.zeros((n, 2, 3))
+    ax[:, :, 2] = 1.0
+    return ax
+
+
 def test_standard_qft_single_qubit_is_hadamard():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     np.testing.assert_allclose(gqft.standard_qft(1), h, atol=1e-12)
@@ -22,7 +29,7 @@ def test_standard_qft_two_qubits_roots_of_unity():
 
 
 def test_gamma_k_z_axes():
-    params = GqftParams(1, 0.3, gqft.z_axes(1))
+    params = GqftParams(1, 0.3, z_axes(1))
     z = np.diag([1.0, -1.0])
     gammas = gqft.gamma_stack(params)
     assert gammas.shape == (2, 2, 2)
@@ -75,6 +82,49 @@ def test_batched_dense_transform_matches_a_per_k_loop(n):
         gqft.gqft_dense(params), cols @ gqft.standard_qft(n), atol=1e-12)
 
 
+def _mixed_axes():
+    """n = 3 axes where exactly one qubit has two equal axes: qubit 3, the
+    least significant bit, so the distinct Gamma_k are the even k."""
+    axes = gqft.random_bit_axes(3, np.random.default_rng(90))
+    axes[2, 1] = axes[2, 0]
+    return axes
+
+
+# (axes, number of distinct Gamma_k)
+DRAWS = {
+    "shared-n4": (lambda: gqft.random_axes(4, np.random.default_rng(91)), 1),
+    "bit-n4": (lambda: gqft.random_bit_axes(4, np.random.default_rng(92)), 16),
+    "mixed-n3": (_mixed_axes, 4),
+}
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
+    """Solving each distinct Gamma_k once must give the columns of solving
+    every Gamma_k from its own Kronecker chains."""
+    axes = DRAWS[draw][0]()
+    n = axes.shape[0]
+    grid = [GqftParams(n, theta, axes) for theta in (0.0, 1e-9, 0.7, 2.0)]
+    dense = gqft.gqft_dense_grid(grid)
+    for params, f_g in zip(grid, dense):
+        cols = np.empty((2 ** n, 2 ** n), dtype=complex)
+        for k in range(2 ** n):
+            cols[:, k] = linalg.expm_i(_gamma_k_by_kron(params, k), params.theta)[:, k]
+        np.testing.assert_allclose(f_g, cols @ gqft.standard_qft(n), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
+    axes, distinct = DRAWS[draw][0](), DRAWS[draw][1]
+    sizes = []
+    real = linalg.hermitian_eigen
+    monkeypatch.setattr(linalg, "hermitian_eigen",
+                        lambda h: sizes.append(np.shape(h)[:-2]) or real(h))
+    n = axes.shape[0]
+    gqft.gqft_dense_grid([GqftParams(n, theta, axes) for theta in (0.1, 0.5, 2.0)])
+    assert sizes == [(distinct,)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factored_columns_match_kron_chains(n):
     theta = 0.7
@@ -95,20 +145,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GqftParams(1, 0.1, np.zeros((1, 2, 3)))  # not unit vectors
     with pytest.raises(ValueError):
-        GqftParams(1, -0.5, gqft.z_axes(1))
+        GqftParams(1, -0.5, z_axes(1))
     with pytest.raises(ValueError):
-        GqftParams(5, 0.1, gqft.z_axes(5))
+        GqftParams(5, 0.1, z_axes(5))
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf])
 def test_params_reject_a_non_finite_theta(theta):
     with pytest.raises(ValueError, match="finite theta"):
-        GqftParams(1, theta, gqft.z_axes(1))
+        GqftParams(1, theta, z_axes(1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_params_reject_a_non_finite_axis(bad):
-    axes = gqft.z_axes(2)
+    axes = z_axes(2)
     axes[1, 0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         GqftParams(2, 0.3, axes)
@@ -124,7 +174,7 @@ def test_gqft_theta_zero_is_standard():
 
 def test_gqft_z_axis_columns_closed_form():
     theta = 0.62
-    params = GqftParams(1, theta, gqft.z_axes(1))
+    params = GqftParams(1, theta, z_axes(1))
     f = gqft.gqft_dense(params)
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)
     np.testing.assert_allclose(f[:, 0], np.array([ep, em]) / np.sqrt(2.0), atol=1e-12)
@@ -198,7 +248,7 @@ def test_rotation_resolution_check():
 
 
 def test_distance_report_theta_zero():
-    params = GqftParams(2, 0.0, gqft.z_axes(2))
+    params = GqftParams(2, 0.0, z_axes(2))
     rep = gqft.distance_report(params)
     assert rep.distance_to_qft <= 1e-12
     assert rep.bound == 0.0
@@ -206,7 +256,7 @@ def test_distance_report_theta_zero():
 
 def test_distance_z_axis_closed_form():
     for theta in (0.1, 0.5, 1.0):
-        params = GqftParams(1, theta, gqft.z_axes(1))
+        params = GqftParams(1, theta, z_axes(1))
         rep = gqft.distance_report(params)
         want = np.sqrt(4.0 * (1.0 - np.cos(theta)))
         assert rep.distance_to_qft == pytest.approx(want, abs=1e-12)

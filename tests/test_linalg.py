@@ -140,6 +140,22 @@ def test_expm_i_rejects_a_non_finite_phase(h, s):
         linalg.expm_i(h, s)
 
 
+@pytest.mark.parametrize("h, s", [
+    (np.eye(2), 1j),  # exp(i * 1j * I) = e^-1 I: unitarity defect 1.22
+    (np.diag([1.0, 2.0]), np.array([0.5, 0.2 + 1e-3j])),
+    (np.stack([X, Z]), np.array([[0.1], [complex(0.0, -2.0)]])),
+])
+def test_expm_i_rejects_an_s_with_an_imaginary_part(h, s):
+    with pytest.raises(ValueError, match="expm_i: s has a nonzero imaginary part"):
+        linalg.expm_i(h, s)
+
+
+def test_expm_i_takes_a_complex_s_with_zero_imaginary_part():
+    s = np.array([0.5, -2.0])
+    np.testing.assert_array_equal(linalg.expm_i(X, s + 0j), linalg.expm_i(X, s))
+    np.testing.assert_array_equal(linalg.expm_i(Z, 0.3 + 0j), linalg.expm_i(Z, 0.3))
+
+
 @pytest.mark.parametrize("s", [0.0, 0.3, -0.3, np.pi / 2, -np.pi / 2, 2.7])
 def test_involution_closed_form_matches_expm_i(s):
     for n in (1, 2, 3):
