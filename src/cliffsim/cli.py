@@ -191,7 +191,8 @@ def _gqft_grid(cfg):
     _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
              "thetas", f"too large: the distance bound overflows at n={n}")
     # one axis draw per seed, and one theta grid per draw: one eigendecomposition
-    # per distinct Gamma_k (one for the shared-axis draw) serves every theta
+    # per distinct Gamma_k (one for the shared-axis draw) and one factored pass
+    # serve every theta
     seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
     by_seed = []
     for seed in seeds:

@@ -12,21 +12,23 @@ factorizes qubit by qubit:
     F_G |j> = (x)_l  ( R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1> ) / sqrt(2)
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
-The dense route builds all 2^n Gamma_k by contracting the axes with a
-cached table of sigma_x, sigma_y, sigma_z embedded on each qubit, and
-exponentiates each distinct Gamma_k once, all in one eigendecomposition
-call: a qubit with equal axes gives every Gamma_k the same term, so the
-shared-axis draw needs one matrix.  Gamma_k depends on the axes only, so
+The dense route builds only the distinct Gamma_k, by contracting the axes
+with a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit,
+and exponentiates them in one eigendecomposition call: a qubit with equal
+axes gives every Gamma_k the same term, so the shared-axis draw needs one
+matrix.  Gamma_k depends on the axes only, so
 that one call serves every theta of a grid (gqft_dense_grid,
 distance_reports); one theta is the one-element grid.  The factored route
-builds every column at once as a column-wise Kronecker product of n
-(2, 2^n) factors, using only axis_dot_sigma and the 2x2 closed form.  The
-two routes share nothing beyond the Pauli matrices, so they cross-check
-each other.  theta = 0 recovers the standard transform;
-the Frobenius distance from it is bounded by 2^(3n/2) * theta * n *
-sqrt(2) * exp(theta * n * sqrt(2)).  distance_reports computes these
-checked quantities for each theta of a grid and asserts none of them: the
-thresholds are the caller's.
+builds every column of every theta of the grid at once, as a column-wise
+Kronecker product of n (T, 2, 2^n) factors, using only one axis_dot_sigma
+call and the 2x2 closed form on basis columns
+(gqft_column_factored_grid).  The two routes share nothing beyond the
+Pauli matrices, so they cross-check each other.  theta = 0 recovers the
+standard transform; the Frobenius distance from it is bounded by
+2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
+distance_reports computes these checked quantities for a whole grid, each
+as one stacked reduction, and asserts none of them: the thresholds are the
+caller's.
 """
 from __future__ import annotations
 
@@ -94,13 +96,10 @@ def random_bit_axes(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def axis_dot_sigma(axis) -> np.ndarray:
-    a = np.asarray(axis, dtype=float)
-    return a[0] * PAULI["X"] + a[1] * PAULI["Y"] + a[2] * PAULI["Z"]
-
-
-def axis_rotation(axis, theta: float) -> np.ndarray:
-    """exp(i theta n.sigma) = cos(theta) I + i sin(theta) n.sigma (2x2 closed form)."""
-    return linalg.expm_i_involution(axis_dot_sigma(axis), theta)
+    """n.sigma for one axis, shape (3,) -> (2, 2), or for each axis of a
+    stack, shape (..., 3) -> (..., 2, 2)."""
+    x, y, z = (np.asarray(axis, dtype=float)[..., i, None, None] for i in range(3))
+    return x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"]
 
 
 @functools.cache
@@ -113,19 +112,21 @@ def _pauli_table(n: int) -> np.ndarray:
     return table
 
 
-def gamma_stack(params: GqftParams) -> np.ndarray:
-    """Every Gamma_k, stacked along the first axis: shape (2^n, 2^n, 2^n).
+def gamma_stack(params: GqftParams, ks: Sequence[int] | None = None) -> np.ndarray:
+    """Gamma_k for each k of `ks` (default: every k in order), stacked along
+    the first axis: shape (len(ks), 2^n, 2^n).
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
     l; the 2n embedded operators come from one contraction of the axes with
     the embedded Pauli table and are picked by the bits of k.
     """
     n, dim = params.n, 2 ** params.n
+    k = np.arange(dim) if ks is None else np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
     # of an entry is one product of an axis component with 0 or +-1
     ops = (params.axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)
     qubits = np.arange(n)[:, None]
-    bits = (np.arange(dim) >> (n - 1 - qubits)) & 1  # bits[l, k]: bit of qubit l + 1
+    bits = (k >> (n - 1 - qubits)) & 1  # bits[l, i]: bit of qubit l + 1 in k[i]
     return ops[qubits, bits].sum(axis=0)
 
 
@@ -139,6 +140,17 @@ def standard_qft(n: int) -> np.ndarray:
     return qft
 
 
+def _axis_draw(grid: Sequence[GqftParams]) -> GqftParams:
+    """The first parameter set of a non-empty theta grid whose sets share one
+    n and one set of axes, else ValueError."""
+    if not grid:
+        raise ValueError("need at least one parameter set")
+    first = grid[0]
+    if any(p.n != first.n or not np.array_equal(p.axes, first.axes) for p in grid):
+        raise ValueError("a theta grid needs one n and one set of axes")
+    return first
+
+
 def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
     """Dense transforms of parameter sets that differ in theta only, shape
     (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every k, times the
@@ -148,11 +160,7 @@ def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
     contributes the same term whichever its bit, so Gamma_k = Gamma_{k & mask},
     where mask keeps the bits of the qubits whose axes differ (one matrix for
     random_axes, 2^n for random_bit_axes)."""
-    if not grid:
-        raise ValueError("need at least one parameter set")
-    first = grid[0]
-    if any(p.n != first.n or not np.array_equal(p.axes, first.axes) for p in grid):
-        raise ValueError("a theta grid needs one n and one set of axes")
+    first = _axis_draw(grid)
     n = first.n
     # Plain Python on at most 16 ints: numpy forms of these lines (np.unique, or bit
     # masks over np.arange) touch numpy code that adds 0.2-0.5 MB to peak RSS.
@@ -161,7 +169,7 @@ def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
     reps = [r for r in range(2 ** n) if r & mask == r]  # the distinct k & mask, ascending
     index = [reps.index(j & mask) for j in range(2 ** n)]  # Gamma_k = Gamma_{reps[index[k]]}
     # exps[t, r] = exp(i theta_t Gamma_{reps[r]})
-    exps = linalg.expm_i(gamma_stack(first)[reps], np.array([p.theta for p in grid]))
+    exps = linalg.expm_i(gamma_stack(first, reps), np.array([p.theta for p in grid]))
     k = np.arange(2 ** n)
     return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
@@ -171,24 +179,41 @@ def gqft_dense(params: GqftParams) -> np.ndarray:
     return gqft_dense_grid([params])[0]
 
 
-def gqft_column_factored(params: GqftParams) -> np.ndarray:
-    """Every column at once, from per-qubit 2x2 closed-form rotations.
+def gqft_column_factored_grid(grid: Sequence[GqftParams]) -> np.ndarray:
+    """Factored transforms of parameter sets that differ in theta only, shape
+    (T, 2^n, 2^n), every column of every theta at once.
 
     Column j is the Kronecker product over qubits l of
-    (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2); the factors of
-    qubit l for all j form one (2, 2^n) matrix, and the columns are their
-    column-wise Kronecker product.
+    (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where
+    R_l^b |b> = cos(theta) |b> + i sin(theta) (n_l^b . sigma) |b> is the 2x2
+    closed form applied to one basis column.  The factors of qubit l for all
+    j and all theta form one (T, 2, 2^n) array, and the columns are their
+    column-wise Kronecker product, one step per qubit.
     """
-    dim = 2 ** params.n
+    first = _axis_draw(grid)
+    n, dim = first.n, 2 ** first.n
+    # the closed form's coefficients, formed as linalg.expm_i_involution forms them,
+    # so each column entry has the bits of the whole-matrix closed form's entry
+    isin = np.array([1j * math.sin(p.theta) for p in grid])[:, None, None]
+    cos = np.array([math.cos(p.theta) for p in grid])[:, None]
+    sigma = axis_dot_sigma(first.axes)  # sigma[l, b] = n_l^b . sigma
+    # basis[b][t, l] = R_l^b |b> at theta_t, shape (T, n, 2)
+    basis = [isin * sigma[:, b, :, b] for b in (0, 1)]
+    basis[0][:, :, 0] += cos
+    basis[1][:, :, 1] += cos
     j = np.arange(dim)
-    cols = np.ones((1, dim), dtype=complex)
-    for l in range(1, params.n + 1):
-        r0 = axis_rotation(params.axes[l - 1][0], params.theta)
-        r1 = axis_rotation(params.axes[l - 1][1], params.theta)
+    cols = np.ones((len(grid), 1, dim), dtype=complex)
+    for l in range(1, n + 1):
         phase = np.exp(2j * np.pi * j / 2 ** l)
-        factor = (r0[:, :1] + phase * r1[:, 1:]) / math.sqrt(2.0)  # (2, dim)
-        cols = (cols[:, None, :] * factor[None, :, :]).reshape(-1, dim)
+        r0, r1 = basis[0][:, l - 1, :, None], basis[1][:, l - 1, :, None]  # (T, 2, 1)
+        factor = (r0 + phase * r1) / math.sqrt(2.0)  # (T, 2, dim)
+        cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(grid), -1, dim)
     return cols
+
+
+def gqft_column_factored(params: GqftParams) -> np.ndarray:
+    """Factored transform of one parameter set: the one-theta grid."""
+    return gqft_column_factored_grid([params])[0]
 
 
 def rotation_resolution_check(r_op, tol: float = linalg.DEFAULT_TOL) -> bool:
@@ -218,14 +243,16 @@ class GqftReport:
 
 def distance_reports(grid: Sequence[GqftParams]) -> list[GqftReport]:
     """Unitarity defect, factorization error, distance and bound for each
-    parameter set of a theta grid (see gqft_dense_grid), in grid order."""
-    reports = []
-    for params, f_g in zip(grid, gqft_dense_grid(grid)):
-        col_err = float(np.linalg.norm(f_g - gqft_column_factored(params), axis=0).max())
-        reports.append(GqftReport(params.n, params.theta, linalg.unitarity_defect(f_g), col_err,
-                                  linalg.frobenius_norm(f_g - standard_qft(params.n)),
-                                  distance_bound(params.n, params.theta)))
-    return reports
+    parameter set of a theta grid (see gqft_dense_grid), in grid order; each
+    quantity is one stacked reduction over the grid."""
+    dense = gqft_dense_grid(grid)
+    n = grid[0].n
+    col_errs = np.linalg.norm(dense - gqft_column_factored_grid(grid), axis=-2).max(axis=-1)
+    defects = linalg.unitarity_defect(dense)
+    distances = linalg.frobenius_norm(dense - standard_qft(n))
+    return [GqftReport(n, p.theta, defect, col_err, distance, distance_bound(n, p.theta))
+            for p, defect, col_err, distance
+            in zip(grid, defects.tolist(), col_errs.tolist(), distances.tolist())]
 
 
 def distance_report(params: GqftParams) -> GqftReport:

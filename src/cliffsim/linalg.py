@@ -8,8 +8,8 @@ places ``A`` on the high bits.
 Every exponential in this package is of the form exp(i*s*H) with H
 Hermitian.  ``expm_i_involution`` is the closed form of a Hermitian
 involution: H^2 = I gives exp(i*s*H) = cos(s) I + i sin(s) H.  The product
-formula (``trotter``) and the GQFT axis rotations use it; the perceptron
-(``cqp``) applies the same closed form to |0..0> only.  The general
+formula (``trotter``) uses it; the perceptron (``cqp``) and the factored
+GQFT (``gqft``) apply the same closed form to basis columns only.  The general
 ``expm_i`` goes through a Hermitian eigendecomposition (LAPACK ``eigh``)
 instead of a Pade scheme.  It is the oracle of the closed forms: the tests
 compare them with it, and the dense GQFT and the exact Trotter evolution
@@ -25,7 +25,8 @@ so one eigendecomposition gives every s; a non-real s or a non-finite
 s*lam raises.  ``expm_i`` is the only library caller of
 ``hermitian_eigen``; singular values come from LAPACK's SVD.  ``tensor``
 builds each Kronecker step as one broadcast multiply and reshape, not with
-``np.kron``.
+``np.kron``.  ``frobenius_norm`` and ``unitarity_defect`` measure one
+matrix (a float) or each matrix of a stack (an array).
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
@@ -99,8 +100,15 @@ def embed_qubit_operator(op, qubit: int, n: int) -> np.ndarray:
     return tensor(np.eye(2 ** (qubit - 1)), m, np.eye(2 ** (n - qubit)))
 
 
-def frobenius_norm(a) -> float:
-    return float(np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2)))
+def frobenius_norm(a) -> float | np.ndarray:
+    """Frobenius norm of a matrix, or one per matrix of a stack (..., d, d).
+
+    A single matrix gives a float; a stack gives an array of shape (...).
+    Unlike hermiticity_defect, a guard that reports the largest value of a
+    stack, this is a measurement and keeps every value.
+    """
+    norms = np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2, axis=(-2, -1)))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _max_hermiticity_defect(m: np.ndarray) -> float:
@@ -136,11 +144,13 @@ def hermiticity_defect(a) -> float:
     return _max_hermiticity_defect(_square_stack(a, "hermiticity_defect"))
 
 
-def unitarity_defect(a) -> float:
-    """Frobenius norm of M M^dag - I.  For a square M this equals the norm of
-    M^dag M - I: both are the norm of Sigma^2 - I over M's singular values."""
-    m = as_matrix(a, "unitarity_defect")
-    return frobenius_norm(m @ adjoint(m) - np.eye(m.shape[0]))
+def unitarity_defect(a) -> float | np.ndarray:
+    """Frobenius norm of M M^dag - I, as a float for one matrix or one value
+    per matrix of a stack (..., d, d) (see frobenius_norm).  For a square M
+    this equals the norm of M^dag M - I: both are the norm of Sigma^2 - I
+    over M's singular values."""
+    m = _square_stack(a, "unitarity_defect")
+    return frobenius_norm(m @ adjoint(m) - np.eye(m.shape[-1]))
 
 
 class HermitianEigen(NamedTuple):

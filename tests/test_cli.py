@@ -213,7 +213,7 @@ LIBRARY_BREAKS = {
     "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
     "basis-independence": ("verify-basis", clifford, "gram_rank", _shrunk),
     "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
-    "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored", _shifted),
+    "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored_grid", _shifted),
     "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
     "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
     "swap-concentration": ("swap-test", simulator, "swap_test_sampled", _biased_9_sigma),
@@ -289,6 +289,24 @@ def test_gqft_grid_is_one_eigendecomposition_per_seed(tmp_path, monkeypatch):
         np.testing.assert_allclose(
             [float(row[3]), float(row[4])],
             [rep.unitarity_defect, rep.max_column_factorization_error], rtol=0, atol=1e-14)
+
+
+def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
+    """Each axis draw makes one factored-grid call for its whole theta grid,
+    with one axis_dot_sigma call for all its axes and no per-theta 2x2
+    rotation."""
+    calls = {"grid": 0, "sigma": 0, "involution": 0}
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+    monkeypatch.setattr(gqft, "gqft_column_factored_grid",
+                        counted("grid", gqft.gqft_column_factored_grid))
+    monkeypatch.setattr(gqft, "axis_dot_sigma", counted("sigma", gqft.axis_dot_sigma))
+    monkeypatch.setattr(linalg, "expm_i_involution",
+                        counted("involution", linalg.expm_i_involution))
+    assert cli.main(["verify-gqft", "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == {"grid": 3, "sigma": 3, "involution": 0}
 
 
 def test_decompose_netlist_sections(tmp_path):

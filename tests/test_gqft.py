@@ -16,6 +16,22 @@ def z_axes(n):
     return ax
 
 
+def axis_rotation(axis, theta):
+    """exp(i theta n.sigma) as a whole 2x2 matrix, by the closed form
+    cos(theta) I + i sin(theta) n.sigma: the per-theta, per-axis oracle of
+    the factored route, which uses the closed form on basis columns only."""
+    return linalg.expm_i_involution(gqft.axis_dot_sigma(axis), theta)
+
+
+def test_axis_dot_sigma_of_a_stack_is_per_axis():
+    axes = gqft.random_bit_axes(3, np.random.default_rng(5))
+    sigma = gqft.axis_dot_sigma(axes)
+    assert sigma.shape == (3, 2, 2, 2)
+    for l in range(3):
+        for b in range(2):
+            assert np.array_equal(sigma[l, b], gqft.axis_dot_sigma(axes[l, b]))
+
+
 def test_standard_qft_single_qubit_is_hadamard():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     np.testing.assert_allclose(gqft.standard_qft(1), h, atol=1e-12)
@@ -114,6 +130,17 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
 
 
 @pytest.mark.parametrize("draw", DRAWS)
+def test_gamma_stack_of_chosen_ks_is_a_gather_of_all(draw):
+    axes = DRAWS[draw][0]()
+    n = axes.shape[0]
+    params = GqftParams(n, 0.4, axes)
+    full = gqft.gamma_stack(params)
+    assert full.shape == (2 ** n, 2 ** n, 2 ** n)
+    for ks in ([0], [2 ** n - 1, 0], list(range(0, 2 ** n, 2)), list(range(2 ** n))):
+        assert np.array_equal(gqft.gamma_stack(params, ks), full[ks]), ks
+
+
+@pytest.mark.parametrize("draw", DRAWS)
 def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
     axes, distinct = DRAWS[draw][0](), DRAWS[draw][1]
     sizes = []
@@ -125,20 +152,42 @@ def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
     assert sizes == [(distinct,)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_factored_columns_match_kron_chains(n):
-    theta = 0.7
-    params = GqftParams(n, theta, gqft.random_bit_axes(n, np.random.default_rng(40 + n)))
-    cols = gqft.gqft_column_factored(params)
-    assert cols.shape == (2 ** n, 2 ** n)
+def _factored_by_kron(params):
+    """Every column as an explicit Kronecker chain of whole 2x2 rotations."""
+    n, theta = params.n, params.theta
+    cols = np.empty((2 ** n, 2 ** n), dtype=complex)
     for j in range(2 ** n):
         col = np.ones(1, dtype=complex)
         for l in range(1, n + 1):
-            r0 = gqft.axis_rotation(params.axes[l - 1][0], theta)
-            r1 = gqft.axis_rotation(params.axes[l - 1][1], theta)
+            r0 = axis_rotation(params.axes[l - 1][0], theta)
+            r1 = axis_rotation(params.axes[l - 1][1], theta)
             phase = np.exp(2j * np.pi * j / 2 ** l)
             col = np.kron(col, (r0 @ [1, 0] + phase * (r1 @ [0, 1])) / np.sqrt(2.0))
-        np.testing.assert_allclose(cols[:, j], col, atol=1e-15)
+        cols[:, j] = col
+    return cols
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factored_columns_match_kron_chains(n):
+    params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(40 + n)))
+    cols = gqft.gqft_column_factored(params)
+    assert cols.shape == (2 ** n, 2 ** n)
+    np.testing.assert_allclose(cols, _factored_by_kron(params), atol=1e-15)
+
+
+@pytest.mark.parametrize("draw", [gqft.random_axes, gqft.random_bit_axes])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_factored_grid_matches_per_theta_columns(n, draw):
+    """T = 2^n thetas: a theta applied along the column or qubit axis would
+    still broadcast."""
+    axes = draw(n, np.random.default_rng(60 + n))
+    thetas = [0.0, 1e-9, *np.linspace(0.3, 2.5, 2 ** n - 2)]
+    grid = [GqftParams(n, theta, axes) for theta in thetas]
+    cols = gqft.gqft_column_factored_grid(grid)
+    assert cols.shape == (2 ** n, 2 ** n, 2 ** n)
+    for params, c in zip(grid, cols):
+        np.testing.assert_allclose(c, gqft.gqft_column_factored(params), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c, _factored_by_kron(params), rtol=0, atol=1e-15)
 
 
 def test_params_validation():
@@ -216,15 +265,22 @@ def test_theta_grid_matches_per_theta_transforms(n):
             [one.unitarity_defect, one.max_column_factorization_error, one.distance_to_qft],
             rtol=0, atol=1e-14)
         assert rep.bound == one.bound
+        # each stacked reduction gives the bits of its own per-theta form
+        assert rep.max_column_factorization_error == np.linalg.norm(
+            f_g - gqft.gqft_column_factored(params), axis=0).max()
+        assert rep.unitarity_defect == linalg.unitarity_defect(f_g)
+        assert rep.distance_to_qft == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
 
 
 def test_theta_grid_needs_one_n_and_one_set_of_axes():
     rng = np.random.default_rng(4)
     a, b = gqft.random_axes(2, rng), gqft.random_axes(2, rng)
-    for grid in ([], [GqftParams(2, 0.1, a), GqftParams(2, 0.2, b)],
-                 [GqftParams(1, 0.1, a[:1]), GqftParams(2, 0.1, a)]):
-        with pytest.raises(ValueError):
-            gqft.gqft_dense_grid(grid)
+    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid):
+        for grid, message in (([], "at least one"),
+                              ([GqftParams(2, 0.1, a), GqftParams(2, 0.2, b)], "one set of axes"),
+                              ([GqftParams(1, 0.1, a[:1]), GqftParams(2, 0.1, a)], "one n")):
+            with pytest.raises(ValueError, match=message):
+                route(grid)
 
 
 def test_factored_columns_match_dense():
@@ -242,7 +298,7 @@ def test_rotation_resolution_check():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     assert gqft.rotation_resolution_check(h)
     axis = np.array([0.6, 0.0, 0.8])
-    assert gqft.rotation_resolution_check(gqft.axis_rotation(axis, 0.37))
+    assert gqft.rotation_resolution_check(axis_rotation(axis, 0.37))
     with pytest.raises(ValueError, match="not unitary"):
         gqft.rotation_resolution_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
 

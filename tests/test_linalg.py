@@ -251,6 +251,24 @@ def test_unitarity_defect_is_the_larger_of_both_gram_defects(dim):
             linalg.require_unitary(m, "here")
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_stacked_norms_are_per_slice_norms(dim):
+    """A stack gives each matrix's own value, bit for bit, and one matrix
+    still gives a float, the same bits as the sum over all its entries."""
+    rng = np.random.default_rng(70 + dim)
+    stack = rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
+    for f in (linalg.frobenius_norm, linalg.unitarity_defect):
+        values = f(stack)
+        assert values.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                one = f(stack[i, j])
+                assert type(one) is float
+                assert values[i, j] == one
+    for m in stack.reshape(6, dim, dim):
+        assert linalg.frobenius_norm(m) == float(np.sqrt(np.sum(np.abs(m) ** 2)))
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(23)
     u = linalg.random_unitary(8, rng)
