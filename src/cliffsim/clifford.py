@@ -10,8 +10,9 @@ Products of distinct generators ("blades") are made Hermitian by a phase
 factor omega in {1, i} chosen from the grade: omega = i exactly when
 zeta*(zeta-1)/2 is odd (zeta = number of factors), i.e. zeta = 2, 3 mod 4.
 A blade's matrix is omega times the dense product of its generator
-matrices, which are built once at import; one blade and the whole basis
-share one construction, a masked stacked product per generator.  Pauli-word matrices are monomial
+matrices, which are built once at import; one blade, a term list and the
+whole basis share one construction (blade_products), a masked stacked
+product per generator.  Pauli-word matrices are monomial
 with entries in {0, +-1, +-i}, so every such product is exact in floating
 point: construction certifies B = B^dag by exact equality and aborts
 otherwise rather than flipping the factor.  Matrices put qubit 1 on the
@@ -111,13 +112,13 @@ class Blade:
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
-        return _read_only(_blade_products(self.n, [self])[0])
+        return _read_only(blade_products(self.n, [self])[0])
 
     def dense(self) -> np.ndarray:
         return self._dense
 
 
-def _blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
+def blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
     """The matrices of blades on n qubits, stacked (k, d, d).
 
     Every product starts from the identity and takes one masked stacked
@@ -170,7 +171,7 @@ class BasisReport(NamedTuple):
 
 def _basis_stack(n: int) -> np.ndarray:
     """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d)."""
-    return _blade_products(n, hermitian_basis(n))
+    return blade_products(n, hermitian_basis(n))
 
 
 def basis_report(n: int) -> BasisReport:

@@ -140,9 +140,16 @@ def standard_qft(n: int) -> np.ndarray:
     return qft
 
 
+class _CheckedGrid(tuple):
+    """A theta grid that _axis_draw has accepted once; the grid functions
+    take it without checking it again."""
+
+
 def _axis_draw(grid: Sequence[GqftParams]) -> GqftParams:
     """The first parameter set of a non-empty theta grid whose sets share one
     n and one set of axes, else ValueError."""
+    if type(grid) is _CheckedGrid:
+        return grid[0]
     if not grid:
         raise ValueError("need at least one parameter set")
     first = grid[0]
@@ -244,9 +251,11 @@ class GqftReport:
 def distance_reports(grid: Sequence[GqftParams]) -> list[GqftReport]:
     """Unitarity defect, factorization error, distance and bound for each
     parameter set of a theta grid (see gqft_dense_grid), in grid order; each
-    quantity is one stacked reduction over the grid."""
+    quantity is one stacked reduction over the grid.  The grid is checked
+    once, here, for both routes."""
+    n = _axis_draw(grid).n
+    grid = _CheckedGrid(grid)
     dense = gqft_dense_grid(grid)
-    n = grid[0].n
     col_errs = np.linalg.norm(dense - gqft_column_factored_grid(grid), axis=-2).max(axis=-1)
     defects = linalg.unitarity_defect(dense)
     distances = linalg.frobenius_norm(dense - standard_qft(n))

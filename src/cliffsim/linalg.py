@@ -7,11 +7,13 @@ places ``A`` on the high bits.
 
 Every exponential in this package is of the form exp(i*s*H) with H
 Hermitian.  ``expm_i_involution`` is the closed form of a Hermitian
-involution: H^2 = I gives exp(i*s*H) = cos(s) I + i sin(s) H.  The product
-formula (``trotter``) uses it; the perceptron (``cqp``) and the factored
-GQFT (``gqft``) apply the same closed form to basis columns only.  The general
-``expm_i`` goes through a Hermitian eigendecomposition (LAPACK ``eigh``)
-instead of a Pade scheme.  It is the oracle of the closed forms: the tests
+involution: H^2 = I gives exp(i*s*H) = cos(s) I + i sin(s) H.  It takes one
+matrix or a stack (..., d, d) with an array of s that broadcasts against
+the stack's leading axes, so the product formula (``trotter``) forms every
+factor of a whole r grid in one call; the perceptron (``cqp``) and the
+factored GQFT (``gqft``) apply the same closed form to basis columns only.
+The general ``expm_i`` goes through a Hermitian eigendecomposition (LAPACK
+``eigh``) instead of a Pade scheme.  It is the oracle of the closed forms: the tests
 compare them with it, and the dense GQFT and the exact Trotter evolution
 use it, so the factored GQFT and the product formula are checked against
 an independent route.  ``hermitian_eigen`` and ``expm_i`` take one matrix
@@ -23,10 +25,11 @@ residual or orthonormality check is a hard error, never a silent fallback.
 ``expm_i`` also takes an array of s: exp(i*s*H) = V diag(e^{i s lam}) V^dag,
 so one eigendecomposition gives every s; a non-real s or a non-finite
 s*lam raises.  ``expm_i`` is the only library caller of
-``hermitian_eigen``; singular values come from LAPACK's SVD.  ``tensor``
-builds each Kronecker step as one broadcast multiply and reshape, not with
-``np.kron``.  ``frobenius_norm`` and ``unitarity_defect`` measure one
-matrix (a float) or each matrix of a stack (an array).
+``hermitian_eigen``.  ``tensor`` builds each Kronecker step as one
+broadcast multiply and reshape, not with ``np.kron``.  ``frobenius_norm``,
+``unitarity_defect`` and ``spectral_norm`` measure one matrix (a float) or
+each matrix of a stack (an array); the spectral norm takes the singular
+values of the whole stack from one LAPACK SVD call.
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
@@ -204,20 +207,36 @@ def expm_i(h, s=1.0) -> np.ndarray:
     return (v * np.exp(1j * phase)[..., None, :]) @ adjoint(v)
 
 
-def expm_i_involution(h, s: float = 1.0) -> np.ndarray:
-    """exp(i*s*H) = cos(s) I + i sin(s) H, for a Hermitian H with H^2 = I.
+def expm_i_involution(h, s=1.0) -> np.ndarray:
+    """exp(i*s*H) = cos(s) I + i sin(s) H, for a Hermitian H with H^2 = I, or
+    for each H of a stack (..., d, d).
 
-    H^2 = I is the caller's to guarantee (every blade squares to I); it is
-    not re-checked here.  The tests compare this closed form with expm_i.
+    `s` is a real number or an array of them that broadcasts against the
+    stack's leading axes: an h of shape (L, d, d) and an s of shape (R, L)
+    give every exp(i*s[r, j]*H[j]) at once, shape (R, L, d, d).  Each entry is
+    formed as for one matrix and one number, so a slice has the bits of the
+    call on that matrix and that number.  A non-real or non-finite s raises
+    ValueError.  H^2 = I is the caller's to guarantee (every blade squares to
+    I); it is not re-checked here.  The tests compare this closed form with
+    expm_i.
     """
-    m = 1j * math.sin(s) * np.asarray(h, dtype=complex)  # a new array
-    m.flat[::m.shape[0] + 1] += math.cos(s)
+    h = _square_stack(h, "expm_i_involution")
+    s = np.asarray(s)
+    if np.iscomplexobj(s) or not np.isfinite(s).all():
+        raise ValueError("expm_i_involution: s must be real and finite")
+    s = s[..., None, None]
+    m = 1j * np.sin(s) * h  # a new array, in h's memory order
+    diag = np.arange(h.shape[-1])
+    m[..., diag, diag] += np.cos(s)[..., 0]
     return m
 
 
-def spectral_norm(a) -> float:
-    """Largest singular value (LAPACK SVD)."""
-    return float(np.linalg.norm(as_matrix(a, "spectral_norm"), 2))
+def spectral_norm(a) -> float | np.ndarray:
+    """Largest singular value of a matrix, or one per matrix of a stack
+    (..., d, d), from one LAPACK SVD call; a float for one matrix, an array
+    of shape (...) for a stack (see frobenius_norm)."""
+    norms = np.linalg.norm(_square_stack(a, "spectral_norm"), 2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -309,6 +309,23 @@ def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
     assert calls == {"grid": 3, "sigma": 3, "involution": 0}
 
 
+def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
+    """The whole r grid takes one blade build, one eigendecomposition, one
+    closed-form call for every (r, term) factor and one stacked SVD."""
+    calls = dict.fromkeys(("blades", "eigen", "involution", "spectral"), 0)
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+    monkeypatch.setattr(trotter, "blade_products", counted("blades", trotter.blade_products))
+    monkeypatch.setattr(linalg, "hermitian_eigen", counted("eigen", linalg.hermitian_eigen))
+    monkeypatch.setattr(linalg, "expm_i_involution",
+                        counted("involution", linalg.expm_i_involution))
+    monkeypatch.setattr(linalg, "spectral_norm", counted("spectral", linalg.spectral_norm))
+    assert cli.main(["trotter-sweep", "--n", "2", "--terms", "15",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == {"blades": 1, "eigen": 1, "involution": 1, "spectral": 1}
+
+
 def test_decompose_netlist_sections(tmp_path):
     out = tmp_path / "netlist.txt"
     assert _run("decompose", out) == 0

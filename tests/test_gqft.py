@@ -275,7 +275,7 @@ def test_theta_grid_matches_per_theta_transforms(n):
 def test_theta_grid_needs_one_n_and_one_set_of_axes():
     rng = np.random.default_rng(4)
     a, b = gqft.random_axes(2, rng), gqft.random_axes(2, rng)
-    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid):
+    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid, gqft.distance_reports):
         for grid, message in (([], "at least one"),
                               ([GqftParams(2, 0.1, a), GqftParams(2, 0.2, b)], "one set of axes"),
                               ([GqftParams(1, 0.1, a[:1]), GqftParams(2, 0.1, a)], "one n")):

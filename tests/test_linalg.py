@@ -166,6 +166,40 @@ def test_involution_closed_form_matches_expm_i(s):
                 err_msg=f"n={n} indices={blade.indices}")
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_involution_on_a_blade_stack_matches_per_matrix_calls(n):
+    """A stack (L, d, d) with an (R, L) grid of s gives every exp(i s H) at
+    once, each with the bits of the call on one matrix and one number."""
+    blades = clifford.blade_products(n, clifford.hermitian_basis(n)[1:])
+    rng = np.random.default_rng(80 + n)
+    s = rng.uniform(-4.0, 4.0, size=(3, len(blades)))
+    s[0, :3] = [0.0, -0.0, np.pi / 2]
+    got = linalg.expm_i_involution(blades, s)
+    assert got.shape == (3, len(blades), 2 ** n, 2 ** n)
+    for r in range(3):
+        for j, b in enumerate(blades):
+            assert got[r, j].tobytes() == linalg.expm_i_involution(b, float(s[r, j])).tobytes()
+    # one s for the whole stack broadcasts too, and memory order does not matter
+    for j, b in enumerate(blades):
+        assert (linalg.expm_i_involution(blades, 0.7)[j].tobytes()
+                == linalg.expm_i_involution(b, 0.7).tobytes())
+        assert np.array_equal(linalg.expm_i_involution(np.asfortranarray(b), 0.7),
+                              linalg.expm_i_involution(b, 0.7))
+
+
+@pytest.mark.parametrize("s", [np.inf, np.nan, 0.5 + 0.1j, np.array([0.1, np.inf])])
+def test_involution_rejects_a_non_real_or_non_finite_s(s):
+    with pytest.raises(ValueError, match="expm_i_involution"):
+        linalg.expm_i_involution(X, s)
+
+
+@pytest.mark.parametrize("a", [np.zeros((3, 2, 4)), np.zeros(4),
+                               np.array([np.eye(2), np.full((2, 2), np.nan)])])
+def test_spectral_norm_rejects_a_non_square_or_non_finite_stack(a):
+    with pytest.raises(ValueError, match="spectral_norm"):
+        linalg.spectral_norm(a)
+
+
 def test_spectral_norm_examples():
     assert linalg.spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert linalg.spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
@@ -257,7 +291,7 @@ def test_stacked_norms_are_per_slice_norms(dim):
     still gives a float, the same bits as the sum over all its entries."""
     rng = np.random.default_rng(70 + dim)
     stack = rng.normal(size=(2, 3, dim, dim)) + 1j * rng.normal(size=(2, 3, dim, dim))
-    for f in (linalg.frobenius_norm, linalg.unitarity_defect):
+    for f in (linalg.frobenius_norm, linalg.unitarity_defect, linalg.spectral_norm):
         values = f(stack)
         assert values.shape == (2, 3)
         for i in range(2):

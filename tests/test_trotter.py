@@ -127,3 +127,45 @@ def test_report_fields_consistent():
     assert rep.omega == 1
     assert rep.measured_error >= 0.0
     assert rep.bound_commutator >= 0.0
+
+
+def _per_r_product_formula(terms, t, r):
+    """The one-r route: the closed-form factors multiplied in term-list order
+    from the identity, then np.linalg.matrix_power."""
+    step = np.eye(2 ** terms[0].blade.n, dtype=complex)
+    for term in terms:
+        step = step @ linalg.expm_i_involution(term.blade.dense(), -term.coeff * t / r)
+    return np.linalg.matrix_power(step, r)
+
+
+@pytest.mark.parametrize("n, num_terms", [(1, 2), (1, 3), (2, 8), (2, 15)])
+def test_stacked_product_formula_matches_a_per_r_loop(n, num_terms):
+    """Unsorted rs with a repeat, r = 3 (which numpy forms as (a a) a) and
+    R_MAX: every slice has the bits of the per-r route.  With 8 terms the
+    factor grid is square (R = L), where swapped r and term axes would still
+    broadcast."""
+    rs = [7, 1, 3, 1000, 2, trotter.R_MAX, 5, 1]
+    terms = trotter.random_instance(n, num_terms, seed=n + num_terms)
+    stack = trotter.product_formulas([term.coeff for term in terms],
+                                     [term.blade.dense() for term in terms], 0.9, rs)
+    assert stack.shape == (len(rs), 2 ** n, 2 ** n)
+    for r, got in zip(rs, stack):
+        want = _per_r_product_formula(terms, 0.9, r)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got.tobytes() == want.tobytes(), f"r={r}"
+        assert trotter.product_formula(terms, 0.9, r).tobytes() == want.tobytes()
+
+
+def test_error_sweep_edge_cases():
+    empty = trotter.error_sweep([], 1.5, [1, 3, 10])
+    assert [rep.r for rep in empty] == [1, 3, 10]
+    for rep in empty:
+        assert rep.measured_error <= 1e-14
+        assert (rep.bound_simple, rep.bound_full, rep.bound_commutator, rep.omega) == (0, 0, 0, 0)
+    single = trotter.random_instance(2, 1, seed=4)
+    for rep in trotter.error_sweep(single, 1.3, [1, 3, trotter.R_MAX]):
+        assert rep.omega == 0
+        assert rep.measured_error <= 1e-9
+    assert trotter.error_sweep(trotter.random_instance(2, 4, seed=4), 1.3, []) == []
+    with pytest.raises(ValueError, match="r >= 1"):
+        trotter.error_sweep([X_TERM], 1.0, [2, 0])
