@@ -131,8 +131,10 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     return _rotate_ground(config.n, unit @ config._blade_stack[:, :, 0], norm)
 
 
-def _angle(x, w, activation: Activation) -> np.ndarray:
-    """phi = arccos(activation(Re<x|w>)) for one state x (d,) and states w (..., d)."""
+def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
+    """Perceptron forward pass of one input state x (d,) against weight states
+    w (..., d): returns (phi (...), output states (..., d)), with
+    phi = arccos(activation(Re<x|w>))."""
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"x must be one state of shape (d,), got {x.shape}")
@@ -141,13 +143,7 @@ def _angle(x, w, activation: Activation) -> np.ndarray:
     if out_of_range.any():
         raise ValueError(f"activation output {float(np.asarray(v)[out_of_range][0])!r} "
                          f"is outside [-1, 1]; arccos undefined")
-    return np.arccos(Activation.CLAMP.apply(v))
-
-
-def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
-    """Perceptron forward pass of one input state x (d,) against weight states
-    w (..., d): returns (phi (...), output states (..., d))."""
-    phi = _angle(x, w, activation)
+    phi = np.arccos(Activation.CLAMP.apply(v))
     return phi, _rotate_ground(output_blade.n, output_blade.dense()[:, 0], phi)
 
 
@@ -221,26 +217,6 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     return records
 
 
-def multilayer_forward(layers: Sequence[np.ndarray], x_coeffs,
-                       config: PerceptronConfig) -> np.ndarray:
-    """Feed-forward network where each layer's phis re-encode the next state.
-
-    layers[m] has one weight row per neuron; the neuron count must equal
-    len(config.active_blades) so the resulting phi vector is a valid
-    coefficient vector for the next encoding.
-    """
-    m_blades = len(config.active_blades)
-    state = encode(config, x_coeffs)
-    for depth, layer in enumerate(layers):
-        weights = np.asarray(layer, dtype=float)
-        if weights.ndim != 2 or weights.shape != (m_blades, m_blades):
-            raise ValueError(
-                f"layer {depth}: expected shape ({m_blades}, {m_blades}), "
-                f"got {weights.shape}")
-        state = encode(config, _angle(state, encode(config, weights), config.activation))
-    return state
-
-
 def equivalence_defects(config: PerceptronConfig, u, x_coeffs,
                         w_coeffs) -> tuple[float, float]:
     """(|phi - phi_u|, ||y - y_u||) for the encoded input and weight, and for
@@ -262,33 +238,3 @@ def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,
     w_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
     phi_defect, state_defect = equivalence_defects(config, m, x_coeffs, w_coeffs)
     return phi_defect <= tol and state_defect <= tol
-
-
-def operator_activation_forward(x, activation: Activation, reference_index: int,
-                                desired) -> tuple[np.ndarray, float, float]:
-    """Operator-valued activation on the amplitude spectrum of |x>.
-
-    A = diag(|a_j|) in the computational basis of |x> = sum_j a_j |j>;
-    the output is phi(A)|e_i> normalized by N = |phi(|a_i|)| for the
-    reference basis state i.  Returns (y_out, cost, readout) where cost is
-    the fidelity |<y_out|desired>| and readout is the scalar
-    <x|phi(A)|x> = sum_j phi(|a_j|) |a_j|^2.
-    """
-    v = np.asarray(x, dtype=complex)
-    d = np.asarray(desired, dtype=complex)
-    if v.ndim != 1 or d.shape != v.shape:
-        raise ValueError("x and desired must be 1-d states of equal length")
-    if not 0 <= reference_index < v.shape[0]:
-        raise ValueError(f"reference_index {reference_index} out of range")
-    moduli = np.abs(v)
-    acted = activation.apply(moduli)
-    norm = abs(acted[reference_index])
-    if norm <= 1e-300:
-        raise ValueError(
-            f"degenerate output: activation vanishes on reference component "
-            f"{reference_index} (|a| = {moduli[reference_index]!r})")
-    y_out = np.zeros_like(v)
-    y_out[reference_index] = acted[reference_index] / norm
-    cost = abs(inner(y_out, d))
-    readout = float(np.sum(acted * moduli ** 2))
-    return y_out, cost, readout

@@ -133,8 +133,11 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["omega-count", "--config", "{tmp}/missing.cfg"],
     ["omega-count", "--out", "{tmp}/no/such/dir/o.csv"],
     ["omega-count", "--out", "{tmp}"],
+    ["omega-count", "--config", ""],
+    ["omega-count", "--out", ""],
 ])
-def test_out_of_range_value_exits_3(tmp_path, capsys, argv):
+def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a report under its default name would land here
     (tmp_path / "undecodable.cfg").write_bytes(b"n = \xff\n")
     out = tmp_path / "r.csv"
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -143,7 +146,7 @@ def test_out_of_range_value_exits_3(tmp_path, capsys, argv):
     printed = capsys.readouterr()
     assert "ERROR invalid config" in printed.err
     assert "OK wrote" not in printed.out
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["undecodable.cfg"]
 
 
 def test_unknown_command_exits_2(capsys):
@@ -311,8 +314,9 @@ def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
 
 def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
     """The whole r grid takes one blade build, one eigendecomposition, one
-    closed-form call for every (r, term) factor and one stacked SVD."""
-    calls = dict.fromkeys(("blades", "eigen", "involution", "spectral"), 0)
+    closed-form call for every (r, term) factor and one stacked SVD; the
+    bounds are taken once for the finiteness check and once per r."""
+    calls = dict.fromkeys(("blades", "eigen", "involution", "spectral", "bounds"), 0)
 
     def counted(name, real):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
@@ -321,9 +325,10 @@ def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "expm_i_involution",
                         counted("involution", linalg.expm_i_involution))
     monkeypatch.setattr(linalg, "spectral_norm", counted("spectral", linalg.spectral_norm))
+    monkeypatch.setattr(trotter, "bounds", counted("bounds", trotter.bounds))
     assert cli.main(["trotter-sweep", "--n", "2", "--terms", "15",
                      "--out", str(tmp_path / "r.csv")]) == 0
-    assert calls == {"blades": 1, "eigen": 1, "involution": 1, "spectral": 1}
+    assert calls == {"blades": 1, "eigen": 1, "involution": 1, "spectral": 1, "bounds": 11}
 
 
 def test_decompose_netlist_sections(tmp_path):

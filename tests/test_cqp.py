@@ -181,6 +181,8 @@ def test_forward_output_rotation_closed_form():
     assert phi == pytest.approx(np.pi / 3, abs=1e-12)
     np.testing.assert_allclose(
         y, [np.cos(np.pi / 3), 1j * np.sin(np.pi / 3)], atol=1e-12)
+    want = linalg.expm_i(Blade(1, (0,)).dense(), phi) @ simulator.basis_state(1, 0)
+    np.testing.assert_allclose(y, want, atol=1e-12)
 
 
 def test_fidelity_angle_law_zero_expectation_blade():
@@ -314,57 +316,6 @@ def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
         cqp.train(config, sample, theta0, iterations=2)
 
 
-def test_multilayer_single_neuron_reduces_to_forward():
-    config = PerceptronConfig.type_i(1, [(0,)], (0,), activation=Activation.IDENTITY)
-    x_coeffs = np.array([0.4])
-    w_row = np.array([[0.25]])
-    got = cqp.multilayer_forward([w_row], x_coeffs, config)
-    x = cqp.encode(config, x_coeffs)
-    w = cqp.encode(config, w_row[0])
-    phi, _ = cqp.forward(x, w, Activation.IDENTITY, config.active_blades[0])
-    want = linalg.expm_i(config.active_blades[0].dense(), phi) @ simulator.basis_state(1, 0)
-    np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_multilayer_zero_weight_golden_value():
-    """Hand derivation for n=1, zero weights, identity activation.
-
-    x = exp(i(0.3 X + 0.4 Y))|0> = cos(0.5)|0> + i sin(0.5)(0.6 + 0.8i)|1>,
-    so Re<x|0> = cos(0.5) and each neuron gets phi = 0.5.  Re-encoding
-    exp(i(0.5 X + 0.5 Y))|0> rotates by 0.5*sqrt(2) about (1,1,0)/sqrt(2);
-    a second zero-weight layer repeats the argument with phi = 0.5*sqrt(2).
-    """
-    config = PerceptronConfig.type_ii(1, activation=Activation.IDENTITY)
-    x_coeffs = np.array([0.3, 0.4])
-    zeros = np.zeros((2, 2))
-
-    r1 = 0.5 * np.sqrt(2.0)
-    want1 = np.array([np.cos(r1), np.sin(r1) * (1j - 1.0) / np.sqrt(2.0)])
-    got1 = cqp.multilayer_forward([zeros], x_coeffs, config)
-    np.testing.assert_allclose(got1, want1, atol=1e-12)
-
-    r2 = r1 * np.sqrt(2.0)  # = 1.0
-    want2 = np.array([np.cos(r2), np.sin(r2) * (1j - 1.0) / np.sqrt(2.0)])
-    got2 = cqp.multilayer_forward([zeros, zeros], x_coeffs, config)
-    np.testing.assert_allclose(got2, want2, atol=1e-12)
-
-
-def test_multilayer_neuron_permutation_invariance():
-    base = PerceptronConfig.type_i(1, [(0,), (1,)], (0,), activation=Activation.TANH)
-    flipped = PerceptronConfig.type_i(1, [(1,), (0,)], (0,), activation=Activation.TANH)
-    x = np.array([0.3, 0.4])
-    layer = np.array([[0.2, 0.1], [0.05, 0.15]])
-    got = cqp.multilayer_forward([layer], x, base)
-    swapped = cqp.multilayer_forward([layer[::-1, ::-1]], x[::-1], flipped)
-    np.testing.assert_allclose(got, swapped, atol=1e-12)
-
-
-def test_multilayer_rejects_bad_layer_shape():
-    config = PerceptronConfig.type_ii(1)
-    with pytest.raises(ValueError):
-        cqp.multilayer_forward([np.zeros((3, 2))], np.array([0.1, 0.2]), config)
-
-
 def test_type_equivalence_under_unitaries():
     config = PerceptronConfig.type_ii(2)
     assert cqp.type_equivalence_check(config, np.eye(4), seed=0)
@@ -380,27 +331,6 @@ def test_type_equivalence_rejects_non_unitary():
     config = PerceptronConfig.type_ii(1)
     with pytest.raises(ValueError, match="not unitary"):
         cqp.type_equivalence_check(config, 2.0 * np.eye(2))
-
-
-def test_operator_activation_reference_basis_state():
-    y, cost, readout = cqp.operator_activation_forward(
-        simulator.basis_state(2, 0), Activation.IDENTITY, 0, simulator.basis_state(2, 0))
-    np.testing.assert_allclose(y, simulator.basis_state(2, 0), atol=1e-12)
-    assert cost == pytest.approx(1.0, abs=1e-12)
-    assert readout == pytest.approx(1.0, abs=1e-12)
-
-
-def test_operator_activation_uniform_readout():
-    x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    _, _, readout = cqp.operator_activation_forward(
-        x, Activation.IDENTITY, 0, simulator.basis_state(1, 0))
-    assert readout == pytest.approx(2.0 * (1 / np.sqrt(2.0)) ** 3, abs=1e-12)
-
-
-def test_operator_activation_degenerate_reference():
-    with pytest.raises(ValueError):
-        cqp.operator_activation_forward(
-            simulator.basis_state(1, 1), Activation.IDENTITY, 0, simulator.basis_state(1, 0))
 
 
 def test_activation_ranges():
