@@ -131,6 +131,15 @@ def _require(cond: bool, key: str, detail: str) -> None:
         raise ConfigError(f"{key}: {detail}")
 
 
+def _derived_seeds(cfg, offset: int, count: int) -> range:
+    """The count >= 1 seeds cfg["seed"] + offset + i, each an unsigned 64-bit
+    integer as a --seed must be, else ConfigError."""
+    first = cfg["seed"] + offset
+    _require(first + count - 1 < 2 ** 64, "seed",
+             f"the derived seeds run to {first + count - 1}, past 2^64 - 1")
+    return range(first, first + count)
+
+
 def _finite(compute) -> bool:
     """Whether compute() gives finite doubles rather than overflowing."""
     try:
@@ -192,12 +201,10 @@ def _gqft_grid(cfg):
     # one axis draw per seed, and one theta grid per draw: one eigendecomposition
     # per distinct Gamma_k (one for the shared-axis draw) and one factored pass
     # serve every theta
-    seeds = [cfg["seed"] + i for i in range(cfg["trials"])]
-    by_seed = []
-    for seed in seeds:
-        axes = gqft.random_axes(n, np.random.default_rng(seed))
-        by_seed.append(gqft.distance_reports(
-            [gqft.GqftParams(n, theta, axes) for theta in cfg["thetas"]]))
+    seeds = _derived_seeds(cfg, 0, cfg["trials"])
+    by_seed = [gqft.distance_reports(gqft.random_axes(n, np.random.default_rng(seed)),
+                                     cfg["thetas"])
+               for seed in seeds]
     for t, theta in enumerate(cfg["thetas"]):  # rows stay theta-major
         for seed, reports in zip(seeds, by_seed):
             yield theta, seed, reports[t]
@@ -240,9 +247,11 @@ def _cmd_trotter_sweep(cfg):
     _require(len(cfg["rs"]) >= 1 and all(1 <= r <= trotter.R_MAX for r in cfg["rs"]), "rs",
              f"need at least one r, all in 1..{trotter.R_MAX}")
     terms = trotter.random_instance(n, terms_n, cfg["seed"])
-    omega = trotter.noncommuting_pair_count(terms)
-    # every bound falls as r grows, so finite at the smallest r means finite at all
-    _require(_finite(lambda: trotter.bounds(terms, t, min(cfg["rs"]), omega)),
+    # every bound falls as r grows and none falls as the pair count grows, so
+    # finite at the smallest r and at the most pairs, L (L - 1) / 2, means finite
+    # at every r and the true count
+    _require(_finite(lambda: trotter.bounds(terms, t, min(cfg["rs"]),
+                                            terms_n * (terms_n - 1) // 2)),
              "t, rs", "must keep every Trotter bound finite")
     rows = []
     for rep in trotter.error_sweep(terms, t, cfg["rs"]):
@@ -267,14 +276,14 @@ def _cmd_swap_test(cfg):
     _require(1 <= n <= 4, "n", "must be in 1..4")
     _require(len(cfg["shots"]) >= 1 and all(1 <= s < 2 ** 63 for s in cfg["shots"]),
              "shots", "need at least one shot count, all in 1..2^63-1")
+    row_seeds = _derived_seeds(cfg, 1, len(cfg["shots"]))
     rng = np.random.default_rng(cfg["seed"])
     psi = simulator.random_state(n, rng)
     phi = simulator.random_state(n, rng)
     p0 = simulator.swap_test_exact(psi, phi)  # raises CheckFailure("swap-agreement")
     overlap = abs(simulator.inner(psi, phi))
     rows = []
-    for idx, shots in enumerate(cfg["shots"]):
-        row_seed = cfg["seed"] + 1 + idx
+    for shots, row_seed in zip(cfg["shots"], row_seeds):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
         # an 8-sigma test of the binomial frequency of ancilla zeros
         deviation = abs(tally.zero_count / shots - p0)
@@ -334,8 +343,7 @@ def _cmd_equivalence(cfg):
     config = cqp.PerceptronConfig.type_ii(n)
     rows = []
     worst = 0.0
-    for i in range(cfg["trials"]):
-        seed = cfg["seed"] + i
+    for seed in _derived_seeds(cfg, 0, cfg["trials"]):
         rng = np.random.default_rng(seed)
         u = linalg.random_unitary(2 ** n, rng)
         x_coeffs = rng.uniform(-1.0, 1.0, 2 * n)

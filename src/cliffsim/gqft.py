@@ -12,19 +12,20 @@ factorizes qubit by qubit:
     F_G |j> = (x)_l  ( R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1> ) / sqrt(2)
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
-The dense route builds only the distinct Gamma_k, by contracting the axes
-with a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit,
-and exponentiates them in one eigendecomposition call: a qubit with equal
-axes gives every Gamma_k the same term, so the shared-axis draw needs one
-matrix.  Gamma_k depends on the axes only, so
-that one call serves every theta of a grid (gqft_dense_grid,
-distance_reports); one theta is the one-element grid.  The factored route
-builds every column of every theta of the grid at once, as a column-wise
+A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas; each
+grid route checks both (GqftParams, one theta, uses the same check).  The
+dense route builds only the distinct Gamma_k, by contracting the axes with
+a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit, and
+exponentiates them in one eigendecomposition call: a qubit with equal axes
+gives every Gamma_k the same term, so the shared-axis draw needs one
+matrix.  Gamma_k depends on the axes only, so that one call serves every
+theta (gqft_dense_grid); one theta is the one-element grid.  The factored
+route builds every column of every theta at once, as a column-wise
 Kronecker product of n (T, 2, 2^n) factors, using only one axis_dot_sigma
-call and the 2x2 closed form on basis columns
-(gqft_column_factored_grid).  The two routes share nothing beyond the
-Pauli matrices, so they cross-check each other.  theta = 0 recovers the
-standard transform; the Frobenius distance from it is bounded by
+call and the 2x2 closed form on basis columns (gqft_column_factored_grid).
+The two routes share nothing beyond the Pauli matrices, so they
+cross-check each other.  theta = 0 recovers the standard transform; the
+Frobenius distance from it is bounded by
 2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
 distance_reports computes these checked quantities for a whole grid, each
 as one stacked reduction, and asserts none of them: the thresholds are the
@@ -46,6 +47,24 @@ from .simulator import basis_state  # noqa: F401  bench/test_bench.py traces thi
 _AXIS_TOL = 1e-12
 
 
+def _checked_grid(axes, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The axes, shape (n, 2, 3) with 1 <= n <= 4, and the thetas, shape (T,),
+    of a grid as float arrays, else ValueError: every axis finite and a unit
+    vector to _AXIS_TOL, and at least one theta, each finite and >= 0."""
+    ax = np.asarray(axes, dtype=float)
+    if ax.ndim != 3 or ax.shape[1:] != (2, 3) or not 1 <= len(ax) <= 4:
+        raise ValueError(f"axes must have shape (n, 2, 3) with 1 <= n <= 4, got {ax.shape}")
+    if not np.isfinite(ax).all():
+        raise ValueError("axes contain non-finite entries")
+    deviation = np.abs(np.linalg.norm(ax, axis=2) - 1.0).max()
+    if deviation > _AXIS_TOL:
+        raise ValueError(f"axes must be unit vectors (max deviation {deviation:.3e})")
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 1 or not th.size or not all(0 <= t < math.inf for t in th.tolist()):
+        raise ValueError(f"need a non-empty vector of finite theta >= 0, got {thetas}")
+    return ax, th
+
+
 @dataclass(frozen=True)
 class GqftParams:
     n: int
@@ -53,19 +72,9 @@ class GqftParams:
     axes: np.ndarray  # shape (n, 2, 3); axes[l-1][b] is the unit axis for bit b
 
     def __post_init__(self):
-        if not 1 <= self.n <= 4:
-            raise ValueError(f"need 1 <= n <= 4, got n={self.n}")
-        if not 0 <= self.theta < math.inf:
-            raise ValueError(f"need a finite theta >= 0, got {self.theta}")
-        ax = np.asarray(self.axes, dtype=float)
-        if ax.shape != (self.n, 2, 3):
+        ax, _ = _checked_grid(self.axes, [self.theta])
+        if len(ax) != self.n:
             raise ValueError(f"axes must have shape ({self.n}, 2, 3), got {ax.shape}")
-        if not np.isfinite(ax).all():
-            raise ValueError("axes contain non-finite entries")
-        norms = np.linalg.norm(ax, axis=2)
-        if np.abs(norms - 1.0).max() > _AXIS_TOL:
-            raise ValueError(
-                f"axes must be unit vectors (max deviation {np.abs(norms - 1.0).max():.3e})")
         object.__setattr__(self, "axes", ax)
 
 
@@ -112,19 +121,20 @@ def _pauli_table(n: int) -> np.ndarray:
     return table
 
 
-def gamma_stack(params: GqftParams, ks: Sequence[int] | None = None) -> np.ndarray:
-    """Gamma_k for each k of `ks` (default: every k in order), stacked along
-    the first axis: shape (len(ks), 2^n, 2^n).
+def gamma_stack(axes, ks: Sequence[int] | None = None) -> np.ndarray:
+    """Gamma_k of the axes, shape (n, 2, 3), for each k of `ks` (default:
+    every k in order), stacked along the first axis: shape (len(ks), 2^n, 2^n).
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
     l; the 2n embedded operators come from one contraction of the axes with
     the embedded Pauli table and are picked by the bits of k.
     """
-    n, dim = params.n, 2 ** params.n
+    axes = np.asarray(axes, dtype=float)
+    n, dim = len(axes), 2 ** len(axes)
     k = np.arange(dim) if ks is None else np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
     # of an entry is one product of an axis component with 0 or +-1
-    ops = (params.axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)
+    ops = (axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)
     qubits = np.arange(n)[:, None]
     bits = (k >> (n - 1 - qubits)) & 1  # bits[l, i]: bit of qubit l + 1 in k[i]
     return ops[qubits, bits].sum(axis=0)
@@ -140,55 +150,37 @@ def standard_qft(n: int) -> np.ndarray:
     return qft
 
 
-class _CheckedGrid(tuple):
-    """A theta grid that _axis_draw has accepted once; the grid functions
-    take it without checking it again."""
-
-
-def _axis_draw(grid: Sequence[GqftParams]) -> GqftParams:
-    """The first parameter set of a non-empty theta grid whose sets share one
-    n and one set of axes, else ValueError."""
-    if type(grid) is _CheckedGrid:
-        return grid[0]
-    if not grid:
-        raise ValueError("need at least one parameter set")
-    first = grid[0]
-    if any(p.n != first.n or not np.array_equal(p.axes, first.axes) for p in grid):
-        raise ValueError("a theta grid needs one n and one set of axes")
-    return first
-
-
-def gqft_dense_grid(grid: Sequence[GqftParams]) -> np.ndarray:
-    """Dense transforms of parameter sets that differ in theta only, shape
-    (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every k, times the
-    standard transform.  Gamma_k does not depend on theta, so one stacked
-    eigendecomposition call serves every theta of the grid, with one
+def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:
+    """Dense transforms of one axis draw, shape (n, 2, 3), at each of T
+    thetas, shape (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every
+    k, times the standard transform.  Gamma_k does not depend on theta, so one
+    stacked eigendecomposition call serves every theta of the grid, with one
     eigendecomposition per distinct Gamma_k: a qubit whose two axes are equal
     contributes the same term whichever its bit, so Gamma_k = Gamma_{k & mask},
     where mask keeps the bits of the qubits whose axes differ (one matrix for
     random_axes, 2^n for random_bit_axes)."""
-    first = _axis_draw(grid)
-    n = first.n
+    axes, thetas = _checked_grid(axes, thetas)
+    n = len(axes)
     # Plain Python on at most 16 ints: numpy forms of these lines (np.unique, or bit
     # masks over np.arange) touch numpy code that adds 0.2-0.5 MB to peak RSS.
     mask = sum(1 << (n - 1 - l) for l in range(n)
-               if not np.array_equal(first.axes[l, 0], first.axes[l, 1]))
+               if not np.array_equal(axes[l, 0], axes[l, 1]))
     reps = [r for r in range(2 ** n) if r & mask == r]  # the distinct k & mask, ascending
     index = [reps.index(j & mask) for j in range(2 ** n)]  # Gamma_k = Gamma_{reps[index[k]]}
     # exps[t, r] = exp(i theta_t Gamma_{reps[r]})
-    exps = linalg.expm_i(gamma_stack(first, reps), np.array([p.theta for p in grid]))
+    exps = linalg.expm_i(gamma_stack(axes, reps), thetas)
     k = np.arange(2 ** n)
     return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
 
 def gqft_dense(params: GqftParams) -> np.ndarray:
     """Dense transform of one parameter set: the one-theta grid."""
-    return gqft_dense_grid([params])[0]
+    return gqft_dense_grid(params.axes, [params.theta])[0]
 
 
-def gqft_column_factored_grid(grid: Sequence[GqftParams]) -> np.ndarray:
-    """Factored transforms of parameter sets that differ in theta only, shape
-    (T, 2^n, 2^n), every column of every theta at once.
+def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
+    """Factored transforms of one axis draw, shape (n, 2, 3), at each of T
+    thetas, shape (T, 2^n, 2^n), every column of every theta at once.
 
     Column j is the Kronecker product over qubits l of
     (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where
@@ -197,30 +189,30 @@ def gqft_column_factored_grid(grid: Sequence[GqftParams]) -> np.ndarray:
     j and all theta form one (T, 2, 2^n) array, and the columns are their
     column-wise Kronecker product, one step per qubit.
     """
-    first = _axis_draw(grid)
-    n, dim = first.n, 2 ** first.n
+    axes, thetas = _checked_grid(axes, thetas)
+    n, dim = len(axes), 2 ** len(axes)
     # the closed form's coefficients, formed as linalg.expm_i_involution forms them,
     # so each column entry has the bits of the whole-matrix closed form's entry
-    isin = np.array([1j * math.sin(p.theta) for p in grid])[:, None, None]
-    cos = np.array([math.cos(p.theta) for p in grid])[:, None]
-    sigma = axis_dot_sigma(first.axes)  # sigma[l, b] = n_l^b . sigma
+    isin = np.array([1j * math.sin(theta) for theta in thetas.tolist()])[:, None, None]
+    cos = np.array([math.cos(theta) for theta in thetas.tolist()])[:, None]
+    sigma = axis_dot_sigma(axes)  # sigma[l, b] = n_l^b . sigma
     # basis[b][t, l] = R_l^b |b> at theta_t, shape (T, n, 2)
     basis = [isin * sigma[:, b, :, b] for b in (0, 1)]
     basis[0][:, :, 0] += cos
     basis[1][:, :, 1] += cos
     j = np.arange(dim)
-    cols = np.ones((len(grid), 1, dim), dtype=complex)
+    cols = np.ones((len(thetas), 1, dim), dtype=complex)
     for l in range(1, n + 1):
         phase = np.exp(2j * np.pi * j / 2 ** l)
         r0, r1 = basis[0][:, l - 1, :, None], basis[1][:, l - 1, :, None]  # (T, 2, 1)
         factor = (r0 + phase * r1) / math.sqrt(2.0)  # (T, 2, dim)
-        cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(grid), -1, dim)
+        cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(thetas), -1, dim)
     return cols
 
 
 def gqft_column_factored(params: GqftParams) -> np.ndarray:
     """Factored transform of one parameter set: the one-theta grid."""
-    return gqft_column_factored_grid([params])[0]
+    return gqft_column_factored_grid(params.axes, [params.theta])[0]
 
 
 def rotation_resolution_check(r_op, tol: float = linalg.DEFAULT_TOL) -> bool:
@@ -248,22 +240,22 @@ class GqftReport:
     bound: float
 
 
-def distance_reports(grid: Sequence[GqftParams]) -> list[GqftReport]:
-    """Unitarity defect, factorization error, distance and bound for each
-    parameter set of a theta grid (see gqft_dense_grid), in grid order; each
-    quantity is one stacked reduction over the grid.  The grid is checked
-    once, here, for both routes."""
-    n = _axis_draw(grid).n
-    grid = _CheckedGrid(grid)
-    dense = gqft_dense_grid(grid)
-    col_errs = np.linalg.norm(dense - gqft_column_factored_grid(grid), axis=-2).max(axis=-1)
+def distance_reports(axes, thetas: Sequence[float]) -> list[GqftReport]:
+    """Unitarity defect, factorization error, distance and bound of one axis
+    draw at each theta of a grid (see gqft_dense_grid), in theta order; each
+    quantity is one stacked reduction over the grid.  The two routes check
+    the draw."""
+    dense = gqft_dense_grid(axes, thetas)
+    col_errs = np.linalg.norm(dense - gqft_column_factored_grid(axes, thetas),
+                              axis=-2).max(axis=-1)
+    n = len(axes)
     defects = linalg.unitarity_defect(dense)
     distances = linalg.frobenius_norm(dense - standard_qft(n))
-    return [GqftReport(n, p.theta, defect, col_err, distance, distance_bound(n, p.theta))
-            for p, defect, col_err, distance
-            in zip(grid, defects.tolist(), col_errs.tolist(), distances.tolist())]
+    return [GqftReport(n, theta, defect, col_err, distance, distance_bound(n, theta))
+            for theta, defect, col_err, distance
+            in zip(thetas, defects.tolist(), col_errs.tolist(), distances.tolist())]
 
 
 def distance_report(params: GqftParams) -> GqftReport:
     """The report of one parameter set: the one-theta grid."""
-    return distance_reports([params])[0]
+    return distance_reports(params.axes, [params.theta])[0]

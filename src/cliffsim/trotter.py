@@ -21,11 +21,10 @@ error_sweep measures a whole r grid in one stacked pass.  The term blades
 come from one blade_products call, and H (total_hamiltonian) is summed from
 that stack.  U comes from one Hermitian eigendecomposition (linalg.expm_i).
 V for every r comes from product_formulas: one closed-form call for every
-(r, term) factor, one stacked matmul per term, and the r-th powers by the
-products np.linalg.matrix_power would form, batched over r.  One stacked
-SVD then gives every ||U - V||.  The two routes share only the blade
-matrices; every V has the bits of the one-r computation (product_formula,
-the one-element grid).
+(r, term) factor, one stacked matmul per term, and one
+np.linalg.matrix_power call per r.  One stacked SVD then gives every
+||U - V||.  The two routes share only the blade matrices; every V has the
+bits of the one-r computation (product_formula, the one-element grid).
 """
 from __future__ import annotations
 
@@ -97,29 +96,6 @@ def exact_unitary(terms: Sequence[HamiltonianTerm], t: float) -> np.ndarray:
     return linalg.expm_i(total_hamiltonian(terms), -t)
 
 
-def _powers(steps: np.ndarray, rs: list[int]) -> np.ndarray:
-    """steps[i]^rs[i] for a stack of unitaries (R, d, d), each formed by the
-    products np.linalg.matrix_power forms for it, so every power has its
-    bits: a a for r = 2, (a a) a for r = 3, and otherwise the binary scheme,
-    one squaring per bit from the lowest, each set bit multiplied into the
-    result on the right.  Each squaring and each product is one stacked
-    matmul over every slice; a slice whose bit is clear keeps its result."""
-    z, out = steps, steps.copy()
-    started = np.array([r & 1 == 1 for r in rs])  # out holds a product of z's
-    for k in range(1, max(rs, default=0).bit_length()):
-        z = z @ z  # z = steps^(2^k)
-        bit = np.array([r >> k & 1 == 1 for r in rs])
-        more = bit & started
-        if more.any():
-            prod = out @ z
-            if k == 1 and 3 in rs:  # numpy forms a^3 as (a a) a, not a (a a)
-                prod = np.where(np.array([r == 3 for r in rs])[:, None, None], z @ out, prod)
-            np.copyto(out, prod, where=more[:, None, None])
-        np.copyto(out, z, where=(bit & ~started)[:, None, None])
-        started |= bit
-    return out
-
-
 def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
                      rs: Sequence[int]) -> np.ndarray:
     """The product formula for every r of `rs`, shape (R, d, d), for the terms
@@ -127,9 +103,9 @@ def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
 
     One closed-form call gives every factor exp(-i t/r eta_j B_j), shape
     (R, L, d, d); the steps are their products in term-list order, one
-    stacked matmul per term, and the r-th powers are taken for all r at once
-    (see _powers).  Each slice has the bits of the one-r computation: the
-    same products of the same factors in the same order.
+    stacked matmul per term, and each step is raised to its r by
+    np.linalg.matrix_power.  Each slice has the bits of the one-r
+    computation: the same products of the same factors in the same order.
     """
     rs = [operator.index(r) for r in rs]
     if any(r < 1 for r in rs):
@@ -140,7 +116,9 @@ def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
     step = np.repeat(np.eye(blades.shape[-1], dtype=complex)[None], len(rs), axis=0)
     for j in range(len(coeffs)):
         step = step @ factors[:, j]
-    return _powers(step, rs)
+    for i, r in enumerate(rs):
+        step[i] = np.linalg.matrix_power(step[i], r)
+    return step
 
 
 def product_formula(terms: Sequence[HamiltonianTerm], t: float, r: int) -> np.ndarray:

@@ -135,6 +135,11 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["omega-count", "--out", "{tmp}"],
     ["omega-count", "--config", ""],
     ["omega-count", "--out", ""],
+    # the last derived seed would be 2^64, which --seed rejects
+    ["equivalence", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 1)],
+    ["verify-gqft", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 1)],
+    ["gqft-distance", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 1)],
+    ["swap-test", "--n", "1", "--shots", "10,10", "--seed", str(2 ** 64 - 2)],
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a report under its default name would land here
@@ -147,6 +152,17 @@ def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert "ERROR invalid config" in printed.err
     assert "OK wrote" not in printed.out
     assert [p.name for p in tmp_path.iterdir()] == ["undecodable.cfg"]
+
+
+@pytest.mark.parametrize("argv, seed_column", [
+    (["equivalence", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 2)], 0),
+    (["swap-test", "--n", "1", "--shots", "10,10", "--seed", str(2 ** 64 - 3)], 1),
+])
+def test_last_derived_seed_may_be_2_64_minus_1(tmp_path, argv, seed_column):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
+    assert rows[-1][seed_column] == str(2 ** 64 - 1)
 
 
 def test_unknown_command_exits_2(capsys):
@@ -313,14 +329,17 @@ def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
 
 
 def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
-    """The whole r grid takes one blade build, one eigendecomposition, one
-    closed-form call for every (r, term) factor and one stacked SVD; the
-    bounds are taken once for the finiteness check and once per r."""
-    calls = dict.fromkeys(("blades", "eigen", "involution", "spectral", "bounds"), 0)
+    """The whole r grid takes one blade build, one parity matrix, one
+    eigendecomposition, one closed-form call for every (r, term) factor and
+    one stacked SVD; the bounds are taken once for the finiteness check and
+    once per r."""
+    calls = dict.fromkeys(("blades", "parity", "eigen", "involution", "spectral", "bounds"), 0)
 
     def counted(name, real):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
     monkeypatch.setattr(trotter, "blade_products", counted("blades", trotter.blade_products))
+    monkeypatch.setattr(trotter, "anticommutation_matrix",
+                        counted("parity", trotter.anticommutation_matrix))
     monkeypatch.setattr(linalg, "hermitian_eigen", counted("eigen", linalg.hermitian_eigen))
     monkeypatch.setattr(linalg, "expm_i_involution",
                         counted("involution", linalg.expm_i_involution))
@@ -328,7 +347,8 @@ def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
     monkeypatch.setattr(trotter, "bounds", counted("bounds", trotter.bounds))
     assert cli.main(["trotter-sweep", "--n", "2", "--terms", "15",
                      "--out", str(tmp_path / "r.csv")]) == 0
-    assert calls == {"blades": 1, "eigen": 1, "involution": 1, "spectral": 1, "bounds": 11}
+    assert calls == {"blades": 1, "parity": 1, "eigen": 1, "involution": 1, "spectral": 1,
+                     "bounds": 11}
 
 
 def test_decompose_netlist_sections(tmp_path):

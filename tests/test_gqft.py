@@ -45,9 +45,8 @@ def test_standard_qft_two_qubits_roots_of_unity():
 
 
 def test_gamma_k_z_axes():
-    params = GqftParams(1, 0.3, z_axes(1))
     z = np.diag([1.0, -1.0])
-    gammas = gqft.gamma_stack(params)
+    gammas = gqft.gamma_stack(z_axes(1))
     assert gammas.shape == (2, 2, 2)
     np.testing.assert_allclose(gammas[0], z, atol=1e-15)
     np.testing.assert_allclose(gammas[1], z, atol=1e-15)
@@ -56,17 +55,15 @@ def test_gamma_k_z_axes():
 def test_gamma_k_uniform_x_axes():
     ax = np.zeros((2, 2, 3))
     ax[:, :, 0] = 1.0
-    params = GqftParams(2, 0.3, ax)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     want = np.kron(x, np.eye(2)) + np.kron(np.eye(2), x)
-    for g in gqft.gamma_stack(params):
+    for g in gqft.gamma_stack(ax):
         np.testing.assert_allclose(g, want, atol=1e-15)
 
 
 def test_gamma_k_spectrum_and_hermiticity():
     rng = np.random.default_rng(2)
-    params = GqftParams(2, 0.4, gqft.random_bit_axes(2, rng))
-    for g in gqft.gamma_stack(params):
+    for g in gqft.gamma_stack(gqft.random_bit_axes(2, rng)):
         assert linalg.hermiticity_defect(g) <= 1e-12
         np.testing.assert_allclose(
             linalg.hermitian_eigen(g).eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
@@ -88,7 +85,7 @@ def test_batched_dense_transform_matches_a_per_k_loop(n):
     """Distinct bit axes make every Gamma_k differ, so a wrong k index in the
     stacked build or in the column pick cannot pass."""
     params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(30 + n)))
-    gammas = gqft.gamma_stack(params)
+    gammas = gqft.gamma_stack(params.axes)
     cols = np.empty((2 ** n, 2 ** n), dtype=complex)
     for k in range(2 ** n):
         gamma = _gamma_k_by_kron(params, k)
@@ -120,8 +117,9 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
     every Gamma_k from its own Kronecker chains."""
     axes = DRAWS[draw][0]()
     n = axes.shape[0]
-    grid = [GqftParams(n, theta, axes) for theta in (0.0, 1e-9, 0.7, 2.0)]
-    dense = gqft.gqft_dense_grid(grid)
+    thetas = (0.0, 1e-9, 0.7, 2.0)
+    grid = [GqftParams(n, theta, axes) for theta in thetas]
+    dense = gqft.gqft_dense_grid(axes, thetas)
     for params, f_g in zip(grid, dense):
         cols = np.empty((2 ** n, 2 ** n), dtype=complex)
         for k in range(2 ** n):
@@ -133,11 +131,10 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
 def test_gamma_stack_of_chosen_ks_is_a_gather_of_all(draw):
     axes = DRAWS[draw][0]()
     n = axes.shape[0]
-    params = GqftParams(n, 0.4, axes)
-    full = gqft.gamma_stack(params)
+    full = gqft.gamma_stack(axes)
     assert full.shape == (2 ** n, 2 ** n, 2 ** n)
     for ks in ([0], [2 ** n - 1, 0], list(range(0, 2 ** n, 2)), list(range(2 ** n))):
-        assert np.array_equal(gqft.gamma_stack(params, ks), full[ks]), ks
+        assert np.array_equal(gqft.gamma_stack(axes, ks), full[ks]), ks
 
 
 @pytest.mark.parametrize("draw", DRAWS)
@@ -148,7 +145,7 @@ def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eigen",
                         lambda h: sizes.append(np.shape(h)[:-2]) or real(h))
     n = axes.shape[0]
-    gqft.gqft_dense_grid([GqftParams(n, theta, axes) for theta in (0.1, 0.5, 2.0)])
+    gqft.gqft_dense_grid(axes, (0.1, 0.5, 2.0))
     assert sizes == [(distinct,)]
 
 
@@ -183,7 +180,7 @@ def test_factored_grid_matches_per_theta_columns(n, draw):
     axes = draw(n, np.random.default_rng(60 + n))
     thetas = [0.0, 1e-9, *np.linspace(0.3, 2.5, 2 ** n - 2)]
     grid = [GqftParams(n, theta, axes) for theta in thetas]
-    cols = gqft.gqft_column_factored_grid(grid)
+    cols = gqft.gqft_column_factored_grid(axes, thetas)
     assert cols.shape == (2 ** n, 2 ** n, 2 ** n)
     for params, c in zip(grid, cols):
         np.testing.assert_allclose(c, gqft.gqft_column_factored(params), rtol=0, atol=1e-15)
@@ -253,10 +250,11 @@ def test_unitarity_requires_shared_axes_per_qubit():
 def test_theta_grid_matches_per_theta_transforms(n):
     """T = 2^n thetas: a theta applied along the k axis would still broadcast."""
     axes = gqft.random_bit_axes(n, np.random.default_rng(80 + n))
-    grid = [GqftParams(n, theta, axes) for theta in np.linspace(0.05, 2.0, 2 ** n)]
-    dense = gqft.gqft_dense_grid(grid)
+    thetas = np.linspace(0.05, 2.0, 2 ** n)
+    grid = [GqftParams(n, theta, axes) for theta in thetas]
+    dense = gqft.gqft_dense_grid(axes, thetas)
     assert dense.shape == (2 ** n, 2 ** n, 2 ** n)
-    for params, f_g, rep in zip(grid, dense, gqft.distance_reports(grid)):
+    for params, f_g, rep in zip(grid, dense, gqft.distance_reports(axes, thetas)):
         np.testing.assert_allclose(f_g, gqft.gqft_dense(params), rtol=0, atol=1e-14)
         one = gqft.distance_report(params)
         assert rep.theta == params.theta
@@ -272,15 +270,20 @@ def test_theta_grid_matches_per_theta_transforms(n):
         assert rep.distance_to_qft == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
 
 
-def test_theta_grid_needs_one_n_and_one_set_of_axes():
-    rng = np.random.default_rng(4)
-    a, b = gqft.random_axes(2, rng), gqft.random_axes(2, rng)
+def test_theta_grid_routes_reject_a_bad_draw():
+    """Each grid route checks its axes and thetas as GqftParams does."""
+    axes = gqft.random_axes(2, np.random.default_rng(4))
+    non_finite = axes.copy()
+    non_finite[1, 0, 0] = np.nan
     for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid, gqft.distance_reports):
-        for grid, message in (([], "at least one"),
-                              ([GqftParams(2, 0.1, a), GqftParams(2, 0.2, b)], "one set of axes"),
-                              ([GqftParams(1, 0.1, a[:1]), GqftParams(2, 0.1, a)], "one n")):
+        for bad_axes, thetas, message in ((axes, [], "finite theta"),
+                                          (axes, [0.1, -0.5], "finite theta"),
+                                          (axes, [np.nan, 0.1], "finite theta"),
+                                          (2 * axes, [0.1], "unit vectors"),
+                                          (non_finite, [0.1], "non-finite"),
+                                          (z_axes(5), [0.1], "1 <= n <= 4")):
             with pytest.raises(ValueError, match=message):
-                route(grid)
+                route(bad_axes, thetas)
 
 
 def test_factored_columns_match_dense():

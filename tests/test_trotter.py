@@ -140,10 +140,9 @@ def _per_r_product_formula(terms, t, r):
 
 @pytest.mark.parametrize("n, num_terms", [(1, 2), (1, 3), (2, 8), (2, 15)])
 def test_stacked_product_formula_matches_a_per_r_loop(n, num_terms):
-    """Unsorted rs with a repeat, r = 3 (which numpy forms as (a a) a) and
-    R_MAX: every slice has the bits of the per-r route.  With 8 terms the
-    factor grid is square (R = L), where swapped r and term axes would still
-    broadcast."""
+    """Unsorted rs with a repeat, small r and R_MAX: every slice has the
+    bits of the per-r route.  With 8 terms the factor grid is square
+    (R = L), where swapped r and term axes would still broadcast."""
     rs = [7, 1, 3, 1000, 2, trotter.R_MAX, 5, 1]
     terms = trotter.random_instance(n, num_terms, seed=n + num_terms)
     stack = trotter.product_formulas([term.coeff for term in terms],
