@@ -154,11 +154,13 @@ def _check(cond: bool, name: str, detail: str) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # most cells; np.float64 subclasses float
+        return f"{value:.17g}"
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return f"{float(value):.17g}"
     return str(value)
 
@@ -324,14 +326,14 @@ def _cmd_train_cqp(cfg):
     sample = cqp.TrainingSample(x_coeffs, cfg["beta"])
     records = cqp.train(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
     for prev, cur in itertools.pairwise(records):
-        _check(cur.fidelity >= prev.fidelity - 1e-12, "train-monotone",
-               f"iteration {cur.iteration}: fidelity fell "
-               f"{prev.fidelity!r} -> {cur.fidelity!r}")
+        if not cur.fidelity >= prev.fidelity - 1e-12:  # detail only for the first fall
+            raise CheckFailure("train-monotone", f"iteration {cur.iteration}: fidelity fell "
+                               f"{prev.fidelity!r} -> {cur.fidelity!r}")
     final = records[-1].fidelity
     _check(final >= cfg["require_fidelity"], "train-converged",
            f"final fidelity {final:.6f} < {cfg['require_fidelity']}")
     header = ["iteration", "fidelity"] + [f"theta_{j}" for j in range(2 * n)]
-    rows = [[rec.iteration, rec.fidelity, *rec.theta] for rec in records]
+    rows = [[rec.iteration, rec.fidelity, *rec.theta.tolist()] for rec in records]
     return header, rows, [f"train-cqp: n={n}, {cfg['iterations']} iterations, "
                           f"fidelity {records[0].fidelity:.6f} -> {final:.6f}"]
 

@@ -11,7 +11,10 @@ below; any other sum goes through the general linalg.expm_i.
 encode and the activations work on stacks: coefficients of shape (..., m)
 give states (..., d).  forward takes one input state and a stack of weight
 states (..., d), and gives angles (...) and output states (..., d).  Every
-guard applies to each row; one vector is a stack of shape ().
+guard applies to each row; one vector is a stack of shape ().  encode and
+forward each check the call (row length; one input state), then run a row
+kernel holding the formula and the per-row guards (finite coefficients;
+activation output in [-1, 1]).
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -27,8 +30,10 @@ over it.
 
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
-Each iteration scores theta and its 2m neighbours theta +- h*e_j as one
-(2m + 1, m) stack through a single encode and forward pass.
+train checks its inputs and computes conj(x), the target state and the
+output blade's column once per run; each iteration then scores theta and
+its 2m neighbours theta +- h*e_j as one (2m + 1, m) stack through the two
+row kernels.
 """
 from __future__ import annotations
 
@@ -40,11 +45,14 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import Blade, anticommutation_matrix
+from .clifford import _GENERATORS, Blade, _read_only, anticommutation_matrix
 from .simulator import basis_state, inner
 
 _ACT_RANGE_SLACK = 1e-12
 FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
+
+# |0..0> per dimension d of every register a Blade allows, shared read-only
+_GROUND = {2 ** n: _read_only(basis_state(n, 0)) for n in _GENERATORS}
 
 
 class Activation(enum.Enum):
@@ -103,16 +111,32 @@ class PerceptronConfig:
         return np.stack([b.dense() for b in self.active_blades])
 
     @cached_property
+    def _blade_columns(self) -> np.ndarray:  # column 0 of every blade, (m, d)
+        return self._blade_stack[:, :, 0]
+
+    @cached_property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
         anti = anticommutation_matrix([b.indices for b in self.active_blades])
         return bool((anti | np.eye(len(anti), dtype=bool)).all())
 
 
-def _rotate_ground(n: int, column0: np.ndarray, angle) -> np.ndarray:
+def _rotate_ground(column0: np.ndarray, angle) -> np.ndarray:
     """exp(i*angle*H)|0..0> = cos(angle)|0..0> + i sin(angle) H|0..0> for an
     involution H whose first column is column0 (..., d), per angle (...)."""
     a = np.asarray(angle)[..., None]
-    return np.cos(a) * basis_state(n, 0) + 1j * np.sin(a) * column0
+    return np.cos(a) * _GROUND[column0.shape[-1]] + 1j * np.sin(a) * column0
+
+
+def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
+    """encode's row kernel: the states of the coefficient rows c (..., m),
+    each of which must be finite."""
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    if not config._anticommuting:
+        return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
+    norm = np.hypot.reduce(c, axis=-1)  # finite wherever c is; sum(c^2) may overflow
+    unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
+    return _rotate_ground(unit @ config._blade_columns, norm)
 
 
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
@@ -122,34 +146,40 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     m = len(config.active_blades)
     if c.ndim == 0 or c.shape[-1] != m:
         raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("coefficients must be finite")
-    if not config._anticommuting:
-        return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
-    norm = np.hypot.reduce(c, axis=-1)  # finite wherever c is; sum(c^2) may overflow
-    unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
-    return _rotate_ground(config.n, unit @ config._blade_stack[:, :, 0], norm)
+    return _encode_rows(config, c)
+
+
+def _one_state(x) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ValueError(f"x must be one state of shape (d,), got {x.shape}")
+    return x
+
+
+def _forward_rows(x_conj: np.ndarray, w: np.ndarray, activation: Activation,
+                  column0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward's row kernel, given conj(x) and column 0 of the output blade;
+    every row's activation output must lie in [-1, 1]."""
+    v = activation.apply((w @ x_conj).real)
+    out_of_range = np.abs(v) > 1.0 + _ACT_RANGE_SLACK
+    if out_of_range.any():
+        raise ValueError(f"activation output {float(np.asarray(v)[out_of_range][0])!r} "
+                         f"is outside [-1, 1]; arccos undefined")
+    phi = np.arccos(Activation.CLAMP.apply(v))
+    return phi, _rotate_ground(column0, phi)
 
 
 def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
     """Perceptron forward pass of one input state x (d,) against weight states
     w (..., d): returns (phi (...), output states (..., d)), with
     phi = arccos(activation(Re<x|w>))."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ValueError(f"x must be one state of shape (d,), got {x.shape}")
-    v = activation.apply((np.asarray(w) @ np.conj(x)).real)
-    out_of_range = np.abs(v) > 1.0 + _ACT_RANGE_SLACK
-    if out_of_range.any():
-        raise ValueError(f"activation output {float(np.asarray(v)[out_of_range][0])!r} "
-                         f"is outside [-1, 1]; arccos undefined")
-    phi = np.arccos(Activation.CLAMP.apply(v))
-    return phi, _rotate_ground(output_blade.n, output_blade.dense()[:, 0], phi)
+    return _forward_rows(np.conj(_one_state(x)), np.asarray(w), activation,
+                         output_blade.dense()[:, 0])
 
 
 def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
     """Reference state rotated opposite to the output rotation."""
-    return _rotate_ground(output_blade.n, output_blade.dense()[:, 0], -target_angle)
+    return _rotate_ground(output_blade.dense()[:, 0], -target_angle)
 
 
 def fidelity(y, target_angle: float, output_blade: Blade) -> float:
@@ -183,8 +213,9 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     """Gradient ascent on the fidelity; one record per iteration, initial included.
 
     Each iteration scores the (2m + 1, m) stack [theta, theta + fd_step*e_j,
-    theta - fd_step*e_j] in one pass: row 0 is the record's fidelity and the
-    other rows give the central-difference gradient.
+    theta - fd_step*e_j] in one pass through the row kernels of encode and
+    forward: row 0 is the record's fidelity and the other rows give the
+    central-difference gradient.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -194,11 +225,12 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     m = len(config.active_blades)
     if theta.shape != (m,):
         raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
-    x = encode(config, sample.input_coeffs)
+    x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
+    activation, column0 = config.activation, config.output_blade.dense()[:, 0]
 
     def score(thetas: np.ndarray) -> np.ndarray:
-        _, y = forward(x, encode(config, thetas), config.activation, config.output_blade)
+        _, y = _forward_rows(x_conj, _encode_rows(config, thetas), activation, column0)
         return np.minimum(np.abs(y @ ref), 1.0)
 
     bumps = fd_step * np.eye(m)
@@ -206,14 +238,14 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     records = []
     for k in range(iterations):
         f = score(theta + offsets)
-        records.append(TrainRecord(k, theta.copy(), float(f[0])))
+        records.append(TrainRecord(k, theta, float(f[0])))  # theta is rebound, never written
         grad = (f[1:m + 1] - f[m + 1:]) / (2.0 * fd_step)
-        bad = np.flatnonzero(~np.isfinite(grad))
-        if bad.size:
+        if not np.isfinite(grad).all():
             raise ValueError(f"non-finite finite-difference gradient at component "
-                             f"{bad[0]} (activation kink or overflow)")
+                             f"{np.flatnonzero(~np.isfinite(grad))[0]} "
+                             f"(activation kink or overflow)")
         theta = theta + config.eta * grad
-    records.append(TrainRecord(iterations, theta.copy(), float(score(theta))))
+    records.append(TrainRecord(iterations, theta, float(score(theta))))
     return records
 
 

@@ -153,15 +153,13 @@ def error_sweep(terms: Sequence[HamiltonianTerm], t: float,
     """Reports over an r grid in one stacked pass: the blades built once, one
     exact evolution, one product_formulas call for every r and one stacked
     spectral norm; the bounds come from `bounds`, one call per r."""
-    if any(r < 1 for r in rs):
-        raise ValueError(f"need every r >= 1, got {list(rs)}")
-    rs = [int(r) for r in rs]
     coeffs, blades = _term_stack(terms)
     exact = linalg.expm_i(_hamiltonian(coeffs, blades), -t)
+    # product_formulas checks that every r is an integer >= 1
     errors = linalg.spectral_norm(exact - product_formulas(coeffs, blades, t, rs))
     omega = noncommuting_pair_count(terms)
     return [TrotterReport(r, t, measured, *bounds(terms, t, r, omega), omega)
-            for r, measured in zip(rs, errors.tolist())]
+            for r, measured in zip(map(operator.index, rs), errors.tolist())]
 
 
 def random_instance(n: int, num_terms: int, seed: int) -> list[HamiltonianTerm]:

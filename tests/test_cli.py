@@ -254,6 +254,48 @@ def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
     assert not out.exists()
 
 
+def test_train_monotone_names_the_first_fall_only(tmp_path, capsys, monkeypatch):
+    """The whole FAIL line of the train-monotone case above: the first pair
+    whose fidelity falls, with both fidelities as reprs, and nothing else."""
+    seen = []
+    real = cqp.train
+
+    def reversed_train(*args):
+        seen[:] = real(*args)[::-1]
+        return seen
+
+    monkeypatch.setattr(cqp, "train", reversed_train)
+    out = tmp_path / "r.csv"
+    assert _run("train-cqp", out) == 1
+    falls = [(prev, cur) for prev, cur in itertools.pairwise(seen)
+             if cur.fidelity < prev.fidelity - 1e-12]
+    assert len(falls) > 1
+    prev, cur = falls[0]
+    assert capsys.readouterr().out == (
+        f"FAIL train-monotone (iteration {cur.iteration}: fidelity fell "
+        f"{prev.fidelity!r} -> {cur.fidelity!r})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.10000000000000001"),
+    (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (float("nan"), "nan"),
+    (float("-inf"), "-inf"),
+    (np.float64(-2.5e-17), "-2.4999999999999999e-17"),
+    (np.float32(0.1), "0.10000000149011612"),
+    (True, "1"),
+    (np.bool_(False), "0"),
+    (-3, "-3"),
+    (np.int64(2 ** 62), "4611686018427387904"),
+    (1 - 2j, "(1-2j)"),
+    ("abc", "abc"),
+])
+def test_report_cell_format(value, text):
+    assert cli._fmt(value) == text
+
+
 @pytest.mark.parametrize("argv", [
     *(["gqft-distance", "--n", str(n), "--thetas", "0"] for n in (1, 2, 3, 4)),
     ["trotter-sweep", "--t", "0.000001", "--rs", "1000"],

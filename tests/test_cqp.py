@@ -1,4 +1,5 @@
 """Perceptron encode/forward/train tests with closed-form oracles."""
+import dataclasses
 import math
 
 import numpy as np
@@ -284,16 +285,64 @@ def test_one_training_step_matches_a_scalar_oracle(config):
         _oracle_fidelity(config, sample, theta0), abs=1e-12)
 
 
+def _reference_train(config, sample, theta0, iterations, fd_step):
+    """train as a loop over the public encode and forward: one (2m + 1, m)
+    stack per iteration, everything else recomputed on every call."""
+    m = len(config.active_blades)
+    x = cqp.encode(config, sample.input_coeffs)
+    ref = np.conj(cqp.target_state(config.output_blade, sample.target_angle))
+
+    def score(thetas):
+        _, y = cqp.forward(x, cqp.encode(config, thetas), config.activation,
+                           config.output_blade)
+        return np.minimum(np.abs(y @ ref), 1.0)
+
+    bumps = fd_step * np.eye(m)
+    offsets = np.concatenate([np.zeros((1, m)), bumps, -bumps])
+    theta = np.asarray(theta0, dtype=float).copy()
+    records = []
+    for k in range(iterations):
+        f = score(theta + offsets)
+        records.append((k, theta.copy(), float(f[0])))
+        grad = (f[1:m + 1] - f[m + 1:]) / (2.0 * fd_step)
+        theta = theta + config.eta * grad
+    records.append((iterations, theta.copy(), float(score(theta))))
+    return records
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("config", [
+    PerceptronConfig.type_ii(1, eta=0.3),
+    PerceptronConfig.type_ii(2, eta=0.2),
+    PerceptronConfig.type_ii(2, output_index=3, eta=0.2),
+    PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), eta=0.5),  # the expm_i route
+], ids=["ii-n1", "ii-n2", "ii-n2-out3", "i-commuting"])
+def test_train_equals_a_loop_over_encode_and_forward(config, activation):
+    config = dataclasses.replace(config, activation=activation)
+    m = len(config.active_blades)
+    rng = np.random.default_rng(110 + m)
+    sample = TrainingSample(rng.uniform(0.1, 0.6, m), 0.7)
+    theta0 = rng.uniform(0.0, 0.5, m)
+    got = cqp.train(config, sample, theta0, iterations=25, fd_step=2e-5)
+    want = _reference_train(config, sample, theta0, 25, 2e-5)
+    assert len(got) == len(want) == 26
+    assert len({rec.theta.tobytes() for rec in got}) > 1  # training moved theta
+    for rec, (k, theta, fid) in zip(got, want):
+        assert rec.iteration == k
+        assert rec.theta.tobytes() == theta.tobytes()
+        assert rec.fidelity == fid
+
+
 def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
     config, sample, theta0 = _toy_task(2)
     shapes = []
-    encode = cqp.encode
+    encode_rows = cqp._encode_rows
 
-    def counting_encode(cfg, coeffs):
+    def counting_encode_rows(cfg, coeffs):
         shapes.append(np.shape(coeffs))
-        return encode(cfg, coeffs)
+        return encode_rows(cfg, coeffs)
 
-    monkeypatch.setattr(cqp, "encode", counting_encode)
+    monkeypatch.setattr(cqp, "_encode_rows", counting_encode_rows)
     cqp.train(config, sample, theta0, iterations=4)
     # the input, one (2m + 1, m) stack per iteration, then the final theta
     assert shapes == [(2,)] + [(5, 2)] * 4 + [(2,)]
@@ -302,16 +351,16 @@ def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
 @pytest.mark.parametrize("component", [0, 1])
 def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
     config, sample, theta0 = _toy_task(4)
-    forward = cqp.forward
+    forward_rows = cqp._forward_rows
 
-    def nan_neighbour(x, w, activation, output_blade):
-        phi, y = forward(x, w, activation, output_blade)
+    def nan_neighbour(x_conj, w, activation, column0):
+        phi, y = forward_rows(x_conj, w, activation, column0)
         if y.ndim == 2:
             y = y.copy()
             y[1 + component] = np.nan  # the score of theta + h*e_component
         return phi, y
 
-    monkeypatch.setattr(cqp, "forward", nan_neighbour)
+    monkeypatch.setattr(cqp, "_forward_rows", nan_neighbour)
     with pytest.raises(ValueError, match=f"gradient at component {component} "):
         cqp.train(config, sample, theta0, iterations=2)
 

@@ -168,3 +168,10 @@ def test_error_sweep_edge_cases():
     assert trotter.error_sweep(trotter.random_instance(2, 4, seed=4), 1.3, []) == []
     with pytest.raises(ValueError, match="r >= 1"):
         trotter.error_sweep([X_TERM], 1.0, [2, 0])
+    terms = trotter.random_instance(1, 2, 0)
+    with pytest.raises(ValueError, match="r >= 1"):
+        trotter.error_sweep(terms, 1.0, [0])
+    with pytest.raises(TypeError):  # as product_formula does; r = 2.5 is not run as 2
+        trotter.error_sweep(terms, 1.0, [2.5])
+    reports = trotter.error_sweep(terms, 1.0, np.array([3, 1]))
+    assert [(rep.r, type(rep.r)) for rep in reports] == [(3, int), (1, int)]
