@@ -252,6 +252,83 @@ def test_omega_count_dense_working_memory():
     assert peak < 2 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("tile", [clifford._TILE, 3, None])
+@pytest.mark.parametrize("k, d", [(7, 2), (7, 8), (13, 2), (13, 8)])
+def test_pair_products_match_a_double_loop(k, d, tile):
+    """Every yielded A_i A_j and A_j A_i of a non-Hermitian stack whose
+    length is not a multiple of the tile, against explicit products: a
+    BA = (AB)^dag shortcut or an off-by-one at a tile edge fails here."""
+    rng = np.random.default_rng(31 * k + d)
+    mats = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    tile = k if tile is None else tile
+    tiles = list(clifford._pair_products(mats, tile))
+    assert len(tiles) == -(-k // tile)
+    for i, (ab, ba) in zip(range(0, k, tile), tiles):
+        t = min(tile, k - i)
+        assert ab.shape == ba.shape == (t, d, k - i, d)
+        for r, j in itertools.product(range(t), range(k - i)):
+            a, b = mats[i + r], mats[i + j]
+            np.testing.assert_allclose(ab[r, :, j, :], a @ b, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(ba[r, :, j, :], b @ a, rtol=0, atol=1e-13)
+
+
+def test_omega_count_dense_on_a_mixed_stack(monkeypatch):
+    """Diagonal matrices and Pauli words, interleaved so that commuting and
+    non-commuting pairs straddle tile boundaries, against the per-pair loop."""
+    rng = np.random.default_rng(12)
+    words = [w.dense() for w in clifford.pauli_word_basis(2)]
+    mats = []
+    for w in words[1:12]:
+        mats += [np.diag(rng.normal(size=4) + 0j), w]
+    mats = np.array(mats[:-1])  # 21 matrices: odd, so the last tile is short
+    monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
+    want = sum(1 for a, b in itertools.combinations(mats, 2)
+               if np.linalg.norm(a @ b - b @ a) > 1e-9)
+    assert 0 < want < len(mats) * (len(mats) - 1) // 2
+    assert clifford.omega_count_dense(2) == want
+
+
+def _scaled(gens):
+    return gens[:-1] + (1.5 * gens[-1],)
+
+
+def _rotated(gens):
+    return (np.cos(0.1) * gens[0] + np.sin(0.1) * gens[1],) + gens[1:]
+
+
+def _noisy(gens):
+    rng = np.random.default_rng(4)
+    d = len(gens[0])
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (gens[0], gens[1] + 1e-3 * noise, *gens[2:])
+
+
+@pytest.mark.parametrize("perturb", [_scaled, _rotated, _noisy])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_relation_defect_matches_the_pair_loop(monkeypatch, n, perturb):
+    """Scaling moves only the a == b relations and a rotation only the
+    a < b ones, so dropping either half of the triangle fails here."""
+    stack = clifford._basis_stack(n)
+    gens = perturb(clifford._GENERATORS[n])
+    monkeypatch.setitem(clifford._GENERATORS, n, gens)
+    monkeypatch.setattr(clifford, "_basis_stack", lambda n: stack)
+    eye = np.eye(2 ** n)
+    want = max(linalg.frobenius_norm(ga @ gb + gb @ ga - (2.0 * eye if a == b else 0.0))
+               for (a, ga), (b, gb) in itertools.combinations_with_replacement(
+                   enumerate(gens), 2))
+    assert want > 1e-3
+    got = clifford.basis_report(n).max_generator_relation_defect
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_gram_rank_takes_a_list_or_a_stack_and_rejects_ragged_input():
+    mats = [w.dense() for w in clifford.pauli_word_basis(1)]
+    assert clifford.gram_rank(mats) == clifford.gram_rank(np.array(mats)) == 4
+    assert clifford.gram_rank(mats + [mats[1] + mats[2]]) == 4
+    with pytest.raises(ValueError):
+        clifford.gram_rank([np.eye(2), np.eye(3)])
+
+
 def test_pauli_word_basis():
     words = clifford.pauli_word_basis(1)
     assert [w.letters for w in words] == [("I",), ("X",), ("Y",), ("Z",)]
