@@ -147,12 +147,17 @@ def blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
     return m
 
 
+def _basis_indices(n: int) -> list[tuple[int, ...]]:
+    """The index sets of hermitian_basis(n), in its order."""
+    return [idx for grade in range(2 * n + 1)
+            for idx in itertools.combinations(range(2 * n), grade)]
+
+
 def hermitian_basis(n: int) -> list[Blade]:
     """All 4^n blades, grade-major, index-lexicographic inside each grade."""
     if not 1 <= n <= 4:
         raise ValueError(f"need 1 <= n <= 4, got n={n}")
-    return [Blade(n, idx) for grade in range(2 * n + 1)
-            for idx in itertools.combinations(range(2 * n), grade)]
+    return [Blade(n, idx) for idx in _basis_indices(n)]
 
 
 def pauli_word_basis(n: int) -> list[PauliString]:
@@ -217,7 +222,7 @@ def omega_count(n: int) -> int:
     """Number of unordered non-commuting basis pairs, by the parity rule."""
     if not 1 <= n <= 3:
         raise ValueError(f"need 1 <= n <= 3, got n={n}")
-    anti = anticommutation_matrix([b.indices for b in hermitian_basis(n)])
+    anti = anticommutation_matrix(_basis_indices(n))
     return int(np.triu(anti, 1).sum())
 
 

@@ -4,17 +4,18 @@ States are prepared by exponentiating real combinations of Hermitian
 blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses the 2n
 single-generator blades; a Type I unit may use any explicit blade list.
 When the active blades pairwise anticommute (always so for Type II), the
-sum squares to |c|^2 I, so the state is cos|c| |0..0> + i sin|c| (c.B/|c|)
-|0..0>, read off column 0 of the blades, as is every single-blade rotation
-below; any other sum goes through the general linalg.expm_i.
+sum squares to |c|^2 I, so the state is sin|c| (c.iB/|c|)|0..0> with cos|c|
+added to entry 0, where iB|0..0> is column 0 of the blades times i, cached
+per config; every single-blade rotation below takes the same form, and any
+other sum goes through the general linalg.expm_i.
 
 encode and the activations work on stacks: coefficients of shape (..., m)
 give states (..., d).  forward takes one input state and a stack of weight
 states (..., d), and gives angles (...) and output states (..., d).  Every
 guard applies to each row; one vector is a stack of shape ().  encode and
 forward each check the call (row length; one input state), then run a row
-kernel holding the formula and the per-row guards (finite coefficients;
-activation output in [-1, 1]).
+kernel holding the formula and the per-row guards (finite coefficients
+with a finite norm; activation output in [-1, 1], so never NaN).
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -30,8 +31,8 @@ over it.
 
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
-train checks its inputs and computes conj(x), the target state and the
-output blade's column once per run; each iteration then scores theta and
+train checks its inputs and computes conj(x), the target state and i times
+the output blade's column once per run; each iteration then scores theta and
 its 2m neighbours theta +- h*e_j as one (2m + 1, m) stack through the two
 row kernels.
 """
@@ -45,14 +46,11 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import _GENERATORS, Blade, _read_only, anticommutation_matrix
-from .simulator import basis_state, inner
+from .clifford import Blade, anticommutation_matrix, blade_products
+from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
 _ACT_RANGE_SLACK = 1e-12
 FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
-
-# |0..0> per dimension d of every register a Blade allows, shared read-only
-_GROUND = {2 ** n: _read_only(basis_state(n, 0)) for n in _GENERATORS}
 
 
 class Activation(enum.Enum):
@@ -108,11 +106,11 @@ class PerceptronConfig:
 
     @cached_property
     def _blade_stack(self) -> np.ndarray:
-        return np.stack([b.dense() for b in self.active_blades])
+        return blade_products(self.n, self.active_blades)
 
     @cached_property
-    def _blade_columns(self) -> np.ndarray:  # column 0 of every blade, (m, d)
-        return self._blade_stack[:, :, 0]
+    def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
+        return 1j * self._blade_stack[:, :, 0]
 
     @cached_property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
@@ -120,23 +118,27 @@ class PerceptronConfig:
         return bool((anti | np.eye(len(anti), dtype=bool)).all())
 
 
-def _rotate_ground(column0: np.ndarray, angle) -> np.ndarray:
-    """exp(i*angle*H)|0..0> = cos(angle)|0..0> + i sin(angle) H|0..0> for an
-    involution H whose first column is column0 (..., d), per angle (...)."""
-    a = np.asarray(angle)[..., None]
-    return np.cos(a) * _GROUND[column0.shape[-1]] + 1j * np.sin(a) * column0
+def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
+    """exp(i*angle*H)|0..0> = cos(angle)|0..0> + sin(angle) iH|0..0> for an
+    involution H, given icol = iH|0..0> (..., d), per angle (...)."""
+    out = np.sin(angle)[..., None] * icol
+    out[..., 0] += np.cos(angle)
+    return out
 
 
 def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
     """encode's row kernel: the states of the coefficient rows c (..., m),
-    each of which must be finite."""
-    if not np.isfinite(c).all():
-        raise ValueError("coefficients must be finite")
+    each of which must be finite, with a finite norm."""
     if not config._anticommuting:
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
-    norm = np.hypot.reduce(c, axis=-1)  # finite wherever c is; sum(c^2) may overflow
+    norm = np.hypot.reduce(c, axis=-1)  # overflows only if the norm does, unlike sum(c^2)
+    if not np.isfinite(norm).all():
+        raise ValueError("coefficients must be finite" if not np.isfinite(c).all()
+                         else "coefficient norm overflows float64")
     unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
-    return _rotate_ground(unit @ config._blade_columns, norm)
+    return _rotate_ground(unit @ config._i_blade_columns, norm)
 
 
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
@@ -157,16 +159,16 @@ def _one_state(x) -> np.ndarray:
 
 
 def _forward_rows(x_conj: np.ndarray, w: np.ndarray, activation: Activation,
-                  column0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """forward's row kernel, given conj(x) and column 0 of the output blade;
-    every row's activation output must lie in [-1, 1]."""
+                  icol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """forward's row kernel, given conj(x) and i times column 0 of the output
+    blade; every row's activation output must lie in [-1, 1] (NaN does not)."""
     v = activation.apply((w @ x_conj).real)
-    out_of_range = np.abs(v) > 1.0 + _ACT_RANGE_SLACK
-    if out_of_range.any():
-        raise ValueError(f"activation output {float(np.asarray(v)[out_of_range][0])!r} "
+    if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
+        bad = np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0]
+        raise ValueError(f"activation output {float(bad)!r} "
                          f"is outside [-1, 1]; arccos undefined")
     phi = np.arccos(Activation.CLAMP.apply(v))
-    return phi, _rotate_ground(column0, phi)
+    return phi, _rotate_ground(icol, phi)
 
 
 def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
@@ -174,12 +176,12 @@ def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarr
     w (..., d): returns (phi (...), output states (..., d)), with
     phi = arccos(activation(Re<x|w>))."""
     return _forward_rows(np.conj(_one_state(x)), np.asarray(w), activation,
-                         output_blade.dense()[:, 0])
+                         1j * output_blade.dense()[:, 0])
 
 
 def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
     """Reference state rotated opposite to the output rotation."""
-    return _rotate_ground(output_blade.dense()[:, 0], -target_angle)
+    return _rotate_ground(1j * output_blade.dense()[:, 0], -target_angle)
 
 
 def fidelity(y, target_angle: float, output_blade: Blade) -> float:
@@ -227,10 +229,10 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
         raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
-    activation, column0 = config.activation, config.output_blade.dense()[:, 0]
+    activation, icol = config.activation, 1j * config.output_blade.dense()[:, 0]
 
     def score(thetas: np.ndarray) -> np.ndarray:
-        _, y = _forward_rows(x_conj, _encode_rows(config, thetas), activation, column0)
+        _, y = _forward_rows(x_conj, _encode_rows(config, thetas), activation, icol)
         return np.minimum(np.abs(y @ ref), 1.0)
 
     bumps = fd_step * np.eye(m)

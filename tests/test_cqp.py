@@ -125,6 +125,60 @@ def test_encode_does_not_overflow_the_norm():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("activation", list(Activation))
+def test_nan_weight_row_fails_the_activation_guard(activation):
+    x = simulator.basis_state(1, 0)
+    for w in (np.array([np.nan, 0j]), np.array([x, [np.nan, 0j]])):
+        with pytest.raises(ValueError, match="activation output nan is outside"):
+            cqp.forward(x, w, activation, Blade(1, (0,)))
+
+
+@pytest.mark.parametrize("config", [_STACK_CONFIGS[0], _STACK_CONFIGS[3]])
+def test_encode_rejects_an_overflowing_norm(config):
+    coeffs = np.zeros((2, len(config.active_blades)))
+    coeffs[1, :2] = 1.5e308  # finite coefficients whose norm is not
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
+        cqp.encode(config, coeffs)
+    coeffs[1, 0] = np.inf
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        cqp.encode(config, coeffs)
+
+
+_ANGLES = [0.0, np.pi, -np.pi, 1e6, -0.7, np.array([0.0, np.pi, -np.pi, 1e6, -0.7])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_in_place_rotation_equals_the_two_term_formula(n):
+    e0 = simulator.basis_state(n, 0)
+    columns = [Blade(n, (a,)).dense()[:, 0] for a in range(2 * n)]
+    for col in [*columns, np.stack(columns[:1] * 5)]:  # a stack of 5 columns too
+        for angle in _ANGLES:
+            a = np.asarray(angle)[..., None]
+            want = np.cos(a) * e0 + 1j * np.sin(a) * col
+            assert np.array_equal(cqp._rotate_ground(1j * col, angle), want)
+
+
+def test_anticommuting_type_i_encode_equals_the_two_term_formula():
+    config = _STACK_CONFIGS[3]
+    assert config._anticommuting
+    e0 = simulator.basis_state(config.n, 0)
+    rng = np.random.default_rng(120)
+    for norm in _ANGLES:
+        unit = rng.normal(size=np.shape(norm) + (3,))
+        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+        a = np.asarray(norm)[..., None]
+        want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ config._blade_stack[:, :, 0])
+        got = cqp._rotate_ground(unit @ config._i_blade_columns, norm)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("config", [
+    *(PerceptronConfig.type_ii(n) for n in (1, 2, 3, 4)), *_STACK_CONFIGS[3:]])
+def test_blade_stack_equals_the_stacked_blade_matrices(config):
+    want = np.stack([b.dense() for b in config.active_blades])
+    assert np.array_equal(config._blade_stack, want)
+
+
 def test_activation_apply_is_elementwise():
     u = np.array([[-3.0, -0.5], [0.0, 2.5]])
     for act in Activation:
