@@ -12,11 +12,13 @@ zeta*(zeta-1)/2 is odd (zeta = number of factors), i.e. zeta = 2, 3 mod 4.
 A blade's matrix is omega times the dense product of its generator
 matrices, which are built once at import; one blade, a term list and the
 whole basis share one construction (blade_products), a masked stacked
-product per generator.  Pauli-word matrices are monomial
-with entries in {0, +-1, +-i}, so every such product is exact in floating
-point: construction certifies B = B^dag by exact equality and aborts
-otherwise rather than flipping the factor.  Matrices put qubit 1 on the
-most significant bit.
+product per generator.  Pauli-word matrices are monomial with entries in
+{0, +-1, +-i}, so every such product is exact in floating point:
+construction certifies B = B^dag by exact equality and aborts otherwise
+rather than flipping the factor.  Matrices put qubit 1 on the most
+significant bit.  The whole basis stack (_basis_stack) is built once per n,
+at import for n <= 3; the basis report and the dense commutator count read
+it and run every check again in every call.
 
 Two blades commute or anticommute.  Anticommuting basis pairs are counted
 two ways that share no code: the parity rule on index sets, for all pairs
@@ -176,9 +178,19 @@ class BasisReport(NamedTuple):
     gram_rank: int
 
 
+@functools.cache
 def _basis_stack(n: int) -> np.ndarray:
-    """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d)."""
-    return blade_products(n, hermitian_basis(n))
+    """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d).
+
+    A constant of n, built once per process and read-only; every caller
+    shares it.  A bad n raises on every call, since exceptions are not cached."""
+    return _read_only(blade_products(n, hermitian_basis(n)))
+
+
+# verify-basis and omega-count accept n = 1..3: build those stacks at import,
+# as _GENERATORS is, so that no job pays (or traces) their construction.
+for _n in range(1, 4):
+    _basis_stack(_n)
 
 
 def basis_report(n: int) -> BasisReport:
@@ -226,7 +238,7 @@ def omega_count(n: int) -> int:
     return int(np.triu(anti, 1).sum())
 
 
-# Rows per tile of _pair_products: omega_count_dense(3) peaks at 0.65 MB (4: 1.15).
+# Rows per tile of _pair_products: omega_count_dense(3) peaks at 0.59 MB (4: 1.09).
 _TILE = 2
 
 
@@ -260,7 +272,10 @@ def omega_count_dense(n: int) -> int:
 
 def gram_rank(mats: Sequence[np.ndarray]) -> int:
     """Rank of the Gram matrix of vectorized matrices (linear independence): its
-    eigenvalues, the squared singular values of the stack, above 1e-8*max(1, largest)."""
+    eigenvalues, the squared singular values of the stack, above 1e-8*max(1, largest).
+    No matrices have rank 0."""
+    if len(mats) == 0:
+        return 0
     vecs = np.asarray(mats).reshape(len(mats), -1)
     w = np.linalg.svd(vecs, compute_uv=False) ** 2
     return int(np.sum(w > 1e-8 * max(1.0, float(w[0]))))

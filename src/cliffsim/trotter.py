@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import Blade, anticommutation_matrix, blade_products
+from .clifford import Blade, _basis_indices, anticommutation_matrix, blade_products
 
 # Largest step count worth measuring.  In doubles the measured error has a
 # floor near 6e-9 * |t| (on a two-term instance at t = 1 and r = 1e9 it is
@@ -165,14 +165,14 @@ def error_sweep(terms: Sequence[HamiltonianTerm], t: float,
 def random_instance(n: int, num_terms: int, seed: int) -> list[HamiltonianTerm]:
     """Seeded term list over distinct non-identity blades, coefficients in
     +-[0.2, 1.0] (bounded away from zero so instances stay non-degenerate)."""
-    from .clifford import hermitian_basis
-
-    pool = [b for b in hermitian_basis(n) if b.indices]
+    if not 1 <= n <= 4:
+        raise ValueError(f"need 1 <= n <= 4, got n={n}")
+    pool = _basis_indices(n)[1:]  # every non-identity index set
     if not 1 <= num_terms <= len(pool):
         raise ValueError(f"num_terms must be in 1..{len(pool)} for n={n}, got {num_terms}")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(pool), size=num_terms, replace=False)
     signs = rng.choice([-1.0, 1.0], size=num_terms)
     mags = rng.uniform(0.2, 1.0, size=num_terms)
-    return [HamiltonianTerm(float(signs[i] * mags[i]), pool[int(picks[i])])
+    return [HamiltonianTerm(float(signs[i] * mags[i]), Blade(n, pool[int(picks[i])]))
             for i in range(num_terms)]

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cliffsim import clifford, linalg
+from cliffsim import cli, clifford, linalg
 from cliffsim.clifford import Blade, gamma
 
 I2 = np.eye(2, dtype=complex)
@@ -89,6 +89,42 @@ def test_basis_stack_equals_the_blades_exactly(n):
         assert np.array_equal(m, b.omega * prod), b.indices
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_stack_is_built_once_and_read_only(n):
+    stack = clifford._basis_stack(n)
+    assert clifford._basis_stack(n) is stack
+    assert not stack.flags.writeable
+    fresh = clifford.blade_products(n, clifford.hermitian_basis(n))
+    assert stack.shape == fresh.shape and stack.tobytes() == fresh.tobytes()
+
+
+def test_basis_commands_build_no_blades(monkeypatch, tmp_path):
+    """verify-basis and omega-count read the stacks built at import: a job
+    makes no hermitian_basis or blade_products call."""
+    calls = []
+
+    def counted(name):
+        real = getattr(clifford, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("blade_products", "hermitian_basis"):
+        monkeypatch.setattr(clifford, name, counted(name))
+    for command in ("verify-basis", "omega-count"):
+        assert cli.main([command, "--n", "3", "--out", str(tmp_path / f"{command}.csv")]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_basis_report_rejects_bad_n_on_every_call(n):
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            clifford.basis_report(n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_blades_are_exactly_hermitian_involutions(n):
     eye = np.eye(2 ** n)
@@ -133,7 +169,7 @@ def test_generator_matrices_are_shared_and_read_only():
         Blade(5, ())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_basis_report(n):
     rep = clifford.basis_report(n)
     assert (rep.n, rep.blade_count, rep.gram_rank) == (n, 4 ** n, 4 ** n)
@@ -327,6 +363,7 @@ def test_gram_rank_takes_a_list_or_a_stack_and_rejects_ragged_input():
     assert clifford.gram_rank(mats + [mats[1] + mats[2]]) == 4
     with pytest.raises(ValueError):
         clifford.gram_rank([np.eye(2), np.eye(3)])
+    assert clifford.gram_rank([]) == 0  # no vectors
 
 
 def test_pauli_word_basis():

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cliffsim import linalg, trotter
+from cliffsim import clifford, linalg, trotter
 from cliffsim.clifford import Blade
 from cliffsim.trotter import HamiltonianTerm
 
@@ -119,6 +119,24 @@ def test_random_instance_properties():
     assert len(set(blades)) == 4
     assert all(term.blade.indices for term in terms)  # identity excluded
     assert all(0.2 <= abs(term.coeff) <= 1.0 for term in terms)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_instance_matches_the_built_blade_pool(n):
+    """Picking index sets gives, draw for draw, the terms that picking from
+    every built non-identity blade of hermitian_basis gave."""
+    pool = [b for b in clifford.hermitian_basis(n) if b.indices]
+    for num_terms, seed in itertools.product(range(1, len(pool) + 1), range(10)):
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(len(pool), size=num_terms, replace=False)
+        signs = rng.choice([-1.0, 1.0], size=num_terms)
+        mags = rng.uniform(0.2, 1.0, size=num_terms)
+        want = [HamiltonianTerm(float(signs[i] * mags[i]), pool[int(picks[i])])
+                for i in range(num_terms)]
+        assert trotter.random_instance(n, num_terms, seed) == want
+    for bad_n in (0, 5):
+        with pytest.raises(ValueError, match="1 <= n <= 4"):
+            trotter.random_instance(bad_n, 1, 0)
 
 
 def test_report_fields_consistent():
