@@ -257,7 +257,7 @@ def _cmd_trotter_sweep(cfg):
              "t, rs", "must keep every Trotter bound finite")
     rows = []
     for rep in trotter.error_sweep(terms, t, cfg["rs"]):
-        # roundoff of product_formula: a step multiplies L rounded 2^n x 2^n
+        # roundoff of product_formulas: a step multiplies L rounded 2^n x 2^n
         # factors, so it is off by about L * 2^n * eps in norm (eps = 2^-52);
         # for contractions ||A^r - B^r|| <= r ||A - B||, so V is off r times that
         roundoff = rep.r * terms_n * 2 ** n * 2.0 ** -52

@@ -262,11 +262,13 @@ def omega_count_dense(n: int) -> int:
     so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag."""
     if not 1 <= n <= 3:
         raise ValueError(f"need 1 <= n <= 3, got n={n}")
+    mats = _basis_stack(n)
+    later = np.arange(len(mats)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
     count = 0
-    for ab, ba in _pair_products(_basis_stack(n)):
+    for ab, ba in _pair_products(mats):
         v = np.subtract(ab, ba, out=ab).view(float)  # Frobenius norms: real view
         norms = np.sqrt(np.einsum("rajb,rajb->rj", v, v))
-        count += int(np.count_nonzero(np.triu(norms > 1e-9, 1)))
+        count += int(np.count_nonzero((norms > 1e-9) & later[:len(norms), :norms.shape[1]]))
     return count
 
 

@@ -19,13 +19,12 @@ a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit, and
 exponentiates them in one eigendecomposition call: a qubit with equal axes
 gives every Gamma_k the same term, so the shared-axis draw needs one
 matrix.  Gamma_k depends on the axes only, so that one call serves every
-theta (gqft_dense_grid); one theta is the one-element grid.  The factored
-route builds every column of every theta at once, as a column-wise
-Kronecker product of n (T, 2, 2^n) factors, using only one axis_dot_sigma
-call and the 2x2 closed form on basis columns (gqft_column_factored_grid).
-The two routes share nothing beyond the Pauli matrices, so they
-cross-check each other.  theta = 0 recovers the standard transform; the
-Frobenius distance from it is bounded by
+theta (gqft_dense_grid).  The factored route builds every column of every
+theta at once, as a column-wise Kronecker product of n (T, 2, 2^n) factors,
+using only one axis_dot_sigma call and the 2x2 closed form on basis columns
+(gqft_column_factored_grid).  The two routes share nothing beyond the Pauli
+matrices, so they cross-check each other.  theta = 0 recovers the standard
+transform; the Frobenius distance from it is bounded by
 2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
 distance_reports computes these checked quantities for a whole grid, each
 as one stacked reduction, and asserts none of them: the thresholds are the
@@ -47,10 +46,8 @@ from .simulator import basis_state  # noqa: F401  bench/test_bench.py traces thi
 _AXIS_TOL = 1e-12
 
 
-def _checked_grid(axes, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """The axes, shape (n, 2, 3) with 1 <= n <= 4, and the thetas, shape (T,),
-    of a grid as float arrays, else ValueError: every axis finite and a unit
-    vector to _AXIS_TOL, and at least one theta, each finite and >= 0."""
+def _checked_axes(axes) -> np.ndarray:
+    """The axes as floats, shape (n, 2, 3) with 1 <= n <= 4, finite and unit to _AXIS_TOL."""
     ax = np.asarray(axes, dtype=float)
     if ax.ndim != 3 or ax.shape[1:] != (2, 3) or not 1 <= len(ax) <= 4:
         raise ValueError(f"axes must have shape (n, 2, 3) with 1 <= n <= 4, got {ax.shape}")
@@ -59,6 +56,12 @@ def _checked_grid(axes, thetas) -> tuple[np.ndarray, np.ndarray]:
     deviation = np.abs(np.linalg.norm(ax, axis=2) - 1.0).max()
     if deviation > _AXIS_TOL:
         raise ValueError(f"axes must be unit vectors (max deviation {deviation:.3e})")
+    return ax
+
+
+def _checked_grid(axes, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """_checked_axes(axes) and the thetas: at least one, each finite and >= 0."""
+    ax = _checked_axes(axes)
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1 or not th.size or not all(0 <= t < math.inf for t in th.tolist()):
         raise ValueError(f"need a non-empty vector of finite theta >= 0, got {thetas}")
@@ -107,7 +110,10 @@ def random_bit_axes(n: int, rng: np.random.Generator) -> np.ndarray:
 def axis_dot_sigma(axis) -> np.ndarray:
     """n.sigma for one axis, shape (3,) -> (2, 2), or for each axis of a
     stack, shape (..., 3) -> (..., 2, 2)."""
-    x, y, z = (np.asarray(axis, dtype=float)[..., i, None, None] for i in range(3))
+    axis = np.asarray(axis, dtype=float)
+    if axis.shape[-1:] != (3,):
+        raise ValueError(f"axes must have 3 components, got shape {axis.shape}")
+    x, y, z = (axis[..., i, None, None] for i in range(3))
     return x * PAULI["X"] + y * PAULI["Y"] + z * PAULI["Z"]
 
 
@@ -127,11 +133,13 @@ def gamma_stack(axes, ks: Sequence[int] | None = None) -> np.ndarray:
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
     l; the 2n embedded operators come from one contraction of the axes with
-    the embedded Pauli table and are picked by the bits of k.
+    the embedded Pauli table and are picked by the bits of k, each in 0..2^n - 1.
     """
-    axes = np.asarray(axes, dtype=float)
+    axes = _checked_axes(axes)
     n, dim = len(axes), 2 ** len(axes)
     k = np.arange(dim) if ks is None else np.asarray(ks, dtype=int)
+    if k.ndim != 1 or not all(0 <= i < dim for i in k.tolist()):
+        raise ValueError(f"ks must be a vector of ints in 0..{dim - 1}, got {ks}")
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
     # of an entry is one product of an axis component with 0 or +-1
     ops = (axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)
@@ -173,11 +181,6 @@ def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
 
-def gqft_dense(params: GqftParams) -> np.ndarray:
-    """Dense transform of one parameter set: the one-theta grid."""
-    return gqft_dense_grid(params.axes, [params.theta])[0]
-
-
 def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     """Factored transforms of one axis draw, shape (n, 2, 3), at each of T
     thetas, shape (T, 2^n, 2^n), every column of every theta at once.
@@ -208,11 +211,6 @@ def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
         factor = (r0 + phase * r1) / math.sqrt(2.0)  # (T, 2, dim)
         cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(thetas), -1, dim)
     return cols
-
-
-def gqft_column_factored(params: GqftParams) -> np.ndarray:
-    """Factored transform of one parameter set: the one-theta grid."""
-    return gqft_column_factored_grid(params.axes, [params.theta])[0]
 
 
 def rotation_resolution_check(r_op, tol: float = linalg.DEFAULT_TOL) -> bool:

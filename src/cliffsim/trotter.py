@@ -18,13 +18,12 @@ and only it is ever asserted; bound_commutator is reported verbatim for
 inspection (note the cubed |t| in its second addend) but never enforced.
 
 error_sweep measures a whole r grid in one stacked pass.  The term blades
-come from one blade_products call, and H (total_hamiltonian) is summed from
-that stack.  U comes from one Hermitian eigendecomposition (linalg.expm_i).
-V for every r comes from product_formulas: one closed-form call for every
-(r, term) factor, one stacked matmul per term, and one
-np.linalg.matrix_power call per r.  One stacked SVD then gives every
-||U - V||.  The two routes share only the blade matrices; every V has the
-bits of the one-r computation (product_formula, the one-element grid).
+come from one blade_products call, and H is summed from that stack.  U
+comes from one Hermitian eigendecomposition (linalg.expm_i).  V for every r
+comes from product_formulas: one closed-form call for every (r, term)
+factor, one stacked matmul per term, and one np.linalg.matrix_power call
+per r.  One stacked SVD then gives every ||U - V||.  The two routes share
+only the blade matrices; every V has the bits of the one-r computation.
 """
 from __future__ import annotations
 
@@ -52,9 +51,6 @@ class HamiltonianTerm:
     def __post_init__(self):
         if not math.isfinite(self.coeff):
             raise ValueError(f"coefficient must be finite, got {self.coeff!r}")
-
-    def dense(self) -> np.ndarray:
-        return self.coeff * self.blade.dense()
 
 
 @dataclass(frozen=True)
@@ -88,14 +84,6 @@ def _hamiltonian(coeffs: np.ndarray, blades: np.ndarray) -> np.ndarray:
     return (coeffs[:, None, None] * blades).sum(axis=0, initial=0)
 
 
-def total_hamiltonian(terms: Sequence[HamiltonianTerm]) -> np.ndarray:
-    return _hamiltonian(*_term_stack(terms))
-
-
-def exact_unitary(terms: Sequence[HamiltonianTerm], t: float) -> np.ndarray:
-    return linalg.expm_i(total_hamiltonian(terms), -t)
-
-
 def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
                      rs: Sequence[int]) -> np.ndarray:
     """The product formula for every r of `rs`, shape (R, d, d), for the terms
@@ -119,11 +107,6 @@ def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
     for i, r in enumerate(rs):
         step[i] = np.linalg.matrix_power(step[i], r)
     return step
-
-
-def product_formula(terms: Sequence[HamiltonianTerm], t: float, r: int) -> np.ndarray:
-    """The product formula for one r: the one-element grid."""
-    return product_formulas(*_term_stack(terms), t, [r])[0]
 
 
 def noncommuting_pair_count(terms: Sequence[HamiltonianTerm]) -> int:

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,21 @@ def test_data_rows_are_deterministic(tmp_path, command):
     data_a = [ln for ln in a.read_text().splitlines() if not ln.startswith("#")]
     data_b = [ln for ln in b.read_text().splitlines() if not ln.startswith("#")]
     assert data_a == data_b
+
+
+def test_readme_trotter_sweep_example_is_current(tmp_path, capsys, monkeypatch):
+    """The README's trotter-sweep example, run as shown: its printed lines and
+    the three report lines it shows match, byte for byte."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("$ cliffsim trotter-sweep ", 1)[1].split("```", 1)[0]
+    run, head = example.split("\n\n$ head -3 trotter-sweep.csv\n")
+    argv, *printed = run.splitlines()
+    monkeypatch.chdir(tmp_path)  # the report lands under its default name
+    assert cli.main(["trotter-sweep", *argv.split()]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+    shown = head.splitlines()
+    assert len(shown) == 3
+    assert (tmp_path / "trotter-sweep.csv").read_text().splitlines()[:3] == shown
 
 
 def test_seed_changes_sampled_rows(tmp_path):

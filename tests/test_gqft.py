@@ -32,6 +32,12 @@ def test_axis_dot_sigma_of_a_stack_is_per_axis():
             assert np.array_equal(sigma[l, b], gqft.axis_dot_sigma(axes[l, b]))
 
 
+def test_axis_dot_sigma_rejects_a_wrong_component_count():
+    for axis in ([0.0, 0.0, 1.0, 5.0], [0.0, 1.0], np.zeros((2, 2, 4)), 1.0):
+        with pytest.raises(ValueError, match="3 components"):
+            gqft.axis_dot_sigma(axis)
+
+
 def test_standard_qft_single_qubit_is_hadamard():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
     np.testing.assert_allclose(gqft.standard_qft(1), h, atol=1e-12)
@@ -91,8 +97,8 @@ def test_batched_dense_transform_matches_a_per_k_loop(n):
         gamma = _gamma_k_by_kron(params, k)
         np.testing.assert_allclose(gammas[k], gamma, atol=1e-15)
         cols[:, k] = linalg.expm_i(gamma, params.theta) @ basis_state(n, k)
-    np.testing.assert_allclose(
-        gqft.gqft_dense(params), cols @ gqft.standard_qft(n), atol=1e-12)
+    np.testing.assert_allclose(gqft.gqft_dense_grid(params.axes, [params.theta])[0],
+                               cols @ gqft.standard_qft(n), atol=1e-12)
 
 
 def _mixed_axes():
@@ -137,6 +143,19 @@ def test_gamma_stack_of_chosen_ks_is_a_gather_of_all(draw):
         assert np.array_equal(gqft.gamma_stack(axes, ks), full[ks]), ks
 
 
+def test_gamma_stack_rejects_a_k_out_of_range_or_malformed_axes():
+    axes = gqft.random_bit_axes(2, np.random.default_rng(6))
+    assert gqft.gamma_stack(axes, []).shape == (0, 4, 4)
+    for ks in ([4], [7], [-1], [0, 4], 3, [[0, 1]]):
+        with pytest.raises(ValueError, match=r"ints in 0\.\.3"):
+            gqft.gamma_stack(axes, ks)
+    for bad_axes, message in ((axes[:, 0], r"shape \(n, 2, 3\)"),
+                              (2 * axes, "unit vectors"),
+                              (z_axes(5), "1 <= n <= 4")):
+        with pytest.raises(ValueError, match=message):
+            gqft.gamma_stack(bad_axes)
+
+
 @pytest.mark.parametrize("draw", DRAWS)
 def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
     axes, distinct = DRAWS[draw][0](), DRAWS[draw][1]
@@ -167,7 +186,7 @@ def _factored_by_kron(params):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factored_columns_match_kron_chains(n):
     params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(40 + n)))
-    cols = gqft.gqft_column_factored(params)
+    cols = gqft.gqft_column_factored_grid(params.axes, [params.theta])[0]
     assert cols.shape == (2 ** n, 2 ** n)
     np.testing.assert_allclose(cols, _factored_by_kron(params), atol=1e-15)
 
@@ -176,14 +195,15 @@ def test_factored_columns_match_kron_chains(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factored_grid_matches_per_theta_columns(n, draw):
     """T = 2^n thetas: a theta applied along the column or qubit axis would
-    still broadcast."""
+    still broadcast.  Each theta slice is the one-theta grid at that theta."""
     axes = draw(n, np.random.default_rng(60 + n))
     thetas = [0.0, 1e-9, *np.linspace(0.3, 2.5, 2 ** n - 2)]
     grid = [GqftParams(n, theta, axes) for theta in thetas]
     cols = gqft.gqft_column_factored_grid(axes, thetas)
     assert cols.shape == (2 ** n, 2 ** n, 2 ** n)
     for params, c in zip(grid, cols):
-        np.testing.assert_allclose(c, gqft.gqft_column_factored(params), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            c, gqft.gqft_column_factored_grid(axes, [params.theta])[0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(c, _factored_by_kron(params), rtol=0, atol=1e-15)
 
 
@@ -214,18 +234,19 @@ def test_gqft_theta_zero_is_standard():
     for n in (1, 2, 3):
         rng = np.random.default_rng(n)
         params = GqftParams(n, 0.0, gqft.random_axes(n, rng))
-        np.testing.assert_allclose(
-            gqft.gqft_dense(params), gqft.standard_qft(n), atol=1e-12)
+        np.testing.assert_allclose(gqft.gqft_dense_grid(params.axes, [params.theta])[0],
+                                   gqft.standard_qft(n), atol=1e-12)
 
 
 def test_gqft_z_axis_columns_closed_form():
     theta = 0.62
     params = GqftParams(1, theta, z_axes(1))
-    f = gqft.gqft_dense(params)
+    f = gqft.gqft_dense_grid(params.axes, [theta])[0]
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)
     np.testing.assert_allclose(f[:, 0], np.array([ep, em]) / np.sqrt(2.0), atol=1e-12)
     np.testing.assert_allclose(f[:, 1], np.array([ep, -em]) / np.sqrt(2.0), atol=1e-12)
-    np.testing.assert_allclose(gqft.gqft_column_factored(params), f, atol=1e-12)
+    np.testing.assert_allclose(gqft.gqft_column_factored_grid(params.axes, [theta])[0], f,
+                               atol=1e-12)
 
 
 def test_gqft_unitary_for_shared_axes():
@@ -234,7 +255,8 @@ def test_gqft_unitary_for_shared_axes():
             for s in range(5):
                 rng = np.random.default_rng(1000 * n + 10 * i + s)
                 params = GqftParams(n, theta, gqft.random_axes(n, rng))
-                assert linalg.unitarity_defect(gqft.gqft_dense(params)) <= 1e-10
+                dense = gqft.gqft_dense_grid(params.axes, [params.theta])[0]
+                assert linalg.unitarity_defect(dense) <= 1e-10
 
 
 def test_unitarity_requires_shared_axes_per_qubit():
@@ -243,19 +265,21 @@ def test_unitarity_requires_shared_axes_per_qubit():
     unitarity checks keep drawing one axis per qubit."""
     rng = np.random.default_rng(7)
     params = GqftParams(3, 0.9, gqft.random_bit_axes(3, rng))
-    assert linalg.unitarity_defect(gqft.gqft_dense(params)) > 0.1
+    assert linalg.unitarity_defect(gqft.gqft_dense_grid(params.axes, [params.theta])[0]) > 0.1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_theta_grid_matches_per_theta_transforms(n):
-    """T = 2^n thetas: a theta applied along the k axis would still broadcast."""
+    """T = 2^n thetas: a theta applied along the k axis would still broadcast.
+    Each theta slice is the one-theta grid at that theta."""
     axes = gqft.random_bit_axes(n, np.random.default_rng(80 + n))
     thetas = np.linspace(0.05, 2.0, 2 ** n)
     grid = [GqftParams(n, theta, axes) for theta in thetas]
     dense = gqft.gqft_dense_grid(axes, thetas)
     assert dense.shape == (2 ** n, 2 ** n, 2 ** n)
     for params, f_g, rep in zip(grid, dense, gqft.distance_reports(axes, thetas)):
-        np.testing.assert_allclose(f_g, gqft.gqft_dense(params), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            f_g, gqft.gqft_dense_grid(axes, [params.theta])[0], rtol=0, atol=1e-14)
         one = gqft.distance_report(params)
         assert rep.theta == params.theta
         np.testing.assert_allclose(
@@ -265,7 +289,7 @@ def test_theta_grid_matches_per_theta_transforms(n):
         assert rep.bound == one.bound
         # each stacked reduction gives the bits of its own per-theta form
         assert rep.max_column_factorization_error == np.linalg.norm(
-            f_g - gqft.gqft_column_factored(params), axis=0).max()
+            f_g - gqft.gqft_column_factored_grid(axes, [params.theta])[0], axis=0).max()
         assert rep.unitarity_defect == linalg.unitarity_defect(f_g)
         assert rep.distance_to_qft == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
 
@@ -291,8 +315,9 @@ def test_factored_columns_match_dense():
         for seed, draw in ((0, gqft.random_axes), (1, gqft.random_bit_axes)):
             rng = np.random.default_rng(50 * n + seed)
             params = GqftParams(n, 0.8, draw(n, rng))
-            err = np.linalg.norm(gqft.gqft_dense(params) - gqft.gqft_column_factored(params),
-                                 axis=0)
+            dense = gqft.gqft_dense_grid(params.axes, [params.theta])[0]
+            factored = gqft.gqft_column_factored_grid(params.axes, [params.theta])[0]
+            err = np.linalg.norm(dense - factored, axis=0)
             assert err.max() <= 1e-10
 
 
