@@ -390,6 +390,37 @@ _HANDLERS = {
 }
 
 
+_COMMON_FLAGS = {  # every command's flags besides its config keys, with their help
+    "config": "key = value config file",
+    "out": "output report path",
+    "seed": "64-bit RNG seed",
+}
+_VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}"
+                         for key in itertools.chain(_COMMON_FLAGS, *_COMMAND_KEYS.values()))
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each value flag and a following token that parses as a float
+    joined into --flag=value.  argparse takes a token that starts with '-' for
+    a flag unless it looks like -1 or -.5, so it would leave --beta -1e-3 or
+    --theta1 -inf without a value."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and token.startswith("-") and _is_float(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused by every main() call.
@@ -404,9 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for command, keys in _COMMAND_KEYS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--out", default=None, help="output report path")
-        p.add_argument("--seed", default=None, help="64-bit RNG seed")
+        for name, text in _COMMON_FLAGS.items():
+            p.add_argument(f"--{name}", default=None, help=text)
         for key in keys:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
@@ -427,7 +457,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,9 +13,9 @@ encode and the activations work on stacks: coefficients of shape (..., m)
 give states (..., d).  forward takes one input state and a stack of weight
 states (..., d), and gives angles (...) and output states (..., d).  Every
 guard applies to each row; one vector is a stack of shape ().  encode and
-forward each check the call (row length; one input state), then run a row
-kernel holding the formula and the per-row guards (finite coefficients
-with a finite norm; activation output in [-1, 1], so never NaN).
+forward each check the call (row length; one input state), then apply the
+per-row guards (finite coefficients with a finite norm; activation output
+in [-1, 1], so never NaN).
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -31,14 +31,21 @@ over it.
 
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
-train checks its inputs and computes conj(x), the target state and i times
-the output blade's column once per run; each iteration then scores theta and
-its 2m neighbours theta +- h*e_j as one (2m + 1, m) stack through the two
-row kernels.
+train checks its inputs, then scores theta and its 2m neighbours
+theta +- h*e_j each iteration from scalars rather than states.  Once per run
+it takes gamma_0 = <r|0..0> and gamma_1 = <r|iB_mu|0..0> for the target state
+r, so that a row's fidelity is F = min(|gamma_0 cos(phi) + gamma_1 sin(phi)|, 1).
+When the active blades anticommute it also takes alpha = Re <x|0..0> and
+b_j = Re <x|iB_j|0..0>, and a row c has the overlap
+v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|, with |c| a hypot; otherwise
+v comes from the encoded stack of rows.  The activation is applied once to the
+vector of all rows' v, and each row then runs phi = arccos(act(v)) and F on
+Python floats.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -126,6 +133,17 @@ def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
     return out
 
 
+def _norm_error(c) -> ValueError:
+    """The error for coefficient rows c whose norm is not finite."""
+    return ValueError("coefficients must be finite" if not np.isfinite(c).all()
+                      else "coefficient norm overflows float64")
+
+
+def _activation_error(value) -> ValueError:
+    return ValueError(f"activation output {float(value)!r} "
+                      f"is outside [-1, 1]; arccos undefined")
+
+
 def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
     """encode's row kernel: the states of the coefficient rows c (..., m),
     each of which must be finite, with a finite norm."""
@@ -135,8 +153,7 @@ def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
         return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
     norm = np.hypot.reduce(c, axis=-1)  # overflows only if the norm does, unlike sum(c^2)
     if not np.isfinite(norm).all():
-        raise ValueError("coefficients must be finite" if not np.isfinite(c).all()
-                         else "coefficient norm overflows float64")
+        raise _norm_error(c)
     unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
     return _rotate_ground(unit @ config._i_blade_columns, norm)
 
@@ -158,25 +175,16 @@ def _one_state(x) -> np.ndarray:
     return x
 
 
-def _forward_rows(x_conj: np.ndarray, w: np.ndarray, activation: Activation,
-                  icol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """forward's row kernel, given conj(x) and i times column 0 of the output
-    blade; every row's activation output must lie in [-1, 1] (NaN does not)."""
-    v = activation.apply((w @ x_conj).real)
-    if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
-        bad = np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0]
-        raise ValueError(f"activation output {float(bad)!r} "
-                         f"is outside [-1, 1]; arccos undefined")
-    phi = np.arccos(Activation.CLAMP.apply(v))
-    return phi, _rotate_ground(icol, phi)
-
-
 def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
     """Perceptron forward pass of one input state x (d,) against weight states
     w (..., d): returns (phi (...), output states (..., d)), with
-    phi = arccos(activation(Re<x|w>))."""
-    return _forward_rows(np.conj(_one_state(x)), np.asarray(w), activation,
-                         1j * output_blade.dense()[:, 0])
+    phi = arccos(activation(Re<x|w>)); every row's activation output must lie
+    in [-1, 1] (NaN does not)."""
+    v = activation.apply((np.asarray(w) @ np.conj(_one_state(x))).real)
+    if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
+        raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0])
+    phi = np.arccos(Activation.CLAMP.apply(v))
+    return phi, _rotate_ground(1j * output_blade.dense()[:, 0], phi)
 
 
 def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
@@ -210,14 +218,48 @@ class TrainRecord:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
+def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
+    """score(rows): the fidelity of each coefficient row of rows (k, m), as a
+    list of k floats, for the sample's input and target angle.  Each row must
+    pass the guards of encode and forward, and the calls to numpy do not grow
+    with k."""
+    x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
+    ref = np.conj(target_state(config.output_blade, sample.target_angle))
+    gamma0 = complex(ref[0])
+    gamma1 = complex(ref @ (1j * config.output_blade.dense()[:, 0]))
+    alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real
+
+    def overlaps(rows: np.ndarray):
+        if not config._anticommuting:
+            return (_encode_rows(config, rows) @ x_conj).real
+        cs = rows.tolist()
+        norms = [math.hypot(*c) for c in cs]  # overflows only if the norm does
+        for c, norm in zip(cs, norms):
+            if not norm < math.inf:  # tested before math.sin, which raises on inf
+                raise _norm_error(c)
+        return [alpha * math.cos(norm) + (math.sin(norm) * (d / norm) if norm > 0.0 else 0.0)
+                for norm, d in zip(norms, (rows @ b).tolist())]
+
+    def score(rows: np.ndarray) -> list[float]:
+        fids = []
+        for a in config.activation.apply(overlaps(rows)).tolist():
+            if not abs(a) <= 1.0 + _ACT_RANGE_SLACK:
+                raise _activation_error(a)
+            phi = math.acos(min(max(a, -1.0), 1.0))  # clips the slack the guard allows
+            fids.append(min(abs(gamma0 * math.cos(phi) + gamma1 * math.sin(phi)), 1.0))
+        return fids
+
+    return score
+
+
 def train(config: PerceptronConfig, sample: TrainingSample, theta0,
           iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
     """Gradient ascent on the fidelity; one record per iteration, initial included.
 
     Each iteration scores the (2m + 1, m) stack [theta, theta + fd_step*e_j,
-    theta - fd_step*e_j] in one pass through the row kernels of encode and
-    forward: row 0 is the record's fidelity and the other rows give the
-    central-difference gradient.
+    theta - fd_step*e_j] in one call of the run's fidelity scorer: row 0 is
+    the record's fidelity and the other rows give the central-difference
+    gradient.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -227,27 +269,20 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     m = len(config.active_blades)
     if theta.shape != (m,):
         raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
-    x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
-    ref = np.conj(target_state(config.output_blade, sample.target_angle))
-    activation, icol = config.activation, 1j * config.output_blade.dense()[:, 0]
-
-    def score(thetas: np.ndarray) -> np.ndarray:
-        _, y = _forward_rows(x_conj, _encode_rows(config, thetas), activation, icol)
-        return np.minimum(np.abs(y @ ref), 1.0)
-
+    score = _fidelity_scorer(config, sample)
     bumps = fd_step * np.eye(m)
     offsets = np.concatenate([np.zeros((1, m)), bumps, -bumps])
     records = []
     for k in range(iterations):
         f = score(theta + offsets)
-        records.append(TrainRecord(k, theta, float(f[0])))  # theta is rebound, never written
-        grad = (f[1:m + 1] - f[m + 1:]) / (2.0 * fd_step)
-        if not np.isfinite(grad).all():
-            raise ValueError(f"non-finite finite-difference gradient at component "
-                             f"{np.flatnonzero(~np.isfinite(grad))[0]} "
-                             f"(activation kink or overflow)")
-        theta = theta + config.eta * grad
-    records.append(TrainRecord(iterations, theta, float(score(theta))))
+        records.append(TrainRecord(k, theta, f[0]))  # theta is rebound, never written
+        grad = [(up - down) / (2.0 * fd_step) for up, down in zip(f[1:m + 1], f[m + 1:])]
+        for j, g in enumerate(grad):
+            if not math.isfinite(g):
+                raise ValueError(f"non-finite finite-difference gradient at component "
+                                 f"{j} (activation kink or overflow)")
+        theta = theta + config.eta * np.array(grad)
+    records.append(TrainRecord(iterations, theta, score(theta[None])[0]))
     return records
 
 

@@ -133,13 +133,17 @@ def gamma_stack(axes, ks: Sequence[int] | None = None) -> np.ndarray:
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
     l; the 2n embedded operators come from one contraction of the axes with
-    the embedded Pauli table and are picked by the bits of k, each in 0..2^n - 1.
+    the embedded Pauli table and are picked by the bits of k, each an int (not a
+    bool) in 0..2^n - 1.
     """
     axes = _checked_axes(axes)
     n, dim = len(axes), 2 ** len(axes)
-    k = np.arange(dim) if ks is None else np.asarray(ks, dtype=int)
-    if k.ndim != 1 or not all(0 <= i < dim for i in k.tolist()):
+    ks = range(dim) if ks is None else ks
+    # each k is checked as given: an int array would truncate 1.7 and take True as 1
+    if np.ndim(ks) != 1 or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                                   and 0 <= i < dim for i in ks):
         raise ValueError(f"ks must be a vector of ints in 0..{dim - 1}, got {ks}")
+    k = np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
     # of an entry is one product of an axis component with 0 or +-1
     ops = (axes @ _pauli_table(n).reshape(n, 3, dim * dim)).reshape(n, 2, dim, dim)

@@ -156,6 +156,10 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["verify-gqft", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 1)],
     ["gqft-distance", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 1)],
     ["swap-test", "--n", "1", "--shots", "10,10", "--seed", str(2 ** 64 - 2)],
+    # a value flag takes a following float token, even one argparse reads as a flag
+    ["decompose", "--theta1", "-inf"],
+    ["decompose", "--theta2", "-nan"],
+    ["train-cqp", "--beta", "-Infinity"],
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a report under its default name would land here
@@ -183,6 +187,33 @@ def test_last_derived_seed_may_be_2_64_minus_1(tmp_path, argv, seed_column):
 
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("train-cqp", "--beta", "-1e-3", ["--iterations", "3", "--require-fidelity", "0"]),
+    ("trotter-sweep", "--t", "-2e0", []),
+    ("decompose", "--theta1", "-1E-2", []),
+    ("decompose", "--theta2", "-.5e+1", ["--theta1", "-0.25"]),
+])
+def test_negative_value_in_exponent_form_is_a_value(tmp_path, command, flag, value, rest):
+    """argparse reads only -1 and -.5 as negative numbers, so a value flag takes
+    a following token that parses as a float; the rows equal those of
+    --flag=value."""
+    reports = []
+    for argv in ([flag, value, *rest], [f"{flag}={value}", *rest]):
+        out = tmp_path / f"r{len(reports)}.csv"
+        assert cli.main([command, *argv, "--out", str(out)]) == 0, argv
+        reports.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-cqp", "--beta", "-1e-3x"],   # not a float: still a flag
+    ["omega-count", "--beta", "-1e-3"],  # not a flag of this command
+    ["train-cqp", "--beta"],
+])
+def test_flag_without_a_value_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
     capsys.readouterr()
 
 

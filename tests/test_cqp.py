@@ -364,27 +364,39 @@ def _reference_train(config, sample, theta0, iterations, fd_step):
     return records
 
 
-@pytest.mark.parametrize("activation", list(Activation))
-@pytest.mark.parametrize("config", [
+_TRAIN_CONFIGS = [
     PerceptronConfig.type_ii(1, eta=0.3),
     PerceptronConfig.type_ii(2, eta=0.2),
     PerceptronConfig.type_ii(2, output_index=3, eta=0.2),
     PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), eta=0.5),  # the expm_i route
-], ids=["ii-n1", "ii-n2", "ii-n2-out3", "i-commuting"])
+]
+_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "i-commuting"]
+
+# Two routes that round differently may score one row a few ulps apart; DELTA
+# (about 4.5 ulps of 1) bounds that.  A central difference turns it into at
+# most DELTA / h in a gradient component, so each step moves theta at most
+# eta * DELTA / h off the other route, and k steps k times that.
+_SCORE_DELTA = 1e-15
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("config", _TRAIN_CONFIGS, ids=_TRAIN_IDS)
 def test_train_equals_a_loop_over_encode_and_forward(config, activation):
     config = dataclasses.replace(config, activation=activation)
     m = len(config.active_blades)
     rng = np.random.default_rng(110 + m)
     sample = TrainingSample(rng.uniform(0.1, 0.6, m), 0.7)
     theta0 = rng.uniform(0.0, 0.5, m)
-    got = cqp.train(config, sample, theta0, iterations=25, fd_step=2e-5)
-    want = _reference_train(config, sample, theta0, 25, 2e-5)
-    assert len(got) == len(want) == 26
+    iterations, step = 25, 2e-5
+    got = cqp.train(config, sample, theta0, iterations=iterations, fd_step=step)
+    want = _reference_train(config, sample, theta0, iterations, step)
+    assert len(got) == len(want) == iterations + 1
     assert len({rec.theta.tobytes() for rec in got}) > 1  # training moved theta
+    bound = iterations * config.eta * _SCORE_DELTA / step
     for rec, (k, theta, fid) in zip(got, want):
         assert rec.iteration == k
-        assert rec.theta.tobytes() == theta.tobytes()
-        assert rec.fidelity == fid
+        assert np.abs(rec.theta - theta).max() <= bound
+        assert abs(rec.fidelity - fid) <= bound
 
 
 def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
@@ -398,24 +410,131 @@ def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
 
     monkeypatch.setattr(cqp, "_encode_rows", counting_encode_rows)
     cqp.train(config, sample, theta0, iterations=4)
+    assert shapes == [(2,)]  # rows are scored from scalars, never as states
+    shapes.clear()
+    config = _TRAIN_CONFIGS[-1]  # commuting blades: rows go through expm_i
+    cqp.train(config, sample, theta0, iterations=4)
     # the input, one (2m + 1, m) stack per iteration, then the final theta
-    assert shapes == [(2,)] + [(5, 2)] * 4 + [(2,)]
+    assert shapes == [(2,)] + [(5, 2)] * 4 + [(1, 2)]
+
+
+class _NumpyCallCounter:
+    """Stands in for numpy in cqp and counts the functions looked up on it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, activation):
+    per_iteration = []
+    for n in (1, 2):  # 5 rows, then 9 rows per iteration
+        config = PerceptronConfig.type_ii(n, activation=activation)
+        m = len(config.active_blades)
+        sample = TrainingSample(np.full(m, 0.3), 0.7)
+        cqp.train(config, sample, np.full(m, 0.2), iterations=1)  # fills the config's caches
+        counts = []
+        for iterations in (1, 3):
+            counter = _NumpyCallCounter()
+            monkeypatch.setattr(cqp, "np", counter)
+            cqp.train(config, sample, np.full(m, 0.2), iterations=iterations)
+            monkeypatch.setattr(cqp, "np", np)
+            counts.append(counter.calls)
+        per_iteration.append((counts[1] - counts[0]) / 2)
+    assert per_iteration[0] == per_iteration[1] > 0
 
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
     config, sample, theta0 = _toy_task(4)
-    forward_rows = cqp._forward_rows
+    fidelity_scorer = cqp._fidelity_scorer
 
-    def nan_neighbour(x_conj, w, activation, column0):
-        phi, y = forward_rows(x_conj, w, activation, column0)
-        if y.ndim == 2:
-            y = y.copy()
-            y[1 + component] = np.nan  # the score of theta + h*e_component
-        return phi, y
+    def nan_neighbour_scorer(cfg, smp):
+        score = fidelity_scorer(cfg, smp)
 
-    monkeypatch.setattr(cqp, "_forward_rows", nan_neighbour)
-    with pytest.raises(ValueError, match=f"gradient at component {component} "):
+        def nan_neighbour(rows):
+            fids = score(rows)
+            if len(fids) > 1:
+                fids[1 + component] = math.nan  # the score of theta + h*e_component
+            return fids
+        return nan_neighbour
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", nan_neighbour_scorer)
+    with pytest.raises(ValueError, match=f"non-finite finite-difference gradient at "
+                                         f"component {component} "):
+        cqp.train(config, sample, theta0, iterations=2)
+
+
+@pytest.mark.parametrize("n, output_index", [(1, 0), (1, 1), (2, 0), (2, 3)])
+def test_row_score_matches_the_dense_oracle(n, output_index):
+    rng = np.random.default_rng(130 + 10 * n + output_index)
+    config = PerceptronConfig.type_ii(n, output_index=output_index,
+                                      activation=Activation.TANH)
+    m = len(config.active_blades)
+    for target in (0.7, -0.4, -2.3):  # negative target angles too
+        coeffs = rng.uniform(-1.0, 1.0, m)
+        coeffs[0] = -abs(coeffs[0])
+        sample = TrainingSample(coeffs, target)
+        x_conj = np.conj(cqp.encode(config, coeffs))
+        assert (config._i_blade_columns @ x_conj).real[0] < 0  # a negative b_0
+        rows = np.concatenate([np.zeros((1, m)), rng.uniform(-2.0, 2.0, (6, m))])
+        fids = cqp._fidelity_scorer(config, sample)(rows)  # row 0 is c = 0
+        assert len(fids) == len(rows) and all(type(f) is float for f in fids)
+        for row, f in zip(rows, fids):
+            assert abs(f - _oracle_fidelity(config, sample, row)) <= 1e-12
+
+
+_COEFFICIENT_GUARDS = [  # (config, the first two coefficients of a row, error)
+    *((config, bad, "coefficients must be finite")
+      for config in (_TRAIN_CONFIGS[1], _TRAIN_CONFIGS[-1])
+      for bad in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0])),
+    (_TRAIN_CONFIGS[1], [1.5e308, 1.5e308], "coefficient norm overflows float64"),
+]
+
+
+@pytest.mark.parametrize("spoiled_call", [1, 3])
+@pytest.mark.parametrize("config, bad, message", _COEFFICIENT_GUARDS)
+def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, config, bad,
+                                                              message, spoiled_call):
+    m = len(config.active_blades)
+    calls = []
+    fidelity_scorer = cqp._fidelity_scorer
+
+    def spoiling_scorer(cfg, smp):
+        score = fidelity_scorer(cfg, smp)
+
+        def spoiled(rows):
+            calls.append(len(rows))
+            if len(calls) == spoiled_call:
+                rows = rows.copy()
+                rows[-1, :2] = bad  # the last neighbour row of this iteration
+            return score(rows)
+        return spoiled
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", spoiling_scorer)
+    sample = TrainingSample(np.full(m, 0.3), 0.7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cqp.train(config, sample, np.full(m, 0.2), iterations=5)
+    assert calls == [2 * m + 1] * spoiled_call
+
+
+def test_train_rejects_a_nan_activation_output(monkeypatch):
+    config, sample, theta0 = _toy_task(5)
+    apply = Activation.apply
+
+    def nan_in_row_two(self, u):
+        out = np.array(apply(self, u), dtype=float)
+        if out.size > 1:
+            out[2] = np.nan
+        return out
+
+    monkeypatch.setattr(Activation, "apply", nan_in_row_two)
+    with pytest.raises(ValueError, match=r"^activation output nan is outside \[-1, 1\]; "
+                                         r"arccos undefined$"):
         cqp.train(config, sample, theta0, iterations=2)
 
 

@@ -146,7 +146,9 @@ def test_gamma_stack_of_chosen_ks_is_a_gather_of_all(draw):
 def test_gamma_stack_rejects_a_k_out_of_range_or_malformed_axes():
     axes = gqft.random_bit_axes(2, np.random.default_rng(6))
     assert gqft.gamma_stack(axes, []).shape == (0, 4, 4)
-    for ks in ([4], [7], [-1], [0, 4], 3, [[0, 1]]):
+    assert np.array_equal(gqft.gamma_stack(axes, np.array([1, 3])), gqft.gamma_stack(axes)[[1, 3]])
+    for ks in ([4], [7], [-1], [0, 4], 3, [[0, 1]],
+               [1.7], [1.0], [True], [1, True], [np.True_], np.array([1.5, 2.0])):
         with pytest.raises(ValueError, match=r"ints in 0\.\.3"):
             gqft.gamma_stack(axes, ks)
     for bad_axes, message in ((axes[:, 0], r"shape \(n, 2, 3\)"),
