@@ -236,13 +236,15 @@ def decompose_report(theta1: float, theta2: float) -> DecomposeReport:
 
 
 def _fmt_complex(z: complex) -> str:
+    """One block entry, from a Python complex (ndarray.tolist()): the same
+    text as the np.complex128 entry, without numpy's scalar formatting."""
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
 def format_two_level(gates: Sequence[TwoLevelGate]) -> list[str]:
     lines = []
     for g in gates:
-        entries = " ".join(_fmt_complex(z) for z in g.block.ravel())
+        entries = " ".join(_fmt_complex(z) for z in g.block.ravel().tolist())
         lines.append(f"twolevel dim={g.dim} i={g.i} j={g.j} block {entries}")
     return lines
 
@@ -251,6 +253,6 @@ def format_circuit(circuit: GateCircuit) -> list[str]:
     lines = []
     for g in circuit.gates:
         ctl = ",".join(f"{q}:{pol}" for q, pol in g.controls) or "-"
-        entries = " ".join(_fmt_complex(z) for z in g.block.ravel())
+        entries = " ".join(_fmt_complex(z) for z in g.block.ravel().tolist())
         lines.append(f"{g.kind} target={g.target} controls={ctl} block {entries}")
     return lines

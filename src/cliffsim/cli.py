@@ -338,6 +338,27 @@ def _cmd_train_cqp(cfg):
                           f"fidelity {records[0].fidelity:.6f} -> {final:.6f}"]
 
 
+# trials per stacked equivalence pass: the default 50 trials are one block,
+# and memory does not grow with --trials
+_EQUIVALENCE_BLOCK = 64
+
+
+def _equivalence_blocks(n: int, seeds: range):
+    """Per block of at most _EQUIVALENCE_BLOCK seeds: (the block's seeds, its
+    unitaries u (k, d, d) from one expm_i call, its x and w coefficient rows
+    (k, 2n)).  Each seed's generator draws as the one-trial route does: the
+    Hermitian of linalg.random_unitary, then x, then w, so u[i] has the bits
+    of random_unitary(d, np.random.default_rng(seed))."""
+    d, m = 2 ** n, 2 * n
+    for start in range(0, len(seeds), _EQUIVALENCE_BLOCK):
+        block = seeds[start:start + _EQUIVALENCE_BLOCK]
+        rngs = [np.random.default_rng(seed) for seed in block]
+        us = linalg.expm_i(linalg.random_hermitians(d, rngs))
+        xs = np.array([rng.uniform(-1.0, 1.0, m) for rng in rngs])
+        ws = np.array([rng.uniform(-1.0, 1.0, m) for rng in rngs])
+        yield block, us, xs, ws
+
+
 def _cmd_equivalence(cfg):
     n = cfg["n"]
     _require(1 <= n <= 3, "n", "must be in 1..3")
@@ -345,17 +366,16 @@ def _cmd_equivalence(cfg):
     config = cqp.PerceptronConfig.type_ii(n)
     rows = []
     worst = 0.0
-    for seed in _derived_seeds(cfg, 0, cfg["trials"]):
-        rng = np.random.default_rng(seed)
-        u = linalg.random_unitary(2 ** n, rng)
-        x_coeffs = rng.uniform(-1.0, 1.0, 2 * n)
-        w_coeffs = rng.uniform(-1.0, 1.0, 2 * n)
-        phi_defect, state_defect = cqp.equivalence_defects(config, u, x_coeffs, w_coeffs)
-        _check(phi_defect <= 1e-10 and state_defect <= 1e-10, "equivalence-defect",
-               f"seed={seed}: phi defect {phi_defect:.3e}, "
-               f"state defect {state_defect:.3e}")
-        worst = max(worst, phi_defect, state_defect)
-        rows.append([seed, n, phi_defect, state_defect])
+    for block, us, xs, ws in _equivalence_blocks(n, _derived_seeds(cfg, 0, cfg["trials"])):
+        phi_defects, state_defects = cqp.equivalence_defects(config, us, xs, ws)
+        # checked in seed order, so the first failing seed is the one named
+        for seed, phi_defect, state_defect in zip(block, phi_defects.tolist(),
+                                                  state_defects.tolist()):
+            _check(phi_defect <= 1e-10 and state_defect <= 1e-10, "equivalence-defect",
+                   f"seed={seed}: phi defect {phi_defect:.3e}, "
+                   f"state defect {state_defect:.3e}")
+            worst = max(worst, phi_defect, state_defect)
+            rows.append([seed, n, phi_defect, state_defect])
     header = ["seed", "n", "phi_defect", "state_defect"]
     return header, rows, [f"equivalence: {len(rows)} trials, max defect {worst:.3e}"]
 
@@ -407,14 +427,23 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _names_value_flag(token: str) -> bool:
+    """Whether token is a value flag or a prefix of one (an abbreviation,
+    which argparse resolves, or reports as ambiguous); "--" alone is not."""
+    return (token.startswith("--") and len(token) > 2
+            and any(flag.startswith(token) for flag in _VALUE_FLAGS))
+
+
 def _join_float_values(argv: list[str]) -> list[str]:
-    """argv with each value flag and a following token that parses as a float
-    joined into --flag=value.  argparse takes a token that starts with '-' for
-    a flag unless it looks like -1 or -.5, so it would leave --beta -1e-3 or
+    """argv with each value flag, spelled in full or abbreviated, and a
+    following token that parses as a float joined into --flag=value.
+    argparse takes a token that starts with '-' for a flag unless it looks
+    like -1 or -.5, so it would leave --beta -1e-3, --bet -1e-3 or
     --theta1 -inf without a value."""
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in _VALUE_FLAGS and token.startswith("-") and _is_float(token):
+        if (token.startswith("-") and joined and _names_value_flag(joined[-1])
+                and _is_float(token)):
             joined[-1] += f"={token}"
         else:
             joined.append(token)

@@ -10,12 +10,14 @@ per config; every single-blade rotation below takes the same form, and any
 other sum goes through the general linalg.expm_i.
 
 encode and the activations work on stacks: coefficients of shape (..., m)
-give states (..., d).  forward takes one input state and a stack of weight
-states (..., d), and gives angles (...) and output states (..., d).  Every
-guard applies to each row; one vector is a stack of shape ().  encode and
-forward each check the call (row length; one input state), then apply the
-per-row guards (finite coefficients with a finite norm; activation output
-in [-1, 1], so never NaN).
+give states (..., d).  forward pairs input states (..., d) with weight
+states (..., d) row by row, broadcasting, so one input meets a stack of
+weights as well as a stack of inputs meets its own; it gives angles (...)
+and output states (..., d).  Every guard applies to each row; one vector is
+a stack of shape ().  encode and forward each check the call (row length;
+one state length d on both sides), then apply the per-row guards (finite
+coefficients with a finite norm; activation output in [-1, 1], so never
+NaN).  Each row of a stacked call has the bits of the one-row call.
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -26,8 +28,9 @@ F = |cos(phi + beta)|.
 
 Joint unitary invariance: rotating both |x> and |w> by one unitary U leaves
 <x|w>, hence phi and y, unchanged.  equivalence_defects measures how far
-the two forward passes differ; type_equivalence_check is the predicate
-over it.
+the two forward passes differ, for one trial or for a stack of them (one
+unitary and one x and w coefficient row each) in one stacked pass;
+type_equivalence_check is the one-trial predicate over it.
 
 Learning is plain gradient ascent on the fidelity with central
 finite-difference gradients; no analytic gradient is trusted anywhere.
@@ -175,12 +178,29 @@ def _one_state(x) -> np.ndarray:
     return x
 
 
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[..., k] * b[..., k] for each pair of rows of a and b, which
+    broadcast; each is the dot a 1-d a @ b takes, so it has that call's bits."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _state_norms(z: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of z (..., d), with the bits of np.linalg.norm
+    on that row alone: sqrt(Re.Re + Im.Im)."""
+    return np.sqrt(_pair_dots(z.real, z.real) + _pair_dots(z.imag, z.imag))
+
+
 def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
-    """Perceptron forward pass of one input state x (d,) against weight states
-    w (..., d): returns (phi (...), output states (..., d)), with
-    phi = arccos(activation(Re<x|w>)); every row's activation output must lie
-    in [-1, 1] (NaN does not)."""
-    v = activation.apply((np.asarray(w) @ np.conj(_one_state(x))).real)
+    """Perceptron forward pass of input states x (..., d) against weight
+    states w (..., d), paired row by row with broadcasting, so one x may meet
+    a stack of w: returns (phi, output states (..., d)) over the broadcast
+    rows, with phi = arccos(activation(Re<x|w>)); every row's activation
+    output must lie in [-1, 1] (NaN does not)."""
+    x, w = np.asarray(x), np.asarray(w)
+    if x.ndim == 0 or w.ndim == 0 or x.shape[-1] != w.shape[-1]:
+        raise ValueError(f"x and w must be states of one length d, "
+                         f"got shapes {x.shape} and {w.shape}")
+    v = activation.apply(_pair_dots(w, np.conj(x)).real)
     if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
         raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0])
     phi = np.arccos(Activation.CLAMP.apply(v))
@@ -286,15 +306,24 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     return records
 
 
-def equivalence_defects(config: PerceptronConfig, u, x_coeffs,
-                        w_coeffs) -> tuple[float, float]:
-    """(|phi - phi_u|, ||y - y_u||) for the encoded input and weight, and for
-    both rotated by the unitary u; joint unitary invariance makes both zero."""
+def equivalence_defects(config: PerceptronConfig, u, x_coeffs, w_coeffs):
+    """(|phi - phi_u|, ||y - y_u||) for the encoded inputs and weights, and for
+    both rotated by the unitaries u; joint unitary invariance makes both zero.
+
+    u (..., d, d) and the coefficient rows x_coeffs, w_coeffs (..., m) give
+    one trial per row, in one encode call per side and one forward call per
+    pass; each trial has the bits of its own call.  One trial gives floats,
+    a stack arrays of shape (...) (as linalg.frobenius_norm does).
+    """
     x = encode(config, x_coeffs)
     w = encode(config, w_coeffs)
     phi, y = forward(x, w, config.activation, config.output_blade)
-    phi_u, y_u = forward(u @ x, u @ w, config.activation, config.output_blade)
-    return float(abs(phi - phi_u)), float(np.linalg.norm(y - y_u))
+    phi_u, y_u = forward((u @ x[..., None])[..., 0], (u @ w[..., None])[..., 0],
+                         config.activation, config.output_blade)
+    phi_defect, state_defect = np.abs(phi - phi_u), _state_norms(y - y_u)
+    if phi_defect.ndim == 0:
+        return float(phi_defect), float(state_defect)
+    return phi_defect, state_defect
 
 
 def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,

@@ -240,7 +240,21 @@ def spectral_norm(a) -> float | np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return random_hermitians(dim, [rng])[0]
+
+
+def random_hermitians(dim: int, rngs) -> np.ndarray:
+    """One random Hermitian (M + M^dag) / 2 per generator of rngs, shape
+    (len(rngs), dim, dim), where M's real, then its imaginary parts are
+    standard normal draws from that generator alone.  The stack is formed
+    and symmetrized at once, entry by entry, so each matrix has the bits of
+    its one-generator call, random_hermitian(dim, rng)."""
+    re = np.empty((len(rngs), dim, dim))
+    im = np.empty_like(re)
+    for k, rng in enumerate(rngs):
+        re[k] = rng.normal(size=(dim, dim))
+        im[k] = rng.normal(size=(dim, dim))
+    m = re + 1j * im
     return (m + adjoint(m)) / 2.0
 
 

@@ -1,4 +1,6 @@
 """Two-level decomposition, controlled-gate compilation, entangling check."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,27 @@ def test_format_two_level_and_circuit():
     netlist = circuits.format_circuit(circuit)
     assert len(netlist) == len(circuit.gates)
     assert all(("cu" in line) or ("cx" in line) for line in netlist)
+
+
+def test_block_entries_format_as_numpy_complex_scalars():
+    """The netlist formats each block entry from Python complex values with
+    the text numpy's per-entry np.complex128 formatting gave, signed zeros
+    and magnitudes near the float limits included."""
+    rng = np.random.default_rng(160)
+    shape = (4000, 2, 2, 2)  # 4000 blocks, real and imaginary parts
+    parts = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    parts[:40] = rng.choice([-0.0, 0.0], (40, 2, 2, 2))
+    parts[40:80, :, :, 0] = -0.0
+    blocks = np.empty(shape[:-1], dtype=complex)
+    blocks.real, blocks.imag = parts[..., 0], parts[..., 1]  # keeps each zero's sign
+    assert np.signbit(blocks[:40].real).any() and np.signbit(blocks[:40].imag).any()
+    gates = [SimpleNamespace(dim=4, i=0, j=1, block=b, kind="cu", target=1, controls=((2, 0),))
+             for b in blocks]
+    old = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in b.ravel()) for b in blocks]
+    assert circuits.format_two_level(gates) == [
+        f"twolevel dim=4 i=0 j=1 block {entries}" for entries in old]
+    assert circuits.format_circuit(SimpleNamespace(gates=gates)) == [
+        f"cu target=1 controls=2:0 block {entries}" for entries in old]
 
 
 def test_decompose_report():

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,22 @@ def test_negative_value_in_exponent_form_is_a_value(tmp_path, command, flag, val
         assert cli.main([command, *argv, "--out", str(out)]) == 0, argv
         reports.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
     assert reports[0] == reports[1]
+
+
+def test_abbreviated_value_flag_takes_a_negative_float(tmp_path):
+    """--bet abbreviates --beta, so it takes -1e-3 as --beta=-1e-3 does."""
+    reports = []
+    for flag in (["--bet", "-1e-3"], ["--beta=-1e-3"]):
+        out = tmp_path / f"r{len(reports)}.csv"
+        assert cli.main(["train-cqp", *flag, "--iterations", "3", "--require-fidelity", "0",
+                         "--out", str(out)]) == 0, flag
+        reports.append([ln for ln in out.read_text().splitlines() if not ln.startswith("#")])
+    assert reports[0] == reports[1]
+
+
+def test_ambiguous_flag_before_a_negative_float_exits_2(capsys):
+    assert cli.main(["decompose", "--theta", "-1E-2"]) == 2  # --theta1 or --theta2
+    assert "ambiguous option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -438,6 +455,63 @@ def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "r.csv")]) == 0
     assert calls == {"blades": 1, "parity": 1, "eigen": 1, "involution": 1, "spectral": 1,
                      "bounds": 11}
+
+
+def test_equivalence_is_one_stacked_pass_per_block(tmp_path, monkeypatch):
+    """2 * block + 1 trials take three blocks: per block one expm_i call, one
+    encode call per side and one forward call per pass."""
+    calls = dict.fromkeys(("expm_i", "encode", "forward"), 0)
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+    monkeypatch.setattr(linalg, "expm_i", counted("expm_i", linalg.expm_i))
+    monkeypatch.setattr(cqp, "encode", counted("encode", cqp.encode))
+    monkeypatch.setattr(cqp, "forward", counted("forward", cqp.forward))
+    out = tmp_path / "r.csv"
+    trials = 2 * cli._EQUIVALENCE_BLOCK + 1
+    assert cli.main(["equivalence", "--n", "1", "--trials", str(trials), "--out", str(out)]) == 0
+    assert calls == {"expm_i": 3, "encode": 6, "forward": 6}
+    assert len(out.read_text().splitlines()) == 1 + trials + 3  # header, rows, metadata
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_equivalence_blocks_equal_the_one_trial_route(n):
+    """Across a block boundary, each trial of the stacked pass has the bits of
+    the one-trial route: random_unitary, then x, then w from the seed's
+    generator, and equivalence_defects on that one trial."""
+    config = cqp.PerceptronConfig.type_ii(n)
+    seeds = range(11, 11 + cli._EQUIVALENCE_BLOCK + 1)
+    sizes = []
+    for block, us, xs, ws in cli._equivalence_blocks(n, seeds):
+        phis, states = cqp.equivalence_defects(config, us, xs, ws)
+        for i, seed in enumerate(block):
+            rng = np.random.default_rng(seed)
+            u = linalg.random_unitary(2 ** n, rng)
+            x, w = rng.uniform(-1.0, 1.0, 2 * n), rng.uniform(-1.0, 1.0, 2 * n)
+            assert np.array_equal(us[i], u)
+            assert np.array_equal(xs[i], x) and np.array_equal(ws[i], w)
+            assert (phis[i], states[i]) == cqp.equivalence_defects(config, u, x, w)
+        sizes.append(len(block))
+    assert sizes == [cli._EQUIVALENCE_BLOCK, 1]
+
+
+def test_equivalence_pass_memory_does_not_grow_with_trials():
+    """Peak traced memory of the pass at four blocks of trials stays close to
+    its peak at one block: one block of inputs is alive at a time."""
+    config = cqp.PerceptronConfig.type_ii(3)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            for _, us, xs, ws in cli._equivalence_blocks(3, range(trials)):
+                cqp.equivalence_defects(config, us, xs, ws)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(cli._EQUIVALENCE_BLOCK)  # warm caches outside the measurement
+    one, four = peak(cli._EQUIVALENCE_BLOCK), peak(4 * cli._EQUIVALENCE_BLOCK)
+    assert four <= 1.5 * one
 
 
 def test_decompose_netlist_sections(tmp_path):

@@ -106,11 +106,34 @@ def test_activation_out_of_range_in_one_row_raises():
         cqp.forward(x, ws, Activation.IDENTITY, config.output_blade)
 
 
-def test_forward_takes_one_input_state():
+@pytest.mark.parametrize("config", _STACK_CONFIGS[:3])
+def test_forward_pairs_stacked_rows_bit_for_bit(config):
+    """forward pairs x (..., d) with w (..., d) row by row, broadcasting; each
+    pair has the bits of its own one-row call."""
+    m, d = len(config.active_blades), 2 ** config.n
+    rng = np.random.default_rng(140 + m)
+    xs = cqp.encode(config, rng.uniform(-1.0, 1.0, (2, 3, m)))
+    ws = cqp.encode(config, rng.uniform(-1.0, 1.0, (3, m)))  # broadcasts against xs
+    for x, w in ((xs, ws), (xs[0, 0], ws), (xs, ws[0])):
+        phis, ys = cqp.forward(x, w, config.activation, config.output_blade)
+        shape = np.broadcast_shapes(x.shape, w.shape)
+        assert phis.shape == shape[:-1] and ys.shape == shape
+        for idx in np.ndindex(shape[:-1]):
+            phi, y = cqp.forward(np.broadcast_to(x, shape)[idx], np.broadcast_to(w, shape)[idx],
+                                 config.activation, config.output_blade)
+            assert phis[idx] == phi and np.array_equal(ys[idx], y)
+    for bad in (np.zeros((3, 2 * d), dtype=complex), np.complex128(1.0)):
+        with pytest.raises(ValueError, match="states of one length d"):
+            cqp.forward(xs, bad, config.activation, config.output_blade)
+        with pytest.raises(ValueError, match="states of one length d"):
+            cqp.forward(bad, xs, config.activation, config.output_blade)
+
+
+def test_fidelity_scorer_takes_one_input_state():
     config = PerceptronConfig.type_ii(1)
-    xs = cqp.encode(config, np.zeros((2, 2)))
+    sample = TrainingSample(np.zeros((2, 2)), 0.7)  # two input rows
     with pytest.raises(ValueError, match="one state"):
-        cqp.forward(xs, xs, Activation.TANH, config.output_blade)
+        cqp._fidelity_scorer(config, sample)
 
 
 def test_encode_does_not_overflow_the_norm():
@@ -547,6 +570,23 @@ def test_type_equivalence_under_unitaries():
     local = linalg.tensor(linalg.expm_i(np.array([[0, 1], [1, 0]], dtype=complex), 0.3),
                           linalg.expm_i(np.array([[1, 0], [0, -1]], dtype=complex), 0.8))
     assert cqp.type_equivalence_check(config, local, seed=2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_equivalence_defects_equal_per_trial_calls(n):
+    config = PerceptronConfig.type_ii(n)
+    rng = np.random.default_rng(150 + n)
+    us = np.stack([linalg.random_unitary(2 ** n, rng) for _ in range(7)])
+    xs, ws = rng.uniform(-1.0, 1.0, (2, 7, 2 * n))
+    # a contraction is not unitary, so its defects are large and have bits to compare
+    for u_stack, large in ((us, False), (0.5 * us, True)):
+        phis, states = cqp.equivalence_defects(config, u_stack, xs, ws)
+        assert phis.shape == states.shape == (7,)
+        for u, x, w, phi, state in zip(u_stack, xs, ws, phis, states):
+            one = cqp.equivalence_defects(config, u, x, w)
+            assert all(type(v) is float for v in one)  # one trial gives floats
+            assert np.array_equal([phi, state], one)
+        assert ((states > 1e-3) if large else (states <= 1e-14)).all()
 
 
 def test_type_equivalence_rejects_non_unitary():

@@ -307,3 +307,16 @@ def test_random_unitary_is_unitary():
     rng = np.random.default_rng(23)
     u = linalg.random_unitary(8, rng)
     assert linalg.unitarity_defect(u) <= 1e-10
+
+
+def test_random_hermitians_draw_each_matrix_from_its_own_generator():
+    """Each matrix of the stack has the bits of (M + M^dag) / 2 with M's real,
+    then imaginary parts drawn from its own generator."""
+    for dim in (2, 4, 8):
+        stack = linalg.random_hermitians(dim, [np.random.default_rng(s) for s in range(3)])
+        assert stack.shape == (3, dim, dim)
+        for s, h in enumerate(stack):
+            rng = np.random.default_rng(s)
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            assert np.array_equal(h, (m + linalg.adjoint(m)) / 2.0)
+            assert np.array_equal(linalg.random_hermitian(dim, np.random.default_rng(s)), h)
