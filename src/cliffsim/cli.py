@@ -436,14 +436,14 @@ def _names_value_flag(token: str) -> bool:
 
 def _join_float_values(argv: list[str]) -> list[str]:
     """argv with each value flag, spelled in full or abbreviated, and a
-    following token that parses as a float joined into --flag=value.
-    argparse takes a token that starts with '-' for a flag unless it looks
-    like -1 or -.5, so it would leave --beta -1e-3, --bet -1e-3 or
-    --theta1 -inf without a value."""
+    following token that parses as a float, or as a comma list of them (split
+    as _coerce splits), joined into --flag=value.  argparse takes a token that
+    starts with '-' for a flag unless it looks like -1 or -.5, so it would
+    leave --beta -1e-3, --bet -1e-3 or --thetas -1,2 without a value."""
     joined: list[str] = []
     for token in argv:
         if (token.startswith("-") and joined and _names_value_flag(joined[-1])
-                and _is_float(token)):
+                and all(_is_float(p) for p in token.split(",") if p.strip())):
             joined[-1] += f"={token}"
         else:
             joined.append(token)

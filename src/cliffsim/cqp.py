@@ -17,7 +17,9 @@ and output states (..., d).  Every guard applies to each row; one vector is
 a stack of shape ().  encode and forward each check the call (row length;
 one state length d on both sides), then apply the per-row guards (finite
 coefficients with a finite norm; activation output in [-1, 1], so never
-NaN).  Each row of a stacked call has the bits of the one-row call.
+NaN).  Each row of a stacked call has the bits of the one-row call: the
+overlaps and the state defects are numpy's row reductions (np.sum and
+np.linalg.norm over the last axis), which reduce each row on its own.
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
 y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
@@ -41,7 +43,7 @@ r, so that a row's fidelity is F = min(|gamma_0 cos(phi) + gamma_1 sin(phi)|, 1)
 When the active blades anticommute it also takes alpha = Re <x|0..0> and
 b_j = Re <x|iB_j|0..0>, and a row c has the overlap
 v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|, with |c| a hypot; otherwise
-v comes from the encoded stack of rows.  The activation is applied once to the
+v comes from one encode call on the stack of rows.  The activation is applied once to the
 vector of all rows' v, and each row then runs phi = arccos(act(v)) and F on
 Python floats.
 """
@@ -147,9 +149,13 @@ def _activation_error(value) -> ValueError:
                       f"is outside [-1, 1]; arccos undefined")
 
 
-def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
-    """encode's row kernel: the states of the coefficient rows c (..., m),
-    each of which must be finite, with a finite norm."""
+def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
+    """|x> = exp(i * sum_j coeffs[..., j] * B_j) |0..0>, shape (..., d), for
+    coeffs of shape (..., m); one vector is a stack of shape ()."""
+    c = np.asarray(coeffs, dtype=float)
+    m = len(config.active_blades)
+    if c.ndim == 0 or c.shape[-1] != m:
+        raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
     if not config._anticommuting:
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
@@ -161,33 +167,11 @@ def _encode_rows(config: PerceptronConfig, c: np.ndarray) -> np.ndarray:
     return _rotate_ground(unit @ config._i_blade_columns, norm)
 
 
-def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
-    """|x> = exp(i * sum_j coeffs[..., j] * B_j) |0..0>, shape (..., d), for
-    coeffs of shape (..., m); one vector is a stack of shape ()."""
-    c = np.asarray(coeffs, dtype=float)
-    m = len(config.active_blades)
-    if c.ndim == 0 or c.shape[-1] != m:
-        raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
-    return _encode_rows(config, c)
-
-
 def _one_state(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"x must be one state of shape (d,), got {x.shape}")
     return x
-
-
-def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[..., k] * b[..., k] for each pair of rows of a and b, which
-    broadcast; each is the dot a 1-d a @ b takes, so it has that call's bits."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _state_norms(z: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of z (..., d), with the bits of np.linalg.norm
-    on that row alone: sqrt(Re.Re + Im.Im)."""
-    return np.sqrt(_pair_dots(z.real, z.real) + _pair_dots(z.imag, z.imag))
 
 
 def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +184,7 @@ def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarr
     if x.ndim == 0 or w.ndim == 0 or x.shape[-1] != w.shape[-1]:
         raise ValueError(f"x and w must be states of one length d, "
                          f"got shapes {x.shape} and {w.shape}")
-    v = activation.apply(_pair_dots(w, np.conj(x)).real)
+    v = activation.apply(np.sum(w * np.conj(x), axis=-1).real)
     if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
         raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0])
     phi = np.arccos(Activation.CLAMP.apply(v))
@@ -251,7 +235,7 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
 
     def overlaps(rows: np.ndarray):
         if not config._anticommuting:
-            return (_encode_rows(config, rows) @ x_conj).real
+            return (encode(config, rows) @ x_conj).real
         cs = rows.tolist()
         norms = [math.hypot(*c) for c in cs]  # overflows only if the norm does
         for c, norm in zip(cs, norms):
@@ -320,7 +304,7 @@ def equivalence_defects(config: PerceptronConfig, u, x_coeffs, w_coeffs):
     phi, y = forward(x, w, config.activation, config.output_blade)
     phi_u, y_u = forward((u @ x[..., None])[..., 0], (u @ w[..., None])[..., 0],
                          config.activation, config.output_blade)
-    phi_defect, state_defect = np.abs(phi - phi_u), _state_norms(y - y_u)
+    phi_defect, state_defect = np.abs(phi - phi_u), np.linalg.norm(y - y_u, axis=-1)
     if phi_defect.ndim == 0:
         return float(phi_defect), float(state_defect)
     return phi_defect, state_defect

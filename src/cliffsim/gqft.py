@@ -21,11 +21,12 @@ gives every Gamma_k the same term, so the shared-axis draw needs one
 matrix.  Gamma_k depends on the axes only, so that one call serves every
 theta (gqft_dense_grid).  The factored route builds every column of every
 theta at once, as a column-wise Kronecker product of n (T, 2, 2^n) factors,
-using only one axis_dot_sigma call and the 2x2 closed form on basis columns
-(gqft_column_factored_grid).  The two routes share nothing beyond the Pauli
-matrices, so they cross-check each other.  theta = 0 recovers the standard
-transform; the Frobenius distance from it is bounded by
-2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
+taken from one closed-form call (linalg.expm_i_involution) on the 2n 2x2
+matrices n_l^b . sigma at every theta (gqft_column_factored_grid).  The
+dense route exponentiates through an eigendecomposition, so the two routes
+share nothing beyond the Pauli matrices and cross-check each other.
+theta = 0 recovers the standard transform; the Frobenius distance from it
+is bounded by 2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
 distance_reports computes these checked quantities for a whole grid, each
 as one stacked reduction, and asserts none of them: the thresholds are the
 caller's.
@@ -190,28 +191,21 @@ def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     thetas, shape (T, 2^n, 2^n), every column of every theta at once.
 
     Column j is the Kronecker product over qubits l of
-    (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where
-    R_l^b |b> = cos(theta) |b> + i sin(theta) (n_l^b . sigma) |b> is the 2x2
-    closed form applied to one basis column.  The factors of qubit l for all
-    j and all theta form one (T, 2, 2^n) array, and the columns are their
-    column-wise Kronecker product, one step per qubit.
+    (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where R_l^b is the
+    2x2 closed form linalg.expm_i_involution, one call for every qubit, bit
+    and theta.  The factors of qubit l for all j and all theta form one
+    (T, 2, 2^n) array, and the columns are their column-wise Kronecker
+    product, one step per qubit.
     """
     axes, thetas = _checked_grid(axes, thetas)
     n, dim = len(axes), 2 ** len(axes)
-    # the closed form's coefficients, formed as linalg.expm_i_involution forms them,
-    # so each column entry has the bits of the whole-matrix closed form's entry
-    isin = np.array([1j * math.sin(theta) for theta in thetas.tolist()])[:, None, None]
-    cos = np.array([math.cos(theta) for theta in thetas.tolist()])[:, None]
-    sigma = axis_dot_sigma(axes)  # sigma[l, b] = n_l^b . sigma
-    # basis[b][t, l] = R_l^b |b> at theta_t, shape (T, n, 2)
-    basis = [isin * sigma[:, b, :, b] for b in (0, 1)]
-    basis[0][:, :, 0] += cos
-    basis[1][:, :, 1] += cos
+    # rot[t, l, b] = R_l^b at theta_t, shape (T, n, 2, 2, 2)
+    rot = linalg.expm_i_involution(axis_dot_sigma(axes), thetas[:, None, None])
     j = np.arange(dim)
     cols = np.ones((len(thetas), 1, dim), dtype=complex)
     for l in range(1, n + 1):
         phase = np.exp(2j * np.pi * j / 2 ** l)
-        r0, r1 = basis[0][:, l - 1, :, None], basis[1][:, l - 1, :, None]  # (T, 2, 1)
+        r0, r1 = rot[:, l - 1, 0, :, 0, None], rot[:, l - 1, 1, :, 1, None]  # (T, 2, 1)
         factor = (r0 + phase * r1) / math.sqrt(2.0)  # (T, 2, dim)
         cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(thetas), -1, dim)
     return cols

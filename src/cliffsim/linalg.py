@@ -10,8 +10,9 @@ Hermitian.  ``expm_i_involution`` is the closed form of a Hermitian
 involution: H^2 = I gives exp(i*s*H) = cos(s) I + i sin(s) H.  It takes one
 matrix or a stack (..., d, d) with an array of s that broadcasts against
 the stack's leading axes, so the product formula (``trotter``) forms every
-factor of a whole r grid in one call; the perceptron (``cqp``) and the
-factored GQFT (``gqft``) apply the same closed form to basis columns only.
+factor of a whole r grid in one call, and the factored GQFT (``gqft``) every
+2x2 rotation of a whole theta grid; the perceptron (``cqp``) applies the same
+closed form to the ground-state column only.
 The general ``expm_i`` goes through a Hermitian eigendecomposition (LAPACK
 ``eigh``) instead of a Pade scheme.  It is the oracle of the closed forms: the tests
 compare them with it, and the dense GQFT and the exact Trotter evolution
@@ -37,7 +38,6 @@ coerce, check against DEFAULT_TOL and return their input.
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +116,7 @@ def frobenius_norm(a) -> float | np.ndarray:
 
 def _max_hermiticity_defect(m: np.ndarray) -> float:
     """Largest Frobenius norm of M - M^dag over the matrices of a stack (..., d, d)."""
-    squares = (np.abs(m - adjoint(m)) ** 2).sum(axis=(-2, -1), keepdims=True)
-    return math.sqrt(squares.max(initial=0.0))
+    return float(np.max(frobenius_norm(m - adjoint(m)), initial=0.0))
 
 
 def require_hermitian(a, where: str) -> np.ndarray:

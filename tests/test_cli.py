@@ -161,6 +161,10 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["decompose", "--theta1", "-inf"],
     ["decompose", "--theta2", "-nan"],
     ["train-cqp", "--beta", "-Infinity"],
+    # ... or a comma list of them, as --flag=value does
+    ["gqft-distance", "--thetas", "-1,2"],
+    ["trotter-sweep", "--rs", "-1,5"],
+    ["swap-test", "--shots", "-5,10"],
 ])
 def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a report under its default name would land here
@@ -418,8 +422,8 @@ def test_gqft_grid_is_one_eigendecomposition_per_seed(tmp_path, monkeypatch):
 
 def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
     """Each axis draw makes one factored-grid call for its whole theta grid,
-    with one axis_dot_sigma call for all its axes and no per-theta 2x2
-    rotation."""
+    with one axis_dot_sigma call for all its axes and one closed-form call
+    for every 2x2 rotation of the grid, none per theta."""
     calls = {"grid": 0, "sigma": 0, "involution": 0}
 
     def counted(name, real):
@@ -431,7 +435,7 @@ def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
                         counted("involution", linalg.expm_i_involution))
     assert cli.main(["verify-gqft", "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
                      "--out", str(tmp_path / "r.csv")]) == 0
-    assert calls == {"grid": 3, "sigma": 3, "involution": 0}
+    assert calls == {"grid": 3, "sigma": 3, "involution": 3}
 
 
 def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):

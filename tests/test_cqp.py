@@ -425,13 +425,13 @@ def test_train_equals_a_loop_over_encode_and_forward(config, activation):
 def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
     config, sample, theta0 = _toy_task(2)
     shapes = []
-    encode_rows = cqp._encode_rows
+    encode = cqp.encode
 
-    def counting_encode_rows(cfg, coeffs):
+    def counting_encode(cfg, coeffs):
         shapes.append(np.shape(coeffs))
-        return encode_rows(cfg, coeffs)
+        return encode(cfg, coeffs)
 
-    monkeypatch.setattr(cqp, "_encode_rows", counting_encode_rows)
+    monkeypatch.setattr(cqp, "encode", counting_encode)
     cqp.train(config, sample, theta0, iterations=4)
     assert shapes == [(2,)]  # rows are scored from scalars, never as states
     shapes.clear()
