@@ -214,19 +214,17 @@ def _gqft_grid(cfg):
 
 def _cmd_verify_gqft(cfg):
     rows = []
-    worst_u = worst_f = 0.0
     for theta, seed, rep in _gqft_grid(cfg):
         defect, fact = rep.unitarity_defect, rep.max_column_factorization_error
         _check(defect <= 1e-10, "gqft-unitarity",
                f"theta={theta} seed={seed} defect {defect:.3e}")
         _check(fact <= 1e-10, "gqft-factorization",
                f"theta={theta} seed={seed} error {fact:.3e}")
-        worst_u, worst_f = max(worst_u, defect), max(worst_f, fact)
         rows.append([theta, rep.n, seed, defect, fact])
     header = ["theta", "n", "seed", "unitarity_defect", "factorization_error"]
     return header, rows, [f"verify-gqft: {len(rows)} rows, "
-                          f"max unitarity defect {worst_u:.3e}, "
-                          f"max factorization error {worst_f:.3e}"]
+                          f"max unitarity defect {max(r[3] for r in rows):.3e}, "
+                          f"max factorization error {max(r[4] for r in rows):.3e}"]
 
 
 def _cmd_gqft_distance(cfg):
@@ -365,7 +363,6 @@ def _cmd_equivalence(cfg):
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     config = cqp.PerceptronConfig.type_ii(n)
     rows = []
-    worst = 0.0
     for block, us, xs, ws in _equivalence_blocks(n, _derived_seeds(cfg, 0, cfg["trials"])):
         phi_defects, state_defects = cqp.equivalence_defects(config, us, xs, ws)
         # checked in seed order, so the first failing seed is the one named
@@ -374,10 +371,10 @@ def _cmd_equivalence(cfg):
             _check(phi_defect <= 1e-10 and state_defect <= 1e-10, "equivalence-defect",
                    f"seed={seed}: phi defect {phi_defect:.3e}, "
                    f"state defect {state_defect:.3e}")
-            worst = max(worst, phi_defect, state_defect)
             rows.append([seed, n, phi_defect, state_defect])
     header = ["seed", "n", "phi_defect", "state_defect"]
-    return header, rows, [f"equivalence: {len(rows)} trials, max defect {worst:.3e}"]
+    return header, rows, [f"equivalence: {len(rows)} trials, "
+                          f"max defect {max(max(r[2:]) for r in rows):.3e}"]
 
 
 def _cmd_decompose(cfg):

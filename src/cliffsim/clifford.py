@@ -10,15 +10,17 @@ Products of distinct generators ("blades") are made Hermitian by a phase
 factor omega in {1, i} chosen from the grade: omega = i exactly when
 zeta*(zeta-1)/2 is odd (zeta = number of factors), i.e. zeta = 2, 3 mod 4.
 A blade's matrix is omega times the dense product of its generator
-matrices, which are built once at import; one blade, a term list and the
-whole basis share one construction (blade_products), a masked stacked
-product per generator.  Pauli-word matrices are monomial with entries in
-{0, +-1, +-i}, so every such product is exact in floating point:
-construction certifies B = B^dag by exact equality and aborts otherwise
-rather than flipping the factor.  Matrices put qubit 1 on the most
-significant bit.  The whole basis stack (_basis_stack) is built once per n,
-at import for n <= 3; the basis report and the dense commutator count read
-it and run every check again in every call.
+matrices, which are built once at import.  Only _basis_stack(n) builds blade
+matrices: all 4^n of a register at once, by a masked stacked product per
+generator, once per process (at import for n <= 3, on first use for n = 4).
+Pauli-word matrices are monomial with entries in {0, +-1, +-i}, so every
+such product is exact in floating point: the build certifies B = B^dag by
+exact equality and aborts otherwise rather than flipping the factor.  Every
+other blade matrix is a row of that read-only stack: Blade.dense() is a
+view of its row and blade_products gathers a copy of the rows of a list.
+Matrices put qubit 1 on the most significant bit.  The basis report and the
+dense commutator count read the stack and run every check again in every
+call.
 
 Two blades commute or anticommute.  Anticommuting basis pairs are counted
 two ways that share no code: the parity rule on index sets, for all pairs
@@ -114,39 +116,15 @@ class Blade:
         z = self.grade
         return 1j if (z * (z - 1) // 2) % 2 else 1.0 + 0j
 
-    @functools.cached_property
-    def _dense(self) -> np.ndarray:
-        return _read_only(blade_products(self.n, [self])[0])
-
     def dense(self) -> np.ndarray:
-        return self._dense
+        """Its row of _basis_stack(n): a read-only view."""
+        return _basis_stack(self.n)[_BASIS_ROW[self.n][self.indices]]
 
 
 def blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
-    """The matrices of blades on n qubits, stacked (k, d, d).
-
-    Every product starts from the identity and takes one masked stacked
-    product per generator, in ascending index order, so each matrix is the
-    left-to-right product of its own generators; then it is scaled by its
-    omega and the whole stack is certified Hermitian by exact equality.
-    """
-    gens = _GENERATORS[n]
-    m = np.empty((len(blades), 2 ** n, 2 ** n), dtype=complex)
-    m[:] = np.eye(2 ** n)
-    for a in sorted({a for b in blades for a in b.indices}):
-        rows = [i for i, b in enumerate(blades) if a in b.indices]
-        if len(rows) == len(blades):  # every blade has the factor: no gather needed
-            m = m @ gens[a]
-        else:
-            m[rows] = m[rows] @ gens[a]
-    m *= np.array([b.omega for b in blades])[:, None, None]
-    if not (m == linalg.adjoint(m)).all():
-        # the omega rule guarantees Hermiticity and the product is exact,
-        # so reaching this means the construction itself is broken
-        bad = next(b for b, x in zip(blades, m) if not np.array_equal(x, linalg.adjoint(x)))
-        raise ValueError(f"blade {bad.indices} on n={n} is not Hermitian; "
-                         "refusing to flip omega")
-    return m
+    """The matrices of blades on n qubits, stacked (k, d, d): a new array
+    gathered from the rows of _basis_stack(n)."""
+    return _basis_stack(n)[[_BASIS_ROW[n][b.indices] for b in blades]]
 
 
 def _basis_indices(n: int) -> list[tuple[int, ...]]:
@@ -182,10 +160,31 @@ class BasisReport(NamedTuple):
 def _basis_stack(n: int) -> np.ndarray:
     """The matrices of hermitian_basis(n), stacked in its order: (4^n, d, d).
 
-    A constant of n, built once per process and read-only; every caller
-    shares it.  A bad n raises on every call, since exceptions are not cached."""
-    return _read_only(blade_products(n, hermitian_basis(n)))
+    The one construction of blade matrices.  Every product starts from the
+    identity and takes one masked stacked product per generator, in
+    ascending index order, so each matrix is the left-to-right product of
+    its own generators; then it is scaled by its omega and the whole stack
+    is certified Hermitian by exact equality.  A constant of n, built once
+    per process and read-only; every caller shares it.  A bad n raises on
+    every call, since exceptions are not cached."""
+    blades = hermitian_basis(n)
+    m = np.empty((len(blades), 2 ** n, 2 ** n), dtype=complex)
+    m[:] = np.eye(2 ** n)
+    for a, gen in enumerate(_GENERATORS[n]):
+        rows = [i for i, b in enumerate(blades) if a in b.indices]
+        m[rows] = m[rows] @ gen
+    m *= np.array([b.omega for b in blades])[:, None, None]
+    if not (m == linalg.adjoint(m)).all():
+        # the omega rule guarantees Hermiticity and the product is exact,
+        # so reaching this means the construction itself is broken
+        bad = next(b for b, x in zip(blades, m) if not np.array_equal(x, linalg.adjoint(x)))
+        raise ValueError(f"blade {bad.indices} on n={n} is not Hermitian; "
+                         "refusing to flip omega")
+    return _read_only(m)
 
+
+# The row of each blade in _basis_stack(n), by index set.
+_BASIS_ROW = {n: {idx: i for i, idx in enumerate(_basis_indices(n))} for n in range(1, 5)}
 
 # verify-basis and omega-count accept n = 1..3: build those stacks at import,
 # as _GENERATORS is, so that no job pays (or traces) their construction.

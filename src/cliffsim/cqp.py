@@ -117,12 +117,8 @@ class PerceptronConfig:
                    output_blade=Blade(n, tuple(output_indices)), **kw)
 
     @cached_property
-    def _blade_stack(self) -> np.ndarray:
-        return blade_products(self.n, self.active_blades)
-
-    @cached_property
     def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
-        return 1j * self._blade_stack[:, :, 0]
+        return 1j * blade_products(self.n, self.active_blades)[:, :, 0]
 
     @cached_property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
@@ -159,7 +155,8 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     if not config._anticommuting:
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        return linalg.expm_i(np.tensordot(c, config._blade_stack, axes=1))[..., 0]
+        return linalg.expm_i(np.tensordot(
+            c, blade_products(config.n, config.active_blades), axes=1))[..., 0]
     norm = np.hypot.reduce(c, axis=-1)  # overflows only if the norm does, unlike sum(c^2)
     if not np.isfinite(norm).all():
         raise _norm_error(c)

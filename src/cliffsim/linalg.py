@@ -215,15 +215,15 @@ def expm_i_involution(h, s=1.0) -> np.ndarray:
     give every exp(i*s[r, j]*H[j]) at once, shape (R, L, d, d).  Each entry is
     formed as for one matrix and one number, so a slice has the bits of the
     call on that matrix and that number.  A non-real or non-finite s raises
-    ValueError.  H^2 = I is the caller's to guarantee (every blade squares to
-    I); it is not re-checked here.  The tests compare this closed form with
-    expm_i.
+    ValueError; a real s of any dtype is taken in float64.  H^2 = I is the
+    caller's to guarantee (every blade squares to I); it is not re-checked
+    here.  The tests compare this closed form with expm_i.
     """
     h = _square_stack(h, "expm_i_involution")
     s = np.asarray(s)
     if np.iscomplexobj(s) or not np.isfinite(s).all():
         raise ValueError("expm_i_involution: s must be real and finite")
-    s = s[..., None, None]
+    s = s.astype(float, copy=False)[..., None, None]  # sin of a float16 s is a float16
     m = 1j * np.sin(s) * h  # a new array, in h's memory order
     diag = np.arange(h.shape[-1])
     m[..., diag, diag] += np.cos(s)[..., 0]

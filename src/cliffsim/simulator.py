@@ -16,6 +16,7 @@ closed form alone, so a caller compares the routes once per state pair.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,9 @@ def swap_test_sampled(psi, phi, shots: int, seed: int) -> tuple[ShotTally, float
     one place that compares it with the protocol.  The estimate is
     sqrt(max(0, 2*zero_count/shots - 1)); a negative radicand (possible
     only through sampling noise) clamps to zero and is flagged on the tally.
+    A shot count that is not an integer raises TypeError.
     """
+    shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
     p0 = _swap_formula(*_state_pair(psi, phi))

@@ -66,15 +66,20 @@ def test_blade_dense_examples():
     np.testing.assert_allclose(Blade(2, (0, 1, 2, 3)).dense(), want, atol=1e-15)
 
 
+def _generator_product(n, b):
+    """omega * gamma_{j1} ... gamma_{jz}, from Kronecker-built generators."""
+    prod = np.eye(2 ** n, dtype=complex)
+    for a in b.indices:
+        prod = prod @ gamma(n, a).dense()
+    return b.omega * prod
+
+
 def test_blade_dense_equals_generator_product():
     for n in (1, 2):
         for grade in range(2 * n + 1):
             for subset in itertools.combinations(range(2 * n), grade):
                 b = Blade(n, subset)
-                prod = np.eye(2 ** n, dtype=complex)
-                for a in subset:
-                    prod = prod @ gamma(n, a).dense()
-                np.testing.assert_allclose(b.dense(), b.omega * prod, atol=1e-14)
+                np.testing.assert_allclose(b.dense(), _generator_product(n, b), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -83,10 +88,7 @@ def test_basis_stack_equals_the_blades_exactly(n):
     blades = clifford.hermitian_basis(n)
     assert np.array_equal(stack, [b.dense() for b in blades])
     for b, m in zip(blades, stack):
-        prod = np.eye(2 ** n, dtype=complex)
-        for a in b.indices:
-            prod = prod @ gamma(n, a).dense()
-        assert np.array_equal(m, b.omega * prod), b.indices
+        assert np.array_equal(m, _generator_product(n, b)), b.indices
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -94,13 +96,32 @@ def test_basis_stack_is_built_once_and_read_only(n):
     stack = clifford._basis_stack(n)
     assert clifford._basis_stack(n) is stack
     assert not stack.flags.writeable
-    fresh = clifford.blade_products(n, clifford.hermitian_basis(n))
-    assert stack.shape == fresh.shape and stack.tobytes() == fresh.tobytes()
+    assert stack.shape == (4 ** n, 2 ** n, 2 ** n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_blades_are_rows_of_the_basis_stack(n):
+    """blade_products gathers a new stack for any list of blades, in its
+    order; Blade.dense() is a read-only view of its row of the basis stack."""
+    top = 2 * n - 1
+    lists = [[], [Blade(n, (top,)), Blade(n, ())],
+             [Blade(n, (0, top)), Blade(n, (0, top)), Blade(n, (1,))],
+             [Blade(n, tuple(range(2 * n))), Blade(n, (0,)),
+              Blade(n, tuple(range(1, top + 1, 2)))]]
+    for blades in lists:
+        got = clifford.blade_products(n, blades)
+        assert got.shape == (len(blades), 2 ** n, 2 ** n) and got.flags.writeable
+        assert not np.shares_memory(got, clifford._basis_stack(n))
+        for m, b in zip(got, blades):
+            assert np.array_equal(m, _generator_product(n, b)), b.indices
+    for b in clifford.hermitian_basis(n):
+        m = b.dense()
+        assert not m.flags.writeable and np.shares_memory(m, clifford._basis_stack(n))
 
 
 def test_basis_commands_build_no_blades(monkeypatch, tmp_path):
-    """verify-basis and omega-count read the stacks built at import: a job
-    makes no hermitian_basis or blade_products call."""
+    """Jobs read the stacks built at import: no job calls hermitian_basis,
+    the builder's first step, and none goes through clifford.blade_products."""
     calls = []
 
     def counted(name):
@@ -113,8 +134,10 @@ def test_basis_commands_build_no_blades(monkeypatch, tmp_path):
 
     for name in ("blade_products", "hermitian_basis"):
         monkeypatch.setattr(clifford, name, counted(name))
-    for command in ("verify-basis", "omega-count"):
-        assert cli.main([command, "--n", "3", "--out", str(tmp_path / f"{command}.csv")]) == 0
+    for argv in (["verify-basis", "--n", "3"], ["omega-count", "--n", "3"],
+                 ["equivalence", "--n", "3"], ["train-cqp", "--n", "2"],
+                 ["trotter-sweep", "--n", "2", "--terms", "15"]):
+        assert cli.main([*argv, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
     assert calls == []
 
 
@@ -156,7 +179,7 @@ def test_wrong_omega_aborts_construction(monkeypatch):
     # grade 2 needs omega = i; forcing 1 leaves an anti-Hermitian product
     monkeypatch.setattr(Blade, "omega", property(lambda self: 1.0 + 0j))
     with pytest.raises(ValueError, match="refusing to flip omega"):
-        Blade(2, (0, 1)).dense()
+        clifford._basis_stack.__wrapped__(2)
 
 
 def test_generator_matrices_are_shared_and_read_only():

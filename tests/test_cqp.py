@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cliffsim import cqp, linalg, simulator
-from cliffsim.clifford import Blade
+from cliffsim.clifford import Blade, blade_products
 from cliffsim.cqp import Activation, PerceptronConfig, TrainingSample
 
 
@@ -185,12 +185,13 @@ def test_anticommuting_type_i_encode_equals_the_two_term_formula():
     config = _STACK_CONFIGS[3]
     assert config._anticommuting
     e0 = simulator.basis_state(config.n, 0)
+    columns = blade_products(config.n, config.active_blades)[:, :, 0]
     rng = np.random.default_rng(120)
     for norm in _ANGLES:
         unit = rng.normal(size=np.shape(norm) + (3,))
         unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
         a = np.asarray(norm)[..., None]
-        want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ config._blade_stack[:, :, 0])
+        want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ columns)
         got = cqp._rotate_ground(unit @ config._i_blade_columns, norm)
         assert np.array_equal(got, want)
 
@@ -199,7 +200,7 @@ def test_anticommuting_type_i_encode_equals_the_two_term_formula():
     *(PerceptronConfig.type_ii(n) for n in (1, 2, 3, 4)), *_STACK_CONFIGS[3:]])
 def test_blade_stack_equals_the_stacked_blade_matrices(config):
     want = np.stack([b.dense() for b in config.active_blades])
-    assert np.array_equal(config._blade_stack, want)
+    assert np.array_equal(blade_products(config.n, config.active_blades), want)
 
 
 def test_activation_apply_is_elementwise():

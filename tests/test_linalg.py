@@ -193,6 +193,17 @@ def test_involution_rejects_a_non_real_or_non_finite_s(s):
         linalg.expm_i_involution(X, s)
 
 
+@pytest.mark.parametrize("dtype", [bool, np.int8, np.int16, np.float16, np.float32])
+def test_involution_takes_s_of_any_real_dtype_in_float64(dtype):
+    """numpy would take sin and cos of these dtypes in float16 or float32."""
+    for value in (True, 1, 3, -7, 0.5):
+        s = np.array(value, dtype=dtype)
+        want = linalg.expm_i_involution(X, float(s))
+        assert linalg.expm_i_involution(X, s).tobytes() == want.tobytes()
+        stack = linalg.expm_i_involution(np.array([X, X]), np.array([s, s]))
+        assert stack.tobytes() == np.array([want, want]).tobytes()
+
+
 @pytest.mark.parametrize("a", [np.zeros((3, 2, 4)), np.zeros(4),
                                np.array([np.eye(2), np.full((2, 2), np.nan)])])
 def test_spectral_norm_rejects_a_non_square_or_non_finite_stack(a):

@@ -96,6 +96,18 @@ def test_swap_test_sampled_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("shots", [2.5, np.float64(3.0), "3"])
+def test_swap_test_sampled_rejects_a_non_integer_shot_count(shots):
+    with pytest.raises(TypeError):
+        simulator.swap_test_sampled(KET0, PLUS, shots=shots, seed=11)
+
+
+def test_swap_test_sampled_takes_a_numpy_integer_shot_count():
+    want = simulator.swap_test_sampled(KET0, PLUS, shots=5000, seed=11)
+    got = simulator.swap_test_sampled(KET0, PLUS, shots=np.int64(5000), seed=11)
+    assert got == want and type(got[0].shots) is int
+
+
 def test_entanglement_entropy_product_and_bell():
     assert simulator.entanglement_entropy(simulator.basis_state(2, 0), 1) == pytest.approx(
         0.0, abs=1e-10)
