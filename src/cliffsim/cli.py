@@ -123,6 +123,8 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
             cfg[key] = _coerce(key, keys[key][0], flag_val)
     if not 0 <= cfg["seed"] < 2 ** 64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {cfg['seed']}")
+    sizes = clifford.REGISTER_SIZES
+    _require("n" not in cfg or cfg["n"] in sizes, "n", f"must be in {sizes[0]}..{sizes[-1]}")
     return cfg
 
 
@@ -170,7 +172,6 @@ def _fmt(value) -> str:
 
 def _cmd_verify_basis(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 3, "n", "must be in 1..3")
     _, count, herm, gen, rank = clifford.basis_report(n)
     _check(herm <= 1e-12, "basis-hermiticity", f"max defect {herm:.3e}")
     _check(gen <= 1e-12, "generator-relations", f"max defect {gen:.3e}")
@@ -184,7 +185,6 @@ def _cmd_verify_basis(cfg):
 
 def _cmd_omega_count(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 3, "n", "must be in 1..3")
     parity = clifford.omega_count(n)
     dense = clifford.omega_count_dense(n)
     _check(parity == dense, "omega-agreement", f"parity {parity} != dense {dense}")
@@ -194,7 +194,6 @@ def _cmd_omega_count(cfg):
 
 def _gqft_grid(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 4, "n", "must be in 1..4")
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     _require(len(cfg["thetas"]) >= 1 and all(t >= 0 for t in cfg["thetas"]), "thetas",
              "need at least one theta, all >= 0")
@@ -242,7 +241,6 @@ def _cmd_gqft_distance(cfg):
 
 def _cmd_trotter_sweep(cfg):
     n, terms_n, t = cfg["n"], cfg["terms"], cfg["t"]
-    _require(1 <= n <= 2, "n", "must be in 1..2")
     _require(1 <= terms_n <= 4 ** n - 1, "terms", f"must be in 1..{4 ** n - 1} for n={n}")
     _require(len(cfg["rs"]) >= 1 and all(1 <= r <= trotter.R_MAX for r in cfg["rs"]), "rs",
              f"need at least one r, all in 1..{trotter.R_MAX}")
@@ -273,7 +271,6 @@ def _cmd_trotter_sweep(cfg):
 
 def _cmd_swap_test(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 4, "n", "must be in 1..4")
     _require(len(cfg["shots"]) >= 1 and all(1 <= s < 2 ** 63 for s in cfg["shots"]),
              "shots", "need at least one shot count, all in 1..2^63-1")
     row_seeds = _derived_seeds(cfg, 1, len(cfg["shots"]))
@@ -298,7 +295,6 @@ def _cmd_swap_test(cfg):
 
 def _cmd_train_cqp(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 2, "n", "must be in 1..2")
     _require(math.isfinite(cfg["beta"]), "beta", "must be finite")
     _require(0 < cfg["eta"] < math.inf, "eta", "must be finite and > 0")
     _require(0 < cfg["fd_step"] < cqp.FD_STEP_MAX, "fd_step",
@@ -359,7 +355,6 @@ def _equivalence_blocks(n: int, seeds: range):
 
 def _cmd_equivalence(cfg):
     n = cfg["n"]
-    _require(1 <= n <= 3, "n", "must be in 1..3")
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     config = cqp.PerceptronConfig.type_ii(n)
     rows = []

@@ -1,7 +1,9 @@
 """Pauli-word generators and Hermitian Clifford generator products.
 
-A register of n qubits carries 2n anticommuting generators, each realized
-as a Pauli string with a single X or Y letter followed by a Z tail:
+A register of n qubits, n in REGISTER_SIZES (1..4, the one range every
+module and the CLI take from here), carries 2n anticommuting generators,
+each realized as a Pauli string with a single X or Y letter followed by
+a Z tail:
 
     gamma(n, 2k)   = I^(n-k-1) (x) X (x) Z^k
     gamma(n, 2k+1) = I^(n-k-1) (x) Y (x) Z^k      for k = 0..n-1.
@@ -67,10 +69,18 @@ class PauliString:
         return linalg.tensor(*(PAULI[c] for c in self.letters))
 
 
+# The register sizes, in qubits, of every generator, blade and command.
+REGISTER_SIZES = range(1, 5)
+
+
+def _check_register_size(n: int) -> None:
+    if n not in REGISTER_SIZES:
+        raise ValueError(f"need {REGISTER_SIZES[0]} <= n <= {REGISTER_SIZES[-1]}, got n={n}")
+
+
 def gamma(n: int, a: int) -> PauliString:
     """Generator a of the 2n-generator set on n qubits (phase-free word)."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"need 1 <= n <= 4, got n={n}")
+    _check_register_size(n)
     if not 0 <= a <= 2 * n - 1:
         raise ValueError(f"generator index {a} out of range 0..{2 * n - 1}")
     k = a // 2
@@ -87,7 +97,7 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 # The 2n generator matrices of every register size, built once at import so
 # that blades share them and no job pays (or traces) their construction.
 _GENERATORS = {n: tuple(_read_only(gamma(n, a).dense()) for a in range(2 * n))
-               for n in range(1, 5)}
+               for n in REGISTER_SIZES}
 
 
 @dataclass(frozen=True)
@@ -98,8 +108,7 @@ class Blade:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n not in _GENERATORS:
-            raise ValueError(f"need 1 <= n <= 4, got n={self.n}")
+        _check_register_size(self.n)
         idx = tuple(self.indices)
         if list(idx) != sorted(set(idx)):
             raise ValueError(f"indices must be strictly ascending, got {idx}")
@@ -124,26 +133,26 @@ class Blade:
 def blade_products(n: int, blades: Sequence[Blade]) -> np.ndarray:
     """The matrices of blades on n qubits, stacked (k, d, d): a new array
     gathered from the rows of _basis_stack(n)."""
+    if any(b.n != n for b in blades):
+        raise ValueError(f"every blade must be on n={n}, got n in {sorted({b.n for b in blades})}")
     return _basis_stack(n)[[_BASIS_ROW[n][b.indices] for b in blades]]
 
 
 def _basis_indices(n: int) -> list[tuple[int, ...]]:
     """The index sets of hermitian_basis(n), in its order."""
+    _check_register_size(n)
     return [idx for grade in range(2 * n + 1)
             for idx in itertools.combinations(range(2 * n), grade)]
 
 
 def hermitian_basis(n: int) -> list[Blade]:
     """All 4^n blades, grade-major, index-lexicographic inside each grade."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"need 1 <= n <= 4, got n={n}")
     return [Blade(n, idx) for idx in _basis_indices(n)]
 
 
 def pauli_word_basis(n: int) -> list[PauliString]:
     """All 4^n phase-free words, in lexicographic I < X < Y < Z order."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"need 1 <= n <= 4, got n={n}")
+    _check_register_size(n)
     return [PauliString(n, letters)
             for letters in itertools.product("IXYZ", repeat=n)]
 
@@ -184,11 +193,11 @@ def _basis_stack(n: int) -> np.ndarray:
 
 
 # The row of each blade in _basis_stack(n), by index set.
-_BASIS_ROW = {n: {idx: i for i, idx in enumerate(_basis_indices(n))} for n in range(1, 5)}
+_BASIS_ROW = {n: {idx: i for i, idx in enumerate(_basis_indices(n))} for n in REGISTER_SIZES}
 
-# verify-basis and omega-count accept n = 1..3: build those stacks at import,
-# as _GENERATORS is, so that no job pays (or traces) their construction.
-for _n in range(1, 4):
+# Built at import for n = 1..3, as _GENERATORS is, so no job pays (or traces) them; n = 4
+# stays lazy: ~6.6 ms and ~1 MB per process, which no benchmark workload reads.
+for _n in REGISTER_SIZES[:-1]:
     _basis_stack(_n)
 
 
@@ -231,13 +240,11 @@ def anticommutes(j1: Iterable[int], j2: Iterable[int]) -> bool:
 
 def omega_count(n: int) -> int:
     """Number of unordered non-commuting basis pairs, by the parity rule."""
-    if not 1 <= n <= 3:
-        raise ValueError(f"need 1 <= n <= 3, got n={n}")
     anti = anticommutation_matrix(_basis_indices(n))
     return int(np.triu(anti, 1).sum())
 
 
-# Rows per tile of _pair_products: omega_count_dense(3) peaks at 0.59 MB (4: 1.09).
+# Rows per tile of _pair_products: omega_count_dense(3) peaks at 0.59 MB (4: 9.4).
 _TILE = 2
 
 
@@ -259,8 +266,6 @@ def omega_count_dense(n: int) -> int:
     """Brute-force count via dense commutators; oracle for omega_count.  Each
     tile of _TILE blades meets every later blade in two GEMMs (_pair_products),
     so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag."""
-    if not 1 <= n <= 3:
-        raise ValueError(f"need 1 <= n <= 3, got n={n}")
     mats = _basis_stack(n)
     later = np.arange(len(mats)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
     count = 0

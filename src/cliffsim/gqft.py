@@ -41,17 +41,18 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import PAULI
+from .clifford import PAULI, _check_register_size
 from .simulator import basis_state  # noqa: F401  bench/test_bench.py traces this binding
 
 _AXIS_TOL = 1e-12
 
 
 def _checked_axes(axes) -> np.ndarray:
-    """The axes as floats, shape (n, 2, 3) with 1 <= n <= 4, finite and unit to _AXIS_TOL."""
+    """The axes as floats, shape (n, 2, 3) for a register size n, finite, unit to _AXIS_TOL."""
     ax = np.asarray(axes, dtype=float)
-    if ax.ndim != 3 or ax.shape[1:] != (2, 3) or not 1 <= len(ax) <= 4:
-        raise ValueError(f"axes must have shape (n, 2, 3) with 1 <= n <= 4, got {ax.shape}")
+    if ax.ndim != 3 or ax.shape[1:] != (2, 3):
+        raise ValueError(f"axes must have shape (n, 2, 3), got {ax.shape}")
+    _check_register_size(len(ax))
     if not np.isfinite(ax).all():
         raise ValueError("axes contain non-finite entries")
     deviation = np.abs(np.linalg.norm(ax, axis=2) - 1.0).max()

@@ -148,8 +148,6 @@ def error_sweep(terms: Sequence[HamiltonianTerm], t: float,
 def random_instance(n: int, num_terms: int, seed: int) -> list[HamiltonianTerm]:
     """Seeded term list over distinct non-identity blades, coefficients in
     +-[0.2, 1.0] (bounded away from zero so instances stay non-degenerate)."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"need 1 <= n <= 4, got n={n}")
     pool = _basis_indices(n)[1:]  # every non-identity index set
     if not 1 <= num_terms <= len(pool):
         raise ValueError(f"num_terms must be in 1..{len(pool)} for n={n}, got {num_terms}")

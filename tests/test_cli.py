@@ -124,6 +124,15 @@ def test_invalid_parameter_exits_3(tmp_path, capsys):
     assert "ERROR invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [c for c, keys in cli._COMMAND_KEYS.items() if "n" in keys])
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_every_command_takes_the_one_register_range(tmp_path, capsys, command, n):
+    out = tmp_path / "r.csv"
+    assert cli.main([command, "--n", n, "--out", str(out)]) == 3
+    assert "n: must be in 1..4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_value_exits_3(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert cli.main(["trotter-sweep", "--rs", "ten", "--out", str(out)]) == 3

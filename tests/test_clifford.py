@@ -119,6 +119,13 @@ def test_blades_are_rows_of_the_basis_stack(n):
         assert not m.flags.writeable and np.shares_memory(m, clifford._basis_stack(n))
 
 
+def test_blade_products_rejects_a_blade_of_another_register_size():
+    for n, blades in ((2, [Blade(1, (1,))]), (1, [Blade(2, (0,))]),
+                      (2, [Blade(2, (0,)), Blade(3, (0,))])):
+        with pytest.raises(ValueError, match=f"every blade must be on n={n}"):
+            clifford.blade_products(n, blades)
+
+
 def test_basis_commands_build_no_blades(monkeypatch, tmp_path):
     """Jobs read the stacks built at import: no job calls hermitian_basis,
     the builder's first step, and none goes through clifford.blade_products."""

@@ -41,6 +41,12 @@ CASES = {
     "train-cqp-n2": ["train-cqp", "--n", "2", "--iterations", "500",
                      "--require-fidelity", "0.5"],
     "equivalence-n3": ["equivalence", "--n", "3"],
+    # the top of the register range, n = 4, for the other commands with an n
+    "verify-basis-n4": ["verify-basis", "--n", "4"],
+    "omega-count-n4": ["omega-count", "--n", "4"],
+    "equivalence-n4": ["equivalence", "--n", "4"],
+    "trotter-sweep-n4": ["trotter-sweep", "--n", "4", "--terms", "255", "--rs", "1,10,100"],
+    "train-cqp-n4": ["train-cqp", "--n", "4"],
 }
 
 _METADATA = re.compile(r"# [^=]* = ")
