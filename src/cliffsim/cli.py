@@ -318,7 +318,10 @@ def _cmd_train_cqp(cfg):
     x_coeffs = rng.uniform(0.1, 0.6, 2 * n)
     theta0 = rng.uniform(0.0, 0.5, 2 * n)
     sample = cqp.TrainingSample(x_coeffs, cfg["beta"])
-    records = cqp.train(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
+    try:
+        records = cqp.train(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
+    except ValueError as exc:  # every ValueError of train is a guard on its inputs
+        raise ConfigError(str(exc)) from None
     for prev, cur in itertools.pairwise(records):
         if not cur.fidelity >= prev.fidelity - 1e-12:  # detail only for the first fall
             raise CheckFailure("train-monotone", f"iteration {cur.iteration}: fidelity fell "

@@ -43,9 +43,11 @@ r, so that a row's fidelity is F = min(|gamma_0 cos(phi) + gamma_1 sin(phi)|, 1)
 When the active blades anticommute it also takes alpha = Re <x|0..0> and
 b_j = Re <x|iB_j|0..0>, and a row c has the overlap
 v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|, with |c| a hypot; otherwise
-v comes from one encode call on the stack of rows.  The activation is applied once to the
-vector of all rows' v, and each row then runs phi = arccos(act(v)) and F on
-Python floats.
+v comes from one encode call on the stack of rows.  Each row then runs
+phi = arccos(act(v)) and F with the activation's float_form.  For
+anticommuting blades an iteration is numpy-free: theta and its neighbour
+rows are lists of Python floats, and the gradient step is list arithmetic;
+only the record's copy of theta is an array.
 """
 from __future__ import annotations
 
@@ -53,7 +55,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ from . import linalg
 from .clifford import Blade, anticommutation_matrix, blade_products
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
-_ACT_RANGE_SLACK = 1e-12
+_ACT_LIMIT = 1.0 + 1e-12  # activation outputs may pass +-1 by this rounding slack
 FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
 
 
@@ -77,6 +80,21 @@ class Activation(enum.Enum):
         if self is Activation.TANH:
             return np.tanh(u)
         return np.minimum(np.maximum(u, -1.0), 1.0)
+
+    @property
+    def float_form(self) -> Callable[[float], float]:
+        """apply as a function of one Python float, in float arithmetic, for
+        per-row loops: identity and clamp give apply's bits, tanh is math.tanh,
+        within a few ulps of np.tanh; NaN gives NaN."""
+        if self is Activation.IDENTITY:
+            return float
+        if self is Activation.TANH:
+            return math.tanh
+        return Activation._clamp
+
+    @staticmethod
+    def _clamp(u: float) -> float:
+        return 1.0 if u > 1.0 else -1.0 if u < -1.0 else u  # NaN falls through
 
 
 @dataclass(frozen=True)
@@ -182,8 +200,8 @@ def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarr
         raise ValueError(f"x and w must be states of one length d, "
                          f"got shapes {x.shape} and {w.shape}")
     v = activation.apply(np.sum(w * np.conj(x), axis=-1).real)
-    if not np.abs(v).max(initial=0.0) <= 1.0 + _ACT_RANGE_SLACK:
-        raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0 + _ACT_RANGE_SLACK)][0])
+    if not np.abs(v).max(initial=0.0) <= _ACT_LIMIT:
+        raise _activation_error(np.asarray(v)[~(np.abs(v) <= _ACT_LIMIT)][0])
     phi = np.arccos(Activation.CLAMP.apply(v))
     return phi, _rotate_ground(1j * output_blade.dense()[:, 0], phi)
 
@@ -220,34 +238,39 @@ class TrainRecord:
 
 
 def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
-    """score(rows): the fidelity of each coefficient row of rows (k, m), as a
-    list of k floats, for the sample's input and target angle.  Each row must
-    pass the guards of encode and forward, and the calls to numpy do not grow
-    with k."""
+    """score(rows): the fidelity of each coefficient row of rows, a list of k
+    rows of m floats or an array (k, m), as a list of k Python floats, for the
+    sample's input and target angle.  Each row must pass the guards of encode
+    and forward.  When the active blades anticommute a row is scored on Python
+    floats alone; otherwise all rows go through one encode call."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
     gamma0 = complex(ref[0])
     gamma1 = complex(ref @ (1j * config.output_blade.dense()[:, 0]))
-    alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real
+    alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
+    act = config.activation.float_form
 
-    def overlaps(rows: np.ndarray):
+    def overlaps(rows) -> list[float]:  # v = Re<x|w(c)> of each row c
         if not config._anticommuting:
-            return (encode(config, rows) @ x_conj).real
-        cs = rows.tolist()
-        norms = [math.hypot(*c) for c in cs]  # overflows only if the norm does
-        for c, norm in zip(cs, norms):
+            return (encode(config, rows) @ x_conj).real.tolist()
+        vs = []
+        for c in rows:
+            norm = math.hypot(*c)  # overflows only if the norm does
             if not norm < math.inf:  # tested before math.sin, which raises on inf
                 raise _norm_error(c)
-        return [alpha * math.cos(norm) + (math.sin(norm) * (d / norm) if norm > 0.0 else 0.0)
-                for norm, d in zip(norms, (rows @ b).tolist())]
+            vs.append(alpha * math.cos(norm) + math.sin(norm) * (sum(map(mul, c, b)) / norm)
+                      if norm else alpha)  # c = 0 gives |0..0>
+        return vs
 
-    def score(rows: np.ndarray) -> list[float]:
+    def score(rows) -> list[float]:
         fids = []
-        for a in config.activation.apply(overlaps(rows)).tolist():
-            if not abs(a) <= 1.0 + _ACT_RANGE_SLACK:
+        for v in overlaps(rows):
+            a = act(v)
+            if not -_ACT_LIMIT <= a <= _ACT_LIMIT:  # NaN fails too
                 raise _activation_error(a)
-            phi = math.acos(min(max(a, -1.0), 1.0))  # clips the slack the guard allows
-            fids.append(min(abs(gamma0 * math.cos(phi) + gamma1 * math.sin(phi)), 1.0))
+            phi = math.acos(a if -1.0 <= a <= 1.0 else math.copysign(1.0, a))  # clips the slack
+            f = abs(gamma0 * math.cos(phi) + gamma1 * math.sin(phi))
+            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for TrainRecord's check
         return fids
 
     return score
@@ -257,33 +280,47 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
           iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
     """Gradient ascent on the fidelity; one record per iteration, initial included.
 
-    Each iteration scores the (2m + 1, m) stack [theta, theta + fd_step*e_j,
-    theta - fd_step*e_j] in one call of the run's fidelity scorer: row 0 is
-    the record's fidelity and the other rows give the central-difference
-    gradient.
+    theta is a list of floats.  Each iteration scores the 2m + 1 rows [theta,
+    theta + fd_step*e_j, theta - fd_step*e_j] in one call of the run's
+    fidelity scorer: row 0 is the record's fidelity and the other rows give
+    the central-difference gradient.  fd_step must move each component of
+    theta0 both ways, and 1 too: the fidelities it differences are at most 1,
+    and rounded to about an ulp of 1, so a smaller step gives a difference
+    that is all rounding (zero, at a step of 1e-17) and trains nothing.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
     if not 0 < fd_step < FD_STEP_MAX:
         raise ValueError(f"fd_step {fd_step} outside (0, {FD_STEP_MAX})")
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.asarray(theta0, dtype=float)
     m = len(config.active_blades)
     if theta.shape != (m,):
         raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
+    theta = theta.tolist()
+    for j, t in enumerate(theta):  # a non-finite t is left to the coefficient guards
+        scale = max(abs(t), 1.0)
+        if (scale + fd_step == scale or scale - fd_step == scale) and math.isfinite(t):
+            raise ValueError(f"fd_step {fd_step!r} is below the float resolution of "
+                             f"max(|theta_j|, 1) at component {j} of theta0 ({t!r}), "
+                             f"iteration 0")
     score = _fidelity_scorer(config, sample)
-    bumps = fd_step * np.eye(m)
-    offsets = np.concatenate([np.zeros((1, m)), bumps, -bumps])
     records = []
     for k in range(iterations):
-        f = score(theta + offsets)
-        records.append(TrainRecord(k, theta, f[0]))  # theta is rebound, never written
+        ups, downs = [], []
+        for j, t in enumerate(theta):
+            up, down = theta.copy(), theta.copy()
+            up[j], down[j] = t + fd_step, t - fd_step
+            ups.append(up)
+            downs.append(down)
+        f = score([theta, *ups, *downs])
+        records.append(TrainRecord(k, np.array(theta), f[0]))
         grad = [(up - down) / (2.0 * fd_step) for up, down in zip(f[1:m + 1], f[m + 1:])]
         for j, g in enumerate(grad):
             if not math.isfinite(g):
                 raise ValueError(f"non-finite finite-difference gradient at component "
                                  f"{j} (activation kink or overflow)")
-        theta = theta + config.eta * np.array(grad)
-    records.append(TrainRecord(iterations, theta, score(theta[None])[0]))
+        theta = [t + config.eta * g for t, g in zip(theta, grad)]
+    records.append(TrainRecord(iterations, np.array(theta), score([theta])[0]))
     return records
 
 

@@ -148,6 +148,9 @@ def test_bad_value_exits_3(tmp_path, capsys):
     ["verify-gqft", "--thetas", "1e308"],
     ["swap-test", "--shots", "10000000000000000000"],
     ["train-cqp", "--eta", "1e308"],
+    # a step that cannot move theta0: train's ValueError is a config error
+    ["train-cqp", "--n", "1", "--fd-step", "1e-17", "--iterations", "5",
+     "--require-fidelity", "0"],
     ["trotter-sweep", "--rs", "1," + "1" + "0" * 400],
     ["decompose", "--theta1=1.7e308", "--theta2=1.7e308"],
     ["verify-gqft", "--thetas", ","],

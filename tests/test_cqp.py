@@ -212,6 +212,30 @@ def test_activation_apply_is_elementwise():
             assert got[idx] == act.apply(u[idx])
 
 
+def _ordered(v: float) -> int:
+    """The double v as an integer that counts doubles in order; -0.0 is 0."""
+    i = int(np.float64(v).view(np.int64))
+    return i if i >= 0 else -(i & (2 ** 63 - 1))
+
+
+def test_float_form_matches_apply():
+    """Identity and clamp give apply's bits (the sign of zero too); tanh is
+    math.tanh, within 4 ulps of np.tanh."""
+    rng = np.random.default_rng(160)
+    edges = [0.0, -0.0, 1.0, -1.0, *np.nextafter([1.0, -1.0, 1.0, -1.0], [2, -2, 0, 0]).tolist(),
+             1.5, -1.5, 20.0, -20.0, 1e300, -1e300, math.inf, -math.inf, 5e-324, -5e-324]
+    grid = [*edges, *rng.uniform(-1.5, 1.5, 5000).tolist(), *rng.uniform(-30.0, 30.0, 1000).tolist()]
+    for act in Activation:
+        for u in grid:
+            got, want = act.float_form(u), float(act.apply(u))
+            assert type(got) is float
+            if act is Activation.TANH:
+                assert abs(_ordered(got) - _ordered(want)) <= 4, u
+            else:
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), u
+        assert math.isnan(act.float_form(math.nan)) and math.isnan(act.apply(math.nan))
+
+
 def test_encode_generates_entanglement():
     config = PerceptronConfig.type_ii(2)
     state = cqp.encode(config, [0.3, 0.7, 0.1, 0.5])
@@ -324,6 +348,24 @@ def test_train_records_start_at_initial_theta():
     assert records[0].iteration == 0 and records[2].iteration == 2
 
 
+def test_train_rejects_a_step_below_the_resolution_of_theta0():
+    config, sample, _ = _toy_task(6)
+    # 1 +- 1e-17 rounds to 1, though 0.0205 +- 1e-17 does not; 2 + 1.5e-16
+    # rounds to 2, 2 - 1.5e-16 and 1 +- 1.5e-16 do not; 1e12 +- 1e-5 round back
+    for theta0, step, component in (([0.3, 0.3], 1e-17, 0), ([0.0205, 0.3], 1e-17, 0),
+                                    ([0.1, 2.0], 1.5e-16, 1), ([0.1, -1e12], 1e-5, 1)):
+        with pytest.raises(ValueError, match=rf"^fd_step {step!r} is below the float "
+                                             rf"resolution of max\(\|theta_j\|, 1\) at "
+                                             rf"component {component} of theta0 "
+                                             rf"\({theta0[component]!r}\), iteration 0$"):
+            cqp.train(config, sample, theta0, iterations=5, fd_step=step)
+    records = cqp.train(config, sample, [0.0205, 0.3], iterations=1, fd_step=2e-16)
+    assert not np.array_equal(records[0].theta, records[1].theta)
+    for bad in (math.inf, math.nan):  # left to the coefficient guard
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            cqp.train(config, sample, [bad, 0.3], iterations=1)
+
+
 def _oracle_fidelity(config, sample, theta):
     """F(theta) by dense eigendecomposition exponentials, not encode/forward;
     the activation is tanh."""
@@ -392,9 +434,11 @@ _TRAIN_CONFIGS = [
     PerceptronConfig.type_ii(1, eta=0.3),
     PerceptronConfig.type_ii(2, eta=0.2),
     PerceptronConfig.type_ii(2, output_index=3, eta=0.2),
+    PerceptronConfig.type_ii(3),
+    PerceptronConfig.type_ii(4, output_index=7),
     PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), eta=0.5),  # the expm_i route
 ]
-_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "i-commuting"]
+_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "ii-n3", "ii-n4-out7", "i-commuting"]
 
 # Two routes that round differently may score one row a few ulps apart; DELTA
 # (about 4.5 ulps of 1) bounds that.  A central difference turns it into at
@@ -469,7 +513,7 @@ def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, 
             monkeypatch.setattr(cqp, "np", np)
             counts.append(counter.calls)
         per_iteration.append((counts[1] - counts[0]) / 2)
-    assert per_iteration[0] == per_iteration[1] > 0
+    assert per_iteration[0] == per_iteration[1] == 1  # np.array for the record's theta
 
 
 @pytest.mark.parametrize("component", [0, 1])
@@ -533,9 +577,8 @@ def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, confi
 
         def spoiled(rows):
             calls.append(len(rows))
-            if len(calls) == spoiled_call:
-                rows = rows.copy()
-                rows[-1, :2] = bad  # the last neighbour row of this iteration
+            if len(calls) == spoiled_call:  # the last neighbour row of this iteration
+                rows = [*rows[:-1], [*bad, *rows[-1][2:]]]
             return score(rows)
         return spoiled
 
@@ -548,18 +591,74 @@ def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, confi
 
 def test_train_rejects_a_nan_activation_output(monkeypatch):
     config, sample, theta0 = _toy_task(5)
-    apply = Activation.apply
+    float_form = config.activation.float_form
+    rows = []
 
-    def nan_in_row_two(self, u):
-        out = np.array(apply(self, u), dtype=float)
-        if out.size > 1:
-            out[2] = np.nan
-        return out
+    def nan_in_row_two(u):  # row 2 of the first iteration
+        rows.append(u)
+        return math.nan if len(rows) == 3 else float_form(u)
 
-    monkeypatch.setattr(Activation, "apply", nan_in_row_two)
+    monkeypatch.setattr(Activation, "float_form", property(lambda self: nan_in_row_two))
     with pytest.raises(ValueError, match=r"^activation output nan is outside \[-1, 1\]; "
                                          r"arccos undefined$"):
         cqp.train(config, sample, theta0, iterations=2)
+    assert len(rows) == 3
+
+
+def _spoil_last_row(bad):
+    return lambda score, rows: score([*rows[:-1], [*bad, *rows[-1][2:]]])
+
+
+_TRAIN_GUARDS = {  # guard: (what the spoiled scorer call returns, the message)
+    "finite-coefficients": (_spoil_last_row([math.nan, 0.0]), "coefficients must be finite"),
+    "finite-norm": (_spoil_last_row([1.5e308, 1.5e308]), "coefficient norm overflows float64"),
+    "activation-range": (None, r"activation output nan is outside \[-1, 1\]; arccos undefined"),
+    "record-fidelity": (lambda score, rows: [math.nan, *score(rows)[1:]],
+                        r"fidelity nan outside \[0, 1\]"),
+    "finite-gradient": (lambda score, rows: [*score(rows)[:-1], math.nan],
+                        r"non-finite finite-difference gradient at component {last} "
+                        r"\(activation kink or overflow\)"),
+}
+
+
+@pytest.mark.parametrize("guard", list(_TRAIN_GUARDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("activation", list(Activation))
+def test_every_training_guard_fires_at_every_iteration(monkeypatch, activation, n, guard):
+    """One scorer call at a time is spoiled: calls 1..4 are the iterations and
+    call 5 scores the final theta, which has no gradient.  The guard raises its
+    message in the spoiled call, before the next one."""
+    config = PerceptronConfig.type_ii(n, activation=activation)
+    m = len(config.active_blades)
+    sample = TrainingSample(np.full(m, 0.3), 0.7)
+    spoil, message = _TRAIN_GUARDS[guard]
+    fidelity_scorer, float_form = cqp._fidelity_scorer, activation.float_form
+    nan_activation = []  # non-empty while a call spoiled by the activation runs
+    monkeypatch.setattr(Activation, "float_form", property(
+        lambda self: lambda u: math.nan if nan_activation else float_form(u)))
+    if spoil is None:
+        def spoil(score, rows):
+            nan_activation.append(True)
+            try:
+                return score(rows)
+            finally:
+                nan_activation.clear()
+
+    for spoiled_call in range(1, 6) if guard != "finite-gradient" else range(1, 5):
+        calls = []
+
+        def spoiling_scorer(cfg, smp):
+            score = fidelity_scorer(cfg, smp)
+
+            def spoiled(rows):
+                calls.append(len(rows))
+                return spoil(score, rows) if len(calls) == spoiled_call else score(rows)
+            return spoiled
+
+        monkeypatch.setattr(cqp, "_fidelity_scorer", spoiling_scorer)
+        with pytest.raises(ValueError, match=f"^{message.format(last=m - 1)}$"):
+            cqp.train(config, sample, np.full(m, 0.2), iterations=4)
+        assert calls == [2 * m + 1] * min(spoiled_call, 4) + [1] * (spoiled_call == 5)
 
 
 def test_type_equivalence_under_unitaries():
