@@ -34,6 +34,8 @@ CASES = {
     "train-cqp": ["train-cqp", "--iterations", "150", "--require-fidelity", "0.5"],
     "equivalence": ["equivalence", "--n", "2", "--trials", "5"],
     "decompose": ["decompose"],
+    # two factors, controls of both polarities and an X-conjugated core
+    "decompose-general": ["decompose", "--theta1", "-2.194", "--theta2", "2.085"],
     # the largest sizes, where the numerical kernels do the most work
     "verify-gqft-n4": ["verify-gqft", "--n", "4", "--trials", "2"],
     "gqft-distance-n4": ["gqft-distance", "--n", "4", "--trials", "2"],
