@@ -13,9 +13,11 @@ qubit of the final flip as a fully controlled single-qubit gate, with the
 path undone afterwards.  On two qubits this reproduces the familiar
 CNOT-conjugated controlled-gate patterns, including open (polarity 0)
 controls.  A single-qubit gate controlled on every other qubit is itself
-a two-level gate on the two basis states its target flips between, so
-``ControlledGate.dense`` is that gate's embedding.  ``decompose_report``
-decomposes once and compiles the factors it already has.
+a two-level gate on the two basis states its target flips between, so a
+compiled gate is a ``TwoLevelGate`` whose indices differ in the target's
+bit alone; the netlist derives its kind, target and controls from (i, j).
+``decompose_report`` decomposes once and compiles the factors it already
+has.
 
 ``xy_yx_unitary`` is the worked two-qubit example used across the tests:
 U(t1, t2) = exp(i (t1 X(x)Y + t2 Y(x)X)), whose action on |00> is
@@ -23,8 +25,8 @@ cos(t1+t2)|00> - sin(t1+t2)|11>.
 """
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -52,9 +54,14 @@ class TwoLevelGate:
     block: np.ndarray  # 2x2 unitary acting on basis indices (i, j)
 
     def __post_init__(self):
+        # plain ints for the netlist's bit arithmetic: no 0.5, no True
+        for name in ("dim", "i", "j"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an int, not a bool")
+            object.__setattr__(self, name, operator.index(value))
         if not 0 <= self.i < self.j < self.dim:
-            raise ValueError(
-                f"need 0 <= i < j < dim, got i={self.i}, j={self.j}, dim={self.dim}")
+            raise ValueError(f"need 0 <= i < j < dim, got i={self.i}, j={self.j}, dim={self.dim}")
         b = linalg.require_unitary(self.block, "TwoLevelGate")
         if b.shape != (2, 2):
             raise ValueError(f"block must be 2x2, got {b.shape}")
@@ -120,91 +127,39 @@ def two_level_decompose(u) -> list[TwoLevelGate]:
 
 
 @dataclass(frozen=True)
-class ControlledGate:
-    """A 2x2 block on `target`, applied when every other qubit matches its control.
-
-    Qubits are 1-based with qubit 1 on the most significant bit; controls
-    are (qubit, polarity) pairs with polarity 0 selecting |0>, one on every
-    qubit except the target.  Such a gate is the two-level gate on the two
-    basis states that the target flips between.
-    """
-
-    n: int
-    target: int
-    controls: tuple[tuple[int, int], ...]
-    block: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.target <= self.n:
-            raise ValueError(f"target {self.target} out of range 1..{self.n}")
-        controls = tuple(sorted(self.controls))
-        others = [q for q in range(1, self.n + 1) if q != self.target]
-        if [q for q, _ in controls] != others or any(pol not in (0, 1) for _, pol in controls):
-            raise ValueError(
-                f"controls {self.controls} must give one 0/1 polarity to each of qubits {others}")
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "block", self._two_level.block)  # checks the block
-
-    @functools.cached_property
-    def _two_level(self) -> TwoLevelGate:
-        i = sum(pol << (self.n - q) for q, pol in self.controls)
-        return TwoLevelGate(2 ** self.n, i, i | (1 << (self.n - self.target)), self.block)
-
-    @property
-    def kind(self) -> str:
-        return "cx" if np.abs(self.block - PAULI["X"]).max() <= 1e-12 else "cu"
-
-    def dense(self) -> np.ndarray:
-        return self._two_level.embed()
-
-
-@dataclass(frozen=True)
 class GateCircuit:
     n: int
-    gates: tuple[ControlledGate, ...]
+    gates: tuple[TwoLevelGate, ...]  # each pair of indices differs in one bit
 
     def dense(self) -> np.ndarray:
         # gates are listed in application order, so the last one is leftmost
-        return gates_product([g._two_level for g in reversed(self.gates)], 2 ** self.n)
-
-
-def _bits(index: int, n: int) -> list[int]:
-    return [(index >> (n - q)) & 1 for q in range(1, n + 1)]
+        return gates_product(self.gates[::-1], 2 ** self.n)
 
 
 def compile_two_level(gate: TwoLevelGate, n: int) -> GateCircuit:
-    """Lower one two-level gate to controlled gates along a bit-flip path."""
-    if 2 ** n != gate.dim:
-        raise ValueError(f"gate dimension {gate.dim} is not 2^{n}")
-    bi, bj = _bits(gate.i, n), _bits(gate.j, n)
-    diff = [q for q in range(1, n + 1) if bi[q - 1] != bj[q - 1]]
-
+    """Lower one two-level gate to fully controlled gates along a bit-flip path."""
+    dim = gate.dim
+    if 2 ** n != dim:
+        raise ValueError(f"gate dimension {dim} is not 2^{n}")
     # walk from i toward j, flipping the differing bits most significant
     # first; the last flip is performed by the controlled block itself
-    path = [gate.i]
-    cur = list(bi)
-    for q in diff:
-        cur[q - 1] ^= 1
-        path.append(sum(bit << (n - pos) for pos, bit in enumerate(cur, start=1)))
-
-    target = diff[-1]
+    flips = [1 << k for k in reversed(range(n)) if (gate.i ^ gate.j) >> k & 1]
+    cur = gate.i
     routing = []
-    for step, flip_q in enumerate(diff[:-1]):
-        state_bits = _bits(path[step], n)
-        controls = tuple((q, state_bits[q - 1]) for q in range(1, n + 1) if q != flip_q)
-        routing.append(ControlledGate(n, flip_q, controls, PAULI["X"]))
+    for bit in flips[:-1]:
+        routing.append(TwoLevelGate(dim, min(cur, cur ^ bit), max(cur, cur ^ bit), PAULI["X"]))
+        cur ^= bit
 
-    controls = tuple((q, bj[q - 1]) for q in range(1, n + 1) if q != target)
     block = gate.block
-    if _bits(path[-2], n)[target - 1] == 1:
+    if cur > gate.j:
         # the pre-image of i sits on the |1> side of the target qubit
         block = PAULI["X"] @ block @ PAULI["X"]
-    core = ControlledGate(n, target, controls, block)
+    core = TwoLevelGate(dim, min(cur, gate.j), max(cur, gate.j), block)
     return GateCircuit(n, tuple(routing + [core] + routing[::-1]))
 
 
 def _compile_factors(factors: Sequence[TwoLevelGate], n: int) -> GateCircuit:
-    gates: list[ControlledGate] = []
+    gates: list[TwoLevelGate] = []
     # the factor list multiplies left-to-right (first factor leftmost), so a
     # circuit must apply the last factor first
     for factor in reversed(factors):
@@ -250,9 +205,18 @@ def format_two_level(gates: Sequence[TwoLevelGate]) -> list[str]:
 
 
 def format_circuit(circuit: GateCircuit) -> list[str]:
+    """One line per gate.  Qubits are 1-based with qubit 1 on the most
+    significant bit: the target is the one bit in which i and j differ, and
+    the controls are i's other bits as (qubit, polarity) pairs, polarity 0
+    selecting |0>; a block within 1e-12 of X is a ``cx``, any other a ``cu``."""
     lines = []
     for g in circuit.gates:
-        ctl = ",".join(f"{q}:{pol}" for q, pol in g.controls) or "-"
+        n, flip = g.dim.bit_length() - 1, g.i ^ g.j
+        if flip & (flip - 1):
+            raise ValueError(f"gate on ({g.i}, {g.j}) flips more than one qubit")
+        target = n + 1 - flip.bit_length()
+        ctl = ",".join(f"{q}:{g.i >> (n - q) & 1}" for q in range(1, n + 1) if q != target) or "-"
+        kind = "cx" if np.abs(g.block - PAULI["X"]).max() <= 1e-12 else "cu"
         entries = " ".join(_fmt_complex(z) for z in g.block.ravel().tolist())
-        lines.append(f"{g.kind} target={g.target} controls={ctl} block {entries}")
+        lines.append(f"{kind} target={target} controls={ctl} block {entries}")
     return lines

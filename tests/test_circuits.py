@@ -1,4 +1,5 @@
 """Two-level decomposition, controlled-gate compilation, entangling check."""
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -53,6 +54,19 @@ def test_two_level_gate_embed():
     np.testing.assert_allclose(dense[3, 1], block[1, 0])
 
 
+@pytest.mark.parametrize("dim, i, j", [
+    (4, 0.5, 1), (4, 1, 3.0), (4, True, 3), (4, 0, True), (4.0, 0, 1), (True, 0, 1)])
+def test_two_level_gate_rejects_non_integer_indices(dim, i, j):
+    with pytest.raises(TypeError):
+        TwoLevelGate(dim, i, j, X)
+
+
+def test_two_level_gate_stores_plain_int_indices():
+    gate = TwoLevelGate(np.int64(4), np.int64(1), np.uint8(3), X)
+    assert [type(v) for v in (gate.dim, gate.i, gate.j)] == [int, int, int]
+    assert circuits.format_two_level([gate])[0].startswith("twolevel dim=4 i=1 j=3 block")
+
+
 def test_decompose_two_level_input_is_single_factor():
     block = linalg.expm_i(Y, 0.9)
     u = TwoLevelGate(4, 0, 2, block).embed()
@@ -92,8 +106,8 @@ def test_compile_adjacent_indices_single_gate():
     circuit = circuits.compile_two_level(gate, 2)
     assert len(circuit.gates) == 1
     g = circuit.gates[0]
-    assert g.target == 2
-    assert g.controls == ((1, 1),)
+    assert (g.i, g.j) == (2, 3)
+    assert circuits.format_circuit(circuit)[0].startswith("cu target=2 controls=1:1 block")
     np.testing.assert_allclose(circuit.dense(), gate.embed(), atol=1e-9)
 
 
@@ -103,7 +117,7 @@ def test_compile_distant_indices_routes_through_gray_code():
     circuit = circuits.compile_two_level(gate, 2)
     assert len(circuit.gates) > 1
     np.testing.assert_allclose(circuit.dense(), gate.embed(), atol=1e-9)
-    kinds = {g.kind for g in circuit.gates}
+    kinds = {line.split()[0] for line in circuits.format_circuit(circuit)}
     assert "cx" in kinds
 
 
@@ -123,8 +137,8 @@ def test_compile_unitary_three_qubits():
     circuit = circuits.compile_unitary(u, 3)
     np.testing.assert_allclose(circuit.dense(), u, atol=1e-9)
     for g in circuit.gates:
-        assert len(g.controls) == 2  # every qubit but the target
-        assert linalg.unitarity_defect(g.dense()) <= 1e-10
+        assert bin(g.i ^ g.j).count("1") == 1  # controlled on every other qubit
+        assert linalg.unitarity_defect(g.embed()) <= 1e-10
 
 
 def test_controlled_gate_dense_is_projector_sum():
@@ -133,36 +147,28 @@ def test_controlled_gate_dense_is_projector_sum():
     p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
     want = (np.eye(8) - linalg.tensor(p0, np.eye(2), p1)
             + linalg.tensor(p0, block, p1))
-    gate = circuits.ControlledGate(3, 2, ((3, 1), (1, 0)), block)
-    assert gate.controls == ((1, 0), (3, 1))
-    np.testing.assert_array_equal(gate.dense(), want)
-
-
-@pytest.mark.parametrize("target, controls", [
-    (2, ((1, 1),)),                  # qubit 3 has no control
-    (2, ((1, 1), (1, 0), (3, 1))),   # qubit 1 twice
-    (2, ((1, 1), (3, 1), (4, 0))),   # qubit 4 is not on the register
-    (2, ((1, 1), (2, 0), (3, 1))),   # a control on the target
-    (2, ((1, 2), (3, 1))),           # polarity 2
-    (0, ((1, 1), (2, 1), (3, 1))),   # target below 1
-    (4, ((1, 1), (2, 1), (3, 1))),   # target above n
-])
-def test_controlled_gate_rejects_bad_controls(target, controls):
-    with pytest.raises(ValueError):
-        circuits.ControlledGate(3, target, controls, X)
+    gate = TwoLevelGate(8, 1, 3, block)
+    assert circuits.format_circuit(circuits.GateCircuit(3, (gate,)))[0].startswith(
+        "cu target=2 controls=1:0,3:1 block")
+    np.testing.assert_array_equal(gate.embed(), want)
 
 
 def test_controlled_gate_rejects_bad_block():
-    with pytest.raises(ValueError):
-        circuits.ControlledGate(2, 2, ((1, 1),), 2.0 * X)
-    with pytest.raises(ValueError):
-        circuits.ControlledGate(2, 2, ((1, 1),), np.eye(3))
+    with pytest.raises(ValueError, match="not unitary"):
+        TwoLevelGate(4, 2, 3, 2.0 * X)
+    with pytest.raises(ValueError, match="2x2"):
+        TwoLevelGate(4, 2, 3, np.eye(3))
 
 
 def test_circuit_dense_rejects_a_gate_of_another_register():
-    gate = circuits.ControlledGate(3, 2, ((1, 1), (3, 0)), X)
+    gate = TwoLevelGate(8, 5, 7, X)
     with pytest.raises(ValueError, match="dimension"):
         circuits.GateCircuit(2, (gate,)).dense()
+
+
+def test_format_circuit_rejects_a_gate_that_flips_two_qubits():
+    with pytest.raises(ValueError, match="more than one qubit"):
+        circuits.format_circuit(circuits.GateCircuit(2, (TwoLevelGate(4, 0, 3, X),)))
 
 
 def test_format_two_level_and_circuit():
@@ -188,13 +194,56 @@ def test_block_entries_format_as_numpy_complex_scalars():
     blocks = np.empty(shape[:-1], dtype=complex)
     blocks.real, blocks.imag = parts[..., 0], parts[..., 1]  # keeps each zero's sign
     assert np.signbit(blocks[:40].real).any() and np.signbit(blocks[:40].imag).any()
-    gates = [SimpleNamespace(dim=4, i=0, j=1, block=b, kind="cu", target=1, controls=((2, 0),))
-             for b in blocks]
+    gates = [SimpleNamespace(dim=4, i=0, j=2, block=b) for b in blocks]
     old = [" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in b.ravel()) for b in blocks]
     assert circuits.format_two_level(gates) == [
-        f"twolevel dim=4 i=0 j=1 block {entries}" for entries in old]
+        f"twolevel dim=4 i=0 j=2 block {entries}" for entries in old]
     assert circuits.format_circuit(SimpleNamespace(gates=gates)) == [
         f"cu target=1 controls=2:0 block {entries}" for entries in old]
+
+
+_NETLIST_LINE = re.compile(r"(cx|cu) target=(\d+) controls=(\S+) block (.*)")
+
+
+def _line_matrix(line, n):
+    """One printed gate rebuilt from its text as I - P + P (x) block, with P
+    the projector onto the control polarities and the identity on the target."""
+    kind, target, controls, entries = _NETLIST_LINE.fullmatch(line).groups()
+    target = int(target)
+    block = np.array([complex(z) for z in entries.split()]).reshape(2, 2)
+    assert (kind == "cx") == (np.abs(block - X).max() <= 1e-12)
+    pairs = [c.split(":") for c in controls.split(",")] if controls != "-" else []
+    pol = {int(q): int(b) for q, b in pairs}
+    assert list(pol) == [q for q in range(1, n + 1) if q != target]  # ascending
+    proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    p = on = np.eye(1)
+    for q in range(1, n + 1):
+        p = np.kron(p, np.eye(2) if q == target else proj[pol[q]])
+        on = np.kron(on, block if q == target else proj[pol[q]])
+    return np.eye(2 ** n) - p + on
+
+
+def _netlist_matrix(lines, n):
+    """The product of the printed gates in application order (first line rightmost)."""
+    rebuilt = {line: _line_matrix(line, n) for line in set(lines)}  # routing lines repeat
+    total = np.eye(2 ** n, dtype=complex)
+    for line in lines:
+        total = rebuilt[line] @ total
+    return total
+
+
+def test_netlist_text_rebuilds_the_unitary():
+    rng = np.random.default_rng(2718)
+    unitaries = [linalg.random_unitary(2 ** n, rng) for n in (2, 2, 3, 3, 4)]
+    cases = [(circuits.compile_unitary(u, u.shape[0].bit_length() - 1), u) for u in unitaries]
+    cases.append((circuits.decompose_report(-2.194, 2.085).circuit,
+                  circuits.xy_yx_unitary(-2.194, 2.085)))
+    for circuit, u in cases:
+        for g in circuit.gates:
+            flip = g.i ^ g.j
+            assert flip and not flip & (flip - 1)
+        got = _netlist_matrix(circuits.format_circuit(circuit), circuit.n)
+        assert np.abs(got - u).max() <= 1e-9
 
 
 def test_decompose_report():
