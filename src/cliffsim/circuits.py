@@ -131,6 +131,12 @@ class GateCircuit:
     n: int
     gates: tuple[TwoLevelGate, ...]  # each pair of indices differs in one bit
 
+    def __post_init__(self):
+        # a gate of another register would format as that register's netlist
+        for g in self.gates:
+            if g.dim != 2 ** self.n:
+                raise ValueError(f"gate dimension {g.dim} is not 2^{self.n}")
+
     def dense(self) -> np.ndarray:
         # gates are listed in application order, so the last one is leftmost
         return gates_product(self.gates[::-1], 2 ** self.n)

@@ -29,6 +29,10 @@ two ways that share no code: the parity rule on index sets, for all pairs
 at once (anticommutation_matrix), and dense commutators of the basis
 stack, two GEMMs per tile of _TILE rows (_pair_products), so the working
 memory is O(_TILE * 4^n * d^2) and no (4^n, 4^n, d, d) tensor is built.
+The dense count runs in complex64/float32 at half the width of complex128,
+and stays exact: each call certifies that every part of the stack is -1, 0
+or 1, so every product, commutator and squared norm is a small integer
+(below 2^24), which float32 holds exactly (omega_count_dense).
 """
 from __future__ import annotations
 
@@ -244,15 +248,19 @@ def omega_count(n: int) -> int:
     return int(np.triu(anti, 1).sum())
 
 
-# Rows per tile of _pair_products: omega_count_dense(3) peaks at 0.59 MB (4: 9.4).
-_TILE = 2
+# Rows per tile of _pair_products, timed on complex64 at n = 3 and 4 (2-vCPU Xeon
+# VM, one BLAS thread): 4 is as fast as 6 and 8 at n = 3 and 10-17% slower than
+# 2 at n = 4.  omega_count_dense(3) peaks at 0.64 MB, the complex64 copy of the
+# stack included (4: 10.4 MB).
+_TILE = 4
 
 
 def _pair_products(mats: np.ndarray, tile: int = _TILE):
     """Yield (ab, ba) for each tile of rows i..i+tile-1 (i = 0, tile, ...) of a
     (k, d, d) stack, in the GEMM's own layout: ab[r, :, j, :] = A_{i+r} A_{i+j} and
     ba[r, :, j, :] = A_{i+j} A_{i+r} for i+j < k.  Each tile is two GEMMs
-    between its rows and the stack laid side by side; ab is contiguous."""
+    between its rows and the stack laid side by side, in the stack's dtype;
+    ab is contiguous."""
     k, d, _ = mats.shape
     rows, side = mats.reshape(k * d, d), mats.transpose(1, 0, 2).reshape(d, k * d)
     for i in range(0, k, tile):
@@ -265,12 +273,27 @@ def _pair_products(mats: np.ndarray, tile: int = _TILE):
 def omega_count_dense(n: int) -> int:
     """Brute-force count via dense commutators; oracle for omega_count.  Each
     tile of _TILE blades meets every later blade in two GEMMs (_pair_products),
-    so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag."""
-    mats = _basis_stack(n)
+    so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag.
+
+    The GEMMs, the subtraction and the norms run in complex64/float32, and are
+    exact there: every call first certifies, by exact equality, that each real
+    and imaginary part of the stack is -1, 0 or 1, and raises otherwise.  Then
+    a product of two entries has parts in [-2, 2]; an entry of A_i A_j sums
+    d <= 16 of them, a commutator entry has parts in [-64, 64], and a squared
+    norm is an integer of at most 2 * 16^2 * 64^2 < 2^24.  Every value is
+    exact in float32 whatever the order or FMA use of the GEMM, so a norm is
+    zero exactly when the complex128 one is and the count is the same."""
+    mats = np.asarray(_basis_stack(n), dtype=complex)
+    parts = np.abs(mats.view(float))
+    if not ((parts == 0) | (parts == 1)).all():
+        raise ValueError(f"omega_count_dense: a real or imaginary part of the n={n} "
+                         "basis stack is not -1, 0 or 1, so its complex64 products "
+                         "are not certified exact")
+    mats = mats.astype(np.complex64)
     later = np.arange(len(mats)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
     count = 0
     for ab, ba in _pair_products(mats):
-        v = np.subtract(ab, ba, out=ab).view(float)  # Frobenius norms: real view
+        v = np.subtract(ab, ba, out=ab).view(np.float32)  # Frobenius norms: real view
         norms = np.sqrt(np.einsum("rajb,rajb->rj", v, v))
         count += int(np.count_nonzero((norms > 1e-9) & later[:len(norms), :norms.shape[1]]))
     return count

@@ -166,6 +166,18 @@ def test_circuit_dense_rejects_a_gate_of_another_register():
         circuits.GateCircuit(2, (gate,)).dense()
 
 
+def test_circuit_rejects_a_gate_of_another_register_when_built():
+    """Built with a three-qubit gate, a two-qubit circuit would format as a
+    three-qubit netlist line, so it must not be built at all."""
+    with pytest.raises(ValueError, match="dimension"):
+        circuits.format_circuit(circuits.GateCircuit(2, (TwoLevelGate(8, 5, 7, X),)))
+    # a mismatched gate after a matching one, and a gate of a smaller register
+    with pytest.raises(ValueError, match=r"gate dimension 8 is not 2\^2"):
+        circuits.GateCircuit(2, (TwoLevelGate(4, 0, 1, X), TwoLevelGate(8, 5, 7, X)))
+    with pytest.raises(ValueError, match=r"gate dimension 4 is not 2\^3"):
+        circuits.GateCircuit(3, (TwoLevelGate(4, 0, 1, X),))
+
+
 def test_format_circuit_rejects_a_gate_that_flips_two_qubits():
     with pytest.raises(ValueError, match="more than one qubit"):
         circuits.format_circuit(circuits.GateCircuit(2, (TwoLevelGate(4, 0, 3, X),)))

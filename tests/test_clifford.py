@@ -273,7 +273,7 @@ def test_omega_count_single_qubit():
 
 def test_omega_count_matches_dense():
     # closed form: a non-identity blade anticommutes with half of the 4^n blades
-    for n, want in ((1, 3), (2, 60), (3, 1008)):
+    for n, want in ((1, 3), (2, 60), (3, 1008), (4, 16320)):
         assert want == 4 ** n * (4 ** n - 1) // 4
         assert clifford.omega_count(n) == clifford.omega_count_dense(n) == want
 
@@ -307,8 +307,9 @@ def test_anticommutation_matrix_edge_cases():
 
 
 def test_omega_count_dense_working_memory():
-    """The dense route stays O(4^n d^2): one (4^n, 4^n, 8, 8) complex
-    product tensor alone would be 4 MB at n = 3."""
+    """The dense route stays O(4^n d^2): one (4^n, 4^n, 8, 8) complex64
+    product tensor alone would be 2 MB at n = 3 (complex128: 4 MB), and the
+    complex64 copy of the stack is counted in the peak."""
     tracemalloc.start()
     try:
         assert clifford.omega_count_dense(3) == 1008
@@ -338,20 +339,60 @@ def test_pair_products_match_a_double_loop(k, d, tile):
             np.testing.assert_allclose(ba[r, :, j, :], b @ a, rtol=0, atol=1e-13)
 
 
-def test_omega_count_dense_on_a_mixed_stack(monkeypatch):
-    """Diagonal matrices and Pauli words, interleaved so that commuting and
-    non-commuting pairs straddle tile boundaries, against the per-pair loop."""
+def _mixed_stack(diagonal):
+    """21 matrices on d = 4: diagonal(rng) and Pauli words, interleaved so
+    that commuting and non-commuting pairs straddle tile boundaries; odd, so
+    the last tile is short."""
     rng = np.random.default_rng(12)
-    words = [w.dense() for w in clifford.pauli_word_basis(2)]
     mats = []
-    for w in words[1:12]:
-        mats += [np.diag(rng.normal(size=4) + 0j), w]
-    mats = np.array(mats[:-1])  # 21 matrices: odd, so the last tile is short
+    for w in clifford.pauli_word_basis(2)[1:12]:
+        mats += [np.diag(diagonal(rng)), w.dense()]
+    return np.array(mats[:-1])
+
+
+def test_omega_count_dense_on_a_mixed_stack(monkeypatch):
+    """Unit-modulus diagonals from {+-1, +-i} and Pauli words against the
+    per-pair complex128 loop."""
+    mats = _mixed_stack(lambda rng: rng.choice([1, -1, 1j, -1j], size=4))
+    assert len(mats) == 21 and len(mats) % clifford._TILE
     monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
     want = sum(1 for a, b in itertools.combinations(mats, 2)
                if np.linalg.norm(a @ b - b @ a) > 1e-9)
     assert 0 < want < len(mats) * (len(mats) - 1) // 2
     assert clifford.omega_count_dense(2) == want
+
+
+def _with_entry(value):
+    """The n-qubit basis stack with one entry replaced by value."""
+    def stack(n):
+        mats = clifford._basis_stack(n).copy()
+        mats[-1, 0, 0] = value
+        return mats
+    return stack
+
+
+@pytest.mark.parametrize("stack", [
+    lambda n: _mixed_stack(lambda rng: rng.normal(size=4) + 0j),
+    _with_entry(0.5), _with_entry(1 + 0.5j), _with_entry(-2), _with_entry(np.nan),
+    _with_entry(complex(0, np.inf)),
+])
+def test_omega_count_dense_refuses_an_uncertified_stack(monkeypatch, stack):
+    """A part outside {-1, 0, 1} could round in complex64, so the count
+    refuses the stack instead of counting it."""
+    mats = stack(2)
+    monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
+    with pytest.raises(ValueError, match="omega_count_dense"):
+        clifford.omega_count_dense(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_products_are_exact_in_complex64(n):
+    """On the basis stack every complex64 product equals the complex128 one."""
+    mats = clifford._basis_stack(n)
+    for (ab, ba), (ab128, ba128) in zip(clifford._pair_products(mats.astype(np.complex64)),
+                                        clifford._pair_products(mats), strict=True):
+        assert ab.dtype == ba.dtype == np.complex64
+        assert np.array_equal(ab, ab128) and np.array_equal(ba, ba128)
 
 
 def _scaled(gens):
