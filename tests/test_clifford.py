@@ -319,7 +319,7 @@ def test_omega_count_dense_working_memory():
     assert peak < 2 * 2 ** 20, peak
 
 
-@pytest.mark.parametrize("tile", [clifford._TILE, 3, None])
+@pytest.mark.parametrize("tile", [2, clifford._TILE, 3, None])
 @pytest.mark.parametrize("k, d", [(7, 2), (7, 8), (13, 2), (13, 8)])
 def test_pair_products_match_a_double_loop(k, d, tile):
     """Every yielded A_i A_j and A_j A_i of a non-Hermitian stack whose
