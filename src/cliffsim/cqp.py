@@ -286,7 +286,9 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     the central-difference gradient.  fd_step must move each component of
     theta0 both ways, and 1 too: the fidelities it differences are at most 1,
     and rounded to about an ulp of 1, so a smaller step gives a difference
-    that is all rounding (zero, at a step of 1e-17) and trains nothing.
+    that is all rounding (zero, at a step of 1e-17) and trains nothing.  The
+    same holds for the theta of every later iteration, which a large step can
+    carry past the resolution of fd_step.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -306,6 +308,14 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     score = _fidelity_scorer(config, sample)
     records = []
     for k in range(iterations):
+        if k:  # after a step, one test at the largest |theta_j|, whose float
+            # resolution is the coarsest (theta0's test above covered 1)
+            scale = max(map(abs, theta))
+            if (scale + fd_step == scale or scale - fd_step == scale) and math.isfinite(scale):
+                j = list(map(abs, theta)).index(scale)
+                raise ValueError(f"fd_step {fd_step!r} is below the float resolution of "
+                                 f"max(|theta_j|, 1) at component {j} of theta "
+                                 f"({theta[j]!r}), iteration {k}")
         ups, downs = [], []
         for j, t in enumerate(theta):
             up, down = theta.copy(), theta.copy()

@@ -13,18 +13,21 @@ factorizes qubit by qubit:
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
 A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas; each
-grid route checks both (GqftParams, one theta, uses the same check).  The
-dense route builds only the distinct Gamma_k, by contracting the axes with
-a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit, and
-exponentiates them in one eigendecomposition call: a qubit with equal axes
-gives every Gamma_k the same term, so the shared-axis draw needs one
-matrix.  Gamma_k depends on the axes only, so that one call serves every
-theta (gqft_dense_grid).  The factored route builds every column of every
-theta at once, as a column-wise Kronecker product of n (T, 2, 2^n) factors,
-taken from one closed-form call (linalg.expm_i_involution) on the 2n 2x2
-matrices n_l^b . sigma at every theta (gqft_column_factored_grid).  The
-dense route exponentiates through an eigendecomposition, so the two routes
-share nothing beyond the Pauli matrices and cross-check each other.
+public grid route checks both (GqftParams, one theta, uses the same check)
+in front of an unchecked kernel, and distance_reports checks its grid once
+and runs both kernels on it.  The dense route builds only the distinct
+Gamma_k, by contracting the axes with a cached table of sigma_x, sigma_y,
+sigma_z embedded on each qubit, and exponentiates them in one
+eigendecomposition call: a qubit with equal axes gives every Gamma_k the
+same term, so the shared-axis draw needs one matrix.  Gamma_k depends on
+the axes only, so that one call serves every theta (gqft_dense_grid).  The
+factored route builds every column of every theta at once, as a
+column-wise Kronecker product of n (T, 2, 2^n) factors, built in one
+broadcast from one closed-form call (linalg.expm_i_involution) on the 2n
+2x2 matrices n_l^b . sigma at every theta and a cached read-only (n, 2^n)
+table of the column phases exp(2 pi i j / 2^l) (gqft_column_factored_grid).
+The dense route exponentiates through an eigendecomposition, so the two
+routes share nothing beyond the Pauli matrices and cross-check each other.
 theta = 0 recovers the standard transform; the Frobenius distance from it
 is bounded by 2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
 distance_reports computes these checked quantities for a whole grid, each
@@ -139,12 +142,18 @@ def gamma_stack(axes, ks: Sequence[int] | None = None) -> np.ndarray:
     bool) in 0..2^n - 1.
     """
     axes = _checked_axes(axes)
-    n, dim = len(axes), 2 ** len(axes)
+    dim = 2 ** len(axes)
     ks = range(dim) if ks is None else ks
     # each k is checked as given: an int array would truncate 1.7 and take True as 1
     if np.ndim(ks) != 1 or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
                                    and 0 <= i < dim for i in ks):
         raise ValueError(f"ks must be a vector of ints in 0..{dim - 1}, got {ks}")
+    return _gammas(axes, ks)
+
+
+def _gammas(axes: np.ndarray, ks) -> np.ndarray:
+    """gamma_stack of checked axes and ks, unchecked."""
+    n, dim = len(axes), 2 ** len(axes)
     k = np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
     # of an entry is one product of an axis component with 0 or +-1
@@ -164,6 +173,17 @@ def standard_qft(n: int) -> np.ndarray:
     return qft
 
 
+@functools.cache
+def _column_phases(n: int) -> np.ndarray:
+    """exp(2 pi i j / 2^l) at qubit l (row l - 1) and column j, shape (n, 2^n),
+    built once per n and read-only."""
+    j = np.arange(2 ** n)
+    l = np.arange(1, n + 1)[:, None]
+    phases = np.exp(2j * np.pi * j / 2 ** l)
+    phases.flags.writeable = False
+    return phases
+
+
 def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     """Dense transforms of one axis draw, shape (n, 2, 3), at each of T
     thetas, shape (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every
@@ -173,16 +193,20 @@ def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     contributes the same term whichever its bit, so Gamma_k = Gamma_{k & mask},
     where mask keeps the bits of the qubits whose axes differ (one matrix for
     random_axes, 2^n for random_bit_axes)."""
-    axes, thetas = _checked_grid(axes, thetas)
+    return _dense_grid(*_checked_grid(axes, thetas))
+
+
+def _dense_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """gqft_dense_grid of a checked grid, unchecked."""
     n = len(axes)
+    differs = (axes[:, 0] != axes[:, 1]).any(axis=1).tolist()  # do qubit l's two axes differ
     # Plain Python on at most 16 ints: numpy forms of these lines (np.unique, or bit
     # masks over np.arange) touch numpy code that adds 0.2-0.5 MB to peak RSS.
-    mask = sum(1 << (n - 1 - l) for l in range(n)
-               if not np.array_equal(axes[l, 0], axes[l, 1]))
+    mask = sum(1 << (n - 1 - l) for l in range(n) if differs[l])
     reps = [r for r in range(2 ** n) if r & mask == r]  # the distinct k & mask, ascending
     index = [reps.index(j & mask) for j in range(2 ** n)]  # Gamma_k = Gamma_{reps[index[k]]}
     # exps[t, r] = exp(i theta_t Gamma_{reps[r]})
-    exps = linalg.expm_i(gamma_stack(axes, reps), thetas)
+    exps = linalg.expm_i(_gammas(axes, reps), thetas)
     k = np.arange(2 ** n)
     return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
@@ -194,21 +218,24 @@ def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     Column j is the Kronecker product over qubits l of
     (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where R_l^b is the
     2x2 closed form linalg.expm_i_involution, one call for every qubit, bit
-    and theta.  The factors of qubit l for all j and all theta form one
-    (T, 2, 2^n) array, and the columns are their column-wise Kronecker
-    product, one step per qubit.
+    and theta.  The factors of every qubit for all j and all theta form one
+    (T, n, 2, 2^n) array, built in one broadcast with the cached phases, and
+    the columns are their column-wise Kronecker product, one step per qubit
+    after the first.
     """
-    axes, thetas = _checked_grid(axes, thetas)
-    n, dim = len(axes), 2 ** len(axes)
-    # rot[t, l, b] = R_l^b at theta_t, shape (T, n, 2, 2, 2)
+    return _factored_grid(*_checked_grid(axes, thetas))
+
+
+def _factored_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """gqft_column_factored_grid of a checked grid, unchecked."""
+    n, dim, count = len(axes), 2 ** len(axes), len(thetas)
+    # rot[t, l, b] = R_{l+1}^b at theta_t, shape (T, n, 2, 2, 2)
     rot = linalg.expm_i_involution(axis_dot_sigma(axes), thetas[:, None, None])
-    j = np.arange(dim)
-    cols = np.ones((len(thetas), 1, dim), dtype=complex)
-    for l in range(1, n + 1):
-        phase = np.exp(2j * np.pi * j / 2 ** l)
-        r0, r1 = rot[:, l - 1, 0, :, 0, None], rot[:, l - 1, 1, :, 1, None]  # (T, 2, 1)
-        factor = (r0 + phase * r1) / math.sqrt(2.0)  # (T, 2, dim)
-        cols = (cols[:, :, None, :] * factor[:, None, :, :]).reshape(len(thetas), -1, dim)
+    r0, r1 = rot[:, :, 0, :, 0, None], rot[:, :, 1, :, 1, None]  # (T, n, 2, 1)
+    factors = (r0 + _column_phases(n)[:, None, :] * r1) / math.sqrt(2.0)  # (T, n, 2, dim)
+    cols = factors[:, 0]
+    for l in range(1, n):
+        cols = (cols[:, :, None, :] * factors[:, l, None, :, :]).reshape(count, -1, dim)
     return cols
 
 
@@ -240,12 +267,12 @@ class GqftReport:
 def distance_reports(axes, thetas: Sequence[float]) -> list[GqftReport]:
     """Unitarity defect, factorization error, distance and bound of one axis
     draw at each theta of a grid (see gqft_dense_grid), in theta order; each
-    quantity is one stacked reduction over the grid.  The two routes check
-    the draw."""
-    dense = gqft_dense_grid(axes, thetas)
-    col_errs = np.linalg.norm(dense - gqft_column_factored_grid(axes, thetas),
-                              axis=-2).max(axis=-1)
-    n = len(axes)
+    quantity is one stacked reduction over the grid.  The grid is checked
+    once, here, and both routes run unchecked on it."""
+    ax, th = _checked_grid(axes, thetas)
+    dense = _dense_grid(ax, th)
+    col_errs = np.linalg.norm(dense - _factored_grid(ax, th), axis=-2).max(axis=-1)
+    n = len(ax)
     defects = linalg.unitarity_defect(dense)
     distances = linalg.frobenius_norm(dense - standard_qft(n))
     return [GqftReport(n, theta, defect, col_err, distance, distance_bound(n, theta))

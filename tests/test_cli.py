@@ -1,4 +1,5 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
+import argparse
 import itertools
 import math
 import tracemalloc
@@ -206,6 +207,83 @@ def test_unknown_command_exits_2(capsys):
     assert cli.main(["no-such-command"]) == 2
 
 
+def _top_level_parse(argv):
+    """argv through the top-level parser alone: the reference that a
+    command's argv, parsed by its subparser, must match."""
+    return cli._build_parser()[0].parse_args(cli._join_float_values(argv))
+
+
+def _main_outcome(argv, out, capsys):
+    """main(argv)'s exit code, stdout, stderr and report bytes (None if no
+    report); the report is removed, so the next run starts without one."""
+    code = cli.main(argv)
+    printed = capsys.readouterr()
+    report = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, printed.out, printed.err, report
+
+
+@pytest.mark.parametrize("rest, code", [
+    (["--n", "1", "--trials", "1", "--thet", "0.5"], 0),  # an abbreviation
+    (["--n=2", "--thetas=0.5,1", "--trials=1"], 0),  # --flag=value
+    (["--thetas", "-1,2"], 3),  # negative floats
+    (["--trials", "1", "--thetas", "-1e-1"], 3),
+    (["--n", "1", "--trials", "1", "--thetas", "0.5", "--"], 2),
+    (["--", "--n", "1"], 2),
+    (["--n", "--"], 2),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["--version"], 2),  # --version is a flag of the top-level parser only
+    (["--no-such-flag"], 2),
+    (["--n", "1", "extra"], 2),
+])
+@pytest.mark.parametrize("command", ["verify-gqft", "gqft-distance"])
+def test_command_argv_parses_as_the_top_level_parser_does(tmp_path, monkeypatch, capsys,
+                                                          command, rest, code):
+    """A command's argv goes straight to its subparser: exit code, stdout and
+    report bytes equal those of the top-level parse, and so does stderr but
+    for the parser that names an unrecognized argument."""
+    out = tmp_path / "r.csv"
+    argv = [command, "--out", str(out), *rest]
+    got = _main_outcome(argv, out, capsys)
+    monkeypatch.setattr(cli, "_parse", _top_level_parse)
+    want = _main_outcome(argv, out, capsys)
+    assert got[0] == want[0] == code
+    assert got[1] == want[1] and got[3] == want[3]
+    assert (got[3] is not None) == (code == 0 and rest[0] not in ("-h", "--help"))
+    if "unrecognized arguments" in want[2]:  # named under the command's usage
+        assert want[2].startswith("usage: cliffsim [-h] [--version] command ...\n")
+        assert got[2].startswith(f"usage: cliffsim {command} [-h]")
+        assert got[2].splitlines()[-1] == want[2].splitlines()[-1].replace(
+            "cliffsim:", f"cliffsim {command}:")
+        if rest == ["--no-such-flag"]:
+            assert got[2].endswith(f"cliffsim {command}: error: unrecognized arguments: "
+                                   "--no-such-flag\n")
+    else:
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("argv, by_top_level", [
+    ([], True), (["--help"], True), (["--version"], True), (["no-such-command"], True),
+    (["--n", "2", "verify-gqft"], True), (["verify"], True),
+    (["verify-gqft", "--version"], False), (["omega-count", "--n", "5"], False),
+])
+def test_only_an_argv_led_by_a_command_skips_the_top_level_parser(argv, by_top_level,
+                                                                   monkeypatch, capsys):
+    """One parse_args call per main call: the top-level parser's on the whole
+    argv, or the command's subparser's on the rest of it."""
+    calls = []
+    top, real = cli._build_parser()[0], argparse.ArgumentParser.parse_args
+
+    def parse_args(self, args=None, namespace=None):
+        calls.append((self is top, args))
+        return real(self, args, namespace)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+    cli.main(argv)
+    assert calls == [(by_top_level, argv if by_top_level else argv[1:])]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command, flag, value, rest", [
     ("train-cqp", "--beta", "-1e-3", ["--iterations", "3", "--require-fidelity", "0"]),
     ("trotter-sweep", "--t", "-2e0", []),
@@ -312,7 +390,8 @@ LIBRARY_BREAKS = {
     "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
     "basis-independence": ("verify-basis", clifford, "gram_rank", _shrunk),
     "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
-    "gqft-factorization": ("verify-gqft", gqft, "gqft_column_factored_grid", _shifted),
+    # the factored kernel distance_reports runs on its once-checked grid
+    "gqft-factorization": ("verify-gqft", gqft, "_factored_grid", _shifted),
     "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
     "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
     "swap-concentration": ("swap-test", simulator, "swap_test_sampled", _biased_9_sigma),
@@ -396,13 +475,13 @@ def test_swap_concentration_is_an_8_sigma_test(tmp_path):
 
 
 def test_cached_parser_carries_no_value_between_calls(tmp_path, capsys):
-    parser = cli._build_parser()
+    built = cli._build_parser()
     out = tmp_path / "r.csv"
     assert cli.main(["verify-gqft", "--n", "3", "--thetas", "0.1", "--trials", "1",
                      "--out", str(out)]) == 0
     assert cli.main(["verify-gqft", "--n"]) == 2
     assert cli.main(["verify-gqft", "--out", str(out)]) == 0
-    assert cli._build_parser() is parser
+    assert cli._build_parser() is built
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
     # the defaults: n = 2, five thetas, five trials each
     assert len(rows) == 25
@@ -433,21 +512,22 @@ def test_gqft_grid_is_one_eigendecomposition_per_seed(tmp_path, monkeypatch):
 
 
 def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
-    """Each axis draw makes one factored-grid call for its whole theta grid,
-    with one axis_dot_sigma call for all its axes and one closed-form call
-    for every 2x2 rotation of the grid, none per theta."""
-    calls = {"grid": 0, "sigma": 0, "involution": 0}
+    """Each axis draw makes one call of the factored kernel for its whole
+    theta grid, with one axis_dot_sigma call for all its axes and one
+    closed-form call for every 2x2 rotation of the grid, none per theta; its
+    axes are checked once, not once per route."""
+    calls = {"grid": 0, "sigma": 0, "involution": 0, "checks": 0}
 
     def counted(name, real):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
-    monkeypatch.setattr(gqft, "gqft_column_factored_grid",
-                        counted("grid", gqft.gqft_column_factored_grid))
+    monkeypatch.setattr(gqft, "_factored_grid", counted("grid", gqft._factored_grid))
     monkeypatch.setattr(gqft, "axis_dot_sigma", counted("sigma", gqft.axis_dot_sigma))
     monkeypatch.setattr(linalg, "expm_i_involution",
                         counted("involution", linalg.expm_i_involution))
+    monkeypatch.setattr(gqft, "_checked_axes", counted("checks", gqft._checked_axes))
     assert cli.main(["verify-gqft", "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
                      "--out", str(tmp_path / "r.csv")]) == 0
-    assert calls == {"grid": 3, "sigma": 3, "involution": 3}
+    assert calls == {"grid": 3, "sigma": 3, "involution": 3, "checks": 3}
 
 
 def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):
@@ -548,11 +628,17 @@ def test_train_cqp_reaches_target_by_default(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(fid, fid[1:]))
 
 
-def test_train_cqp_survives_a_huge_learning_rate(tmp_path):
-    """At eta = 1e290 the weights reach ~1e295, where sum(theta^2) overflows;
-    one ulp there moves theta completely, so only the exit code is pinned."""
+def test_train_cqp_survives_a_huge_learning_rate(tmp_path, capsys):
+    """At eta = 1e290 the first step takes the weights to ~1e289, where
+    theta_j +- fd_step == theta_j: the next iteration's differences would all
+    be zero, so training stops there as an invalid config, with no report."""
+    out = tmp_path / "r.csv"
     assert cli.main(["train-cqp", "--eta", "1e290", "--iterations", "3",
-                     "--require-fidelity", "0", "--out", str(tmp_path / "r.csv")]) == 0
+                     "--require-fidelity", "0", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR invalid config: fd_step 1e-05 is below the float resolution")
+    assert err.endswith("iteration 1\n")
+    assert not out.exists()
 
 
 def test_weight_bound_overflow_names_fd_step(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Perceptron encode/forward/train tests with closed-form oracles."""
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,25 @@ def test_train_rejects_a_step_below_the_resolution_of_theta0():
     for bad in (math.inf, math.nan):  # left to the coefficient guard
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             cqp.train(config, sample, [bad, 0.3], iterations=1)
+
+
+def test_train_rejects_a_step_past_the_resolution_of_fd_step():
+    """A step that carries theta where fd_step no longer moves its largest
+    component stops training before that iteration's differences, naming the
+    component and the iteration."""
+    _, sample, theta0 = _toy_task(6)
+    records = cqp.train(PerceptronConfig.type_ii(1, eta=1e13), sample, theta0, iterations=1)
+    big = records[1].theta.tolist()
+    j = int(np.argmax(np.abs(big)))
+    assert abs(big[j]) > 1e11 and abs(big[1 - j]) < abs(big[j])
+    with pytest.raises(ValueError, match=rf"^fd_step 1e-05 is below the float resolution "
+                                         rf"of max\(\|theta_j\|, 1\) at component {j} of "
+                                         rf"theta \({re.escape(repr(big[j]))}\), iteration 1$"):
+        cqp.train(PerceptronConfig.type_ii(1, eta=1e13), sample, theta0, iterations=2)
+    # a step of 5e-3 still moves ~1e12 (whose ulp is 2^-13), so training goes on
+    records = cqp.train(PerceptronConfig.type_ii(1, eta=1e13), sample, theta0, iterations=2,
+                        fd_step=5e-3)
+    assert len(records) == 3
 
 
 def _oracle_fidelity(config, sample, theta):

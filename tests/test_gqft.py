@@ -153,8 +153,12 @@ def test_gamma_stack_rejects_a_k_out_of_range_or_malformed_axes():
                [1.7], [1.0], [True], [1, True], [np.True_], np.array([1.5, 2.0])):
         with pytest.raises(ValueError, match=r"ints in 0\.\.3"):
             gqft.gamma_stack(axes, ks)
+    non_finite = axes.copy()
+    non_finite[0, 1, 2] = np.inf
     for bad_axes, message in ((axes[:, 0], r"shape \(n, 2, 3\)"),
+                              (axes[:, :, :2], r"shape \(n, 2, 3\)"),
                               (2 * axes, "unit vectors"),
+                              (non_finite, "non-finite"),
                               (z_axes(5), "1 <= n <= 4")):
         with pytest.raises(ValueError, match=message):
             gqft.gamma_stack(bad_axes)
@@ -299,7 +303,8 @@ def test_theta_grid_matches_per_theta_transforms(n):
 
 
 def test_theta_grid_routes_reject_a_bad_draw():
-    """Each grid route checks its axes and thetas as GqftParams does."""
+    """Each grid route checks its axes and thetas as GqftParams does: the
+    public routes in front of their kernels, distance_reports once for both."""
     axes = gqft.random_axes(2, np.random.default_rng(4))
     non_finite = axes.copy()
     non_finite[1, 0, 0] = np.nan
@@ -307,11 +312,36 @@ def test_theta_grid_routes_reject_a_bad_draw():
         for bad_axes, thetas, message in ((axes, [], "finite theta"),
                                           (axes, [0.1, -0.5], "finite theta"),
                                           (axes, [np.nan, 0.1], "finite theta"),
+                                          (axes, [0.1, np.inf], "finite theta"),
+                                          (axes, [[0.1, 0.5]], "finite theta"),
+                                          (axes, 0.1, "finite theta"),
                                           (2 * axes, [0.1], "unit vectors"),
                                           (non_finite, [0.1], "non-finite"),
+                                          (axes[None], [0.1], r"shape \(n, 2, 3\)"),
+                                          (axes[:, :, :2], [0.1], r"shape \(n, 2, 3\)"),
                                           (z_axes(5), [0.1], "1 <= n <= 4")):
             with pytest.raises(ValueError, match=message):
                 route(bad_axes, thetas)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_each_route_checks_its_axes_once(draw, monkeypatch):
+    """distance_reports checks its grid once and runs both kernels on it; each
+    public route, and GqftParams, checks its axes once in front of its kernel."""
+    axes = DRAWS[draw][0]()
+    n = axes.shape[0]
+    calls = []
+    real = gqft._checked_axes
+    monkeypatch.setattr(gqft, "_checked_axes", lambda ax: calls.append(1) or real(ax))
+    for call in (lambda: gqft.distance_reports(axes, (0.1, 0.5, 2.0)),
+                 lambda: gqft.gqft_dense_grid(axes, (0.1, 0.5)),
+                 lambda: gqft.gqft_column_factored_grid(axes, (0.1, 0.5)),
+                 lambda: gqft.gamma_stack(axes),
+                 lambda: gqft.gamma_stack(axes, [2 ** n - 1, 0]),
+                 lambda: gqft.GqftParams(n, 0.5, axes)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
 
 
 def test_factored_columns_match_dense():
