@@ -315,12 +315,10 @@ def _cmd_train_cqp(cfg):
     _require(0 <= cfg["output_index"] < 2 * n, "output_index",
              f"must be in 0..{2 * n - 1}")
     _require(0 <= cfg["require_fidelity"] <= 1, "require_fidelity", "must be in [0, 1]")
-    try:
-        activation = cqp.Activation(cfg["activation"])
-    except ValueError:
-        raise ConfigError(f"activation: unknown kind {cfg['activation']!r}") from None
-    config = cqp.PerceptronConfig.type_ii(
-        n, cfg["output_index"], activation=activation, eta=cfg["eta"])
+    _require(cfg["activation"] == "tanh", "activation",
+             "must be tanh: identity reaches |v| = 1, where the slope of arccos is "
+             "unbounded, so train-monotone cannot hold")
+    config = cqp.PerceptronConfig.type_ii(n, cfg["output_index"], eta=cfg["eta"])
     rng = np.random.default_rng(cfg["seed"])
     x_coeffs = rng.uniform(0.1, 0.6, 2 * n)
     theta0 = rng.uniform(0.0, 0.5, 2 * n)
@@ -357,7 +355,7 @@ def _equivalence_blocks(n: int, seeds: range):
     for start in range(0, len(seeds), _EQUIVALENCE_BLOCK):
         block = seeds[start:start + _EQUIVALENCE_BLOCK]
         rngs = [np.random.default_rng(seed) for seed in block]
-        us = linalg.expm_i(linalg.random_hermitians(d, rngs))
+        us = linalg.expm_i(np.stack([linalg.random_hermitian(d, rng) for rng in rngs]))
         xs = np.array([rng.uniform(-1.0, 1.0, m) for rng in rngs])
         ws = np.array([rng.uniform(-1.0, 1.0, m) for rng in rngs])
         yield block, us, xs, ws

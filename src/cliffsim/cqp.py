@@ -22,7 +22,10 @@ overlaps and the state defects are numpy's row reductions (np.sum and
 np.linalg.norm over the last axis), which reduce each row on its own.
 
 Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
-y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.
+y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.  The
+activation is tanh, which keeps |act| <= tanh 1, or identity, which reaches
+|act| = 1, where the slope of arccos is unbounded; forward clips the
+rounding slack past +-1 before arccos.
 Fidelity against the target angle beta is the numeric |<r|y>| where the
 reference state is rotated by the opposite angle, r = exp(-i*beta*B_mu)|0..0>,
 so that for output blades with zero diagonal expectation the fidelity obeys
@@ -71,30 +74,19 @@ FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
 class Activation(enum.Enum):
     IDENTITY = "identity"
     TANH = "tanh"
-    CLAMP = "clamp"
 
     def apply(self, u):
         """Elementwise on a number or an array."""
         if self is Activation.IDENTITY:
             return np.asarray(u, dtype=float)
-        if self is Activation.TANH:
-            return np.tanh(u)
-        return np.minimum(np.maximum(u, -1.0), 1.0)
+        return np.tanh(u)
 
     @property
     def float_form(self) -> Callable[[float], float]:
         """apply as a function of one Python float, in float arithmetic, for
-        per-row loops: identity and clamp give apply's bits, tanh is math.tanh,
-        within a few ulps of np.tanh; NaN gives NaN."""
-        if self is Activation.IDENTITY:
-            return float
-        if self is Activation.TANH:
-            return math.tanh
-        return Activation._clamp
-
-    @staticmethod
-    def _clamp(u: float) -> float:
-        return 1.0 if u > 1.0 else -1.0 if u < -1.0 else u  # NaN falls through
+        per-row loops: identity gives apply's bits, tanh is math.tanh, within a
+        few ulps of np.tanh; NaN gives NaN."""
+        return float if self is Activation.IDENTITY else math.tanh
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarr
     v = activation.apply(np.sum(w * np.conj(x), axis=-1).real)
     if not np.abs(v).max(initial=0.0) <= _ACT_LIMIT:
         raise _activation_error(np.asarray(v)[~(np.abs(v) <= _ACT_LIMIT)][0])
-    phi = np.arccos(Activation.CLAMP.apply(v))
+    phi = np.arccos(np.minimum(np.maximum(v, -1.0), 1.0))  # clips the slack
     return phi, _rotate_ground(1j * output_blade.dense()[:, 0], phi)
 
 

@@ -12,10 +12,12 @@ factorizes qubit by qubit:
     F_G |j> = (x)_l  ( R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1> ) / sqrt(2)
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
-A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas; each
-public grid route checks both (GqftParams, one theta, uses the same check)
-in front of an unchecked kernel, and distance_reports checks its grid once
-and runs both kernels on it.  The dense route builds only the distinct
+A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas.  The
+public routes are gamma_stack (every Gamma_k of an axis draw),
+gqft_dense_grid, gqft_column_factored_grid and distance_reports; each
+checks its input (GqftParams, one theta, uses the same check) in front of
+an unchecked kernel, and distance_reports checks its grid once and runs
+both grid kernels on it.  The dense route builds only the distinct
 Gamma_k, by contracting the axes with a cached table of sigma_x, sigma_y,
 sigma_z embedded on each qubit, and exponentiates them in one
 eigendecomposition call: a qubit with equal axes gives every Gamma_k the
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import PAULI, _check_register_size
+from .clifford import PAULI, _check_register_size, _read_only
 from .simulator import basis_state  # noqa: F401  bench/test_bench.py traces this binding
 
 _AXIS_TOL = 1e-12
@@ -126,33 +128,24 @@ def axis_dot_sigma(axis) -> np.ndarray:
 def _pauli_table(n: int) -> np.ndarray:
     """sigma_x, sigma_y, sigma_z embedded on each qubit of an n-qubit register,
     shape (n, 3, 2^n, 2^n), built once per n and read-only."""
-    table = np.array([[linalg.embed_qubit_operator(PAULI[p], l + 1, n) for p in "XYZ"]
-                      for l in range(n)])
-    table.flags.writeable = False
-    return table
+    return _read_only(np.array([[linalg.embed_qubit_operator(PAULI[p], l + 1, n) for p in "XYZ"]
+                                for l in range(n)]))
 
 
-def gamma_stack(axes, ks: Sequence[int] | None = None) -> np.ndarray:
-    """Gamma_k of the axes, shape (n, 2, 3), for each k of `ks` (default:
-    every k in order), stacked along the first axis: shape (len(ks), 2^n, 2^n).
+def gamma_stack(axes) -> np.ndarray:
+    """Gamma_k of the axes, shape (n, 2, 3), for every k in order, stacked
+    along the first axis: shape (2^n, 2^n, 2^n).
 
     Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
     l; the 2n embedded operators come from one contraction of the axes with
-    the embedded Pauli table and are picked by the bits of k, each an int (not a
-    bool) in 0..2^n - 1.
+    the embedded Pauli table and are picked by the bits of k.
     """
     axes = _checked_axes(axes)
-    dim = 2 ** len(axes)
-    ks = range(dim) if ks is None else ks
-    # each k is checked as given: an int array would truncate 1.7 and take True as 1
-    if np.ndim(ks) != 1 or not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                                   and 0 <= i < dim for i in ks):
-        raise ValueError(f"ks must be a vector of ints in 0..{dim - 1}, got {ks}")
-    return _gammas(axes, ks)
+    return _gammas(axes, range(2 ** len(axes)))
 
 
 def _gammas(axes: np.ndarray, ks) -> np.ndarray:
-    """gamma_stack of checked axes and ks, unchecked."""
+    """Gamma_k of checked axes for each k of ks, ints in 0..2^n - 1, unchecked."""
     n, dim = len(axes), 2 ** len(axes)
     k = np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
@@ -168,9 +161,7 @@ def standard_qft(n: int) -> np.ndarray:
     """The 2^n-point QFT matrix, built once per n and read-only."""
     dim = 2 ** n
     grid = np.outer(np.arange(dim), np.arange(dim))
-    qft = np.exp(2j * np.pi * grid / dim) / math.sqrt(dim)
-    qft.flags.writeable = False
-    return qft
+    return _read_only(np.exp(2j * np.pi * grid / dim) / math.sqrt(dim))
 
 
 @functools.cache
@@ -179,9 +170,7 @@ def _column_phases(n: int) -> np.ndarray:
     built once per n and read-only."""
     j = np.arange(2 ** n)
     l = np.arange(1, n + 1)[:, None]
-    phases = np.exp(2j * np.pi * j / 2 ** l)
-    phases.flags.writeable = False
-    return phases
+    return _read_only(np.exp(2j * np.pi * j / 2 ** l))
 
 
 def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:

@@ -32,6 +32,10 @@ broadcast multiply and reshape, not with ``np.kron``.  ``frobenius_norm``,
 each matrix of a stack (an array); the spectral norm takes the singular
 values of the whole stack from one LAPACK SVD call.
 
+``random_hermitian`` draws (M + M^dag) / 2 from one generator, M's real
+parts first, and ``random_unitary`` exponentiates it; a stack of draws is a
+stack of these one-generator calls.
+
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
 coerce, check against DEFAULT_TOL and return their input.
@@ -239,21 +243,9 @@ def spectral_norm(a) -> float | np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return random_hermitians(dim, [rng])[0]
-
-
-def random_hermitians(dim: int, rngs) -> np.ndarray:
-    """One random Hermitian (M + M^dag) / 2 per generator of rngs, shape
-    (len(rngs), dim, dim), where M's real, then its imaginary parts are
-    standard normal draws from that generator alone.  The stack is formed
-    and symmetrized at once, entry by entry, so each matrix has the bits of
-    its one-generator call, random_hermitian(dim, rng)."""
-    re = np.empty((len(rngs), dim, dim))
-    im = np.empty_like(re)
-    for k, rng in enumerate(rngs):
-        re[k] = rng.normal(size=(dim, dim))
-        im[k] = rng.normal(size=(dim, dim))
-    m = re + 1j * im
+    """(M + M^dag) / 2, where M's real, then its imaginary parts are standard
+    normal draws from rng."""
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + adjoint(m)) / 2.0
 
 

@@ -628,6 +628,27 @@ def test_train_cqp_reaches_target_by_default(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(fid, fid[1:]))
 
 
+@pytest.mark.parametrize("activation", ["identity", "clamp", "relu"])
+def test_train_cqp_accepts_tanh_alone(tmp_path, capsys, activation):
+    """identity reaches |v| = 1, where arccos's slope is unbounded, so
+    train-monotone cannot hold; every kind but tanh is an invalid config."""
+    out = tmp_path / "r.csv"
+    assert cli.main(["train-cqp", "--activation", activation, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "ERROR invalid config: activation: must be tanh: identity reaches |v| = 1, where "
+        "the slope of arccos is unbounded, so train-monotone cannot hold\n")
+    assert not out.exists()
+
+
+def test_train_cqp_activation_tanh_is_the_default_run(tmp_path):
+    default, tanh = tmp_path / "default.csv", tmp_path / "tanh.csv"
+    assert cli.main(["train-cqp", "--out", str(default)]) == 0
+    assert cli.main(["train-cqp", "--activation", "tanh", "--out", str(tanh)]) == 0
+    rows = [[ln for ln in p.read_text().splitlines() if not ln.startswith("#")]
+            for p in (default, tanh)]
+    assert len(rows[0]) == 502 and rows[0] == rows[1]
+
+
 def test_train_cqp_survives_a_huge_learning_rate(tmp_path, capsys):
     """At eta = 1e290 the first step takes the weights to ~1e289, where
     theta_j +- fd_step == theta_j: the next iteration's differences would all

@@ -220,7 +220,7 @@ def _ordered(v: float) -> int:
 
 
 def test_float_form_matches_apply():
-    """Identity and clamp give apply's bits (the sign of zero too); tanh is
+    """Identity gives apply's bits (the sign of zero too); tanh is
     math.tanh, within 4 ulps of np.tanh."""
     rng = np.random.default_rng(160)
     edges = [0.0, -0.0, 1.0, -1.0, *np.nextafter([1.0, -1.0, 1.0, -1.0], [2, -2, 0, 0]).tolist(),
@@ -716,7 +716,5 @@ def test_type_equivalence_rejects_non_unitary():
 
 
 def test_activation_ranges():
-    assert Activation.CLAMP.apply(3.0) == 1.0
-    assert Activation.CLAMP.apply(-3.0) == -1.0
     assert Activation.TANH.apply(50.0) <= 1.0
     assert Activation.IDENTITY.apply(0.4) == 0.4

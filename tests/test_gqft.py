@@ -135,24 +135,9 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
         np.testing.assert_allclose(f_g, cols @ gqft.standard_qft(n), rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("draw", DRAWS)
-def test_gamma_stack_of_chosen_ks_is_a_gather_of_all(draw):
-    axes = DRAWS[draw][0]()
-    n = axes.shape[0]
-    full = gqft.gamma_stack(axes)
-    assert full.shape == (2 ** n, 2 ** n, 2 ** n)
-    for ks in ([0], [2 ** n - 1, 0], list(range(0, 2 ** n, 2)), list(range(2 ** n))):
-        assert np.array_equal(gqft.gamma_stack(axes, ks), full[ks]), ks
-
-
-def test_gamma_stack_rejects_a_k_out_of_range_or_malformed_axes():
+def test_gamma_stack_rejects_malformed_axes():
     axes = gqft.random_bit_axes(2, np.random.default_rng(6))
-    assert gqft.gamma_stack(axes, []).shape == (0, 4, 4)
-    assert np.array_equal(gqft.gamma_stack(axes, np.array([1, 3])), gqft.gamma_stack(axes)[[1, 3]])
-    for ks in ([4], [7], [-1], [0, 4], 3, [[0, 1]],
-               [1.7], [1.0], [True], [1, True], [np.True_], np.array([1.5, 2.0])):
-        with pytest.raises(ValueError, match=r"ints in 0\.\.3"):
-            gqft.gamma_stack(axes, ks)
+    assert gqft.gamma_stack(axes).shape == (4, 4, 4)
     non_finite = axes.copy()
     non_finite[0, 1, 2] = np.inf
     for bad_axes, message in ((axes[:, 0], r"shape \(n, 2, 3\)"),
@@ -337,7 +322,6 @@ def test_each_route_checks_its_axes_once(draw, monkeypatch):
                  lambda: gqft.gqft_dense_grid(axes, (0.1, 0.5)),
                  lambda: gqft.gqft_column_factored_grid(axes, (0.1, 0.5)),
                  lambda: gqft.gamma_stack(axes),
-                 lambda: gqft.gamma_stack(axes, [2 ** n - 1, 0]),
                  lambda: gqft.GqftParams(n, 0.5, axes)):
         calls.clear()
         call()
