@@ -162,16 +162,29 @@ def _check(cond: bool, name: str, detail: str) -> None:
         raise CheckFailure(name, detail)
 
 
+def _cell_format(kind: type) -> str:
+    """The % format of a report cell of type kind: floats to 17 significant
+    digits (np.float32 too, via float), bools and integers as integers, any
+    other cell as its str."""
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    if issubclass(kind, (int, np.integer, np.bool_)):  # bool subclasses int
+        return "%d"
+    return "%s"
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(kinds: tuple[type, ...]) -> str:
+    """The % template of a report row whose cells have the types kinds."""
+    return ",".join(map(_cell_format, kinds))
+
+
+def _format_row(row) -> str:
+    return _row_template(tuple(map(type, row))) % tuple(row)
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):  # most cells; np.float64 subclasses float
-        return f"{value:.17g}"
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, np.floating):
-        return f"{float(value):.17g}"
-    return str(value)
+    return _format_row((value,))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +501,7 @@ def _write_report(path: Path, header, payload, meta: list[str]) -> None:
     lines = []
     if header is not None:
         lines.append(",".join(header))
-        lines += [",".join(map(_fmt, row)) for row in payload]
+        lines += map(_format_row, payload)
     else:
         lines += payload
     lines += [f"# {m}" for m in meta]

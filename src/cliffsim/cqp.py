@@ -6,8 +6,9 @@ single-generator blades; a Type I unit may use any explicit blade list.
 When the active blades pairwise anticommute (always so for Type II), the
 sum squares to |c|^2 I, so the state is sin|c| (c.iB/|c|)|0..0> with cos|c|
 added to entry 0, where iB|0..0> is column 0 of the blades times i, cached
-per config; every single-blade rotation below takes the same form, and any
-other sum goes through the general linalg.expm_i.
+per blade list (read-only, shared by every config with that list, as is
+whether the list anticommutes); every single-blade rotation below takes the
+same form, and any other sum goes through the general linalg.expm_i.
 
 encode and the activations work on stacks: coefficients of shape (..., m)
 give states (..., d).  forward pairs input states (..., d) with weight
@@ -42,29 +43,34 @@ finite-difference gradients; no analytic gradient is trusted anywhere.
 train checks its inputs, then scores theta and its 2m neighbours
 theta +- h*e_j each iteration from scalars rather than states.  Once per run
 it takes gamma_0 = <r|0..0> and gamma_1 = <r|iB_mu|0..0> for the target state
-r, so that a row's fidelity is F = min(|gamma_0 cos(phi) + gamma_1 sin(phi)|, 1).
+r.  With a = act(v) clipped to [-1, 1], phi = arccos(a) has cos(phi) = a and
+sin(phi) = sqrt((1 - a)(1 + a)) (not 1 - a^2, which loses the digits of
+sin(phi) near |a| = 1), so a row's fidelity is
+F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1), with no trig call.
 When the active blades anticommute it also takes alpha = Re <x|0..0> and
 b_j = Re <x|iB_j|0..0>, and a row c has the overlap
-v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|, with |c| a hypot; otherwise
-v comes from one encode call on the stack of rows.  Each row then runs
-phi = arccos(act(v)) and F with the activation's float_form.  For
-anticommuting blades an iteration is numpy-free: theta and its neighbour
-rows are lists of Python floats, and the gradient step is list arithmetic;
-only the record's copy of theta is an array.
+v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|.  Each call forms two sums
+for theta, S = |theta|^2 (from |theta|, a hypot) and D = theta.b, and a
+neighbour has |c|^2 = S +- 2h theta_j + h^2 and c.b = D +- h b_j, so no
+neighbour row is built; otherwise the explicit rows go through one encode
+call.  For anticommuting blades an iteration makes no numpy call: theta is
+a list of Python floats, and the gradient step is list arithmetic; the
+records' thetas are the rows of one array, made when the run ends.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .clifford import Blade, anticommutation_matrix, blade_products
+from .clifford import (REGISTER_SIZES, Blade, _read_only, anticommutation_matrix,
+                       blade_products)
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
 _ACT_LIMIT = 1.0 + 1e-12  # activation outputs may pass +-1 by this rounding slack
@@ -126,14 +132,29 @@ class PerceptronConfig:
         return cls(n=n, active_blades=blades,
                    output_blade=Blade(n, tuple(output_indices)), **kw)
 
-    @cached_property
+    @property
     def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
-        return 1j * blade_products(self.n, self.active_blades)[:, :, 0]
+        return _blade_invariants(self.n, tuple(b.indices for b in self.active_blades))[0]
 
-    @cached_property
+    @property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
-        anti = anticommutation_matrix([b.indices for b in self.active_blades])
-        return bool((anti | np.eye(len(anti), dtype=bool)).all())
+        return _blade_invariants(self.n, tuple(b.indices for b in self.active_blades))[1]
+
+
+@functools.lru_cache(maxsize=32)
+def _blade_invariants(n: int, index_sets: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, bool]:
+    """(i * column 0 of each blade, read-only (m, d); whether the blades
+    pairwise anticommute) for a blade list on n qubits, shared by every
+    config with that list."""
+    columns = 1j * blade_products(n, [Blade(n, s) for s in index_sets])[:, :, 0]
+    anti = anticommutation_matrix(index_sets)
+    return _read_only(columns), bool((anti | np.eye(len(anti), dtype=bool)).all())
+
+
+# Built at import for the Type II blade lists of n = 1..3, as clifford builds
+# those basis stacks, so no job pays (or traces) them
+for _n in REGISTER_SIZES[:-1]:
+    _blade_invariants(_n, tuple((a,) for a in range(2 * _n)))
 
 
 def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
@@ -230,38 +251,55 @@ class TrainRecord:
 
 
 def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
-    """score(rows): the fidelity of each coefficient row of rows, a list of k
-    rows of m floats or an array (k, m), as a list of k Python floats, for the
-    sample's input and target angle.  Each row must pass the guards of encode
-    and forward.  When the active blades anticommute a row is scored on Python
-    floats alone; otherwise all rows go through one encode call."""
+    """score(theta, h): the fidelities [F(theta), F(theta + h*e_0), ...,
+    F(theta + h*e_{m-1}), F(theta - h*e_0), ..., F(theta - h*e_{m-1})] of a
+    list theta of m floats, 2m + 1 Python floats, or [F(theta)] when h = 0,
+    for the sample's input and target angle.  Each row must pass the guards
+    of encode and forward.  When the active blades anticommute the rows are
+    scored on Python floats from the sums |theta|^2 and theta.b; otherwise
+    the explicit rows go through one encode call."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
-    gamma0 = complex(ref[0])
-    gamma1 = complex(ref @ (1j * config.output_blade.dense()[:, 0]))
+    # gamma_0 and gamma_1 are real for an output blade of zero diagonal; a real
+    # one is a float, and float arithmetic gives the complex route's bits
+    gamma0, gamma1 = (g.real if not g.imag else g for g in (
+        complex(ref[0]), complex(ref @ (1j * config.output_blade.dense()[:, 0]))))
     alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
-    act = config.activation.float_form
+    act, anticommuting, m = config.activation.float_form, config._anticommuting, len(b)
+    sqrt, cos, sin = math.sqrt, math.cos, math.sin
+    if not anticommuting:  # the explicit rows are theta + h * offsets
+        offsets = np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
 
-    def overlaps(rows) -> list[float]:  # v = Re<x|w(c)> of each row c
-        if not config._anticommuting:
-            return (encode(config, rows) @ x_conj).real.tolist()
-        vs = []
-        for c in rows:
-            norm = math.hypot(*c)  # overflows only if the norm does
+    def score(theta, h) -> list[float]:
+        if anticommuting:
+            norm = math.hypot(*theta)  # overflows only if the norm does
             if not norm < math.inf:  # tested before math.sin, which raises on inf
-                raise _norm_error(c)
-            vs.append(alpha * math.cos(norm) + math.sin(norm) * (sum(map(mul, c, b)) / norm)
-                      if norm else alpha)  # c = 0 gives |0..0>
-        return vs
-
-    def score(rows) -> list[float]:
+                raise _norm_error(theta)
+            dot = sum(map(mul, theta, b))
+            vs = [alpha * cos(norm) + sin(norm) * (dot / norm) if norm else alpha]
+            # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
+            # (theta +- h e_j).b = dot +- h b_j.  s is finite below |theta| =
+            # 2^511 (train keeps |theta_j| below 2^47); past it the h terms are
+            # below half an ulp of s, so each neighbour's norm rounds to |theta|
+            s = norm * norm + h * h
+            finite = s < math.inf
+            for hj in (h, -h) if h else ():
+                two_hj = 2.0 * hj
+                for t, bj in zip(theta, b):
+                    r = s + two_hj * t  # may round below an exact 0
+                    r = (sqrt(r) if r > 0.0 else 0.0) if finite else norm
+                    vs.append(alpha * cos(r) + sin(r) * ((dot + hj * bj) / r) if r else alpha)
+        else:
+            rows = np.array(theta) + h * offsets if h else np.array([theta])
+            vs = (encode(config, rows) @ x_conj).real.tolist()
         fids = []
-        for v in overlaps(rows):
+        for v in vs:  # cos(phi) = a and sin(phi) = sqrt((1 - a)(1 + a)) at phi = arccos(a)
             a = act(v)
-            if not -_ACT_LIMIT <= a <= _ACT_LIMIT:  # NaN fails too
-                raise _activation_error(a)
-            phi = math.acos(a if -1.0 <= a <= 1.0 else math.copysign(1.0, a))  # clips the slack
-            f = abs(gamma0 * math.cos(phi) + gamma1 * math.sin(phi))
+            if not -1.0 <= a <= 1.0:
+                if not -_ACT_LIMIT <= a <= _ACT_LIMIT:  # NaN fails too
+                    raise _activation_error(a)
+                a = math.copysign(1.0, a)  # clips the slack
+            f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
             fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for TrainRecord's check
         return fids
 
@@ -272,15 +310,16 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
           iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
     """Gradient ascent on the fidelity; one record per iteration, initial included.
 
-    theta is a list of floats.  Each iteration scores the 2m + 1 rows [theta,
-    theta + fd_step*e_j, theta - fd_step*e_j] in one call of the run's
-    fidelity scorer: row 0 is the record's fidelity and the other rows give
-    the central-difference gradient.  fd_step must move each component of
-    theta0 both ways, and 1 too: the fidelities it differences are at most 1,
-    and rounded to about an ulp of 1, so a smaller step gives a difference
-    that is all rounding (zero, at a step of 1e-17) and trains nothing.  The
-    same holds for the theta of every later iteration, which a large step can
-    carry past the resolution of fd_step.
+    theta is a list of floats.  Each iteration scores theta and its 2m
+    neighbours theta +- fd_step*e_j in one call of the run's fidelity scorer:
+    the first score is the record's fidelity and the others give the
+    central-difference gradient.  fd_step must move each component of theta0
+    both ways, and 1 too: the fidelities it differences are at most 1, and
+    rounded to about an ulp of 1, so a smaller step gives a difference that
+    is all rounding (zero, at a step of 1e-17) and trains nothing.  The same
+    holds for the theta of every later iteration, which a large step can
+    carry past the resolution of fd_step.  The records' thetas are the rows
+    of one array, made when the run ends.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -298,7 +337,8 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                              f"max(|theta_j|, 1) at component {j} of theta0 ({t!r}), "
                              f"iteration 0")
     score = _fidelity_scorer(config, sample)
-    records = []
+    records = []  # each theta a list until the run ends, then a row of one array
+    two_h, eta = 2.0 * fd_step, config.eta
     for k in range(iterations):
         if k:  # after a step, one test at the largest |theta_j|, whose float
             # resolution is the coarsest (theta0's test above covered 1)
@@ -308,21 +348,17 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                 raise ValueError(f"fd_step {fd_step!r} is below the float resolution of "
                                  f"max(|theta_j|, 1) at component {j} of theta "
                                  f"({theta[j]!r}), iteration {k}")
-        ups, downs = [], []
-        for j, t in enumerate(theta):
-            up, down = theta.copy(), theta.copy()
-            up[j], down[j] = t + fd_step, t - fd_step
-            ups.append(up)
-            downs.append(down)
-        f = score([theta, *ups, *downs])
-        records.append(TrainRecord(k, np.array(theta), f[0]))
-        grad = [(up - down) / (2.0 * fd_step) for up, down in zip(f[1:m + 1], f[m + 1:])]
+        f = score(theta, fd_step)
+        records.append(TrainRecord(k, theta, f[0]))
+        grad = [(up - down) / two_h for up, down in zip(f[1:m + 1], f[m + 1:])]
         for j, g in enumerate(grad):
             if not math.isfinite(g):
                 raise ValueError(f"non-finite finite-difference gradient at component "
                                  f"{j} (activation kink or overflow)")
-        theta = [t + config.eta * g for t, g in zip(theta, grad)]
-    records.append(TrainRecord(iterations, np.array(theta), score([theta])[0]))
+        theta = [t + eta * g for t, g in zip(theta, grad)]
+    records.append(TrainRecord(iterations, theta, score(theta, 0.0)[0]))
+    for rec, row in zip(records, np.array([rec.theta for rec in records])):
+        object.__setattr__(rec, "theta", row)
     return records
 
 

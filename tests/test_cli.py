@@ -436,7 +436,7 @@ def test_train_monotone_names_the_first_fall_only(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value, text", [
+_CELLS = [
     (0.1, "0.10000000000000001"),
     (-0.0, "-0"),
     (5e-324, "4.9406564584124654e-324"),
@@ -450,9 +450,23 @@ def test_train_monotone_names_the_first_fall_only(tmp_path, capsys, monkeypatch)
     (np.int64(2 ** 62), "4611686018427387904"),
     (1 - 2j, "(1-2j)"),
     ("abc", "abc"),
-])
+]
+
+
+@pytest.mark.parametrize("value, text", _CELLS)
 def test_report_cell_format(value, text):
     assert cli._fmt(value) == text
+
+
+def test_report_row_is_its_cells_joined(tmp_path):
+    """A row of every cell kind, in both orders, is written as its cells'
+    _fmt joined by commas, byte for byte."""
+    row = [value for value, _ in _CELLS]
+    out = tmp_path / "r.csv"
+    cli._write_report(out, ["h"], [row, row[::-1], row], ["meta"])
+    want = [",".join(map(cli._fmt, r)) for r in (row, row[::-1], row)]
+    assert out.read_bytes() == "\n".join(["h", *want, "# meta"]).encode() + b"\n"
+    assert want[0] == ",".join(text for _, text in _CELLS)
 
 
 @pytest.mark.parametrize("argv", [

@@ -524,7 +524,7 @@ def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, 
         config = PerceptronConfig.type_ii(n, activation=activation)
         m = len(config.active_blades)
         sample = TrainingSample(np.full(m, 0.3), 0.7)
-        cqp.train(config, sample, np.full(m, 0.2), iterations=1)  # fills the config's caches
+        cqp.train(config, sample, np.full(m, 0.2), iterations=1)  # fills the blade cache
         counts = []
         for iterations in (1, 3):
             counter = _NumpyCallCounter()
@@ -533,32 +533,64 @@ def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, 
             monkeypatch.setattr(cqp, "np", np)
             counts.append(counter.calls)
         per_iteration.append((counts[1] - counts[0]) / 2)
-    assert per_iteration[0] == per_iteration[1] == 1  # np.array for the record's theta
+    assert per_iteration[0] == per_iteration[1] == 0  # one np.array per run, for the thetas
+
+
+_FIDELITY_SCORER = cqp._fidelity_scorer  # the real one, which the tests below patch
+
+
+def _spoiling_scorer(spoil, spoiled_call, calls):
+    """A stand-in for cqp._fidelity_scorer whose score(theta, h) records h and
+    runs spoil(score, theta, h) in call number spoiled_call (from 1), and
+    the real score elsewhere; an unspoiled call gives 2m + 1 scores for h > 0
+    and one for h = 0."""
+    def scorer(cfg, smp):
+        score = _FIDELITY_SCORER(cfg, smp)
+
+        def spoiled(theta, h):
+            calls.append(h)
+            if len(calls) == spoiled_call:
+                return spoil(score, theta, h)
+            fids = score(theta, h)
+            assert len(fids) == (2 * len(theta) + 1 if h else 1)
+            return fids
+        return spoiled
+    return scorer
 
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
     config, sample, theta0 = _toy_task(4)
-    fidelity_scorer = cqp._fidelity_scorer
 
-    def nan_neighbour_scorer(cfg, smp):
-        score = fidelity_scorer(cfg, smp)
+    def nan_neighbour(score, theta, h):
+        fids = score(theta, h)
+        fids[1 + component] = math.nan  # the score of theta + h*e_component
+        return fids
 
-        def nan_neighbour(rows):
-            fids = score(rows)
-            if len(fids) > 1:
-                fids[1 + component] = math.nan  # the score of theta + h*e_component
-            return fids
-        return nan_neighbour
-
-    monkeypatch.setattr(cqp, "_fidelity_scorer", nan_neighbour_scorer)
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(nan_neighbour, 1, []))
     with pytest.raises(ValueError, match=f"non-finite finite-difference gradient at "
                                          f"component {component} "):
         cqp.train(config, sample, theta0, iterations=2)
 
 
+def _rows(theta, h):
+    """The explicit rows theta, theta + h*e_j (j = 0..m-1), theta - h*e_j,
+    or theta alone for h = 0."""
+    if not h:
+        return theta[None]
+    bumps = h * np.eye(len(theta))
+    return np.concatenate([theta[None], theta + bumps, theta - bumps])
+
+
 @pytest.mark.parametrize("n, output_index", [(1, 0), (1, 1), (2, 0), (2, 3)])
 def test_row_score_matches_the_dense_oracle(n, output_index):
+    """Every one of the 2m + 1 scores of a call, against the dense oracle on
+    its explicit row: theta = 0 (c = 0, and neighbours of norm h), a random
+    theta and a theta of norm 1e6, at h = 0, the default step and 0.0099,
+    the largest the CLI takes.  One ulp of |c| = 1e6 is 1.2e-10, so no
+    double-precision route, the oracle's eigensolve included, pins F to
+    1e-12 there (the gap seen is up to 3.2 ulps); a row is allowed 1e-12
+    plus 8 ulps of its norm, which adds under 4e-15 for |c| <= 2."""
     rng = np.random.default_rng(130 + 10 * n + output_index)
     config = PerceptronConfig.type_ii(n, output_index=output_index,
                                       activation=Activation.TANH)
@@ -569,14 +601,48 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
         sample = TrainingSample(coeffs, target)
         x_conj = np.conj(cqp.encode(config, coeffs))
         assert (config._i_blade_columns @ x_conj).real[0] < 0  # a negative b_0
-        rows = np.concatenate([np.zeros((1, m)), rng.uniform(-2.0, 2.0, (6, m))])
-        fids = cqp._fidelity_scorer(config, sample)(rows)  # row 0 is c = 0
-        assert len(fids) == len(rows) and all(type(f) is float for f in fids)
-        for row, f in zip(rows, fids):
-            assert abs(f - _oracle_fidelity(config, sample, row)) <= 1e-12
+        score = cqp._fidelity_scorer(config, sample)
+        big = rng.uniform(-1.0, 1.0, m)
+        for theta in (np.zeros(m), rng.uniform(-2.0, 2.0, m), 1e6 * big / np.linalg.norm(big)):
+            for h in (0.0, 1e-5, 0.0099):
+                fids = score(theta.tolist(), h)
+                rows = _rows(theta, h)
+                assert len(fids) == len(rows) and all(type(f) is float for f in fids)
+                for row, f in zip(rows, fids):
+                    tol = 1e-12 + 8 * math.ulp(float(np.linalg.norm(row)))
+                    assert abs(f - _oracle_fidelity(config, sample, row)) <= tol
 
 
-_COEFFICIENT_GUARDS = [  # (config, the first two coefficients of a row, error)
+def test_neighbours_past_the_overflow_of_the_squared_norm_score_as_theta():
+    """Past |theta| = 2^511, |theta|^2 overflows, but the h terms of a
+    neighbour's squared norm are below half an ulp of it and its overlap
+    rounds to theta's, so every neighbour scores as theta does."""
+    config = PerceptronConfig.type_ii(2)
+    score = cqp._fidelity_scorer(config, TrainingSample(np.full(4, 0.3), 0.7))
+    for theta in ([1e200, 0.5, -3e199, 0.0], [0.0, 0.0, 0.0, -1.4e154]):
+        assert math.isinf(math.fsum(t * t for t in theta))
+        assert score(theta, 0.0099) == score(theta, 0.0) * 9
+
+
+def test_configs_with_one_blade_list_share_its_invariants():
+    """The blade invariants are cached per blade list, not per config: two
+    configs with the same blades share one read-only column array."""
+    first, second = PerceptronConfig.type_ii(2), PerceptronConfig.type_ii(2, eta=0.5)
+    assert first is not second
+    assert first._i_blade_columns is second._i_blade_columns
+    with pytest.raises(ValueError, match="read-only"):
+        first._i_blade_columns[0, 0] = 0.0
+    assert first._anticommuting and second._anticommuting
+    want = 1j * blade_products(2, first.active_blades)[:, :, 0]
+    assert np.array_equal(first._i_blade_columns, want)
+    commuting = PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,))
+    assert commuting._anticommuting is False
+    other = PerceptronConfig.type_i(2, [(0,), (1,)], (1,))  # a different list on n = 2
+    assert other._anticommuting is True
+    assert other._i_blade_columns is not first._i_blade_columns
+
+
+_COEFFICIENT_GUARDS = [  # (config, the first two components of a spoiled theta, error)
     *((config, bad, "coefficients must be finite")
       for config in (_TRAIN_CONFIGS[1], _TRAIN_CONFIGS[-1])
       for bad in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0])),
@@ -590,23 +656,12 @@ def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, confi
                                                               message, spoiled_call):
     m = len(config.active_blades)
     calls = []
-    fidelity_scorer = cqp._fidelity_scorer
-
-    def spoiling_scorer(cfg, smp):
-        score = fidelity_scorer(cfg, smp)
-
-        def spoiled(rows):
-            calls.append(len(rows))
-            if len(calls) == spoiled_call:  # the last neighbour row of this iteration
-                rows = [*rows[:-1], [*bad, *rows[-1][2:]]]
-            return score(rows)
-        return spoiled
-
-    monkeypatch.setattr(cqp, "_fidelity_scorer", spoiling_scorer)
+    spoil = lambda score, theta, h: score([*bad, *theta[2:]], h)  # noqa: E731
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(spoil, spoiled_call, calls))
     sample = TrainingSample(np.full(m, 0.3), 0.7)
     with pytest.raises(ValueError, match=f"^{message}$"):
         cqp.train(config, sample, np.full(m, 0.2), iterations=5)
-    assert calls == [2 * m + 1] * spoiled_call
+    assert calls == [1e-5] * spoiled_call
 
 
 def test_train_rejects_a_nan_activation_output(monkeypatch):
@@ -625,17 +680,15 @@ def test_train_rejects_a_nan_activation_output(monkeypatch):
     assert len(rows) == 3
 
 
-def _spoil_last_row(bad):
-    return lambda score, rows: score([*rows[:-1], [*bad, *rows[-1][2:]]])
-
-
 _TRAIN_GUARDS = {  # guard: (what the spoiled scorer call returns, the message)
-    "finite-coefficients": (_spoil_last_row([math.nan, 0.0]), "coefficients must be finite"),
-    "finite-norm": (_spoil_last_row([1.5e308, 1.5e308]), "coefficient norm overflows float64"),
+    "finite-coefficients": (lambda score, theta, h: score([math.nan, *theta[1:]], h),
+                            "coefficients must be finite"),
+    "finite-norm": (lambda score, theta, h: score([1.5e308, 1.5e308, *theta[2:]], h),
+                    "coefficient norm overflows float64"),
     "activation-range": (None, r"activation output nan is outside \[-1, 1\]; arccos undefined"),
-    "record-fidelity": (lambda score, rows: [math.nan, *score(rows)[1:]],
+    "record-fidelity": (lambda score, theta, h: [math.nan, *score(theta, h)[1:]],
                         r"fidelity nan outside \[0, 1\]"),
-    "finite-gradient": (lambda score, rows: [*score(rows)[:-1], math.nan],
+    "finite-gradient": (lambda score, theta, h: [*score(theta, h)[:-1], math.nan],
                         r"non-finite finite-difference gradient at component {last} "
                         r"\(activation kink or overflow\)"),
 }
@@ -652,33 +705,25 @@ def test_every_training_guard_fires_at_every_iteration(monkeypatch, activation, 
     m = len(config.active_blades)
     sample = TrainingSample(np.full(m, 0.3), 0.7)
     spoil, message = _TRAIN_GUARDS[guard]
-    fidelity_scorer, float_form = cqp._fidelity_scorer, activation.float_form
+    float_form = activation.float_form
     nan_activation = []  # non-empty while a call spoiled by the activation runs
     monkeypatch.setattr(Activation, "float_form", property(
         lambda self: lambda u: math.nan if nan_activation else float_form(u)))
     if spoil is None:
-        def spoil(score, rows):
+        def spoil(score, theta, h):
             nan_activation.append(True)
             try:
-                return score(rows)
+                return score(theta, h)
             finally:
                 nan_activation.clear()
 
     for spoiled_call in range(1, 6) if guard != "finite-gradient" else range(1, 5):
         calls = []
-
-        def spoiling_scorer(cfg, smp):
-            score = fidelity_scorer(cfg, smp)
-
-            def spoiled(rows):
-                calls.append(len(rows))
-                return spoil(score, rows) if len(calls) == spoiled_call else score(rows)
-            return spoiled
-
-        monkeypatch.setattr(cqp, "_fidelity_scorer", spoiling_scorer)
+        monkeypatch.setattr(cqp, "_fidelity_scorer",
+                            _spoiling_scorer(spoil, spoiled_call, calls))
         with pytest.raises(ValueError, match=f"^{message.format(last=m - 1)}$"):
             cqp.train(config, sample, np.full(m, 0.2), iterations=4)
-        assert calls == [2 * m + 1] * min(spoiled_call, 4) + [1] * (spoiled_call == 5)
+        assert calls == [1e-5] * min(spoiled_call, 4) + [0.0] * (spoiled_call == 5)
 
 
 def test_type_equivalence_under_unitaries():
