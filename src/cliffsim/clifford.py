@@ -27,8 +27,8 @@ call.
 Two blades commute or anticommute.  Anticommuting basis pairs are counted
 two ways that share no code: the parity rule on index sets, for all pairs
 at once (anticommutation_matrix), and dense commutators of the basis
-stack, two GEMMs per tile of _TILES[n] rows (_pair_products), so the
-working memory is O(tile * 4^n * d^2) and no (4^n, 4^n, d, d) tensor is built.
+stack, two GEMMs per tile of _TILE rows (_pair_products), so the working
+memory is O(_TILE * 4^n * d^2) and no (4^n, 4^n, d, d) tensor is built.
 The dense count runs in complex64/float32 at half the width of complex128,
 and stays exact: each call certifies that every part of the stack is -1, 0
 or 1, so every product, commutator and squared norm is a small integer
@@ -248,16 +248,14 @@ def omega_count(n: int) -> int:
     return int(np.triu(anti, 1).sum())
 
 
-# Rows per tile of _pair_products in omega_count_dense, per register size, timed
-# on complex64 (2-vCPU Xeon VM, one BLAS thread): at n = 3, 4 is as fast as 6 and
-# 8, and 25% faster than 2; at n = 4, 2 is 15-20% faster than 4
-# (omega_count_dense(4): 69 vs 82 ms minimum, 80 vs 100 ms median, over 12
-# interleaved rounds).  omega_count_dense(3) peaks at 0.64 MB, the complex64 copy
-# of the stack included (4: 6.0 MB at tile 2, 9.9 MB at tile 4).
-_TILES = {n: 2 if n == 4 else 4 for n in REGISTER_SIZES}
+# Rows per tile of _pair_products, timed on complex64 at n = 3 and 4 (2-vCPU Xeon
+# VM, one BLAS thread): 4 is as fast as 6 and 8 at n = 3 and 10-17% slower than
+# 2 at n = 4.  omega_count_dense(3) peaks at 0.64 MB, the complex64 copy of the
+# stack included (4: 10.4 MB).
+_TILE = 4
 
 
-def _pair_products(mats: np.ndarray, tile: int):
+def _pair_products(mats: np.ndarray, tile: int = _TILE):
     """Yield (ab, ba) for each tile of rows i..i+tile-1 (i = 0, tile, ...) of a
     (k, d, d) stack, in the GEMM's own layout: ab[r, :, j, :] = A_{i+r} A_{i+j} and
     ba[r, :, j, :] = A_{i+j} A_{i+r} for i+j < k.  Each tile is two GEMMs
@@ -274,8 +272,8 @@ def _pair_products(mats: np.ndarray, tile: int):
 
 def omega_count_dense(n: int) -> int:
     """Brute-force count via dense commutators; oracle for omega_count.  Each
-    tile of _TILES[n] blades meets every later blade in two GEMMs (_pair_products),
-    so memory stays O(tile * 4^n * d^2); BA is its own product, never (AB)^dag.
+    tile of _TILE blades meets every later blade in two GEMMs (_pair_products),
+    so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag.
 
     The GEMMs, the subtraction and the norms run in complex64/float32, and are
     exact there: every call first certifies, by exact equality, that each real
@@ -291,10 +289,10 @@ def omega_count_dense(n: int) -> int:
         raise ValueError(f"omega_count_dense: a real or imaginary part of the n={n} "
                          "basis stack is not -1, 0 or 1, so its complex64 products "
                          "are not certified exact")
-    mats, tile = mats.astype(np.complex64), _TILES[n]
-    later = np.arange(len(mats)) > np.arange(tile)[:, None]  # [r, j]: j > r
+    mats = mats.astype(np.complex64)
+    later = np.arange(len(mats)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
     count = 0
-    for ab, ba in _pair_products(mats, tile):
+    for ab, ba in _pair_products(mats):
         v = np.subtract(ab, ba, out=ab).view(np.float32)  # Frobenius norms: real view
         norms = np.sqrt(np.einsum("rajb,rajb->rj", v, v))
         count += int(np.count_nonzero((norms > 1e-9) & later[:len(norms), :norms.shape[1]]))

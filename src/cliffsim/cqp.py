@@ -55,14 +55,14 @@ neighbour has |c|^2 = S +- 2h theta_j + h^2 and c.b = D +- h b_j, so no
 neighbour row is built; otherwise the explicit rows go through one encode
 call.  For anticommuting blades an iteration makes no numpy call: theta is
 a list of Python floats, and the gradient step is list arithmetic; the
-records' thetas are the rows of one array, made when the run ends.
+records are made when the run ends, their thetas the rows of one array.
 """
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
@@ -132,29 +132,29 @@ class PerceptronConfig:
         return cls(n=n, active_blades=blades,
                    output_blade=Blade(n, tuple(output_indices)), **kw)
 
-    @property
+    @cached_property
     def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
-        return _blade_invariants(self.n, tuple(b.indices for b in self.active_blades))[0]
+        return _blade_invariants(self.n, self.active_blades)[0]
 
-    @property
+    @cached_property
     def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
-        return _blade_invariants(self.n, tuple(b.indices for b in self.active_blades))[1]
+        return _blade_invariants(self.n, self.active_blades)[1]
 
 
-@functools.lru_cache(maxsize=32)
-def _blade_invariants(n: int, index_sets: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, bool]:
+@lru_cache(maxsize=32)
+def _blade_invariants(n: int, blades: tuple[Blade, ...]) -> tuple[np.ndarray, bool]:
     """(i * column 0 of each blade, read-only (m, d); whether the blades
     pairwise anticommute) for a blade list on n qubits, shared by every
     config with that list."""
-    columns = 1j * blade_products(n, [Blade(n, s) for s in index_sets])[:, :, 0]
-    anti = anticommutation_matrix(index_sets)
+    columns = 1j * blade_products(n, blades)[:, :, 0]
+    anti = anticommutation_matrix([b.indices for b in blades])
     return _read_only(columns), bool((anti | np.eye(len(anti), dtype=bool)).all())
 
 
 # Built at import for the Type II blade lists of n = 1..3, as clifford builds
 # those basis stacks, so no job pays (or traces) them
 for _n in REGISTER_SIZES[:-1]:
-    _blade_invariants(_n, tuple((a,) for a in range(2 * _n)))
+    _blade_invariants(_n, PerceptronConfig.type_ii(_n).active_blades)
 
 
 def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
@@ -246,8 +246,12 @@ class TrainRecord:
     fidelity: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0 + 1e-10:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
+        _check_fidelity(self.fidelity)
+
+
+def _check_fidelity(f: float) -> None:
+    if not 0.0 <= f <= 1.0 + 1e-10:
+        raise ValueError(f"fidelity {f} outside [0, 1]")
 
 
 def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
@@ -318,8 +322,9 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     rounded to about an ulp of 1, so a smaller step gives a difference that
     is all rounding (zero, at a step of 1e-17) and trains nothing.  The same
     holds for the theta of every later iteration, which a large step can
-    carry past the resolution of fd_step.  The records' thetas are the rows
-    of one array, made when the run ends.
+    carry past the resolution of fd_step.  Each fidelity is checked in its
+    iteration; the records are made when the run ends, their thetas the rows
+    of one array.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -337,7 +342,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                              f"max(|theta_j|, 1) at component {j} of theta0 ({t!r}), "
                              f"iteration 0")
     score = _fidelity_scorer(config, sample)
-    records = []  # each theta a list until the run ends, then a row of one array
+    thetas, fids = [], []  # the records' fields; each fidelity checked when scored
     two_h, eta = 2.0 * fd_step, config.eta
     for k in range(iterations):
         if k:  # after a step, one test at the largest |theta_j|, whose float
@@ -349,17 +354,18 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                                  f"max(|theta_j|, 1) at component {j} of theta "
                                  f"({theta[j]!r}), iteration {k}")
         f = score(theta, fd_step)
-        records.append(TrainRecord(k, theta, f[0]))
+        _check_fidelity(f[0])
+        thetas.append(theta)
+        fids.append(f[0])
         grad = [(up - down) / two_h for up, down in zip(f[1:m + 1], f[m + 1:])]
         for j, g in enumerate(grad):
             if not math.isfinite(g):
                 raise ValueError(f"non-finite finite-difference gradient at component "
                                  f"{j} (activation kink or overflow)")
         theta = [t + eta * g for t, g in zip(theta, grad)]
-    records.append(TrainRecord(iterations, theta, score(theta, 0.0)[0]))
-    for rec, row in zip(records, np.array([rec.theta for rec in records])):
-        object.__setattr__(rec, "theta", row)
-    return records
+    thetas.append(theta)
+    fids.append(score(theta, 0.0)[0])
+    return [TrainRecord(k, row, f) for k, (row, f) in enumerate(zip(np.array(thetas), fids))]
 
 
 def equivalence_defects(config: PerceptronConfig, u, x_coeffs, w_coeffs):

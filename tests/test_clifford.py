@@ -319,10 +319,7 @@ def test_omega_count_dense_working_memory():
     assert peak < 2 * 2 ** 20, peak
 
 
-_TILES = sorted(set(clifford._TILES.values()))  # every tile omega_count_dense picks
-
-
-@pytest.mark.parametrize("tile", [*_TILES, 3, None])
+@pytest.mark.parametrize("tile", [2, clifford._TILE, 3, None])
 @pytest.mark.parametrize("k, d", [(7, 2), (7, 8), (13, 2), (13, 8)])
 def test_pair_products_match_a_double_loop(k, d, tile):
     """Every yielded A_i A_j and A_j A_i of a non-Hermitian stack whose
@@ -355,16 +352,14 @@ def _mixed_stack(diagonal):
 
 def test_omega_count_dense_on_a_mixed_stack(monkeypatch):
     """Unit-modulus diagonals from {+-1, +-i} and Pauli words against the
-    per-pair complex128 loop, at every tile omega_count_dense picks."""
+    per-pair complex128 loop."""
     mats = _mixed_stack(lambda rng: rng.choice([1, -1, 1j, -1j], size=4))
+    assert len(mats) == 21 and len(mats) % clifford._TILE
     monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
     want = sum(1 for a, b in itertools.combinations(mats, 2)
                if np.linalg.norm(a @ b - b @ a) > 1e-9)
     assert 0 < want < len(mats) * (len(mats) - 1) // 2
-    for tile in _TILES:
-        assert len(mats) == 21 and len(mats) % tile
-        monkeypatch.setitem(clifford._TILES, 2, tile)
-        assert clifford.omega_count_dense(2) == want
+    assert clifford.omega_count_dense(2) == want
 
 
 def _with_entry(value):
@@ -392,15 +387,12 @@ def test_omega_count_dense_refuses_an_uncertified_stack(monkeypatch, stack):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_products_are_exact_in_complex64(n):
-    """On the basis stack every complex64 product equals the complex128 one,
-    at every tile omega_count_dense picks."""
+    """On the basis stack every complex64 product equals the complex128 one."""
     mats = clifford._basis_stack(n)
-    for tile in _TILES:
-        for (ab, ba), (ab128, ba128) in zip(
-                clifford._pair_products(mats.astype(np.complex64), tile),
-                clifford._pair_products(mats, tile), strict=True):
-            assert ab.dtype == ba.dtype == np.complex64
-            assert np.array_equal(ab, ab128) and np.array_equal(ba, ba128)
+    for (ab, ba), (ab128, ba128) in zip(clifford._pair_products(mats.astype(np.complex64)),
+                                        clifford._pair_products(mats), strict=True):
+        assert ab.dtype == ba.dtype == np.complex64
+        assert np.array_equal(ab, ab128) and np.array_equal(ba, ba128)
 
 
 def _scaled(gens):

@@ -585,12 +585,12 @@ def _rows(theta, h):
 @pytest.mark.parametrize("n, output_index", [(1, 0), (1, 1), (2, 0), (2, 3)])
 def test_row_score_matches_the_dense_oracle(n, output_index):
     """Every one of the 2m + 1 scores of a call, against the dense oracle on
-    its explicit row: theta = 0 (c = 0, and neighbours of norm h), a random
-    theta and a theta of norm 1e6, at h = 0, the default step and 0.0099,
-    the largest the CLI takes.  One ulp of |c| = 1e6 is 1.2e-10, so no
-    double-precision route, the oracle's eigensolve included, pins F to
-    1e-12 there (the gap seen is up to 3.2 ulps); a row is allowed 1e-12
-    plus 8 ulps of its norm, which adds under 4e-15 for |c| <= 2."""
+    its explicit row, at h = 0, the default step and 0.0099, the largest the
+    CLI takes: theta = 0 (c = 0, and neighbours of norm h) and six random
+    thetas in [-2, 2]^m at 1e-12, and a theta of norm 1e6.  One ulp of
+    |c| = 1e6 is 1.2e-10, so no double-precision route, the oracle's
+    eigensolve included, pins F to 1e-12 there (the gap seen is up to 3.2
+    ulps); its rows are allowed 1e-12 plus 8 ulps of their norm."""
     rng = np.random.default_rng(130 + 10 * n + output_index)
     config = PerceptronConfig.type_ii(n, output_index=output_index,
                                       activation=Activation.TANH)
@@ -602,14 +602,16 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
         x_conj = np.conj(cqp.encode(config, coeffs))
         assert (config._i_blade_columns @ x_conj).real[0] < 0  # a negative b_0
         score = cqp._fidelity_scorer(config, sample)
+        small = [np.zeros(m), *rng.uniform(-2.0, 2.0, (6, m))]
         big = rng.uniform(-1.0, 1.0, m)
-        for theta in (np.zeros(m), rng.uniform(-2.0, 2.0, m), 1e6 * big / np.linalg.norm(big)):
+        big *= 1e6 / np.linalg.norm(big)
+        for theta, ulps in [*((t, 0) for t in small), (big, 8)]:
             for h in (0.0, 1e-5, 0.0099):
                 fids = score(theta.tolist(), h)
                 rows = _rows(theta, h)
                 assert len(fids) == len(rows) and all(type(f) is float for f in fids)
                 for row, f in zip(rows, fids):
-                    tol = 1e-12 + 8 * math.ulp(float(np.linalg.norm(row)))
+                    tol = 1e-12 + ulps * math.ulp(float(np.linalg.norm(row)))
                     assert abs(f - _oracle_fidelity(config, sample, row)) <= tol
 
 
