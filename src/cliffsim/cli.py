@@ -196,10 +196,11 @@ def _fmt(value) -> str:
 
 def _cmd_verify_basis(cfg):
     n = cfg["n"]
-    _, count, herm, gen, rank = clifford.basis_report(n)
+    _, count, herm, gen, rank, orthogonality_failure = clifford.basis_report(n)
     _check(herm <= 1e-12, "basis-hermiticity", f"max defect {herm:.3e}")
     _check(gen <= 1e-12, "generator-relations", f"max defect {gen:.3e}")
     _check(rank == 4 ** n, "basis-independence", f"gram rank {rank} != {4 ** n}")
+    _check(orthogonality_failure is None, "basis-orthogonality", orthogonality_failure)
     header = ["n", "blade_count", "max_hermiticity_defect",
               "max_generator_relation_defect", "gram_rank"]
     rows = [[n, count, herm, gen, rank]]
@@ -212,6 +213,10 @@ def _cmd_omega_count(cfg):
     parity = clifford.omega_count(n)
     dense = clifford.omega_count_dense(n)
     _check(parity == dense, "omega-agreement", f"parity {parity} != dense {dense}")
+    # every non-identity Pauli word anticommutes with half of the 4^n words
+    closed = 4 ** (n - 1) * (4 ** n - 1)
+    _check(parity == closed, "omega-closed-form",
+           f"parity = dense = {parity} != 4^(n-1) * (4^n - 1) = {closed}")
     header = ["n", "omega_parity_rule", "omega_bruteforce"]
     return header, [[n, parity, dense]], [f"omega-count: n={n}, omega={parity}"]
 

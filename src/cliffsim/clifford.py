@@ -24,15 +24,22 @@ Matrices put qubit 1 on the most significant bit.  The basis report and the
 dense commutator count read the stack and run every check again in every
 call.
 
+Each blade is c * R with c in {1, i} and R a real signed permutation matrix,
+entries -1, 0 or 1.  Both basis checks run on the float32 stack of the R,
+which _real_stack certifies afresh in every call: every real and imaginary
+part of the stack is -1, 0 or 1 and every matrix is purely real or purely
+imaginary.  Then every product, commutator, squared norm and Gram entry
+they form is an integer far below 2^24, which float32 holds exactly.
+
 Two blades commute or anticommute.  Anticommuting basis pairs are counted
 two ways that share no code: the parity rule on index sets, for all pairs
-at once (anticommutation_matrix), and dense commutators of the basis
-stack, two GEMMs per tile of _TILE rows (_pair_products), so the working
-memory is O(_TILE * 4^n * d^2) and no (4^n, 4^n, d, d) tensor is built.
-The dense count runs in complex64/float32 at half the width of complex128,
-and stays exact: each call certifies that every part of the stack is -1, 0
-or 1, so every product, commutator and squared norm is a small integer
-(below 2^24), which float32 holds exactly (omega_count_dense).
+at once (anticommutation_matrix), and dense commutators of the real parts,
+two float32 GEMMs per tile of _TILE rows (_pair_products), so the working
+memory is O(_TILE * 4^n * d^2) and no (4^n, 4^n, d, d) tensor is built
+(omega_count_dense).  Since |c| = 1, the Gram matrix G = R R^T of the
+vectorized real parts is 2^n * I exactly when Tr(B_i B_j) = 2^n delta_ij,
+which certifies the basis orthogonal, and so independent, without an SVD
+(basis_report).
 """
 from __future__ import annotations
 
@@ -167,6 +174,9 @@ class BasisReport(NamedTuple):
     max_hermiticity_defect: float
     max_generator_relation_defect: float
     gram_rank: int
+    # None when the blades are certified orthogonal, Tr(B_i B_j) = 2^n delta_ij
+    # exactly; otherwise why not
+    orthogonality_failure: str | None
 
 
 @functools.cache
@@ -207,16 +217,30 @@ for _n in REGISTER_SIZES[:-1]:
 
 def basis_report(n: int) -> BasisReport:
     """Hermiticity of every blade, the generator relations
-    gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab I, and the Gram rank of
-    the basis; asserts none of them, the thresholds are the caller's."""
+    gamma_a gamma_b + gamma_b gamma_a = 2 delta_ab I, the exact orthogonality
+    certificate G = R R^T == 2^n I of the blades' real parts (one float32 GEMM,
+    see _real_stack) and the Gram rank of the basis; asserts none of them, the
+    thresholds are the caller's.  The certificate implies full rank, so the
+    rank is the blade count when it holds, and gram_rank's SVD names it only
+    when it fails."""
     mats = _basis_stack(n)
     gens = np.stack(_GENERATORS[n])
     ab, ba = next(_pair_products(gens, len(gens)))
     anti = (ab + ba).transpose(0, 2, 1, 3)
     anti[np.diag_indices(len(gens))] -= 2.0 * np.eye(2 ** n)
     relations = float(linalg.frobenius_norm(anti)[np.triu_indices(len(gens))].max())
+    try:
+        real = _real_stack(n, "basis_report").reshape(len(mats), -1)
+    except ValueError as exc:
+        failure = str(exc)
+    else:
+        gram = real @ real.T  # integers of at most d^2 = 256: exact in float32
+        gram[np.diag_indices_from(gram)] -= 2 ** n
+        worst = float(np.abs(gram).max())
+        failure = None if worst == 0 else f"max |R R^T - {2 ** n}I| = {worst:g}"
+    rank = len(mats) if failure is None else gram_rank(mats)
     return BasisReport(n, len(mats), linalg.hermiticity_defect(mats),
-                       relations, gram_rank(mats))
+                       relations, rank, failure)
 
 
 def anticommutation_matrix(index_sets: Sequence[Iterable[int]]) -> np.ndarray:
@@ -248,11 +272,12 @@ def omega_count(n: int) -> int:
     return int(np.triu(anti, 1).sum())
 
 
-# Rows per tile of _pair_products, timed on complex64 at n = 3 and 4 (2-vCPU Xeon
-# VM, one BLAS thread): 4 is as fast as 6 and 8 at n = 3 and 10-17% slower than
-# 2 at n = 4.  omega_count_dense(3) peaks at 0.64 MB, the complex64 copy of the
-# stack included (4: 10.4 MB).
-_TILE = 4
+# Rows per tile of _pair_products.  omega_count_dense's best time in ms at tiles
+# 2 / 4 / 8 (float32, 2-vCPU Xeon VM, one BLAS thread): n = 2: 0.13 / 0.08 / 0.06;
+# n = 3: 0.81 / 0.60 / 0.51; n = 4: 22 / 25 / 33.  Tile 8 is fastest up to n = 3,
+# the largest size a benchmark workload counts at; omega_count_dense(3) then
+# peaks at 0.5 MB (4: 8.4 MB, against 2.5 MB at tile 2).
+_TILE = 8
 
 
 def _pair_products(mats: np.ndarray, tile: int = _TILE):
@@ -270,32 +295,46 @@ def _pair_products(mats: np.ndarray, tile: int = _TILE):
         yield ab.reshape(t, d, k - i, d), ba.reshape(k - i, d, t, d).transpose(2, 1, 0, 3)
 
 
+def _real_stack(n: int, where: str) -> np.ndarray:
+    """The real matrices R_k of _basis_stack(n), B_k = c_k R_k with c_k in {1, i}:
+    a new float32 (4^n, d, d) stack.  Certifies first, by exact equality, that
+    every real and imaginary part of the stack is -1, 0 or 1 and that every
+    matrix is purely real or purely imaginary, and raises ValueError naming
+    where otherwise.  Then R = Re B + Im B, and a sum of up to 256 products of
+    its entries is an integer of at most 256, exact in float32 in any order."""
+    mats = np.asarray(_basis_stack(n), dtype=complex)
+    parts = np.abs(mats.view(float))
+    if not ((parts == 0) | (parts == 1)).all():
+        raise ValueError(f"{where}: a real or imaginary part of the n={n} basis stack "
+                         "is not -1, 0 or 1, so its float32 products are not certified exact")
+    re, im = mats.real, mats.imag
+    mixed = re.any(axis=(1, 2)) & im.any(axis=(1, 2))
+    if mixed.any():
+        raise ValueError(f"{where}: matrix {int(mixed.argmax())} of the n={n} basis stack "
+                         "is neither real nor imaginary")
+    return np.add(re, im, dtype=np.float32)
+
+
 def omega_count_dense(n: int) -> int:
     """Brute-force count via dense commutators; oracle for omega_count.  Each
     tile of _TILE blades meets every later blade in two GEMMs (_pair_products),
     so memory stays O(_TILE * 4^n * d^2); BA is its own product, never (AB)^dag.
 
-    The GEMMs, the subtraction and the norms run in complex64/float32, and are
-    exact there: every call first certifies, by exact equality, that each real
-    and imaginary part of the stack is -1, 0 or 1, and raises otherwise.  Then
-    a product of two entries has parts in [-2, 2]; an entry of A_i A_j sums
-    d <= 16 of them, a commutator entry has parts in [-64, 64], and a squared
-    norm is an integer of at most 2 * 16^2 * 64^2 < 2^24.  Every value is
-    exact in float32 whatever the order or FMA use of the GEMM, so a norm is
-    zero exactly when the complex128 one is and the count is the same."""
-    mats = np.asarray(_basis_stack(n), dtype=complex)
-    parts = np.abs(mats.view(float))
-    if not ((parts == 0) | (parts == 1)).all():
-        raise ValueError(f"omega_count_dense: a real or imaginary part of the n={n} "
-                         "basis stack is not -1, 0 or 1, so its complex64 products "
-                         "are not certified exact")
-    mats = mats.astype(np.complex64)
-    later = np.arange(len(mats)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
+    [B_i, B_j] = c_i c_j [R_i, R_j] with |c_i c_j| = 1, so the count runs on the
+    certified float32 real parts R of _real_stack, which raises rather than
+    count an uncertified stack.  An entry of R_i R_j sums d <= 16 products in
+    {-1, 0, 1}, a commutator entry lies in [-32, 32], and a squared Frobenius
+    norm is an integer of at most 16^2 * 32^2 = 2^18 < 2^24.  Every value is
+    exact in float32 whatever the order or FMA use of the GEMM, so a squared
+    norm is zero exactly when the complex128 commutator is, and the count is
+    the same."""
+    real = _real_stack(n, "omega_count_dense")
+    later = np.arange(len(real)) > np.arange(_TILE)[:, None]  # [r, j]: j > r
     count = 0
-    for ab, ba in _pair_products(mats):
-        v = np.subtract(ab, ba, out=ab).view(np.float32)  # Frobenius norms: real view
-        norms = np.sqrt(np.einsum("rajb,rajb->rj", v, v))
-        count += int(np.count_nonzero((norms > 1e-9) & later[:len(norms), :norms.shape[1]]))
+    for ab, ba in _pair_products(real):
+        comm = np.subtract(ab, ba, out=ab)
+        squares = np.einsum("rajb,rajb->rj", comm, comm)
+        count += int(np.count_nonzero((squares > 0) & later[:len(squares), :squares.shape[1]]))
     return count
 
 

@@ -358,6 +358,26 @@ def _tilted(real):
     return lambda *args: real(*args) + 1e-6j
 
 
+def _repeated_blade(real):
+    """A stack whose last blade repeats the one before: still exactly
+    Hermitian, so only the rank sees it."""
+    def stack(*args):
+        mats = real(*args).copy()
+        mats[-1] = mats[-2]
+        return mats
+    return stack
+
+
+def _scaled_blade(real):
+    """A stack with one blade doubled: still Hermitian and independent, so
+    only the orthogonality certificate sees it."""
+    def stack(*args):
+        mats = real(*args).copy()
+        mats[-1] *= 2.0
+        return mats
+    return stack
+
+
 def _reversed(real):
     return lambda *args: real(*args)[::-1]
 
@@ -388,7 +408,8 @@ LIBRARY_BREAKS = {
     # scaled generators still give exactly Hermitian blades, so only the
     # relations check sees them
     "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
-    "basis-independence": ("verify-basis", clifford, "gram_rank", _shrunk),
+    "basis-independence": ("verify-basis", clifford, "_basis_stack", _repeated_blade),
+    "basis-orthogonality": ("verify-basis", clifford, "_basis_stack", _scaled_blade),
     "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
     # the factored kernel distance_reports runs on its once-checked grid
     "gqft-factorization": ("verify-gqft", gqft, "_factored_grid", _shifted),
@@ -410,6 +431,19 @@ def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
     out = tmp_path / "r.csv"
     assert _run(command, out) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {check} (")
+    assert not out.exists()
+
+
+def test_omega_closed_form_fails_when_both_routes_agree_on_a_wrong_count(
+        tmp_path, capsys, monkeypatch):
+    """Both counts shifted alike pass omega-agreement; only the closed form
+    4^(n-1) * (4^n - 1) sees them."""
+    for name in ("omega_count", "omega_count_dense"):
+        monkeypatch.setattr(clifford, name, _shifted(getattr(clifford, name)))
+    out = tmp_path / "r.csv"
+    assert _run("omega-count", out) == 1
+    assert capsys.readouterr().out == (
+        "FAIL omega-closed-form (parity = dense = 60.000001 != 4^(n-1) * (4^n - 1) = 60)\n")
     assert not out.exists()
 
 

@@ -3,9 +3,12 @@ generator products, and the parity rules, cross-checked against
 independent dense oracles (Kronecker-built Pauli words, dense commutators)."""
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliffsim import cli, clifford, linalg
 from cliffsim.clifford import Blade, gamma
@@ -281,9 +284,7 @@ def test_omega_count_matches_dense():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_omega_count_dense_matches_per_pair_loop(n):
     mats = [b.dense() for b in clifford.hermitian_basis(n)]
-    want = sum(1 for a, b in itertools.combinations(mats, 2)
-               if np.linalg.norm(a @ b - b @ a) > 1e-9)
-    assert clifford.omega_count_dense(n) == want
+    assert clifford.omega_count_dense(n) == _per_pair_count(mats)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -307,19 +308,20 @@ def test_anticommutation_matrix_edge_cases():
 
 
 def test_omega_count_dense_working_memory():
-    """The dense route stays O(4^n d^2): one (4^n, 4^n, 8, 8) complex64
-    product tensor alone would be 2 MB at n = 3 (complex128: 4 MB), and the
-    complex64 copy of the stack is counted in the peak."""
+    """The dense route stays O(4^n d^2): one (4^n, 4^n, 8, 8) float32
+    product tensor alone would be 1 MB at n = 3 (complex128: 4 MB), and the
+    float32 real-part stack and its certificate's temporaries are counted in
+    the peak."""
     tracemalloc.start()
     try:
         assert clifford.omega_count_dense(3) == 1008
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2 ** 20, peak
+    assert peak < 2 ** 20, peak
 
 
-@pytest.mark.parametrize("tile", [2, clifford._TILE, 3, None])
+@pytest.mark.parametrize("tile", [2, 4, clifford._TILE, 3, None])
 @pytest.mark.parametrize("k, d", [(7, 2), (7, 8), (13, 2), (13, 8)])
 def test_pair_products_match_a_double_loop(k, d, tile):
     """Every yielded A_i A_j and A_j A_i of a non-Hermitian stack whose
@@ -350,14 +352,25 @@ def _mixed_stack(diagonal):
     return np.array(mats[:-1])
 
 
+def _real_or_imaginary_diagonal(rng):
+    """A diagonal of signs, times 1 or i: real (+-1) or imaginary (+-i)."""
+    return rng.choice([1, -1], size=4) * rng.choice([1, 1j])
+
+
+def _per_pair_count(mats):
+    """Non-commuting pairs of a stack, one complex128 commutator per pair."""
+    return sum(1 for a, b in itertools.combinations(mats, 2)
+               if np.linalg.norm(a @ b - b @ a) > 1e-9)
+
+
 def test_omega_count_dense_on_a_mixed_stack(monkeypatch):
-    """Unit-modulus diagonals from {+-1, +-i} and Pauli words against the
+    """Real (+-1) and imaginary (+-i) diagonals and Pauli words against the
     per-pair complex128 loop."""
-    mats = _mixed_stack(lambda rng: rng.choice([1, -1, 1j, -1j], size=4))
+    mats = _mixed_stack(_real_or_imaginary_diagonal)
+    assert {bool(m.imag.any()) for m in mats[::2]} == {False, True}  # both kinds occur
     assert len(mats) == 21 and len(mats) % clifford._TILE
     monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
-    want = sum(1 for a, b in itertools.combinations(mats, 2)
-               if np.linalg.norm(a @ b - b @ a) > 1e-9)
+    want = _per_pair_count(mats)
     assert 0 < want < len(mats) * (len(mats) - 1) // 2
     assert clifford.omega_count_dense(2) == want
 
@@ -371,14 +384,23 @@ def _with_entry(value):
     return stack
 
 
+def _unit_modulus_diagonals(n):
+    """Diagonals mixing entries from {+-1} and {+-i}: neither real nor
+    imaginary, though every part is -1, 0 or 1."""
+    return _mixed_stack(lambda rng: rng.choice([1, -1, 1j, -1j], size=4))
+
+
 @pytest.mark.parametrize("stack", [
     lambda n: _mixed_stack(lambda rng: rng.normal(size=4) + 0j),
     _with_entry(0.5), _with_entry(1 + 0.5j), _with_entry(-2), _with_entry(np.nan),
     _with_entry(complex(0, np.inf)),
+    _unit_modulus_diagonals,
+    _with_entry(1j),  # an imaginary entry in the last blade, which is real
 ])
 def test_omega_count_dense_refuses_an_uncertified_stack(monkeypatch, stack):
-    """A part outside {-1, 0, 1} could round in complex64, so the count
-    refuses the stack instead of counting it."""
+    """A part outside {-1, 0, 1} could round in float32, and a matrix with
+    both real and imaginary entries is no phase times a real matrix, so the
+    count refuses the stack instead of counting it."""
     mats = stack(2)
     monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
     with pytest.raises(ValueError, match="omega_count_dense"):
@@ -386,13 +408,108 @@ def test_omega_count_dense_refuses_an_uncertified_stack(monkeypatch, stack):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_pair_products_are_exact_in_complex64(n):
-    """On the basis stack every complex64 product equals the complex128 one."""
+def test_pair_products_are_exact_on_the_real_parts(n):
+    """Each blade is its phase, 1 or i, times its float32 real part exactly,
+    and every float32 product of the real parts, times the two phases,
+    equals the complex128 product of the blades."""
     mats = clifford._basis_stack(n)
-    for (ab, ba), (ab128, ba128) in zip(clifford._pair_products(mats.astype(np.complex64)),
-                                        clifford._pair_products(mats), strict=True):
-        assert ab.dtype == ba.dtype == np.complex64
-        assert np.array_equal(ab, ab128) and np.array_equal(ba, ba128)
+    real = clifford._real_stack(n, "test")
+    assert real.dtype == np.float32
+    phases = np.where(mats.imag.any(axis=(1, 2)), 1j, 1)
+    assert np.array_equal(phases[:, None, None] * real, mats)
+    tiles = zip(clifford._pair_products(real), clifford._pair_products(mats), strict=True)
+    for i, ((ab, ba), (ab128, ba128)) in zip(range(0, len(mats), clifford._TILE), tiles):
+        assert ab.dtype == ba.dtype == np.float32
+        pair = phases[i:i + len(ab), None, None, None] * phases[None, None, i:, None]
+        assert np.array_equal(pair * ab, ab128) and np.array_equal(pair * ba, ba128)
+
+
+def _summed(n):
+    """The n-qubit basis with its last blade replaced by the sum of blade 1
+    and itself, two real blades: entries still -1, 0 or 1, Hermitian and
+    independent, but not orthogonal to blade 1."""
+    mats = clifford._basis_stack(n).copy()
+    mats[-1] += mats[1]
+    return mats
+
+
+def _repeated(n):
+    mats = clifford._basis_stack(n).copy()
+    mats[-1] = mats[-2]
+    return mats
+
+
+def _zeroed(n):
+    """The n-qubit basis with its last blade zero: orthogonal to every blade,
+    so only the diagonal of the Gram matrix sees it."""
+    mats = clifford._basis_stack(n).copy()
+    mats[-1] = 0
+    return mats
+
+
+def _scaled_blade(n):
+    mats = clifford._basis_stack(n).copy()
+    mats[-1] *= 2.0
+    return mats
+
+
+@pytest.mark.parametrize("stack, why, rank_lost", [
+    (_summed, "max |R R^T - 2I| = 2", 0),
+    (_repeated, "max |R R^T - 2I| = 2", 1),
+    (_zeroed, "max |R R^T - 2I| = 2", 1),
+    (_scaled_blade, "basis_report: a real or imaginary part of the n=1 basis stack "
+                    "is not -1, 0 or 1", 0),
+    (_with_entry(1j), "basis_report: matrix 3 of the n=1 basis stack is neither "
+                      "real nor imaginary", 0),
+], ids=["summed", "repeated", "zeroed", "scaled", "mixed"])
+def test_basis_report_names_why_the_certificate_fails(monkeypatch, stack, why, rank_lost):
+    """A refused or failed certificate is reported, never raised, and then
+    the rank is gram_rank's SVD of the stack."""
+    mats = stack(1)
+    monkeypatch.setattr(clifford, "_basis_stack", lambda n: mats)
+    rep = clifford.basis_report(1)
+    assert rep.orthogonality_failure.startswith(why)
+    assert rep.gram_rank == clifford.gram_rank(mats) == 4 - rank_lost
+
+
+def test_basis_report_certifies_the_basis_without_an_svd(monkeypatch):
+    def no_svd(mats):
+        raise AssertionError("gram_rank ran on a certified basis")
+
+    monkeypatch.setattr(clifford, "gram_rank", no_svd)
+    for n in clifford.REGISTER_SIZES:
+        rep = clifford.basis_report(n)
+        assert rep.orthogonality_failure is None and rep.gram_rank == 4 ** n
+
+
+@st.composite
+def _signed_permutation_stacks(draw):
+    """Up to 21 random signed permutation matrices on d in {2, 4, 8}, each
+    times 1 or i, from a drawn numpy seed (one draw per stack, not per entry)."""
+    d = draw(st.sampled_from([2, 4, 8]))
+    k = draw(st.integers(1, 21))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = np.zeros((k, d, d), dtype=complex)
+    for m in mats:
+        m[np.arange(d), rng.permutation(d)] = rng.choice([1, -1], size=d) * rng.choice([1, 1j])
+    return mats
+
+
+# an orthogonal stack: the four Pauli matrices on d = 2, one imaginary
+@example(mats=np.array([w.dense() for w in clifford.pauli_word_basis(1)]))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mats=_signed_permutation_stacks())
+def test_basis_checks_on_random_signed_permutation_stacks(mats):
+    """omega_count_dense against the per-pair complex128 loop, and
+    basis_report's rank against gram_rank's SVD, with the certificate
+    passing or failing."""
+    n = len(mats[0]).bit_length() - 1
+    with mock.patch.object(clifford, "_basis_stack", lambda n: mats):
+        assert clifford.omega_count_dense(n) == _per_pair_count(mats)
+        rep = clifford.basis_report(n)
+    assert rep.gram_rank == clifford.gram_rank(mats)
+    gram = np.einsum("iab,jab->ij", mats.conj(), mats)  # Tr(A_i^dag A_j)
+    assert (rep.orthogonality_failure is None) == np.array_equal(gram, len(mats[0]) * np.eye(len(mats)))
 
 
 def _scaled(gens):
