@@ -340,6 +340,10 @@ def _cmd_train_cqp(cfg):
     _require(cfg["activation"] == "tanh", "activation",
              "must be tanh: identity reaches |v| = 1, where the slope of arccos is "
              "unbounded, so train-monotone cannot hold")
+    best = cqp.max_fidelity(cfg["beta"])
+    _require(cfg["require_fidelity"] <= best + cqp.MAX_FIDELITY_SLACK, "require_fidelity",
+             f"{cfg['require_fidelity']!r} exceeds F*(beta) = {best!r}, the largest "
+             f"fidelity any weights reach at beta = {cfg['beta']!r}")
     config = cqp.PerceptronConfig.type_ii(n, cfg["output_index"], eta=cfg["eta"])
     rng = np.random.default_rng(cfg["seed"])
     x_coeffs = rng.uniform(0.1, 0.6, 2 * n)

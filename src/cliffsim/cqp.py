@@ -1,61 +1,38 @@
-"""Clifford quantum perceptrons.
+"""Clifford quantum perceptrons: anticommuting blades and a tanh activation.
 
-States are prepared by exponentiating real combinations of Hermitian
-blades: |x> = exp(i * sum_j c_j B_j) |0..0>.  A Type II unit uses the 2n
-single-generator blades; a Type I unit may use any explicit blade list.
-When the active blades pairwise anticommute (always so for Type II), the
-sum squares to |c|^2 I, so the state is sin|c| (c.iB/|c|)|0..0> with cos|c|
-added to entry 0, where iB|0..0> is column 0 of the blades times i, cached
-per blade list (read-only, shared by every config with that list, as is
-whether the list anticommutes); every single-blade rotation below takes the
-same form, and any other sum goes through the general linalg.expm_i.
+States are |x> = exp(i * sum_j c_j B_j) |0..0> over active blades that
+pairwise anticommute (the 2n generators of type_ii do), so the sum squares
+to |c|^2 I and |x> is cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, where
+iB|0..0> is i times column 0 of the blades, cached read-only per blade list.
 
-encode and the activations work on stacks: coefficients of shape (..., m)
-give states (..., d).  forward pairs input states (..., d) with weight
-states (..., d) row by row, broadcasting, so one input meets a stack of
-weights as well as a stack of inputs meets its own; it gives angles (...)
-and output states (..., d).  Every guard applies to each row; one vector is
-a stack of shape ().  encode and forward each check the call (row length;
-one state length d on both sides), then apply the per-row guards (finite
-coefficients with a finite norm; activation output in [-1, 1], so never
-NaN).  Each row of a stacked call has the bits of the one-row call: the
-overlaps and the state defects are numpy's row reductions (np.sum and
-np.linalg.norm over the last axis), which reduce each row on its own.
+encode and forward work on stacks: coefficient rows (..., m) give states
+(..., d), and forward pairs input and weight states (..., d) row by row,
+broadcasting.  Every guard (finite coefficients with a finite norm;
+activation output in [-1, 1], never NaN) applies to each row, and each row
+has the bits of its one-row call, since the overlaps and state defects are
+numpy row reductions.
 
-Forward pass: phi = arccos(activation(Re<x|w>)), then the output state is
-y = exp(i * phi * B_mu) |0..0> for the configured output blade B_mu.  The
-activation is tanh, which keeps |act| <= tanh 1, or identity, which reaches
-|act| = 1, where the slope of arccos is unbounded; forward clips the
-rounding slack past +-1 before arccos.
-Fidelity against the target angle beta is the numeric |<r|y>| where the
-reference state is rotated by the opposite angle, r = exp(-i*beta*B_mu)|0..0>,
-so that for output blades with zero diagonal expectation the fidelity obeys
-F = |cos(phi + beta)|.
+Forward pass: phi = arccos(tanh(Re<x|w>)), then y = exp(i phi B_mu)|0..0>
+for the output blade B_mu.  |Re<x|w>| <= 1 puts phi in
+[arccos(tanh 1), pi - arccos(tanh 1)]; forward still clips rounding slack
+past +-1 before arccos.  Against the target angle beta the fidelity is
+|<r|y>| with r = exp(-i beta B_mu)|0..0>, which is |cos(phi + beta)| for an
+output blade of zero diagonal; max_fidelity gives its largest reachable value.
 
-Joint unitary invariance: rotating both |x> and |w> by one unitary U leaves
-<x|w>, hence phi and y, unchanged.  equivalence_defects measures how far
-the two forward passes differ, for one trial or for a stack of them (one
-unitary and one x and w coefficient row each) in one stacked pass;
-type_equivalence_check is the one-trial predicate over it.
+Joint unitary invariance: rotating |x> and |w> by one unitary leaves phi
+and y unchanged; equivalence_defects measures the gap for one trial or a
+stack, and type_equivalence_check is the one-trial predicate.
 
-Learning is plain gradient ascent on the fidelity with central
-finite-difference gradients; no analytic gradient is trusted anywhere.
-train checks its inputs, then scores theta and its 2m neighbours
-theta +- h*e_j each iteration from scalars rather than states.  Once per run
-it takes gamma_0 = <r|0..0> and gamma_1 = <r|iB_mu|0..0> for the target state
-r.  With a = act(v) clipped to [-1, 1], phi = arccos(a) has cos(phi) = a and
-sin(phi) = sqrt((1 - a)(1 + a)) (not 1 - a^2, which loses the digits of
-sin(phi) near |a| = 1), so a row's fidelity is
-F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1), with no trig call.
-When the active blades anticommute it also takes alpha = Re <x|0..0> and
-b_j = Re <x|iB_j|0..0>, and a row c has the overlap
-v = Re<x|w(c)> = alpha cos|c| + sin|c| (c.b)/|c|.  Each call forms two sums
-for theta, S = |theta|^2 (from |theta|, a hypot) and D = theta.b, and a
-neighbour has |c|^2 = S +- 2h theta_j + h^2 and c.b = D +- h b_j, so no
-neighbour row is built; otherwise the explicit rows go through one encode
-call.  For anticommuting blades an iteration makes no numpy call: theta is
-a list of Python floats, and the gradient step is list arithmetic; the
-records are made when the run ends, their thetas the rows of one array.
+train is gradient ascent with central finite differences (no analytic
+gradient is trusted).  Once per run it takes gamma_0 = <r|0..0>,
+gamma_1 = <r|iB_mu|0..0>, alpha = Re<x|0..0> and b_j = Re<x|iB_j|0..0>.  A
+row c has the overlap v = alpha cos|c| + sin|c| (c.b)/|c| and, with
+a = tanh(v) clipped to [-1, 1], the fidelity
+F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1) ((1 - a)(1 + a) keeps
+the digits 1 - a^2 loses near |a| = 1).  The 2m neighbours theta +- h e_j
+come from S = |theta|^2 and D = theta.b: |c|^2 = S +- 2h theta_j + h^2 and
+c.b = D +- h b_j.  An iteration makes no numpy call; the records are made
+when the run ends.
 """
 from __future__ import annotations
 
@@ -64,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,21 +55,17 @@ FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
 
 
 class Activation(enum.Enum):
-    IDENTITY = "identity"
     TANH = "tanh"
 
     def apply(self, u):
         """Elementwise on a number or an array."""
-        if self is Activation.IDENTITY:
-            return np.asarray(u, dtype=float)
         return np.tanh(u)
 
     @property
     def float_form(self) -> Callable[[float], float]:
-        """apply as a function of one Python float, in float arithmetic, for
-        per-row loops: identity gives apply's bits, tanh is math.tanh, within a
-        few ulps of np.tanh; NaN gives NaN."""
-        return float if self is Activation.IDENTITY else math.tanh
+        """apply as a function of one Python float, for per-row loops:
+        math.tanh, within a few ulps of np.tanh; NaN gives NaN."""
+        return math.tanh
 
 
 @dataclass(frozen=True)
@@ -115,6 +88,9 @@ class PerceptronConfig:
             if b.indices in seen:
                 raise ValueError(f"duplicate active blade {b.indices}")
             seen.add(b.indices)
+        if not _blade_invariants(self.n, self.active_blades)[1]:
+            raise ValueError(f"active blades {[b.indices for b in self.active_blades]} "
+                             f"do not pairwise anticommute")
         if self.output_blade.n != self.n or not self.output_blade.indices:
             raise ValueError("output_blade must be a non-identity blade on the same register")
         if not self.eta > 0:
@@ -125,20 +101,9 @@ class PerceptronConfig:
         return cls(n=n, active_blades=tuple(Blade(n, (a,)) for a in range(2 * n)),
                    output_blade=Blade(n, (output_index,)), **kw)
 
-    @classmethod
-    def type_i(cls, n: int, blade_index_sets: Sequence[Sequence[int]],
-               output_indices: Sequence[int], **kw) -> "PerceptronConfig":
-        blades = tuple(Blade(n, tuple(s)) for s in blade_index_sets)
-        return cls(n=n, active_blades=blades,
-                   output_blade=Blade(n, tuple(output_indices)), **kw)
-
     @cached_property
     def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
         return _blade_invariants(self.n, self.active_blades)[0]
-
-    @cached_property
-    def _anticommuting(self) -> bool:  # then (sum_j c_j B_j)^2 = |c|^2 I
-        return _blade_invariants(self.n, self.active_blades)[1]
 
 
 @lru_cache(maxsize=32)
@@ -183,11 +148,6 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     m = len(config.active_blades)
     if c.ndim == 0 or c.shape[-1] != m:
         raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
-    if not config._anticommuting:
-        if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
-        return linalg.expm_i(np.tensordot(
-            c, blade_products(config.n, config.active_blades), axes=1))[..., 0]
     norm = np.hypot.reduce(c, axis=-1)  # overflows only if the norm does, unlike sum(c^2)
     if not np.isfinite(norm).all():
         raise _norm_error(c)
@@ -229,6 +189,22 @@ def fidelity(y, target_angle: float, output_blade: Blade) -> float:
     return float(min(f, 1.0))
 
 
+# A scored fidelity may pass max_fidelity by rounding (by 1 ulp of 1 at most, as
+# measured); callers allow 4 ulps of 1
+MAX_FIDELITY_SLACK = 4 * 2.0 ** -52
+
+
+def max_fidelity(target_angle: float) -> float:
+    """F*(beta), the largest fidelity |cos(phi + beta)| any weights reach, for
+    an output blade of zero diagonal (every generator).  |Re<x|w>| <= 1 puts
+    phi = arccos(tanh Re<x|w>) anywhere in I = [arccos t, pi - arccos t],
+    t = tanh 1.  Some phi in I has phi + beta = k*pi, and F* = 1, exactly when
+    c = |cos beta| <= t; else the best phi is an end of I, where
+    F* = t*|cos beta| + sqrt(1 - t^2)*|sin beta|."""
+    t, c = math.tanh(1.0), abs(math.cos(target_angle))
+    return 1.0 if c <= t else t * c + math.sqrt((1.0 - t * t) * ((1.0 - c) * (1.0 + c)))
+
+
 @dataclass(frozen=True)
 class TrainingSample:
     input_coeffs: np.ndarray
@@ -259,9 +235,8 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     F(theta + h*e_{m-1}), F(theta - h*e_0), ..., F(theta - h*e_{m-1})] of a
     list theta of m floats, 2m + 1 Python floats, or [F(theta)] when h = 0,
     for the sample's input and target angle.  Each row must pass the guards
-    of encode and forward.  When the active blades anticommute the rows are
-    scored on Python floats from the sums |theta|^2 and theta.b; otherwise
-    the explicit rows go through one encode call."""
+    of encode and forward; the rows are scored on Python floats from the sums
+    |theta|^2 and theta.b."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
     # gamma_0 and gamma_1 are real for an output blade of zero diagonal; a real
@@ -269,33 +244,27 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     gamma0, gamma1 = (g.real if not g.imag else g for g in (
         complex(ref[0]), complex(ref @ (1j * config.output_blade.dense()[:, 0]))))
     alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
-    act, anticommuting, m = config.activation.float_form, config._anticommuting, len(b)
+    act = config.activation.float_form
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
-    if not anticommuting:  # the explicit rows are theta + h * offsets
-        offsets = np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
 
     def score(theta, h) -> list[float]:
-        if anticommuting:
-            norm = math.hypot(*theta)  # overflows only if the norm does
-            if not norm < math.inf:  # tested before math.sin, which raises on inf
-                raise _norm_error(theta)
-            dot = sum(map(mul, theta, b))
-            vs = [alpha * cos(norm) + sin(norm) * (dot / norm) if norm else alpha]
-            # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
-            # (theta +- h e_j).b = dot +- h b_j.  s is finite below |theta| =
-            # 2^511 (train keeps |theta_j| below 2^47); past it the h terms are
-            # below half an ulp of s, so each neighbour's norm rounds to |theta|
-            s = norm * norm + h * h
-            finite = s < math.inf
-            for hj in (h, -h) if h else ():
-                two_hj = 2.0 * hj
-                for t, bj in zip(theta, b):
-                    r = s + two_hj * t  # may round below an exact 0
-                    r = (sqrt(r) if r > 0.0 else 0.0) if finite else norm
-                    vs.append(alpha * cos(r) + sin(r) * ((dot + hj * bj) / r) if r else alpha)
-        else:
-            rows = np.array(theta) + h * offsets if h else np.array([theta])
-            vs = (encode(config, rows) @ x_conj).real.tolist()
+        norm = math.hypot(*theta)  # overflows only if the norm does
+        if not norm < math.inf:  # tested before math.sin, which raises on inf
+            raise _norm_error(theta)
+        dot = sum(map(mul, theta, b))
+        vs = [alpha * cos(norm) + sin(norm) * (dot / norm) if norm else alpha]
+        # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
+        # (theta +- h e_j).b = dot +- h b_j.  s is finite below |theta| =
+        # 2^511 (train keeps |theta_j| below 2^47); past it the h terms are
+        # below half an ulp of s, so each neighbour's norm rounds to |theta|
+        s = norm * norm + h * h
+        finite = s < math.inf
+        for hj in (h, -h) if h else ():
+            two_hj = 2.0 * hj
+            for t, bj in zip(theta, b):
+                r = s + two_hj * t  # may round below an exact 0
+                r = (sqrt(r) if r > 0.0 else 0.0) if finite else norm
+                vs.append(alpha * cos(r) + sin(r) * ((dot + hj * bj) / r) if r else alpha)
         fids = []
         for v in vs:  # cos(phi) = a and sin(phi) = sqrt((1 - a)(1 + a)) at phi = arccos(a)
             a = act(v)

@@ -688,6 +688,20 @@ def test_train_cqp_accepts_tanh_alone(tmp_path, capsys, activation):
     assert not out.exists()
 
 
+def test_train_cqp_refuses_an_unreachable_fidelity(tmp_path, capsys):
+    """At beta = 0 no weights pass F* = tanh 1 < 0.99, so the default
+    --require-fidelity is an invalid config, with no report; tanh 1 itself
+    is reachable."""
+    out = tmp_path / "r.csv"
+    assert cli.main(["train-cqp", "--beta", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"ERROR invalid config: require_fidelity: 0.99 exceeds F*(beta) = {math.tanh(1.0)!r}, "
+        f"the largest fidelity any weights reach at beta = 0.0\n")
+    assert not out.exists()
+    assert cli.main(["train-cqp", "--beta", "0", "--require-fidelity", repr(math.tanh(1.0)),
+                     "--out", str(out)]) == 0
+
+
 def test_train_cqp_activation_tanh_is_the_default_run(tmp_path):
     default, tanh = tmp_path / "default.csv", tmp_path / "tanh.csv"
     assert cli.main(["train-cqp", "--out", str(default)]) == 0

@@ -11,6 +11,12 @@ from cliffsim.clifford import Blade, blade_products
 from cliffsim.cqp import Activation, PerceptronConfig, TrainingSample
 
 
+def _config(n, index_sets, output_indices, **kw):
+    """A config over explicit blade index sets, which must pairwise anticommute."""
+    return PerceptronConfig(n, tuple(Blade(n, tuple(s)) for s in index_sets),
+                            Blade(n, tuple(output_indices)), **kw)
+
+
 def test_encode_zero_coeffs_is_ground_state():
     config = PerceptronConfig.type_ii(2)
     np.testing.assert_allclose(
@@ -27,7 +33,7 @@ def test_encode_single_qubit_closed_form():
 
 def test_encode_single_blade_matches_expm():
     blade = Blade(2, (0, 3))
-    config = PerceptronConfig.type_i(2, [(0, 3)], (0,))
+    config = _config(2, [(0, 3)], (0,))
     c = 0.77
     want = linalg.expm_i(blade.dense(), c) @ simulator.basis_state(2, 0)
     np.testing.assert_allclose(cqp.encode(config, [c]), want, atol=1e-12)
@@ -43,30 +49,29 @@ def test_type_ii_encode_matches_expm_i_route(n):
         np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
 
 
-@pytest.mark.parametrize("index_sets, anticommuting", [
-    ([(0,), (1, 2)], False),        # commuting pair: expm_i route
-    ([(0, 1), (1, 2), (1, 3)], True),  # anticommuting, not generators: closed form
-])
-def test_type_i_encode_matches_expm_i_route(index_sets, anticommuting):
-    config = PerceptronConfig.type_i(2, index_sets, (0,))
-    assert config._anticommuting is anticommuting
+def test_non_generator_blade_list_encode_matches_expm_i_route():
+    """Blades that pairwise anticommute but are not generators take the
+    closed form too."""
+    config = _config(2, [(0, 1), (1, 2), (1, 3)], (0,))
     rng = np.random.default_rng(70)
-    for c in [np.zeros(len(index_sets)), *rng.uniform(-2.0, 2.0, size=(5, len(index_sets)))]:
+    for c in [np.zeros(3), *rng.uniform(-2.0, 2.0, size=(5, 3))]:
         h = sum(cj * b.dense() for cj, b in zip(c, config.active_blades))
         want = linalg.expm_i(h) @ simulator.basis_state(2, 0)
         np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
-        if not anticommuting:
-            # commuting blades: the exponential is the product of single-blade ones
-            prod = np.eye(4)
-            for cj, b in zip(c, config.active_blades):
-                prod = prod @ linalg.expm_i_involution(b.dense(), cj)
-            np.testing.assert_allclose(cqp.encode(config, c), prod[:, 0], atol=1e-12)
+
+
+def test_config_refuses_commuting_active_blades():
+    with pytest.raises(ValueError, match=re.escape(
+            "active blades [(0,), (1, 2)] do not pairwise anticommute")):
+        _config(2, [(0,), (1, 2)], (0,))
+    with pytest.raises(ValueError, match="do not pairwise anticommute"):
+        _config(2, [(0,), (1,), (0, 1, 2)], (0,))  # only (0, 1, 2) commutes with both
 
 
 _STACK_CONFIGS = [
     *(PerceptronConfig.type_ii(n) for n in (1, 2, 3)),
-    PerceptronConfig.type_i(2, [(0, 1), (1, 2), (1, 3)], (0,)),  # anticommuting
-    PerceptronConfig.type_i(2, [(0,), (1, 2)], (0,)),            # expm_i stack route
+    _config(2, [(0, 1), (1, 2), (1, 3)], (0,)),        # anticommuting grade-2 blades
+    _config(2, [(0, 1, 2), (0, 1, 3), (0, 2, 3)], (0,)),  # anticommuting grade-3 blades
 ]
 
 
@@ -96,15 +101,6 @@ def test_stack_with_one_non_finite_row_raises(config):
     coeffs[1, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         cqp.encode(config, coeffs)
-
-
-def test_activation_out_of_range_in_one_row_raises():
-    config = PerceptronConfig.type_ii(1)
-    x = cqp.encode(config, [0.2, 0.1])
-    ws = np.stack([x, 2.0 * x, x])  # row 1 is not a unit state: Re<x|w> = 2
-    cqp.forward(x, ws[[0, 2]], Activation.IDENTITY, config.output_blade)
-    with pytest.raises(ValueError, match="outside"):
-        cqp.forward(x, ws, Activation.IDENTITY, config.output_blade)
 
 
 @pytest.mark.parametrize("config", _STACK_CONFIGS[:3])
@@ -182,9 +178,8 @@ def test_in_place_rotation_equals_the_two_term_formula(n):
             assert np.array_equal(cqp._rotate_ground(1j * col, angle), want)
 
 
-def test_anticommuting_type_i_encode_equals_the_two_term_formula():
+def test_non_generator_encode_equals_the_two_term_formula():
     config = _STACK_CONFIGS[3]
-    assert config._anticommuting
     e0 = simulator.basis_state(config.n, 0)
     columns = blade_products(config.n, config.active_blades)[:, :, 0]
     rng = np.random.default_rng(120)
@@ -220,8 +215,7 @@ def _ordered(v: float) -> int:
 
 
 def test_float_form_matches_apply():
-    """Identity gives apply's bits (the sign of zero too); tanh is
-    math.tanh, within 4 ulps of np.tanh."""
+    """tanh's float form is math.tanh, within 4 ulps of np.tanh."""
     rng = np.random.default_rng(160)
     edges = [0.0, -0.0, 1.0, -1.0, *np.nextafter([1.0, -1.0, 1.0, -1.0], [2, -2, 0, 0]).tolist(),
              1.5, -1.5, 20.0, -20.0, 1e300, -1e300, math.inf, -math.inf, 5e-324, -5e-324]
@@ -230,10 +224,7 @@ def test_float_form_matches_apply():
         for u in grid:
             got, want = act.float_form(u), float(act.apply(u))
             assert type(got) is float
-            if act is Activation.TANH:
-                assert abs(_ordered(got) - _ordered(want)) <= 4, u
-            else:
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), u
+            assert abs(_ordered(got) - _ordered(want)) <= 4, u
         assert math.isnan(act.float_form(math.nan)) and math.isnan(act.apply(math.nan))
 
 
@@ -256,32 +247,35 @@ def test_encode_rejects_bad_coeffs():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PerceptronConfig.type_i(1, [], (0,))  # no active blades
+        _config(1, [], (0,))  # no active blades
     with pytest.raises(ValueError):
-        PerceptronConfig.type_i(1, [()], (0,))  # identity blade
+        _config(1, [()], (0,))  # identity blade
     with pytest.raises(ValueError):
-        PerceptronConfig.type_i(1, [(0,), (0,)], (0,))  # duplicate
+        _config(1, [(0,), (0,)], (0,))  # duplicate
 
 
 def test_forward_identical_states():
+    # Re<x|x> = 1 gives the smallest angle, arccos(tanh 1)
     config = PerceptronConfig.type_ii(1)
     x = cqp.encode(config, [0.2, 0.1])
-    phi, y = cqp.forward(x, x, Activation.IDENTITY, config.output_blade)
-    assert phi == pytest.approx(0.0, abs=1e-6)
-    np.testing.assert_allclose(y, simulator.basis_state(1, 0), atol=1e-6)
+    phi, y = cqp.forward(x, x, Activation.TANH, config.output_blade)
+    want = math.acos(math.tanh(1.0))
+    assert phi == pytest.approx(want, abs=1e-12)
+    np.testing.assert_allclose(y, [math.cos(want), 1j * math.sin(want)], atol=1e-12)
 
 
 def test_forward_orthogonal_states():
     phi, _ = cqp.forward(simulator.basis_state(1, 0), simulator.basis_state(1, 1),
-                         Activation.IDENTITY, Blade(1, (0,)))
+                         Activation.TANH, Blade(1, (0,)))
     assert phi == pytest.approx(np.pi / 2, abs=1e-12)
 
 
 def test_forward_output_rotation_closed_form():
     # phi = pi/3 about the X generator
     w = simulator.basis_state(1, 0)
-    x = np.array([0.5, np.sqrt(0.75) * 1j])  # Re<x|w> = 0.5
-    phi, y = cqp.forward(x, w, Activation.IDENTITY, Blade(1, (0,)))
+    v = math.atanh(0.5)
+    x = np.array([v, math.sqrt(1.0 - v * v) * 1j])  # Re<x|w> = atanh(0.5)
+    phi, y = cqp.forward(x, w, Activation.TANH, Blade(1, (0,)))
     assert phi == pytest.approx(np.pi / 3, abs=1e-12)
     np.testing.assert_allclose(
         y, [np.cos(np.pi / 3), 1j * np.sin(np.pi / 3)], atol=1e-12)
@@ -306,6 +300,38 @@ def test_fidelity_diagonal_blade_is_constant():
             assert cqp.fidelity(y, beta, blade) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_max_fidelity_exact_values():
+    assert cqp.max_fidelity(0.0) == math.tanh(1.0)
+    assert cqp.max_fidelity(math.pi) == math.tanh(1.0)  # cos(pi) is exactly -1
+    assert cqp.max_fidelity(math.pi / 3) == 1.0
+
+
+def test_max_fidelity_matches_a_grid_over_the_reachable_angles():
+    """F*(beta) against max |cos(phi + beta)| over a fine grid of
+    phi in [arccos(tanh 1), pi - arccos(tanh 1)], ends included."""
+    lo = math.acos(math.tanh(1.0))
+    phis = np.linspace(lo, math.pi - lo, 20001)
+    for beta in np.linspace(-4.0, 4.0, 81):
+        grid = float(np.abs(np.cos(phis + beta)).max())
+        assert abs(cqp.max_fidelity(float(beta)) - grid) <= 1e-8, beta
+
+
+def test_no_trained_fidelity_exceeds_max_fidelity():
+    """Every record of a seeded grid of runs stays within the allowance of
+    F*(beta); at beta = 0 and +-pi, where F* < 1, training reaches it."""
+    for n in (1, 2):
+        for beta in [*np.linspace(-4.0, 4.0, 9).tolist(), -math.pi, math.pi]:
+            rng = np.random.default_rng(170 + n)
+            sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), beta)
+            records = cqp.train(PerceptronConfig.type_ii(n, eta=0.5), sample,
+                                rng.uniform(0.0, 0.5, 2 * n), iterations=100)
+            best = cqp.max_fidelity(beta)
+            top = max(rec.fidelity for rec in records)
+            assert top <= best + cqp.MAX_FIDELITY_SLACK, (n, beta)
+            if beta in (0.0, -math.pi, math.pi):
+                assert top >= best - 1e-12, (n, beta)
+
+
 def _toy_task(seed: int):
     config = PerceptronConfig.type_ii(1, activation=Activation.TANH, eta=0.1)
     sample = TrainingSample(np.array([0.35, 0.1]), np.pi / 3)
@@ -323,10 +349,11 @@ def test_train_monotone_and_converges():
 
 
 def test_train_stationary_at_perfect_fidelity():
-    # beta = 0 and w = x gives phi = 0 and fidelity 1; ascent should not move
-    config = PerceptronConfig.type_ii(1, activation=Activation.IDENTITY, eta=0.5)
+    # w = x gives phi = arccos(tanh 1), so beta = -arccos(tanh 1) gives
+    # fidelity 1; ascent should not move
+    config = PerceptronConfig.type_ii(1, activation=Activation.TANH, eta=0.5)
     coeffs = np.array([0.3, 0.2])
-    sample = TrainingSample(coeffs, 0.0)
+    sample = TrainingSample(coeffs, -math.acos(math.tanh(1.0)))
     records = cqp.train(config, sample, coeffs.copy(), iterations=5)
     assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(records[-1].theta - coeffs)) <= 0.5 * 1e-6
@@ -404,7 +431,7 @@ def _oracle_fidelity(config, sample, theta):
 @pytest.mark.parametrize("config", [
     PerceptronConfig.type_ii(1, activation=Activation.TANH, eta=0.3),
     PerceptronConfig.type_ii(2, output_index=3, activation=Activation.TANH, eta=0.2),
-    PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), activation=Activation.TANH, eta=0.5),
+    _config(2, [(0, 1), (1, 2), (1, 3)], (1,), activation=Activation.TANH, eta=0.5),
 ])
 def test_one_training_step_matches_a_scalar_oracle(config):
     m = len(config.active_blades)
@@ -456,9 +483,9 @@ _TRAIN_CONFIGS = [
     PerceptronConfig.type_ii(2, output_index=3, eta=0.2),
     PerceptronConfig.type_ii(3),
     PerceptronConfig.type_ii(4, output_index=7),
-    PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,), eta=0.5),  # the expm_i route
+    _config(2, [(0, 1), (1, 2), (1, 3)], (1,), eta=0.5),  # not generators
 ]
-_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "ii-n3", "ii-n4-out7", "i-commuting"]
+_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "ii-n3", "ii-n4-out7", "anticommuting-n2"]
 
 # Two routes that round differently may score one row a few ulps apart; DELTA
 # (about 4.5 ulps of 1) bounds that.  A central difference turns it into at
@@ -499,11 +526,6 @@ def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
     monkeypatch.setattr(cqp, "encode", counting_encode)
     cqp.train(config, sample, theta0, iterations=4)
     assert shapes == [(2,)]  # rows are scored from scalars, never as states
-    shapes.clear()
-    config = _TRAIN_CONFIGS[-1]  # commuting blades: rows go through expm_i
-    cqp.train(config, sample, theta0, iterations=4)
-    # the input, one (2m + 1, m) stack per iteration, then the final theta
-    assert shapes == [(2,)] + [(5, 2)] * 4 + [(1, 2)]
 
 
 class _NumpyCallCounter:
@@ -634,13 +656,9 @@ def test_configs_with_one_blade_list_share_its_invariants():
     assert first._i_blade_columns is second._i_blade_columns
     with pytest.raises(ValueError, match="read-only"):
         first._i_blade_columns[0, 0] = 0.0
-    assert first._anticommuting and second._anticommuting
     want = 1j * blade_products(2, first.active_blades)[:, :, 0]
     assert np.array_equal(first._i_blade_columns, want)
-    commuting = PerceptronConfig.type_i(2, [(0,), (1, 2)], (1,))
-    assert commuting._anticommuting is False
-    other = PerceptronConfig.type_i(2, [(0,), (1,)], (1,))  # a different list on n = 2
-    assert other._anticommuting is True
+    other = _config(2, [(0,), (1,)], (1,))  # a different list on n = 2
     assert other._i_blade_columns is not first._i_blade_columns
 
 
@@ -764,4 +782,4 @@ def test_type_equivalence_rejects_non_unitary():
 
 def test_activation_ranges():
     assert Activation.TANH.apply(50.0) <= 1.0
-    assert Activation.IDENTITY.apply(0.4) == 0.4
+    assert list(Activation) == [Activation.TANH]
