@@ -187,10 +187,6 @@ def _format_row(row) -> str:
     return _row_template((*map(type, row),)) % tuple(row)
 
 
-def _fmt(value) -> str:
-    return _format_row((value,))
-
-
 # ---------------------------------------------------------------------------
 # command handlers: return (header or None, rows/lines, summary lines)
 
@@ -298,6 +294,18 @@ def _cmd_trotter_sweep(cfg):
                           "measured error within bound_full everywhere"]
 
 
+def _relative_entropy(a: float, b: float) -> float:
+    """a ln(a/b) - a + b >= 0 for a, b in [0, 1] (0 ln 0 = 0).  Two terms with
+    a1 + a2 = b1 + b2 = 1 sum to KL(a1 || b1) without cancelling each other's
+    digits; near a = b, a - b is exact (Sterbenz) and the log is log1p."""
+    if not b:
+        return math.inf if a else 0.0
+    if 2.0 * a <= b:
+        return (a * math.log(a / b) if a else 0.0) - (a - b)
+    d = a - b
+    return a * math.log1p(d / b) - d
+
+
 def _cmd_swap_test(cfg):
     n = cfg["n"]
     _require(len(cfg["shots"]) >= 1 and all(1 <= s < 2 ** 63 for s in cfg["shots"]),
@@ -311,11 +319,15 @@ def _cmd_swap_test(cfg):
     rows = []
     for shots, row_seed in zip(cfg["shots"], row_seeds):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
-        # an 8-sigma test of the binomial frequency of ancilla zeros
-        deviation = abs(tally.zero_count / shots - p0)
-        spread = 8.0 * math.sqrt(p0 * (1.0 - p0) / shots) + 1e-12
-        _check(deviation <= spread, "swap-concentration",
-               f"shots={shots}: |zeros/shots - p0| = {deviation:.6e} > {spread:.6e}")
+        # Chernoff-Hoeffding in KL form (Hoeffding 1963): the frequency q of
+        # ancilla zeros has Pr[shots * KL(q || p0) > 32] <= 2e^-32, and in the
+        # Gaussian limit the check is |q - p0| <= 8 sigma
+        q = tally.zero_count / shots
+        excess = shots * (_relative_entropy(q, p0) + _relative_entropy(
+            (shots - tally.zero_count) / shots, 1.0 - p0))
+        _check(excess <= 32.0, "swap-concentration",
+               f"shots={shots}: shots * KL(zeros/shots || p0) = {excess:.6e} > 32 "
+               f"(zeros/shots = {q:.6e}, p0 = {p0:.6e})")
         rows.append([tally.shots, tally.seed, tally.zero_count, estimate, overlap])
     header = ["shots", "seed", "zero_count", "estimate", "exact_overlap"]
     return header, rows, [f"swap-test: n={n}, exact overlap {overlap:.6f}, "

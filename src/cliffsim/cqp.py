@@ -1,53 +1,42 @@
-"""Clifford quantum perceptrons: anticommuting blades and a tanh activation.
+"""The Type II Clifford quantum perceptron: the 2n generators of n qubits and
+a tanh activation.
 
-States are |x> = exp(i * sum_j c_j B_j) |0..0> over active blades that
-pairwise anticommute (the 2n generators of type_ii do), so the sum squares
-to |c|^2 I and |x> is cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, where
-iB|0..0> is i times column 0 of the blades, cached read-only per blade list.
-
-encode and forward work on stacks: coefficient rows (..., m) give states
-(..., d), and forward pairs input and weight states (..., d) row by row,
-broadcasting.  Every guard (finite coefficients with a finite norm;
-activation output in [-1, 1], never NaN) applies to each row, and each row
-has the bits of its one-row call, since the overlaps and state defects are
-numpy row reductions.
+A config is n and an output index.  Inputs are |x> = exp(i * sum_j c_j B_j)
+|0..0> over the 2n generators B_j; any two anticommute, so
+|x> = cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, with iB|0..0> cached
+read-only per n.  encode and forward work on stacks of rows, and every
+guard (finite coefficients with a finite norm; activation output in
+[-1, 1], never NaN) applies to each row, with the bits of its one-row call.
 
 Forward pass: phi = arccos(tanh(Re<x|w>)), then y = exp(i phi B_mu)|0..0>
-for the output blade B_mu.  |Re<x|w>| <= 1 puts phi in
+for the output generator B_mu.  |Re<x|w>| <= 1 puts phi in
 [arccos(tanh 1), pi - arccos(tanh 1)]; forward still clips rounding slack
-past +-1 before arccos.  Against the target angle beta the fidelity is
-|<r|y>| with r = exp(-i beta B_mu)|0..0>, which is |cos(phi + beta)| for an
-output blade of zero diagonal; max_fidelity gives its largest reachable value.
+past +-1.  Against the target angle beta the fidelity is |<r|y>| with
+r = exp(-i beta B_mu)|0..0>, which is |cos(phi + beta)|; max_fidelity
+gives its largest reachable value.  equivalence_defects measures the joint
+unitary invariance of (phi, y).
 
-Joint unitary invariance: rotating |x> and |w> by one unitary leaves phi
-and y unchanged; equivalence_defects measures the gap for one trial or a
-stack, and type_equivalence_check is the one-trial predicate.
-
-train is gradient ascent with central finite differences (no analytic
-gradient is trusted).  Once per run it takes gamma_0 = <r|0..0>,
-gamma_1 = <r|iB_mu|0..0>, alpha = Re<x|0..0> and b_j = Re<x|iB_j|0..0>.  A
-row c has the overlap v = alpha cos|c| + sin|c| (c.b)/|c| and, with
-a = tanh(v) clipped to [-1, 1], the fidelity
-F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1) ((1 - a)(1 + a) keeps
-the digits 1 - a^2 loses near |a| = 1).  The 2m neighbours theta +- h e_j
-come from S = |theta|^2 and D = theta.b: |c|^2 = S +- 2h theta_j + h^2 and
-c.b = D +- h b_j.  An iteration makes no numpy call; the records are made
-when the run ends.
+train is gradient ascent with central finite differences.  Once per run it
+takes gamma_0 = <r|0..0>, gamma_1 = <r|iB_mu|0..0>, alpha = Re<x|0..0> and
+b_j = Re<x|iB_j|0..0>.  A row c has the overlap
+v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) clipped to
+[-1, 1], the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
+The 2m neighbours theta +- h e_j come from |theta|^2 and theta.b, so an
+iteration makes no numpy call.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import mul
+from operator import index, mul
 from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .clifford import (REGISTER_SIZES, Blade, _read_only, anticommutation_matrix,
-                       blade_products)
+from .clifford import REGISTER_SIZES, Blade, _check_register_size, _read_only, blade_products
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
 _ACT_LIMIT = 1.0 + 1e-12  # activation outputs may pass +-1 by this rounding slack
@@ -70,56 +59,51 @@ class Activation(enum.Enum):
 
 @dataclass(frozen=True)
 class PerceptronConfig:
+    """The Type II unit on n qubits: its active blades are the 2n generators,
+    in order, and its output blade is generator output_index."""
     n: int
-    active_blades: tuple[Blade, ...]
-    output_blade: Blade
+    output_index: int = 0
     activation: Activation = Activation.TANH
     eta: float = 0.1
 
     def __post_init__(self):
-        if not self.active_blades:
-            raise ValueError("active_blades must be non-empty")
-        seen = set()
-        for b in self.active_blades:
-            if b.n != self.n:
-                raise ValueError(f"blade {b.indices} has n={b.n}, config has n={self.n}")
-            if not b.indices:
-                raise ValueError("the identity blade cannot be an active blade")
-            if b.indices in seen:
-                raise ValueError(f"duplicate active blade {b.indices}")
-            seen.add(b.indices)
-        if not _blade_invariants(self.n, self.active_blades)[1]:
-            raise ValueError(f"active blades {[b.indices for b in self.active_blades]} "
-                             f"do not pairwise anticommute")
-        if self.output_blade.n != self.n or not self.output_blade.indices:
-            raise ValueError("output_blade must be a non-identity blade on the same register")
+        _check_register_size(self.n)
+        k = index(self.output_index)  # TypeError for a non-integer
+        if not 0 <= k < 2 * self.n:
+            raise ValueError(f"output_index {k} out of range 0..{2 * self.n - 1}")
+        object.__setattr__(self, "output_index", k)
         if not self.eta > 0:
             raise ValueError(f"need eta > 0, got {self.eta}")
 
     @classmethod
     def type_ii(cls, n: int, output_index: int = 0, **kw) -> "PerceptronConfig":
-        return cls(n=n, active_blades=tuple(Blade(n, (a,)) for a in range(2 * n)),
-                   output_blade=Blade(n, (output_index,)), **kw)
+        return cls(n, output_index, **kw)
 
-    @cached_property
-    def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every blade, (m, d)
-        return _blade_invariants(self.n, self.active_blades)[0]
+    @property
+    def active_blades(self) -> tuple[Blade, ...]:
+        return _generators(self.n)[0]
 
+    @property
+    def output_blade(self) -> Blade:
+        return _generators(self.n)[0][self.output_index]
 
-@lru_cache(maxsize=32)
-def _blade_invariants(n: int, blades: tuple[Blade, ...]) -> tuple[np.ndarray, bool]:
-    """(i * column 0 of each blade, read-only (m, d); whether the blades
-    pairwise anticommute) for a blade list on n qubits, shared by every
-    config with that list."""
-    columns = 1j * blade_products(n, blades)[:, :, 0]
-    anti = anticommutation_matrix([b.indices for b in blades])
-    return _read_only(columns), bool((anti | np.eye(len(anti), dtype=bool)).all())
+    @property
+    def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every generator, (2n, d)
+        return _generators(self.n)[1]
 
 
-# Built at import for the Type II blade lists of n = 1..3, as clifford builds
-# those basis stacks, so no job pays (or traces) them
+@functools.cache
+def _generators(n: int) -> tuple[tuple[Blade, ...], np.ndarray]:
+    """The 2n generators on n qubits as blades, in order, and i times column 0
+    of each, read-only (2n, d); shared by every config on n qubits."""
+    blades = tuple(Blade(n, (a,)) for a in range(2 * n))
+    return blades, _read_only(1j * blade_products(n, blades)[:, :, 0])
+
+
+# Built at import for n = 1..3, as clifford builds those basis stacks, so no
+# job pays (or traces) them
 for _n in REGISTER_SIZES[:-1]:
-    _blade_invariants(_n, PerceptronConfig.type_ii(_n).active_blades)
+    _generators(_n)
 
 
 def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
@@ -143,9 +127,9 @@ def _activation_error(value) -> ValueError:
 
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     """|x> = exp(i * sum_j coeffs[..., j] * B_j) |0..0>, shape (..., d), for
-    coeffs of shape (..., m); one vector is a stack of shape ()."""
+    coeffs of shape (..., 2n); one vector is a stack of shape ()."""
     c = np.asarray(coeffs, dtype=float)
-    m = len(config.active_blades)
+    m = 2 * config.n
     if c.ndim == 0 or c.shape[-1] != m:
         raise ValueError(f"expected {m} coefficients per row, got shape {c.shape}")
     norm = np.hypot.reduce(c, axis=-1)  # overflows only if the norm does, unlike sum(c^2)
@@ -239,10 +223,9 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     |theta|^2 and theta.b."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config.output_blade, sample.target_angle))
-    # gamma_0 and gamma_1 are real for an output blade of zero diagonal; a real
-    # one is a float, and float arithmetic gives the complex route's bits
-    gamma0, gamma1 = (g.real if not g.imag else g for g in (
-        complex(ref[0]), complex(ref @ (1j * config.output_blade.dense()[:, 0]))))
+    # gamma_0 and gamma_1 are real, since a generator has a zero diagonal
+    gamma0 = float(ref[0].real)
+    gamma1 = float((ref @ config._i_blade_columns[config.output_index]).real)
     alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
     act = config.activation.float_form
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
@@ -300,7 +283,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     if not 0 < fd_step < FD_STEP_MAX:
         raise ValueError(f"fd_step {fd_step} outside (0, {FD_STEP_MAX})")
     theta = np.asarray(theta0, dtype=float)
-    m = len(config.active_blades)
+    m = 2 * config.n
     if theta.shape != (m,):
         raise ValueError(f"theta0 must have {m} components, got {theta.shape}")
     theta = theta.tolist()
@@ -363,7 +346,7 @@ def type_equivalence_check(config: PerceptronConfig, u, seed: int = 0,
     coefficient vectors are drawn from U(-1, 1), input first, seeded by `seed`."""
     m = linalg.require_unitary(u, "type_equivalence_check")
     rng = np.random.default_rng(seed)
-    x_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
-    w_coeffs = rng.uniform(-1.0, 1.0, len(config.active_blades))
+    x_coeffs = rng.uniform(-1.0, 1.0, 2 * config.n)
+    w_coeffs = rng.uniform(-1.0, 1.0, 2 * config.n)
     phi_defect, state_defect = equivalence_defects(config, m, x_coeffs, w_coeffs)
     return phi_defect <= tol and state_defect <= tol

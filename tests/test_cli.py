@@ -3,6 +3,7 @@ import argparse
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -489,16 +490,16 @@ _CELLS = [
 
 @pytest.mark.parametrize("value, text", _CELLS)
 def test_report_cell_format(value, text):
-    assert cli._fmt(value) == text
+    assert cli._format_row((value,)) == text
 
 
 def test_report_row_is_its_cells_joined(tmp_path):
     """A row of every cell kind, in both orders, is written as its cells'
-    _fmt joined by commas, byte for byte."""
+    one-cell rows joined by commas, byte for byte."""
     row = [value for value, _ in _CELLS]
     out = tmp_path / "r.csv"
     cli._write_report(out, ["h"], [row, row[::-1], row], ["meta"])
-    want = [",".join(map(cli._fmt, r)) for r in (row, row[::-1], row)]
+    want = [",".join(cli._format_row((v,)) for v in r) for r in (row, row[::-1], row)]
     assert out.read_bytes() == "\n".join(["h", *want, "# meta"]).encode() + b"\n"
     assert want[0] == ",".join(text for _, text in _CELLS)
 
@@ -515,11 +516,68 @@ def test_roundoff_above_a_tiny_bound_passes(tmp_path, argv):
     assert cli.main([*argv, "--out", str(tmp_path / "r.csv")]) == 0
 
 
-def test_swap_concentration_is_an_8_sigma_test(tmp_path):
-    """At this seed one row's zero frequency is 4.1 standard deviations from
-    Pr(0); an 8-sigma check passes it."""
-    assert cli.main(["swap-test", "--n", "4", "--seed", "2427",
-                     "--out", str(tmp_path / "r.csv")]) == 0
+def test_swap_concentration_is_a_chernoff_hoeffding_bound(tmp_path):
+    """The check asserts shots * KL(zeros/shots || p0) <= 32.  At the n = 4
+    seed one row's zero frequency is 4.1 standard deviations from p0
+    (shots * KL = 8.5).  At the n = 1 seeds the one-shot row draws a one at
+    p0 = 0.991 and 0.987, which an 8-sigma normal test failed; shots * KL is
+    4.7 and 4.4."""
+    for argv in (["--n", "4", "--seed", "2427"],
+                 ["--n", "1", "--shots", "1,10,100", "--seed", "587"],
+                 ["--n", "1", "--shots", "1,10,100", "--seed", "2782"]):
+        assert cli.main(["swap-test", *argv, "--out", str(tmp_path / "r.csv")]) == 0, argv
+
+
+def _decimal_kl(zeros: int, shots: int, p0: float) -> Decimal:
+    """shots * KL(zeros/shots || p0) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p, q = Decimal(p0), Decimal(zeros) / shots
+        terms = [a * (a / b).ln() for a, b in ((q, p), (1 - q, 1 - p)) if a]
+        return shots * sum(terms, Decimal(0))
+
+
+def _kl_edge_sampler(step: int, outside: bool):
+    """A sampler that draws, from round(shots * p0) in direction step, the
+    last zero count with shots * KL <= 32 (in 60-digit decimals), or the
+    first count past it."""
+    def sampled(psi, phi, shots, seed):
+        p0 = simulator.swap_test_exact(psi, phi)
+        zeros = round(shots * p0)
+        while _decimal_kl(zeros + step, shots, p0) <= 32:
+            zeros += step
+        zeros += step if outside else 0
+        return (simulator.ShotTally(shots, zeros, seed),
+                math.sqrt(max(2.0 * zeros / shots - 1.0, 0.0)))
+    return sampled
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_swap_concentration_threshold_is_32(tmp_path, monkeypatch, step):
+    """On each tail, the last zero count inside shots * KL = 32 passes and
+    the first one past it fails."""
+    out = tmp_path / "r.csv"
+    for outside in (False, True):
+        monkeypatch.setattr(simulator, "swap_test_sampled", _kl_edge_sampler(step, outside))
+        assert cli.main(["swap-test", "--n", "2", "--shots", "1000,10000",
+                         "--out", str(out)]) == (1 if outside else 0)
+
+
+def test_swap_concentration_statistic_keeps_its_digits():
+    """The two relative-entropy terms against a 60-digit sum, from one shot
+    to 2^63 - 1, up to 12 standard deviations out and at the ends 0 and
+    shots, where the float terms cancel to a few digits of the sum."""
+    rng = np.random.default_rng(190)
+    for shots in (1, 10, 1000, 10 ** 6, 10 ** 12, 10 ** 18, 2 ** 63 - 1):
+        for p0 in (0.5, 0.75, 0.99, 1.0 - 2.0 ** -40):
+            sigma = math.sqrt(p0 * (1.0 - p0) / shots)
+            zs = {0, shots, *(min(max(int(shots * (p0 + z * sigma)), 0), shots)
+                              for z in rng.uniform(-12.0, 12.0, 8))}
+            for zeros in zs:
+                got = shots * (cli._relative_entropy(zeros / shots, p0)
+                               + cli._relative_entropy((shots - zeros) / shots, 1.0 - p0))
+                want = float(_decimal_kl(zeros, shots, p0))
+                assert abs(got - want) <= 1e-6 * max(want, 1.0), (shots, p0, zeros)
 
 
 def test_cached_parser_carries_no_value_between_calls(tmp_path, capsys):

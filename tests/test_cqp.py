@@ -11,12 +11,6 @@ from cliffsim.clifford import Blade, blade_products
 from cliffsim.cqp import Activation, PerceptronConfig, TrainingSample
 
 
-def _config(n, index_sets, output_indices, **kw):
-    """A config over explicit blade index sets, which must pairwise anticommute."""
-    return PerceptronConfig(n, tuple(Blade(n, tuple(s)) for s in index_sets),
-                            Blade(n, tuple(output_indices)), **kw)
-
-
 def test_encode_zero_coeffs_is_ground_state():
     config = PerceptronConfig.type_ii(2)
     np.testing.assert_allclose(
@@ -32,11 +26,10 @@ def test_encode_single_qubit_closed_form():
 
 
 def test_encode_single_blade_matches_expm():
-    blade = Blade(2, (0, 3))
-    config = _config(2, [(0, 3)], (0,))
+    config = PerceptronConfig.type_ii(2)
     c = 0.77
-    want = linalg.expm_i(blade.dense(), c) @ simulator.basis_state(2, 0)
-    np.testing.assert_allclose(cqp.encode(config, [c]), want, atol=1e-12)
+    want = linalg.expm_i(Blade(2, (3,)).dense(), c) @ simulator.basis_state(2, 0)
+    np.testing.assert_allclose(cqp.encode(config, [0.0, 0.0, 0.0, c]), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -49,29 +42,10 @@ def test_type_ii_encode_matches_expm_i_route(n):
         np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
 
 
-def test_non_generator_blade_list_encode_matches_expm_i_route():
-    """Blades that pairwise anticommute but are not generators take the
-    closed form too."""
-    config = _config(2, [(0, 1), (1, 2), (1, 3)], (0,))
-    rng = np.random.default_rng(70)
-    for c in [np.zeros(3), *rng.uniform(-2.0, 2.0, size=(5, 3))]:
-        h = sum(cj * b.dense() for cj, b in zip(c, config.active_blades))
-        want = linalg.expm_i(h) @ simulator.basis_state(2, 0)
-        np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
-
-
-def test_config_refuses_commuting_active_blades():
-    with pytest.raises(ValueError, match=re.escape(
-            "active blades [(0,), (1, 2)] do not pairwise anticommute")):
-        _config(2, [(0,), (1, 2)], (0,))
-    with pytest.raises(ValueError, match="do not pairwise anticommute"):
-        _config(2, [(0,), (1,), (0, 1, 2)], (0,))  # only (0, 1, 2) commutes with both
-
-
 _STACK_CONFIGS = [
     *(PerceptronConfig.type_ii(n) for n in (1, 2, 3)),
-    _config(2, [(0, 1), (1, 2), (1, 3)], (0,)),        # anticommuting grade-2 blades
-    _config(2, [(0, 1, 2), (0, 1, 3), (0, 2, 3)], (0,)),  # anticommuting grade-3 blades
+    PerceptronConfig.type_ii(2, output_index=3),
+    PerceptronConfig.type_ii(3, output_index=5),
 ]
 
 
@@ -178,18 +152,19 @@ def test_in_place_rotation_equals_the_two_term_formula(n):
             assert np.array_equal(cqp._rotate_ground(1j * col, angle), want)
 
 
-def test_non_generator_encode_equals_the_two_term_formula():
-    config = _STACK_CONFIGS[3]
-    e0 = simulator.basis_state(config.n, 0)
-    columns = blade_products(config.n, config.active_blades)[:, :, 0]
+def test_encode_equals_the_two_term_formula():
     rng = np.random.default_rng(120)
-    for norm in _ANGLES:
-        unit = rng.normal(size=np.shape(norm) + (3,))
-        unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
-        a = np.asarray(norm)[..., None]
-        want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ columns)
-        got = cqp._rotate_ground(unit @ config._i_blade_columns, norm)
-        assert np.array_equal(got, want)
+    for n in (1, 2, 3):
+        config = PerceptronConfig.type_ii(n)
+        e0 = simulator.basis_state(n, 0)
+        columns = blade_products(n, config.active_blades)[:, :, 0]
+        for norm in _ANGLES:
+            unit = rng.normal(size=np.shape(norm) + (2 * n,))
+            unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+            a = np.asarray(norm)[..., None]
+            want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ columns)
+            got = cqp._rotate_ground(unit @ config._i_blade_columns, norm)
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("config", [
@@ -197,6 +172,18 @@ def test_non_generator_encode_equals_the_two_term_formula():
 def test_blade_stack_equals_the_stacked_blade_matrices(config):
     want = np.stack([b.dense() for b in config.active_blades])
     assert np.array_equal(blade_products(config.n, config.active_blades), want)
+
+
+def test_active_blades_are_the_generators_in_order():
+    """Every config on n qubits shares one tuple of the 2n generators; its
+    output blade is generator output_index."""
+    for n in (1, 2, 3, 4):
+        generators = tuple(Blade(n, (a,)) for a in range(2 * n))
+        for k in range(2 * n):
+            config = PerceptronConfig.type_ii(n, k)
+            assert config.active_blades == generators
+            assert config.active_blades is PerceptronConfig.type_ii(n).active_blades
+            assert config.output_blade == Blade(n, (k,))
 
 
 def test_activation_apply_is_elementwise():
@@ -246,12 +233,25 @@ def test_encode_rejects_bad_coeffs():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _config(1, [], (0,))  # no active blades
-    with pytest.raises(ValueError):
-        _config(1, [()], (0,))  # identity blade
-    with pytest.raises(ValueError):
-        _config(1, [(0,), (0,)], (0,))  # duplicate
+    assert [f.name for f in dataclasses.fields(PerceptronConfig)] == [
+        "n", "output_index", "activation", "eta"]
+    for n in (1, 2, 3):
+        for k in (-1, 2 * n, 4 ** n - 1):  # 4^n - 1 blades, but 2n generators
+            with pytest.raises(ValueError, match=rf"^output_index {k} out of range "
+                                                 rf"0\.\.{2 * n - 1}$"):
+                PerceptronConfig.type_ii(n, k)
+    # a list of blades, a float, a string and None are not integers
+    for bad in ([Blade(1, (0,)), Blade(1, (1,))], 1.0, "0", None):
+        with pytest.raises(TypeError):
+            PerceptronConfig(1, bad)
+    config = PerceptronConfig.type_ii(2, np.int64(3))
+    assert type(config.output_index) is int and config.output_index == 3
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="need 1 <= n <= 4"):
+            PerceptronConfig.type_ii(n)
+    for eta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="need eta > 0"):
+            PerceptronConfig.type_ii(1, eta=eta)
 
 
 def test_forward_identical_states():
@@ -317,19 +317,21 @@ def test_max_fidelity_matches_a_grid_over_the_reachable_angles():
 
 
 def test_no_trained_fidelity_exceeds_max_fidelity():
-    """Every record of a seeded grid of runs stays within the allowance of
-    F*(beta); at beta = 0 and +-pi, where F* < 1, training reaches it."""
+    """Every record of a seeded grid of runs, at every output index, stays
+    within the allowance of F*(beta); at beta = 0 and +-pi, where F* < 1,
+    training reaches it."""
     for n in (1, 2):
-        for beta in [*np.linspace(-4.0, 4.0, 9).tolist(), -math.pi, math.pi]:
-            rng = np.random.default_rng(170 + n)
-            sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), beta)
-            records = cqp.train(PerceptronConfig.type_ii(n, eta=0.5), sample,
-                                rng.uniform(0.0, 0.5, 2 * n), iterations=100)
-            best = cqp.max_fidelity(beta)
-            top = max(rec.fidelity for rec in records)
-            assert top <= best + cqp.MAX_FIDELITY_SLACK, (n, beta)
-            if beta in (0.0, -math.pi, math.pi):
-                assert top >= best - 1e-12, (n, beta)
+        for k in range(2 * n):
+            for beta in [*np.linspace(-4.0, 4.0, 9).tolist(), -math.pi, math.pi]:
+                rng = np.random.default_rng(170 + n)
+                sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), beta)
+                records = cqp.train(PerceptronConfig.type_ii(n, k, eta=0.5), sample,
+                                    rng.uniform(0.0, 0.5, 2 * n), iterations=100)
+                best = cqp.max_fidelity(beta)
+                top = max(rec.fidelity for rec in records)
+                assert top <= best + cqp.MAX_FIDELITY_SLACK, (n, k, beta)
+                if beta in (0.0, -math.pi, math.pi):
+                    assert top >= best - 1e-12, (n, k, beta)
 
 
 def _toy_task(seed: int):
@@ -431,7 +433,7 @@ def _oracle_fidelity(config, sample, theta):
 @pytest.mark.parametrize("config", [
     PerceptronConfig.type_ii(1, activation=Activation.TANH, eta=0.3),
     PerceptronConfig.type_ii(2, output_index=3, activation=Activation.TANH, eta=0.2),
-    _config(2, [(0, 1), (1, 2), (1, 3)], (1,), activation=Activation.TANH, eta=0.5),
+    PerceptronConfig.type_ii(3, output_index=5, activation=Activation.TANH, eta=0.5),
 ])
 def test_one_training_step_matches_a_scalar_oracle(config):
     m = len(config.active_blades)
@@ -483,9 +485,9 @@ _TRAIN_CONFIGS = [
     PerceptronConfig.type_ii(2, output_index=3, eta=0.2),
     PerceptronConfig.type_ii(3),
     PerceptronConfig.type_ii(4, output_index=7),
-    _config(2, [(0, 1), (1, 2), (1, 3)], (1,), eta=0.5),  # not generators
+    PerceptronConfig.type_ii(3, output_index=5, eta=0.5),
 ]
-_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "ii-n3", "ii-n4-out7", "anticommuting-n2"]
+_TRAIN_IDS = ["ii-n1", "ii-n2", "ii-n2-out3", "ii-n3", "ii-n4-out7", "ii-n3-out5"]
 
 # Two routes that round differently may score one row a few ulps apart; DELTA
 # (about 4.5 ulps of 1) bounds that.  A central difference turns it into at
@@ -637,6 +639,20 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
                     assert abs(f - _oracle_fidelity(config, sample, row)) <= tol
 
 
+def test_every_output_index_scores_as_the_dense_oracle():
+    """At n = 1..3 and every output index, each of the 2m + 1 scores of one
+    call is the dense oracle's on its explicit row, to 1e-12."""
+    rng = np.random.default_rng(180)
+    for n in (1, 2, 3):
+        for k in range(2 * n):
+            config = PerceptronConfig.type_ii(n, k)
+            sample = TrainingSample(rng.uniform(-1.0, 1.0, 2 * n), rng.uniform(-3.0, 3.0))
+            theta = rng.uniform(-2.0, 2.0, 2 * n)
+            fids = cqp._fidelity_scorer(config, sample)(theta.tolist(), 1e-3)
+            for row, f in zip(_rows(theta, 1e-3), fids, strict=True):
+                assert abs(f - _oracle_fidelity(config, sample, row)) <= 1e-12, (n, k)
+
+
 def test_neighbours_past_the_overflow_of_the_squared_norm_score_as_theta():
     """Past |theta| = 2^511, |theta|^2 overflows, but the h terms of a
     neighbour's squared norm are below half an ulp of it and its overlap
@@ -649,17 +665,20 @@ def test_neighbours_past_the_overflow_of_the_squared_norm_score_as_theta():
 
 
 def test_configs_with_one_blade_list_share_its_invariants():
-    """The blade invariants are cached per blade list, not per config: two
-    configs with the same blades share one read-only column array."""
-    first, second = PerceptronConfig.type_ii(2), PerceptronConfig.type_ii(2, eta=0.5)
-    assert first is not second
-    assert first._i_blade_columns is second._i_blade_columns
-    with pytest.raises(ValueError, match="read-only"):
-        first._i_blade_columns[0, 0] = 0.0
-    want = 1j * blade_products(2, first.active_blades)[:, :, 0]
-    assert np.array_equal(first._i_blade_columns, want)
-    other = _config(2, [(0,), (1,)], (1,))  # a different list on n = 2
-    assert other._i_blade_columns is not first._i_blade_columns
+    """i times column 0 of the generators is cached per n, not per config:
+    two configs on n qubits share one read-only array, bit for bit the
+    gathered blade matrices' columns."""
+    for n in (1, 2, 3, 4):
+        first, second = PerceptronConfig.type_ii(n), PerceptronConfig.type_ii(n, 1, eta=0.5)
+        assert first is not second
+        assert first._i_blade_columns is second._i_blade_columns
+        with pytest.raises(ValueError, match="read-only"):
+            first._i_blade_columns[0, 0] = 0.0
+        want = 1j * blade_products(n, first.active_blades)[:, :, 0]
+        assert first._i_blade_columns.dtype == want.dtype
+        assert first._i_blade_columns.tobytes() == want.tobytes()
+    assert (PerceptronConfig.type_ii(2)._i_blade_columns
+            is not PerceptronConfig.type_ii(3)._i_blade_columns)
 
 
 _COEFFICIENT_GUARDS = [  # (config, the first two components of a spoiled theta, error)
