@@ -365,17 +365,25 @@ def _cmd_train_cqp(cfg):
         records = cqp.train(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
     except ValueError as exc:  # every ValueError of train is a guard on its inputs
         raise ConfigError(str(exc)) from None
-    for prev, cur in itertools.pairwise(records):
-        if not cur.fidelity >= prev.fidelity - 1e-12:  # detail only for the first fall
-            raise CheckFailure("train-monotone", f"iteration {cur.iteration}: fidelity fell "
-                               f"{prev.fidelity!r} -> {cur.fidelity!r}")
-    final = records[-1].fidelity
+    # one pass checks each record and builds its row; a detail is built only
+    # for the first record that fails
+    ceiling, rows, prev = best + cqp.MAX_FIDELITY_SLACK, [], records[0].fidelity
+    for k, theta, f in records:
+        if not f <= ceiling:
+            raise CheckFailure("train-fidelity-bound", f"iteration {k}: fidelity {f!r} "
+                               f"exceeds F*(beta) = {best!r}")
+        if not f >= prev - 1e-12:
+            raise CheckFailure("train-monotone", f"iteration {k}: fidelity fell "
+                               f"{prev!r} -> {f!r}")
+        rows.append([k, f, *theta.tolist()])
+        prev = f
+    final = prev
     _check(final >= cfg["require_fidelity"], "train-converged",
            f"final fidelity {final:.6f} < {cfg['require_fidelity']}")
     header = ["iteration", "fidelity"] + [f"theta_{j}" for j in range(2 * n)]
-    rows = [[rec.iteration, rec.fidelity, *rec.theta.tolist()] for rec in records]
     return header, rows, [f"train-cqp: n={n}, {cfg['iterations']} iterations, "
-                          f"fidelity {records[0].fidelity:.6f} -> {final:.6f}"]
+                          f"fidelity {records[0].fidelity:.6f} -> {final:.6f}, "
+                          f"F* {best:.6f}, F* - final {best - final:.3e}"]
 
 
 # trials per stacked equivalence pass: the default 50 trials are one block,

@@ -22,16 +22,20 @@ b_j = Re<x|iB_j|0..0>.  A row c has the overlap
 v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) clipped to
 [-1, 1], the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
 The 2m neighbours theta +- h e_j come from |theta|^2 and theta.b, so an
-iteration makes no numpy call.
+iteration makes no numpy call; its central differences, their finiteness
+guard and the step are one loop over the components.  Each fidelity is
+checked once, when train scores it, and the records are built once, when
+the run ends.
 """
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import index, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -199,14 +203,12 @@ class TrainingSample:
                            np.asarray(self.input_coeffs, dtype=float))
 
 
-@dataclass(frozen=True)
-class TrainRecord:
+class TrainRecord(NamedTuple):
+    """One iteration of train: its theta (float64, shape (2n,)) and fidelity,
+    which train checked when it scored it."""
     iteration: int
     theta: np.ndarray
     fidelity: float
-
-    def __post_init__(self):
-        _check_fidelity(self.fidelity)
 
 
 def _check_fidelity(f: float) -> None:
@@ -256,7 +258,7 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
                     raise _activation_error(a)
                 a = math.copysign(1.0, a)  # clips the slack
             f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
-            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for TrainRecord's check
+            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for train's check
         return fids
 
     return score
@@ -274,9 +276,11 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     rounded to about an ulp of 1, so a smaller step gives a difference that
     is all rounding (zero, at a step of 1e-17) and trains nothing.  The same
     holds for the theta of every later iteration, which a large step can
-    carry past the resolution of fd_step.  Each fidelity is checked in its
-    iteration; the records are made when the run ends, their thetas the rows
-    of one array.
+    carry past the resolution of fd_step.  An iteration's central
+    differences, their finiteness guard and its step are one loop over the
+    components.  Each fidelity, the final theta's included, is checked once,
+    when scored; the records are built in one pass when the run ends, their
+    thetas the rows of one array.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -295,7 +299,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                              f"iteration 0")
     score = _fidelity_scorer(config, sample)
     thetas, fids = [], []  # the records' fields; each fidelity checked when scored
-    two_h, eta = 2.0 * fd_step, config.eta
+    two_h, eta, isfinite = 2.0 * fd_step, config.eta, math.isfinite
     for k in range(iterations):
         if k:  # after a step, one test at the largest |theta_j|, whose float
             # resolution is the coarsest (theta0's test above covered 1)
@@ -309,15 +313,19 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
         _check_fidelity(f[0])
         thetas.append(theta)
         fids.append(f[0])
-        grad = [(up - down) / two_h for up, down in zip(f[1:m + 1], f[m + 1:])]
-        for j, g in enumerate(grad):
-            if not math.isfinite(g):
+        step = []  # each component's central difference, its guard and its step
+        for t, up, down in zip(theta, f[1:m + 1], f[m + 1:]):
+            g = (up - down) / two_h
+            if not isfinite(g):
                 raise ValueError(f"non-finite finite-difference gradient at component "
-                                 f"{j} (activation kink or overflow)")
-        theta = [t + eta * g for t, g in zip(theta, grad)]
+                                 f"{len(step)} (activation kink or overflow)")
+            step.append(t + eta * g)
+        theta = step
+    f = score(theta, 0.0)[0]
+    _check_fidelity(f)
     thetas.append(theta)
-    fids.append(score(theta, 0.0)[0])
-    return [TrainRecord(k, row, f) for k, (row, f) in enumerate(zip(np.array(thetas), fids))]
+    fids.append(f)
+    return list(map(TrainRecord._make, zip(itertools.count(), np.array(thetas), fids)))
 
 
 def equivalence_defects(config: PerceptronConfig, u, x_coeffs, w_coeffs):

@@ -760,6 +760,51 @@ def test_train_cqp_refuses_an_unreachable_fidelity(tmp_path, capsys):
                      "--out", str(out)]) == 0
 
 
+def _scorer_past_f_star(real):
+    """The scorer mutant whose fidelities are 1.05 times the real ones,
+    capped at 1."""
+    def scorer(cfg, smp):
+        score = real(cfg, smp)
+        return lambda theta, h: [min(1.05 * f, 1.0) for f in score(theta, h)]
+    return scorer
+
+
+def test_train_fidelity_bound_names_the_first_row_past_f_star(tmp_path, capsys, monkeypatch):
+    """At beta = 0, F* = tanh 1 < 1, and the x1.05 scorer mutant passes it: the
+    run exits 1 naming the first record past F* plus 4 ulps of 1, with no
+    report.  Unpatched, the same argv passes, and its summary line (never the
+    report) gives F* and F* - final."""
+    argv = ["train-cqp", "--beta", "0", "--require-fidelity", "0"]
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    final = float(out.read_text().splitlines()[-4].split(",")[1])
+    best = math.tanh(1.0)
+    assert capsys.readouterr().out == (
+        f"train-cqp: n=1, 500 iterations, fidelity 0.714805 -> {final:.6f}, "
+        f"F* {best:.6f}, F* - final {best - final:.3e}\nOK wrote {out}\n")
+    assert "F*" not in out.read_text()
+    out.unlink()
+
+    seen = []
+    real_train = cqp.train
+
+    def recording_train(*args):
+        seen[:] = real_train(*args)
+        return seen
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _scorer_past_f_star(cqp._fidelity_scorer))
+    monkeypatch.setattr(cqp, "train", recording_train)
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    k, fid = next((rec.iteration, rec.fidelity) for rec in seen
+                  if rec.fidelity > best + cqp.MAX_FIDELITY_SLACK)
+    assert capsys.readouterr().out == (
+        f"FAIL train-fidelity-bound (iteration {k}: fidelity {fid!r} "
+        f"exceeds F*(beta) = {best!r})\n")
+    assert not out.exists()
+    # at the default beta F* = 1, which the capped mutant cannot pass
+    assert cli.main(["train-cqp", "--out", str(out)]) == 0
+
+
 def test_train_cqp_activation_tanh_is_the_default_run(tmp_path):
     default, tanh = tmp_path / "default.csv", tmp_path / "tanh.csv"
     assert cli.main(["train-cqp", "--out", str(default)]) == 0

@@ -516,6 +516,65 @@ def test_train_equals_a_loop_over_encode_and_forward(config, activation):
         assert abs(rec.fidelity - fid) <= bound
 
 
+def _unfused_train(config, sample, theta0, iterations, fd_step):
+    """train's loop over the real scorer with a gradient list, a separate
+    finiteness pass and a step list per iteration: (iteration, theta list,
+    fidelity) per record."""
+    m = len(config.active_blades)
+    score = cqp._fidelity_scorer(config, sample)
+    theta, records = np.asarray(theta0, dtype=float).tolist(), []
+    for k in range(iterations):
+        f = score(theta, fd_step)
+        records.append((k, theta, f[0]))
+        grad = [(up - down) / (2.0 * fd_step) for up, down in zip(f[1:m + 1], f[m + 1:])]
+        assert all(map(math.isfinite, grad))
+        theta = [t + config.eta * g for t, g in zip(theta, grad)]
+    records.append((iterations, theta, score(theta, 0.0)[0]))
+    return records
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_train_equals_the_unfused_loop_bit_for_bit(n):
+    """At every output index and two learning rates, 60 iterations of train
+    give the unfused loop's records bit for bit, each theta a float64 array
+    of shape (2n,)."""
+    rng = np.random.default_rng(200 + n)
+    for k in range(2 * n):
+        for eta in (0.1, 0.5):
+            config = PerceptronConfig.type_ii(n, k, eta=eta)
+            sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), rng.uniform(-3.0, 3.0))
+            theta0 = rng.uniform(0.0, 0.5, 2 * n)
+            got = cqp.train(config, sample, theta0, iterations=60)
+            want = _unfused_train(config, sample, theta0, 60, 1e-5)
+            assert len(got) == len(want) == 61
+            assert len({rec.theta.tobytes() for rec in got}) > 1  # training moved theta
+            for rec, (i, theta, fid) in zip(got, want):
+                assert type(rec) is cqp.TrainRecord and type(rec.iteration) is int
+                assert rec.theta.dtype == np.float64 and rec.theta.shape == (2 * n,)
+                assert rec.iteration == i
+                assert rec.theta.tobytes() == np.array(theta).tobytes(), (n, k, eta, i)
+                assert rec.fidelity.hex() == fid.hex(), (n, k, eta, i)
+
+
+def test_train_checks_each_fidelity_once(monkeypatch):
+    """_check_fidelity runs once per record, the final theta's included, on
+    the record's fidelity, in order."""
+    config, sample, theta0 = _toy_task(7)
+    checked = []
+    check = cqp._check_fidelity
+
+    def counting_check(f):
+        checked.append(f)
+        check(f)
+
+    monkeypatch.setattr(cqp, "_check_fidelity", counting_check)
+    for iterations in (0, 1, 5):
+        checked.clear()
+        records = cqp.train(config, sample, theta0, iterations=iterations)
+        assert checked == [rec.fidelity for rec in records]
+        assert len(checked) == iterations + 1
+
+
 def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
     config, sample, theta0 = _toy_task(2)
     shapes = []
