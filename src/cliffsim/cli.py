@@ -26,6 +26,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -217,7 +218,9 @@ def _cmd_omega_count(cfg):
     return header, [[n, parity, dense]], [f"omega-count: n={n}, omega={parity}"]
 
 
-def _gqft_grid(cfg):
+def _gqft_grid(cfg, grid):
+    """(theta, seed, grid's values at theta) for each theta and seed of the
+    config, theta-major; grid is gqft.unitarity_grid or gqft.distance_grid."""
     n = cfg["n"]
     _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     _require(len(cfg["thetas"]) >= 1 and all(t >= 0 for t in cfg["thetas"]), "thetas",
@@ -225,26 +228,24 @@ def _gqft_grid(cfg):
     _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
              "thetas", f"too large: the distance bound overflows at n={n}")
     # one axis draw per seed, and one theta grid per draw: one eigendecomposition
-    # per distinct Gamma_k (one for the shared-axis draw) and one factored pass
-    # serve every theta
+    # per distinct Gamma_k (one for the shared-axis draw), and for
+    # unitarity_grid one factored pass, serve every theta
     seeds = _derived_seeds(cfg, 0, cfg["trials"])
-    by_seed = [gqft.distance_reports(gqft.random_axes(n, np.random.default_rng(seed)),
-                                     cfg["thetas"])
+    by_seed = [grid(gqft.random_axes(n, np.random.default_rng(seed)), cfg["thetas"])
                for seed in seeds]
     for t, theta in enumerate(cfg["thetas"]):  # rows stay theta-major
-        for seed, reports in zip(seeds, by_seed):
-            yield theta, seed, reports[t]
+        for seed, values in zip(seeds, by_seed):
+            yield theta, seed, values[t]
 
 
 def _cmd_verify_gqft(cfg):
     rows = []
-    for theta, seed, rep in _gqft_grid(cfg):
-        defect, fact = rep.unitarity_defect, rep.max_column_factorization_error
+    for theta, seed, (defect, fact) in _gqft_grid(cfg, gqft.unitarity_grid):
         _check(defect <= 1e-10, "gqft-unitarity",
                f"theta={theta} seed={seed} defect {defect:.3e}")
         _check(fact <= 1e-10, "gqft-factorization",
                f"theta={theta} seed={seed} error {fact:.3e}")
-        rows.append([theta, rep.n, seed, defect, fact])
+        rows.append([theta, cfg["n"], seed, defect, fact])
     header = ["theta", "n", "seed", "unitarity_defect", "factorization_error"]
     return header, rows, [f"verify-gqft: {len(rows)} rows, "
                           f"max unitarity defect {max(r[3] for r in rows):.3e}, "
@@ -253,13 +254,12 @@ def _cmd_verify_gqft(cfg):
 
 def _cmd_gqft_distance(cfg):
     rows = []
-    for theta, seed, rep in _gqft_grid(cfg):
+    for theta, seed, (distance, bound) in _gqft_grid(cfg, gqft.distance_grid):
         # 1e-12 absorbs roundoff: at theta = 0 the bound is 0 and the
         # distance is rounding alone
-        _check(rep.distance_to_qft <= rep.bound + 1e-12, "gqft-distance-bound",
-               f"theta={theta} seed={seed} distance {rep.distance_to_qft:.6e} "
-               f"> bound {rep.bound:.6e}")
-        rows.append([theta, rep.n, seed, rep.distance_to_qft, rep.bound])
+        _check(distance <= bound + 1e-12, "gqft-distance-bound",
+               f"theta={theta} seed={seed} distance {distance:.6e} > bound {bound:.6e}")
+        rows.append([theta, cfg["n"], seed, distance, bound])
     header = ["theta", "n", "seed", "distance", "bound"]
     return header, rows, [f"gqft-distance: {len(rows)} rows, all within bound"]
 
@@ -531,6 +531,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _write_report(path: Path, header, payload, meta: list[str]) -> None:
+    """Write the report as os.fsencode bytes: an argv token that is not valid
+    in the filesystem encoding gets its own bytes back, where write_text raises."""
     lines = []
     if header is not None:
         lines.append(",".join(header))
@@ -538,7 +540,7 @@ def _write_report(path: Path, header, payload, meta: list[str]) -> None:
     else:
         lines += payload
     lines += [f"# {m}" for m in meta]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(os.fsencode("\n".join(lines) + "\n"))
 
 
 def main(argv=None) -> int:
@@ -558,17 +560,19 @@ def main(argv=None) -> int:
         return 1
     suffix = ".csv" if header is not None else ".txt"
     out = Path(args.out) if args.out is not None else Path(f"{args.command}{suffix}")
+    # out as printable text: an undecodable byte shows as \xNN, whatever stdout's error handler
+    shown = os.fsencode(out).decode(sys.getfilesystemencoding(), "backslashreplace")
     meta = [f"seed = {cfg['seed']}",
             f"version = {__version__}",
             f"command = cliffsim {' '.join(argv)}"]
     try:
         _write_report(out, header, payload, meta)
     except OSError as exc:
-        print(f"ERROR invalid config: cannot write report {out}: {exc}", file=sys.stderr)
+        print(f"ERROR invalid config: cannot write report {shown}: {exc}", file=sys.stderr)
         return 3
     for line in summary:
         print(line)
-    print(f"OK wrote {out}")
+    print(f"OK wrote {shown}")
     return 0
 
 

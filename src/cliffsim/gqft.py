@@ -14,12 +14,13 @@ factorizes qubit by qubit:
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
 A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas.  The
 public routes are gamma_stack (every Gamma_k of an axis draw),
-gqft_dense_grid, gqft_column_factored_grid and distance_reports; each
-checks its input (GqftParams, one theta, uses the same check) in front of
-an unchecked kernel, and distance_reports checks its grid once and runs
-both grid kernels on it.  The dense route builds only the distinct
-Gamma_k, by contracting the axes with a cached table of sigma_x, sigma_y,
-sigma_z embedded on each qubit, and exponentiates them in one
+gqft_dense_grid, gqft_column_factored_grid, unitarity_grid and
+distance_grid; each checks its input (GqftParams, one theta, uses the same
+check) in front of an unchecked kernel.  unitarity_grid runs both grid
+kernels on its once-checked grid, distance_grid the dense kernel only.
+The dense route builds only the distinct Gamma_k, by contracting the axes
+with a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit,
+and exponentiates them in one
 eigendecomposition call: a qubit with equal axes gives every Gamma_k the
 same term, so the shared-axis draw needs one matrix.  Gamma_k depends on
 the axes only, so that one call serves every theta (gqft_dense_grid).  The
@@ -32,9 +33,11 @@ The dense route exponentiates through an eigendecomposition, so the two
 routes share nothing beyond the Pauli matrices and cross-check each other.
 theta = 0 recovers the standard transform; the Frobenius distance from it
 is bounded by 2^(3n/2) * theta * n * sqrt(2) * exp(theta * n * sqrt(2)).
-distance_reports computes these checked quantities for a whole grid, each
-as one stacked reduction, and asserts none of them: the thresholds are the
-caller's.
+unitarity_grid gives the unitarity defect and the column factorization
+error of every theta of a grid, distance_grid the distance and its bound,
+each quantity one stacked reduction; neither asserts anything: the
+thresholds are the caller's.  distance_report gives all four for one
+parameter set.
 """
 from __future__ import annotations
 
@@ -101,7 +104,7 @@ def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     ax = rng.normal(size=(n, 1, 3))
     ax = ax / np.linalg.norm(ax, axis=2, keepdims=True)
-    return np.broadcast_to(ax, (n, 2, 3)).copy()
+    return np.repeat(ax, 2, axis=1)
 
 
 def random_bit_axes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,22 +256,30 @@ class GqftReport:
     bound: float
 
 
-def distance_reports(axes, thetas: Sequence[float]) -> list[GqftReport]:
-    """Unitarity defect, factorization error, distance and bound of one axis
+def unitarity_grid(axes, thetas: Sequence[float]) -> list[tuple[float, float]]:
+    """(unitarity defect, largest column factorization error) of one axis
     draw at each theta of a grid (see gqft_dense_grid), in theta order; each
     quantity is one stacked reduction over the grid.  The grid is checked
     once, here, and both routes run unchecked on it."""
     ax, th = _checked_grid(axes, thetas)
     dense = _dense_grid(ax, th)
     col_errs = np.linalg.norm(dense - _factored_grid(ax, th), axis=-2).max(axis=-1)
+    return list(zip(linalg.unitarity_defect(dense).tolist(), col_errs.tolist()))
+
+
+def distance_grid(axes, thetas: Sequence[float]) -> list[tuple[float, float]]:
+    """(Frobenius distance from the standard transform, distance_bound) of one
+    axis draw at each theta of a grid, in theta order: the checked grid, the
+    dense route alone and one stacked reduction."""
+    ax, th = _checked_grid(axes, thetas)
     n = len(ax)
-    defects = linalg.unitarity_defect(dense)
-    distances = linalg.frobenius_norm(dense - standard_qft(n))
-    return [GqftReport(n, theta, defect, col_err, distance, distance_bound(n, theta))
-            for theta, defect, col_err, distance
-            in zip(thetas, defects.tolist(), col_errs.tolist(), distances.tolist())]
+    distances = linalg.frobenius_norm(_dense_grid(ax, th) - standard_qft(n))
+    return [(distance, distance_bound(n, theta))
+            for distance, theta in zip(distances.tolist(), th.tolist())]
 
 
 def distance_report(params: GqftParams) -> GqftReport:
-    """The report of one parameter set: the one-theta grid."""
-    return distance_reports(params.axes, [params.theta])[0]
+    """The report of one parameter set, from the one-theta grid of each grid function."""
+    [(defect, col_err)] = unitarity_grid(params.axes, [params.theta])
+    [(distance, bound)] = distance_grid(params.axes, [params.theta])
+    return GqftReport(params.n, params.theta, defect, col_err, distance, bound)

@@ -24,8 +24,10 @@ in one ``eigh`` call; a single matrix is a stack of shape ().  Every guard
 to each matrix of the stack.  An eigendecomposition that fails its
 residual or orthonormality check is a hard error, never a silent fallback.
 ``expm_i`` also takes an array of s: exp(i*s*H) = V diag(e^{i s lam}) V^dag,
-so one eigendecomposition gives every s; a non-real s or a non-finite
-s*lam raises.  ``expm_i`` is the only library caller of
+so one eigendecomposition gives every s; a non-real s raises, and so does
+a non-finite s*lam, tested once per call as the float test
+max|s| * max|lam| < inf (a product s*lam overflows exactly when that one
+does, and a NaN fails it).  ``expm_i`` is the only library caller of
 ``hermitian_eigen``.  ``tensor`` builds each Kronecker step as one
 broadcast multiply and reshape, not with ``np.kron``.  ``frobenius_norm``,
 ``unitarity_defect`` and ``spectral_norm`` measure one matrix (a float) or
@@ -114,13 +116,18 @@ def frobenius_norm(a) -> float | np.ndarray:
     Unlike hermiticity_defect, a guard that reports the largest value of a
     stack, this is a measurement and keeps every value.
     """
-    norms = np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2, axis=(-2, -1)))
+    norms = _frobenius_norms(a)
     return float(norms) if norms.ndim == 0 else norms
+
+
+def _frobenius_norms(a) -> np.ndarray:
+    """frobenius_norm as a numpy scalar or array, for the guards to reduce."""
+    return np.sqrt((np.abs(np.asarray(a)) ** 2).sum(axis=(-2, -1)))
 
 
 def _max_hermiticity_defect(m: np.ndarray) -> float:
     """Largest Frobenius norm of M - M^dag over the matrices of a stack (..., d, d)."""
-    return float(np.max(frobenius_norm(m - adjoint(m)), initial=0.0))
+    return float(_frobenius_norms(m - adjoint(m)).max(initial=0.0))
 
 
 def require_hermitian(a, where: str) -> np.ndarray:
@@ -203,11 +210,13 @@ def expm_i(h, s=1.0) -> np.ndarray:
     s = np.asarray(s)
     if np.iscomplexobj(s) and (s.imag != 0).any():
         raise ValueError("expm_i: s has a nonzero imaginary part, so exp(i*s*H) is not unitary")
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.multiply.outer(s.real, lam)
-    if not np.isfinite(phase).all():
+    s = s.real
+    # rounding is monotone: some s*lam overflows iff max|s| * max|lam| does; NaN and
+    # inf * 0 fail too (ravel: abs of a 0-d object array, an int past int64, is an int)
+    if not (float(np.abs(s.ravel()).max(initial=0.0)) * float(np.abs(lam).max(initial=0.0))
+            < np.inf):
         raise ValueError("expm_i: s * eigenvalue is not finite")
-    return (v * np.exp(1j * phase)[..., None, :]) @ adjoint(v)
+    return (v * np.exp(1j * np.multiply.outer(s, lam))[..., None, :]) @ adjoint(v)
 
 
 def expm_i_involution(h, s=1.0) -> np.ndarray:

@@ -2,6 +2,7 @@
 import argparse
 import itertools
 import math
+import os
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -412,7 +413,7 @@ LIBRARY_BREAKS = {
     "basis-independence": ("verify-basis", clifford, "_basis_stack", _repeated_blade),
     "basis-orthogonality": ("verify-basis", clifford, "_basis_stack", _scaled_blade),
     "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
-    # the factored kernel distance_reports runs on its once-checked grid
+    # the factored kernel unitarity_grid runs on its once-checked grid
     "gqft-factorization": ("verify-gqft", gqft, "_factored_grid", _shifted),
     "gqft-distance-bound": ("gqft-distance", gqft, "distance_bound", _shrunk),
     "swap-agreement": ("swap-test", simulator, "swap_test_circuit_probability", _shifted),
@@ -634,6 +635,62 @@ def test_gqft_grid_is_one_factored_pass_per_seed(tmp_path, monkeypatch):
     assert cli.main(["verify-gqft", "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
                      "--out", str(tmp_path / "r.csv")]) == 0
     assert calls == {"grid": 3, "sigma": 3, "involution": 3, "checks": 3}
+
+
+def _gqft_calls(command, tmp_path, monkeypatch):
+    """Calls of the counted functions over one three-seed, three-theta run of
+    a GQFT command."""
+    calls = dict.fromkeys(("factored", "unitarity", "frobenius", "bound", "eigen", "checks"), 0)
+
+    def counted(name, real):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+    monkeypatch.setattr(gqft, "_factored_grid", counted("factored", gqft._factored_grid))
+    monkeypatch.setattr(linalg, "unitarity_defect",
+                        counted("unitarity", linalg.unitarity_defect))
+    # unitarity_defect's own norm is counted here too
+    monkeypatch.setattr(linalg, "frobenius_norm", counted("frobenius", linalg.frobenius_norm))
+    monkeypatch.setattr(gqft, "distance_bound", counted("bound", gqft.distance_bound))
+    monkeypatch.setattr(linalg, "hermitian_eigen", counted("eigen", linalg.hermitian_eigen))
+    monkeypatch.setattr(gqft, "_checked_axes", counted("checks", gqft._checked_axes))
+    assert cli.main([command, "--n", "3", "--trials", "3", "--thetas", "0.1,0.5,2",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    return calls
+
+
+def test_gqft_distance_runs_the_dense_route_alone(tmp_path, monkeypatch):
+    """gqft-distance takes no factored pass and no unitarity defect: per seed
+    one axes check, one eigendecomposition and one stacked distance; the bound
+    once per theta for the CLI's overflow check and once per row."""
+    assert _gqft_calls("gqft-distance", tmp_path, monkeypatch) == {
+        "factored": 0, "unitarity": 0, "frobenius": 3, "bound": 3 + 9, "eigen": 3,
+        "checks": 3}
+
+
+def test_verify_gqft_takes_no_distance(tmp_path, monkeypatch):
+    """verify-gqft's one norm per seed is its unitarity defect's, and its only
+    bounds are the CLI's overflow check: it takes no distance to the standard
+    transform.  Per seed one axes check, one eigendecomposition and one
+    factored pass."""
+    assert _gqft_calls("verify-gqft", tmp_path, monkeypatch) == {
+        "factored": 3, "unitarity": 3, "frobenius": 3, "bound": 3, "eigen": 3, "checks": 3}
+
+
+def test_report_keeps_the_bytes_of_an_undecodable_argv(tmp_path, capsys):
+    """An argv token that is not valid in the filesystem encoding reaches
+    main surrogate-escaped, as Python decodes argv; the report file is written
+    under its bytes and its command line carries them back.  A path that
+    cannot be written still exits 3.  Both messages print the byte as \\xff,
+    so a strict stdout (as capsys's is) takes them."""
+    out = tmp_path / os.fsdecode(b"r\xff.csv")
+    assert cli.main(["omega-count", "--n", "1", "--out", str(tmp_path / "no" / out.name)]) == 3
+    assert f"cannot write report {tmp_path}/no/r\\xff.csv: " in capsys.readouterr().err
+    assert cli.main(["omega-count", "--n", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(f"OK wrote {tmp_path}/r\\xff.csv\n")
+    assert os.listdir(os.fsencode(tmp_path)) == [b"r\xff.csv"]
+    lines = out.read_bytes().splitlines()
+    assert lines[0] == b"n,omega_parity_rule,omega_bruteforce"
+    assert lines[-1] == (b"# command = cliffsim omega-count --n 1 --out "
+                         + os.fsencode(tmp_path) + b"/r\xff.csv")
 
 
 def test_trotter_sweep_is_one_stacked_pass(tmp_path, monkeypatch):

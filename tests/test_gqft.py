@@ -270,30 +270,34 @@ def test_theta_grid_matches_per_theta_transforms(n):
     grid = [GqftParams(n, theta, axes) for theta in thetas]
     dense = gqft.gqft_dense_grid(axes, thetas)
     assert dense.shape == (2 ** n, 2 ** n, 2 ** n)
-    for params, f_g, rep in zip(grid, dense, gqft.distance_reports(axes, thetas)):
+    unitarity, distances = gqft.unitarity_grid(axes, thetas), gqft.distance_grid(axes, thetas)
+    assert len(unitarity) == len(distances) == len(thetas)
+    for params, f_g, (defect, col_err), (distance, bound) in zip(grid, dense, unitarity,
+                                                                distances):
         np.testing.assert_allclose(
             f_g, gqft.gqft_dense_grid(axes, [params.theta])[0], rtol=0, atol=1e-14)
         one = gqft.distance_report(params)
-        assert rep.theta == params.theta
+        assert one.theta == params.theta
         np.testing.assert_allclose(
-            [rep.unitarity_defect, rep.max_column_factorization_error, rep.distance_to_qft],
+            [defect, col_err, distance],
             [one.unitarity_defect, one.max_column_factorization_error, one.distance_to_qft],
             rtol=0, atol=1e-14)
-        assert rep.bound == one.bound
+        assert bound == one.bound == gqft.distance_bound(n, params.theta)
         # each stacked reduction gives the bits of its own per-theta form
-        assert rep.max_column_factorization_error == np.linalg.norm(
+        assert col_err == np.linalg.norm(
             f_g - gqft.gqft_column_factored_grid(axes, [params.theta])[0], axis=0).max()
-        assert rep.unitarity_defect == linalg.unitarity_defect(f_g)
-        assert rep.distance_to_qft == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
+        assert defect == linalg.unitarity_defect(f_g)
+        assert distance == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
 
 
 def test_theta_grid_routes_reject_a_bad_draw():
     """Each grid route checks its axes and thetas as GqftParams does: the
-    public routes in front of their kernels, distance_reports once for both."""
+    public routes in front of their kernels, unitarity_grid once for both."""
     axes = gqft.random_axes(2, np.random.default_rng(4))
     non_finite = axes.copy()
     non_finite[1, 0, 0] = np.nan
-    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid, gqft.distance_reports):
+    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid, gqft.unitarity_grid,
+                  gqft.distance_grid):
         for bad_axes, thetas, message in ((axes, [], "finite theta"),
                                           (axes, [0.1, -0.5], "finite theta"),
                                           (axes, [np.nan, 0.1], "finite theta"),
@@ -311,14 +315,15 @@ def test_theta_grid_routes_reject_a_bad_draw():
 
 @pytest.mark.parametrize("draw", DRAWS)
 def test_each_route_checks_its_axes_once(draw, monkeypatch):
-    """distance_reports checks its grid once and runs both kernels on it; each
+    """unitarity_grid checks its grid once and runs both kernels on it; each
     public route, and GqftParams, checks its axes once in front of its kernel."""
     axes = DRAWS[draw][0]()
     n = axes.shape[0]
     calls = []
     real = gqft._checked_axes
     monkeypatch.setattr(gqft, "_checked_axes", lambda ax: calls.append(1) or real(ax))
-    for call in (lambda: gqft.distance_reports(axes, (0.1, 0.5, 2.0)),
+    for call in (lambda: gqft.unitarity_grid(axes, (0.1, 0.5, 2.0)),
+                 lambda: gqft.distance_grid(axes, (0.1, 0.5, 2.0)),
                  lambda: gqft.gqft_dense_grid(axes, (0.1, 0.5)),
                  lambda: gqft.gqft_column_factored_grid(axes, (0.1, 0.5)),
                  lambda: gqft.gamma_stack(axes),

@@ -128,16 +128,42 @@ def test_expm_i_of_an_array_of_s_matches_per_s_calls(dim):
         np.testing.assert_allclose(square[t], u[t], rtol=0, atol=1e-14)
 
 
+FLOAT_MAX = np.finfo(float).max
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("h, s", [
     (np.diag([1.0, 2.0]), float("nan")),
     (np.diag([1.0, 2.0]), float("inf")),
     (np.diag([1e300, 2.0]), 1e10),  # s * lambda overflows
     (np.diag([1.0, 2.0]), np.array([0.5, np.nan])),
     (np.stack([np.diag([1e300, 2.0]), np.eye(2)]), np.array([1.0, 1e10])),
+    (np.diag([1.0, 2.0]), float("-inf")),
+    # H = 0: s * lambda is inf * 0 = nan, or nan * 0
+    (np.zeros((2, 2)), float("inf")),
+    (np.zeros((2, 2)), float("-inf")),
+    (np.zeros((2, 2)), float("nan")),
+    # lambda = 2 and the next float above FLOAT_MAX / 2: 2s is one ulp past FLOAT_MAX
+    (np.diag([2.0, 0.0]), np.nextafter(FLOAT_MAX / 2, np.inf)),
+    (np.diag([2.0, 0.0]), np.array([0.0, -np.nextafter(FLOAT_MAX / 2, np.inf)])),
 ])
 def test_expm_i_rejects_a_non_finite_phase(h, s):
-    with pytest.raises(ValueError, match="expm_i"):
+    """Each s * lambda that is not finite raises, without a numpy warning."""
+    with pytest.raises(ValueError, match="expm_i: s \\* eigenvalue is not finite"):
         linalg.expm_i(h, s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_expm_i_takes_the_largest_finite_phase_and_an_empty_s():
+    """s * lambda = FLOAT_MAX is finite, and an empty s has no phase at all;
+    neither raises nor warns."""
+    h = np.diag([2.0, 0.0])
+    assert linalg.hermitian_eigen(h).eigenvalues.tolist() == [0.0, 2.0]
+    u = linalg.expm_i(h, np.array([FLOAT_MAX / 2, -FLOAT_MAX / 2]))
+    assert np.isfinite(u).all()
+    assert linalg.unitarity_defect(u).max() <= 1e-15
+    assert linalg.expm_i(h, np.array([])).shape == (0, 2, 2)
+    assert linalg.expm_i(np.zeros((2, 2)), FLOAT_MAX).tolist() == np.eye(2).tolist()
 
 
 @pytest.mark.parametrize("h, s", [
@@ -312,6 +338,22 @@ def test_stacked_norms_are_per_slice_norms(dim):
                 assert values[i, j] == one
     for m in stack.reshape(6, dim, dim):
         assert linalg.frobenius_norm(m) == float(np.sqrt(np.sum(np.abs(m) ** 2)))
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_norms_keep_the_bits_of_their_np_sum_and_np_max_forms(dim):
+    """frobenius_norm and hermiticity_defect, on one matrix and on stacks,
+    give the bits of np.sqrt(np.sum(|a|^2)) and of np.max over it."""
+    rng = np.random.default_rng(200 + dim)
+    for lead in ((), (3,), (2, 3), (0,)):
+        a = rng.normal(size=(*lead, dim, dim)) + 1j * rng.normal(size=(*lead, dim, dim))
+        norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
+        got = linalg.frobenius_norm(a)
+        assert type(got) is (float if not lead else np.ndarray)
+        assert np.asarray(got).tobytes() == norms.tobytes()
+        defect = float(np.max(np.sqrt(np.sum(np.abs(a - a.conj().swapaxes(-1, -2)) ** 2,
+                                             axis=(-2, -1))), initial=0.0))
+        assert linalg.hermiticity_defect(a).hex() == defect.hex()
 
 
 def test_random_unitary_is_unitary():
