@@ -5,10 +5,18 @@ lets flags override file values, runs its computation with an explicit
 64-bit seed, writes a CSV report (or a textual netlist for ``decompose``)
 and exits 0 only if every invariant asserted by that command holds.
 
-An argv whose first token names a command is parsed by that command's
-subparser alone, which is what the top-level parser would hand the rest
-to, at about half the cost; any other argv (none, --help, --version, an
-unknown command) goes to the top-level parser.  Only stderr can tell: an
+Parsing takes the first of three routes that applies, and each gives the
+namespace the next would.  An argv whose first token names a command, and
+whose every later token is ``--flag value`` or ``--flag=value`` with the
+flag spelled in full and a value that is not empty and does not start with
+'-', is read in one pass over a table of that command's flags: argparse
+matches an exact option before any prefix, splits at the first '=', and
+stores the last value of each flag as a string.  Any other argv led by a
+command (abbreviations, negative values, -h, unknown flags, positionals,
+a missing value) goes to that command's subparser alone, which is what the
+top-level parser would hand the rest to, at about half the cost; any other
+argv at all (none, --help, --version, an unknown command) goes to the
+top-level parser.  Only stderr can tell the last two apart: an
 unrecognized argument is reported as ``cliffsim <command>: error:`` under
 the command's usage (exit code 2 either way).
 
@@ -316,9 +324,17 @@ def _cmd_swap_test(cfg):
     phi = simulator.random_state(n, rng)
     p0 = simulator.swap_test_exact(psi, phi)  # raises CheckFailure("swap-agreement")
     overlap = abs(simulator.inner(psi, phi))
+    # the ancilla route never calls inner; held to swap-agreement's allowance
+    p_protocol = simulator.swap_test_circuit_probability(psi, phi)
+    _check(abs((1.0 + overlap ** 2) / 2.0 - p_protocol) <= simulator.STATE_TOL, "swap-overlap",
+           f"exact_overlap^2 = {overlap ** 2!r} vs 2 p_protocol - 1 = {2.0 * p_protocol - 1.0!r}")
     rows = []
     for shots, row_seed in zip(cfg["shots"], row_seeds):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
+        inverted = math.sqrt(max(2.0 * tally.zero_count / shots - 1.0, 0.0))
+        _check(estimate == inverted, "swap-estimate",
+               f"shots={shots}: estimate {estimate!r} != sqrt(max(2 zeros/shots - 1, 0)) "
+               f"= {inverted!r}")
         # Chernoff-Hoeffding in KL form (Hoeffding 1963): the frequency q of
         # ancilla zeros has Pr[shots * KL(q || p0) > 32] <= 2e^-32, and in the
         # Gaussian limit the check is |q - p0| <= 8 sigma
@@ -461,8 +477,11 @@ _COMMON_FLAGS = {  # every command's flags besides its config keys, with their h
     "out": "output report path",
     "seed": "64-bit RNG seed",
 }
-_VALUE_FLAGS = frozenset(f"--{key.replace('_', '-')}"
-                         for key in itertools.chain(_COMMON_FLAGS, *_COMMAND_KEYS.values()))
+# each command's flags, spelled in full, and their dests: the subparser's options
+_FLAG_DESTS = {command: {f"--{key.replace('_', '-')}": key
+                         for key in itertools.chain(_COMMON_FLAGS, keys)}
+               for command, keys in _COMMAND_KEYS.items()}
+_VALUE_FLAGS = frozenset(itertools.chain.from_iterable(_FLAG_DESTS.values()))
 
 
 def _is_float(token: str) -> bool:
@@ -509,25 +528,41 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Clifford-algebra quantum network verification tools")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, keys in _COMMAND_KEYS.items():
+    for command, flags in _FLAG_DESTS.items():
         p = sub.add_parser(command)
-        for name, text in _COMMON_FLAGS.items():
-            p.add_argument(f"--{name}", default=None, help=text)
-        for key in keys:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        for flag, dest in flags.items():
+            p.add_argument(flag, dest=dest, default=None, help=_COMMON_FLAGS.get(dest))
     return parser, sub.choices
 
 
+def _table_parse(command: str, rest: list[str]) -> argparse.Namespace | None:
+    """The namespace command's subparser gives rest, when every token of rest
+    is --flag value or --flag=value with the flag spelled in full and a value
+    that is not empty and does not start with '-'; else None."""
+    dests = _FLAG_DESTS[command]
+    values = dict.fromkeys(dests.values())
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        if flag not in dests or value[:1] in ("", "-"):
+            return None
+        values[dests[flag]] = value
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv's namespace, from argv[0]'s subparser when argv[0] names a command,
-    else from the top-level parser (see the module docstring); SystemExit as
-    argparse raises it."""
-    parser, commands = _build_parser()
-    if argv and argv[0] in commands:
-        args = commands[argv[0]].parse_args(_join_float_values(argv[1:]))
-        args.command = argv[0]
+    """argv's namespace, from the flag table, else argv[0]'s subparser when
+    argv[0] names a command, else from the top-level parser (see the module
+    docstring); SystemExit as argparse raises it."""
+    if argv and argv[0] in _FLAG_DESTS:
+        args = _table_parse(argv[0], argv[1:])
+        if args is None:
+            args = _build_parser()[1][argv[0]].parse_args(_join_float_values(argv[1:]))
+            args.command = argv[0]
         return args
-    return parser.parse_args(_join_float_values(argv))
+    return _build_parser()[0].parse_args(_join_float_values(argv))
 
 
 def _write_report(path: Path, header, payload, meta: list[str]) -> None:

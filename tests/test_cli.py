@@ -4,11 +4,14 @@ import itertools
 import math
 import os
 import tracemalloc
+import types
 from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsim import circuits, cli, clifford, cqp, gqft, linalg, simulator, trotter
 
@@ -268,12 +271,18 @@ def test_command_argv_parses_as_the_top_level_parser_does(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv, by_top_level", [
     ([], True), (["--help"], True), (["--version"], True), (["no-such-command"], True),
     (["--n", "2", "verify-gqft"], True), (["verify"], True),
-    (["verify-gqft", "--version"], False), (["omega-count", "--n", "5"], False),
+    (["verify-gqft", "--version"], False),
+    (["omega-count", "--n", "5"], None), (["omega-count", "--n=2"], None),
+    (["train-cqp", "--bet", "-1e-3"], False),
+    (["train-cqp", "--beta", "-1e-3"], False),  # a negative value is argparse's to judge
 ])
-def test_only_an_argv_led_by_a_command_skips_the_top_level_parser(argv, by_top_level,
+def test_only_an_argv_led_by_a_command_skips_the_top_level_parser(argv, by_top_level, tmp_path,
                                                                    monkeypatch, capsys):
-    """One parse_args call per main call: the top-level parser's on the whole
-    argv, or the command's subparser's on the rest of it."""
+    """At most one parse_args call per main call: the top-level parser's on
+    the whole argv (by_top_level True), the command's subparser's on the rest
+    of it (False), or none (None) when the flag table reads every flag of a
+    command's argv."""
+    monkeypatch.chdir(tmp_path)  # a report under its default name lands here
     calls = []
     top, real = cli._build_parser()[0], argparse.ArgumentParser.parse_args
 
@@ -282,8 +291,63 @@ def test_only_an_argv_led_by_a_command_skips_the_top_level_parser(argv, by_top_l
         return real(self, args, namespace)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
     cli.main(argv)
-    assert calls == [(by_top_level, argv if by_top_level else argv[1:])]
+    if by_top_level is None:
+        assert calls == []
+    else:
+        rest = argv if by_top_level else argv[1:]
+        assert calls == [(by_top_level, cli._join_float_values(rest))]
     capsys.readouterr()
+
+
+def _parse_outcome(parse, argv):
+    """vars() of parse(argv), or the code of the SystemExit it raises."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+def _flag_forms(flag):
+    """flag in full, each shorter prefix of it (an abbreviation; "--theta" of
+    decompose is ambiguous), and each joined to a value as --flag=value."""
+    prefixes = [flag[:i] for i in range(3, len(flag) + 1)]
+    return [*prefixes, *(f"{p}={v}" for p in prefixes for v in ("", "x", "-1e-3", "--"))]
+
+
+_TOKENS = ["", "x", "1", "0.5,1", "-1e-3", "-", "--", "-h", "--help", "--version",
+           "omega-count", "--no-such-flag"]
+
+
+def _with_extra(command, pieces, extra):
+    argv = [command, *itertools.chain.from_iterable(pieces)]
+    if extra is not None:
+        at, token = extra
+        argv.insert(1 + at % len(argv), token)
+    return argv
+
+
+def _command_argvs(command):
+    """command's argv: flags spelled in full with plain values, as the flag
+    table reads them, then maybe one more token anywhere after the command."""
+    flags = cli._FLAG_DESTS[command]
+    exact, plain = st.sampled_from(list(flags)), st.sampled_from(["x", "1", "0.5,1", "a=b"])
+    pieces = st.lists(st.one_of(st.tuples(exact, plain),
+                                st.builds("{}={}".format, exact, plain).map(lambda t: (t,))),
+                      max_size=4)
+    forms = [form for flag in flags for form in _flag_forms(flag)]
+    token = st.one_of(exact, st.sampled_from(forms), st.sampled_from(_TOKENS))
+    return st.builds(_with_extra, st.just(command), pieces,
+                     st.none() | st.tuples(st.integers(0, 8), token))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=st.one_of(*map(_command_argvs, sorted(cli._FLAG_DESTS))))
+def test_flag_table_parses_as_argparse_does(argv):
+    """cli._parse, whose flag table reads argv with every flag spelled in full
+    and a plain value, and the top-level parser give equal namespaces or
+    exit with the same code; abbreviations, negative values, help, version,
+    positionals and unknown flags go through argparse either way."""
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(_top_level_parse, argv), argv
 
 
 @pytest.mark.parametrize("command, flag, value, rest", [
@@ -432,6 +496,37 @@ def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
     out = tmp_path / "r.csv"
     assert _run(command, out) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL {check} (")
+    assert not out.exists()
+
+
+def _estimate_squared(monkeypatch):
+    """swap-test's estimate column as est^2: the tallies stay true."""
+    real = simulator.swap_test_sampled
+
+    def sampled(*args):
+        tally, estimate = real(*args)
+        return tally, estimate ** 2
+    monkeypatch.setattr(simulator, "swap_test_sampled", sampled)
+
+
+def _overlap_squared(monkeypatch):
+    """swap-test's exact_overlap column squared: the CLI reads |<psi|phi>|^2
+    for |<psi|phi>|, while the simulator's own routes keep the true inner."""
+    view = types.SimpleNamespace(**vars(simulator))
+    view.inner = lambda a, b: simulator.inner(a, b) * abs(simulator.inner(a, b))
+    monkeypatch.setattr(cli, "simulator", view)
+
+
+@pytest.mark.parametrize("argv", [[], ["--n", "4"]])
+@pytest.mark.parametrize("check, mutate", [("swap-estimate", _estimate_squared),
+                                           ("swap-overlap", _overlap_squared)])
+def test_swap_report_columns_are_checked(tmp_path, capsys, monkeypatch, argv, check, mutate):
+    """Each of swap-test's estimate and exact_overlap columns is read by a
+    check: a wrong column fails it at the default argv and at n = 4."""
+    mutate(monkeypatch)
+    out = tmp_path / "r.csv"
+    assert cli.main(["swap-test", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {check} (")
     assert not out.exists()
 

@@ -85,4 +85,7 @@ def test_flag_surface_exits_0_1_or_3(tmp_path, data):
         value = data.draw(values, label=key)
         if value is not None:
             argv.append(f"--{key.replace('_', '-')}={value}")
+    # every --key=value form reaches both the flag table and argparse
+    assert vars(cli._parse(argv)) == vars(
+        cli._build_parser()[0].parse_args(cli._join_float_values(argv))), argv
     assert cli.main(argv) in (0, 1, 3), argv
