@@ -41,11 +41,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, circuits, clifford, cqp, gqft, linalg, simulator, trotter
-from .linalg import CheckFailure
 
 
 class ConfigError(Exception):
     pass
+
+
+class CheckFailure(Exception):
+    """A check failed: main prints ``FAIL <name> (<detail>)`` and exits 1."""
+
+    def __init__(self, name: str, detail: str):
+        super().__init__(f"{name}: {detail}")
+        self.name = name
+        self.detail = detail
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +330,12 @@ def _cmd_swap_test(cfg):
     rng = np.random.default_rng(cfg["seed"])
     psi = simulator.random_state(n, rng)
     phi = simulator.random_state(n, rng)
-    p0 = simulator.swap_test_exact(psi, phi)  # raises CheckFailure("swap-agreement")
     overlap = abs(simulator.inner(psi, phi))
-    # the ancilla route never calls inner; held to swap-agreement's allowance
+    p0 = (1.0 + overlap ** 2) / 2.0
+    # the ancilla route never calls inner, so this also reads exact_overlap
     p_protocol = simulator.swap_test_circuit_probability(psi, phi)
-    _check(abs((1.0 + overlap ** 2) / 2.0 - p_protocol) <= simulator.STATE_TOL, "swap-overlap",
-           f"exact_overlap^2 = {overlap ** 2!r} vs 2 p_protocol - 1 = {2.0 * p_protocol - 1.0!r}")
+    _check(abs(p0 - p_protocol) <= simulator.STATE_TOL, "swap-agreement",  # NaN fails
+           f"formula {p0!r} vs protocol {p_protocol!r}")
     rows = []
     for shots, row_seed in zip(cfg["shots"], row_seeds):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)

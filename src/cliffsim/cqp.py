@@ -10,17 +10,17 @@ guard (finite coefficients with a finite norm; activation output in
 
 Forward pass: phi = arccos(tanh(Re<x|w>)), then y = exp(i phi B_mu)|0..0>
 for the output generator B_mu.  |Re<x|w>| <= 1 puts phi in
-[arccos(tanh 1), pi - arccos(tanh 1)]; forward still clips rounding slack
-past +-1.  Against the target angle beta the fidelity is |<r|y>| with
-r = exp(-i beta B_mu)|0..0>, which is |cos(phi + beta)|; max_fidelity
-gives its largest reachable value.  equivalence_defects measures the joint
-unitary invariance of (phi, y).
+[arccos(tanh 1), pi - arccos(tanh 1)], and |tanh u| <= 1 for every double,
+so no activation output is clipped.  Against the target angle beta the
+fidelity is |<r|y>| with r = exp(-i beta B_mu)|0..0>, which is
+|cos(phi + beta)|; max_fidelity gives its largest reachable value.
+equivalence_defects measures the joint unitary invariance of (phi, y).
 
 train is gradient ascent with central finite differences.  Once per run it
 takes gamma_0 = <r|0..0>, gamma_1 = <r|iB_mu|0..0>, alpha = Re<x|0..0> and
 b_j = Re<x|iB_j|0..0>.  A row c has the overlap
-v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) clipped to
-[-1, 1], the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
+v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) in [-1, 1],
+the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
 The 2m neighbours theta +- h e_j come from |theta|^2 and theta.b, so an
 iteration makes no numpy call; its central differences, their finiteness
 guard and the step are one loop over the components.  Each fidelity is
@@ -43,7 +43,6 @@ from . import linalg
 from .clifford import REGISTER_SIZES, Blade, _check_register_size, _read_only, blade_products
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
-_ACT_LIMIT = 1.0 + 1e-12  # activation outputs may pass +-1 by this rounding slack
 FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)
 
 
@@ -161,9 +160,12 @@ def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarr
         raise ValueError(f"x and w must be states of one length d, "
                          f"got shapes {x.shape} and {w.shape}")
     v = activation.apply(np.sum(w * np.conj(x), axis=-1).real)
-    if not np.abs(v).max(initial=0.0) <= _ACT_LIMIT:
-        raise _activation_error(np.asarray(v)[~(np.abs(v) <= _ACT_LIMIT)][0])
-    phi = np.arccos(np.minimum(np.maximum(v, -1.0), 1.0))  # clips the slack
+    # |Re<x|w>| <= 1 for unit states, and |tanh u| <= 1 for every double u, in
+    # math.tanh and in numpy's loops alike, so no output needs a clip; the
+    # guard stops a NaN
+    if not np.abs(v).max(initial=0.0) <= 1.0:
+        raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0)][0])
+    phi = np.arccos(v)
     return phi, _rotate_ground(1j * output_blade.dense()[:, 0], phi)
 
 
@@ -253,10 +255,8 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
         fids = []
         for v in vs:  # cos(phi) = a and sin(phi) = sqrt((1 - a)(1 + a)) at phi = arccos(a)
             a = act(v)
-            if not -1.0 <= a <= 1.0:
-                if not -_ACT_LIMIT <= a <= _ACT_LIMIT:  # NaN fails too
-                    raise _activation_error(a)
-                a = math.copysign(1.0, a)  # clips the slack
+            if not -1.0 <= a <= 1.0:  # |tanh u| <= 1 (see forward); NaN fails
+                raise _activation_error(a)
             f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
             fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for train's check
         return fids

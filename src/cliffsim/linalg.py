@@ -51,18 +51,6 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 
 
-class CheckFailure(Exception):
-    """A cross-check between two independent routes failed.
-
-    ``name`` is the check's name as the CLI reports it (``FAIL <name>``).
-    """
-
-    def __init__(self, name: str, detail: str):
-        super().__init__(f"{name}: {detail}")
-        self.name = name
-        self.detail = detail
-
-
 def as_matrix(a, where: str) -> np.ndarray:
     """Coerce to one finite complex square matrix, shape (d, d)."""
     m = _square_stack(a, where)

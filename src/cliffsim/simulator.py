@@ -9,9 +9,8 @@ The overlap test runs both as the closed-form probability
 Pr(0) = (1 + |<psi|phi>|^2) / 2 and as the full (2n+1)-qubit ancilla
 protocol (Hadamard, controlled register swap, Hadamard, projection),
 simulated directly on the statevector, never through dense exponentials.
-swap_test_exact requires the two routes to agree and raises
-linalg.CheckFailure when they do not; swap_test_sampled draws from the
-closed form alone, so a caller compares the routes once per state pair.
+Neither route checks the other: swap_test_sampled draws from the closed
+form, and the caller compares the two once per state pair.
 """
 from __future__ import annotations
 
@@ -97,10 +96,6 @@ def _state_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _swap_formula(p: np.ndarray, q: np.ndarray) -> float:
-    return (1.0 + abs(inner(p, q)) ** 2) / 2.0
-
-
 def swap_test_circuit_probability(psi, phi) -> float:
     """Pr(ancilla = 0) from the full (2n+1)-qubit protocol, statevector path."""
     p, q = _state_pair(psi, phi)
@@ -121,33 +116,23 @@ def swap_test_circuit_probability(psi, phi) -> float:
 
 
 def swap_test_exact(psi, phi) -> float:
-    """Pr(0) = (1 + |<psi|phi>|^2) / 2, cross-checked against the protocol.
-
-    Raises ``linalg.CheckFailure("swap-agreement", ...)`` when the two
-    routes differ by more than STATE_TOL.
-    """
-    p, q = _state_pair(psi, phi)
-    formula = _swap_formula(p, q)
-    protocol = swap_test_circuit_probability(p, q)
-    if abs(formula - protocol) > STATE_TOL:
-        raise linalg.CheckFailure("swap-agreement",
-                                  f"formula {formula!r} vs protocol {protocol!r}")
-    return formula
+    """Pr(0) = (1 + |<psi|phi>|^2) / 2, the closed form."""
+    return (1.0 + abs(inner(*_state_pair(psi, phi))) ** 2) / 2.0
 
 
 def swap_test_sampled(psi, phi, shots: int, seed: int) -> tuple[ShotTally, float]:
     """Sample ancilla outcomes and invert Pr(0) = (1 + ov^2)/2 for |ov|.
 
-    Outcomes are drawn from the closed-form Pr(0); swap_test_exact is the
-    one place that compares it with the protocol.  The estimate is
-    sqrt(max(0, 2*zero_count/shots - 1)); a negative radicand (possible
-    only through sampling noise) clamps to zero and is flagged on the tally.
+    Outcomes are drawn from the closed-form Pr(0) of swap_test_exact.  The
+    estimate is sqrt(max(0, 2*zero_count/shots - 1)); a negative radicand
+    (possible only through sampling noise) clamps to zero and is flagged on
+    the tally.
     A shot count that is not an integer raises TypeError.
     """
     shots = operator.index(shots)
     if shots < 1:
         raise ValueError(f"need shots >= 1, got {shots}")
-    p0 = _swap_formula(*_state_pair(psi, phi))
+    p0 = swap_test_exact(psi, phi)
     rng = np.random.default_rng(seed)
     zeros = int(rng.binomial(shots, p0))
     radicand = 2.0 * zeros / shots - 1.0

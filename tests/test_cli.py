@@ -520,7 +520,7 @@ def _overlap_squared(monkeypatch):
 
 @pytest.mark.parametrize("argv", [[], ["--n", "4"]])
 @pytest.mark.parametrize("check, mutate", [("swap-estimate", _estimate_squared),
-                                           ("swap-overlap", _overlap_squared)])
+                                           ("swap-agreement", _overlap_squared)])
 def test_swap_report_columns_are_checked(tmp_path, capsys, monkeypatch, argv, check, mutate):
     """Each of swap-test's estimate and exact_overlap columns is read by a
     check: a wrong column fails it at the default argv and at n = 4."""
@@ -529,6 +529,19 @@ def test_swap_report_columns_are_checked(tmp_path, capsys, monkeypatch, argv, ch
     assert cli.main(["swap-test", *argv, "--out", str(out)]) == 1
     assert capsys.readouterr().out.startswith(f"FAIL {check} (")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["--n", "4"]])
+def test_swap_test_runs_the_ancilla_route_once(tmp_path, monkeypatch, argv):
+    calls = []
+    real = simulator.swap_test_circuit_probability
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(simulator, "swap_test_circuit_probability", counted)
+    assert cli.main(["swap-test", *argv, "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_omega_closed_form_fails_when_both_routes_agree_on_a_wrong_count(

@@ -858,6 +858,34 @@ def test_type_equivalence_rejects_non_unitary():
         cqp.type_equivalence_check(config, 2.0 * np.eye(2))
 
 
+def _tanh_forms(u: np.ndarray):
+    """tanh of every entry of u by math.tanh, by numpy on scalars, on the whole
+    contiguous array, on every tail length up to 17 and on a strided view,
+    so each of numpy's loops and their remainder paths runs."""
+    yield np.array([math.tanh(x) for x in u.tolist()])
+    yield np.array([np.tanh(x) for x in u])
+    yield np.tanh(u)
+    for k in range(1, 18):
+        yield np.tanh(u[:k])
+    yield np.tanh(u[::3])
+
+
 def test_activation_ranges():
-    assert Activation.TANH.apply(50.0) <= 1.0
+    """|tanh u| <= 1 for every double, which forward and the scorer rely on
+    in place of a clip, and |tanh u| < 0.77 while |u| <= 1 + 8 ulps, the
+    overlap range of unit states with rounding slack."""
     assert list(Activation) == [Activation.TANH]
+    ulps = np.arange(1, 65)
+    above_one = 1.0 + ulps * 2.0 ** -52  # 1 + k ulps, exactly
+    band = np.linspace(18.0, 23.0, 50_001)  # where tanh rounds up to 1
+    anywhere = np.concatenate([[1.0], above_one, band, [1e308, np.finfo(float).max, math.inf]])
+    for u in (anywhere, -anywhere):
+        for got in _tanh_forms(u):
+            assert np.abs(got).max() <= 1.0
+    inner = np.concatenate([[0.0, 1.0], above_one[:8], 1.0 - ulps * 2.0 ** -53,
+                            np.random.default_rng(170).uniform(-1.0, 1.0, 10_000)])
+    for u in (inner, -inner):
+        for got in _tanh_forms(u):
+            assert np.abs(got).max() < 0.77
+    assert Activation.TANH.apply(50.0) <= 1.0
+    assert Activation.TANH.float_form(-math.inf) == -1.0
