@@ -214,6 +214,7 @@ def _cmd_verify_basis(cfg):
     _check(gen <= 1e-12, "generator-relations", f"max defect {gen:.3e}")
     _check(rank == 4 ** n, "basis-independence", f"gram rank {rank} != {4 ** n}")
     _check(orthogonality_failure is None, "basis-orthogonality", orthogonality_failure)
+    _check(count == 4 ** n, "basis-count", f"blade count {count} != {4 ** n}")
     header = ["n", "blade_count", "max_hermiticity_defect",
               "max_generator_relation_defect", "gram_rank"]
     rows = [[n, count, herm, gen, rank]]
@@ -386,27 +387,27 @@ def _cmd_train_cqp(cfg):
     theta0 = rng.uniform(0.0, 0.5, 2 * n)
     sample = cqp.TrainingSample(x_coeffs, cfg["beta"])
     try:
-        records = cqp.train(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
-    except ValueError as exc:  # every ValueError of train is a guard on its inputs
+        thetas, fids = cqp.ascent(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
+    except ValueError as exc:  # every ValueError of ascent is a guard on its inputs
         raise ConfigError(str(exc)) from None
-    # one pass checks each record and builds its row; a detail is built only
-    # for the first record that fails
-    ceiling, rows, prev = best + cqp.MAX_FIDELITY_SLACK, [], records[0].fidelity
-    for k, theta, f in records:
+    # one pass checks each fidelity and builds its row from ascent's lists of
+    # floats; a detail is built only for the first iteration that fails
+    ceiling, rows, prev = best + cqp.MAX_FIDELITY_SLACK, [], fids[0]
+    for k, theta, f in zip(itertools.count(), thetas, fids):
         if not f <= ceiling:
             raise CheckFailure("train-fidelity-bound", f"iteration {k}: fidelity {f!r} "
                                f"exceeds F*(beta) = {best!r}")
         if not f >= prev - 1e-12:
             raise CheckFailure("train-monotone", f"iteration {k}: fidelity fell "
                                f"{prev!r} -> {f!r}")
-        rows.append([k, f, *theta.tolist()])
+        rows.append([k, f, *theta])
         prev = f
     final = prev
     _check(final >= cfg["require_fidelity"], "train-converged",
            f"final fidelity {final:.6f} < {cfg['require_fidelity']}")
     header = ["iteration", "fidelity"] + [f"theta_{j}" for j in range(2 * n)]
     return header, rows, [f"train-cqp: n={n}, {cfg['iterations']} iterations, "
-                          f"fidelity {records[0].fidelity:.6f} -> {final:.6f}, "
+                          f"fidelity {fids[0]:.6f} -> {final:.6f}, "
                           f"F* {best:.6f}, F* - final {best - final:.3e}"]
 
 

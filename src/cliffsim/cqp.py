@@ -16,7 +16,7 @@ fidelity is |<r|y>| with r = exp(-i beta B_mu)|0..0>, which is
 |cos(phi + beta)|; max_fidelity gives its largest reachable value.
 equivalence_defects measures the joint unitary invariance of (phi, y).
 
-train is gradient ascent with central finite differences.  Once per run it
+ascent is gradient ascent with central finite differences.  Once per run it
 takes gamma_0 = <r|0..0>, gamma_1 = <r|iB_mu|0..0>, alpha = Re<x|0..0> and
 b_j = Re<x|iB_j|0..0>.  A row c has the overlap
 v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) in [-1, 1],
@@ -24,8 +24,9 @@ the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
 The 2m neighbours theta +- h e_j come from |theta|^2 and theta.b, so an
 iteration makes no numpy call; its central differences, their finiteness
 guard and the step are one loop over the components.  Each fidelity is
-checked once, when train scores it, and the records are built once, when
-the run ends.
+checked once, when ascent scores it.  ascent returns the weights and
+fidelities as lists of Python floats, which the CLI writes as they are;
+train is their records, built once, when the run ends.
 """
 from __future__ import annotations
 
@@ -207,7 +208,7 @@ class TrainingSample:
 
 class TrainRecord(NamedTuple):
     """One iteration of train: its theta (float64, shape (2n,)) and fidelity,
-    which train checked when it scored it."""
+    which ascent checked when it scored it."""
     iteration: int
     theta: np.ndarray
     fidelity: float
@@ -242,7 +243,7 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
         vs = [alpha * cos(norm) + sin(norm) * (dot / norm) if norm else alpha]
         # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
         # (theta +- h e_j).b = dot +- h b_j.  s is finite below |theta| =
-        # 2^511 (train keeps |theta_j| below 2^47); past it the h terms are
+        # 2^511 (ascent keeps |theta_j| below 2^47); past it the h terms are
         # below half an ulp of s, so each neighbour's norm rounds to |theta|
         s = norm * norm + h * h
         finite = s < math.inf
@@ -258,15 +259,17 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
             if not -1.0 <= a <= 1.0:  # |tanh u| <= 1 (see forward); NaN fails
                 raise _activation_error(a)
             f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
-            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for train's check
+            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for ascent's check
         return fids
 
     return score
 
 
-def train(config: PerceptronConfig, sample: TrainingSample, theta0,
-          iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
-    """Gradient ascent on the fidelity; one record per iteration, initial included.
+def ascent(config: PerceptronConfig, sample: TrainingSample, theta0,
+           iterations: int, fd_step: float = 1e-5) -> tuple[list[list[float]], list[float]]:
+    """Gradient ascent on the fidelity: (thetas, fidelities), the
+    iterations + 1 weight vectors, initial included, each a list of 2n
+    Python floats, and the fidelity of each, a Python float.
 
     theta is a list of floats.  Each iteration scores theta and its 2m
     neighbours theta +- fd_step*e_j in one call of the run's fidelity scorer:
@@ -279,8 +282,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     carry past the resolution of fd_step.  An iteration's central
     differences, their finiteness guard and its step are one loop over the
     components.  Each fidelity, the final theta's included, is checked once,
-    when scored; the records are built in one pass when the run ends, their
-    thetas the rows of one array.
+    when scored.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -298,7 +300,7 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
                              f"max(|theta_j|, 1) at component {j} of theta0 ({t!r}), "
                              f"iteration 0")
     score = _fidelity_scorer(config, sample)
-    thetas, fids = [], []  # the records' fields; each fidelity checked when scored
+    thetas, fids = [], []  # each fidelity checked when scored
     two_h, eta, isfinite = 2.0 * fd_step, config.eta, math.isfinite
     for k in range(iterations):
         if k:  # after a step, one test at the largest |theta_j|, whose float
@@ -325,6 +327,15 @@ def train(config: PerceptronConfig, sample: TrainingSample, theta0,
     _check_fidelity(f)
     thetas.append(theta)
     fids.append(f)
+    return thetas, fids
+
+
+def train(config: PerceptronConfig, sample: TrainingSample, theta0,
+          iterations: int, fd_step: float = 1e-5) -> list[TrainRecord]:
+    """The records of ascent, one per iteration, initial included: record k
+    holds iteration k, its theta as a float64 array of shape (2n,) and its
+    fidelity, with the bits of ascent's lists."""
+    thetas, fids = ascent(config, sample, theta0, iterations, fd_step)
     return list(map(TrainRecord._make, zip(itertools.count(), np.array(thetas), fids)))
 
 

@@ -444,8 +444,17 @@ def _scaled_blade(real):
     return stack
 
 
-def _reversed(real):
-    return lambda *args: real(*args)[::-1]
+def _miscounted(real):
+    """basis_report with one blade too many in its count."""
+    def report(n):
+        rep = real(n)
+        return rep._replace(blade_count=rep.blade_count + 1)
+    return report
+
+
+def _reversed_lists(real):
+    """ascent with its thetas and fidelities each in reverse order."""
+    return lambda *args: tuple(values[::-1] for values in real(*args))
 
 
 def _perturbed_under_u(real):
@@ -476,6 +485,7 @@ LIBRARY_BREAKS = {
     "generator-relations": ("verify-basis", clifford, "_GENERATORS", _shrunk_generators),
     "basis-independence": ("verify-basis", clifford, "_basis_stack", _repeated_blade),
     "basis-orthogonality": ("verify-basis", clifford, "_basis_stack", _scaled_blade),
+    "basis-count": ("verify-basis", clifford, "basis_report", _miscounted),
     "omega-agreement": ("omega-count", clifford, "omega_count_dense", _shifted),
     # the factored kernel unitarity_grid runs on its once-checked grid
     "gqft-factorization": ("verify-gqft", gqft, "_factored_grid", _shifted),
@@ -484,7 +494,7 @@ LIBRARY_BREAKS = {
     "swap-concentration": ("swap-test", simulator, "swap_test_sampled", _biased_9_sigma),
     "equivalence-defect": ("equivalence", cqp, "forward", _perturbed_under_u),
     "trotter-bound": ("trotter-sweep", trotter, "bounds", _shrunk_each),
-    "train-monotone": ("train-cqp", cqp, "train", _reversed),
+    "train-monotone": ("train-cqp", cqp, "ascent", _reversed_lists),
     "decompose-reconstruction": ("decompose", circuits, "gates_product", _shifted),
     "decompose-compilation": ("decompose", circuits.GateCircuit, "dense", _shifted),
 }
@@ -561,23 +571,44 @@ def test_train_monotone_names_the_first_fall_only(tmp_path, capsys, monkeypatch)
     """The whole FAIL line of the train-monotone case above: the first pair
     whose fidelity falls, with both fidelities as reprs, and nothing else."""
     seen = []
-    real = cqp.train
+    reversed_ascent = _reversed_lists(cqp.ascent)
 
-    def reversed_train(*args):
-        seen[:] = real(*args)[::-1]
-        return seen
+    def recording_ascent(*args):
+        thetas, seen[:] = reversed_ascent(*args)
+        return thetas, seen
 
-    monkeypatch.setattr(cqp, "train", reversed_train)
+    monkeypatch.setattr(cqp, "ascent", recording_ascent)
     out = tmp_path / "r.csv"
     assert _run("train-cqp", out) == 1
-    falls = [(prev, cur) for prev, cur in itertools.pairwise(seen)
-             if cur.fidelity < prev.fidelity - 1e-12]
+    falls = [(k, prev, cur) for k, (prev, cur) in enumerate(itertools.pairwise(seen), 1)
+             if cur < prev - 1e-12]
     assert len(falls) > 1
-    prev, cur = falls[0]
+    k, prev, cur = falls[0]
     assert capsys.readouterr().out == (
-        f"FAIL train-monotone (iteration {cur.iteration}: fidelity fell "
-        f"{prev.fidelity!r} -> {cur.fidelity!r})\n")
+        f"FAIL train-monotone (iteration {k}: fidelity fell {prev!r} -> {cur!r})\n")
     assert not out.exists()
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("train-cqp called cqp.train or built a TrainRecord")
+
+
+@pytest.mark.parametrize("argv", [[], ["--n", "2", "--iterations", "60",
+                                       "--require-fidelity", "0.5", "--seed", "3"]])
+def test_train_cqp_writes_ascents_lists_without_records(tmp_path, monkeypatch, capsys, argv):
+    """train-cqp reports from cqp.ascent's lists: with cqp.train and
+    TrainRecord._make broken it still passes, and writes the same bytes and
+    stdout as an unbroken run, at the default argv and at the bench's n = 2
+    shape."""
+    out = tmp_path / "r.csv"
+    assert cli.main(["train-cqp", *argv, "--out", str(out)]) == 0
+    want, want_stdout = out.read_bytes(), capsys.readouterr().out
+    out.unlink()
+    monkeypatch.setattr(cqp, "train", _raises)
+    monkeypatch.setattr(cqp.TrainRecord, "_make", _raises)
+    assert cli.main(["train-cqp", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out == want_stdout
 
 
 _CELLS = [
@@ -951,17 +982,16 @@ def test_train_fidelity_bound_names_the_first_row_past_f_star(tmp_path, capsys, 
     out.unlink()
 
     seen = []
-    real_train = cqp.train
+    real_ascent = cqp.ascent
 
-    def recording_train(*args):
-        seen[:] = real_train(*args)
-        return seen
+    def recording_ascent(*args):
+        thetas, seen[:] = real_ascent(*args)
+        return thetas, seen
 
     monkeypatch.setattr(cqp, "_fidelity_scorer", _scorer_past_f_star(cqp._fidelity_scorer))
-    monkeypatch.setattr(cqp, "train", recording_train)
+    monkeypatch.setattr(cqp, "ascent", recording_ascent)
     assert cli.main([*argv, "--out", str(out)]) == 1
-    k, fid = next((rec.iteration, rec.fidelity) for rec in seen
-                  if rec.fidelity > best + cqp.MAX_FIDELITY_SLACK)
+    k, fid = next((k, f) for k, f in enumerate(seen) if f > best + cqp.MAX_FIDELITY_SLACK)
     assert capsys.readouterr().out == (
         f"FAIL train-fidelity-bound (iteration {k}: fidelity {fid!r} "
         f"exceeds F*(beta) = {best!r})\n")

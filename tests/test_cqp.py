@@ -575,6 +575,31 @@ def test_train_checks_each_fidelity_once(monkeypatch):
         assert len(checked) == iterations + 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_train_records_are_ascents_lists_bit_for_bit(n):
+    """At every output index, at 0, 1 and 5 iterations and a few random eta,
+    fd_step and beta, record k of train holds k, ascent's theta k as a
+    float64 array with the list's bits and ascent's fidelity k; ascent's
+    values are lists of Python floats."""
+    rng = np.random.default_rng(300 + n)
+    for k in range(2 * n):
+        for iterations in (0, 1, 5):
+            eta, step = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-7.0, -3.0)
+            config = PerceptronConfig.type_ii(n, k, eta=eta)
+            sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), rng.uniform(-3.0, 3.0))
+            theta0 = rng.uniform(0.0, 0.5, 2 * n)
+            thetas, fids = cqp.ascent(config, sample, theta0, iterations, step)
+            records = cqp.train(config, sample, theta0, iterations, step)
+            assert len(thetas) == len(fids) == len(records) == iterations + 1
+            for i, (rec, theta, fid) in enumerate(zip(records, thetas, fids)):
+                assert type(theta) is list and len(theta) == 2 * n
+                assert all(type(t) is float for t in theta) and type(fid) is float
+                assert type(rec) is cqp.TrainRecord and rec.iteration == i
+                assert rec.theta.dtype == np.float64 and rec.theta.shape == (2 * n,)
+                assert rec.theta.tobytes() == np.array(theta).tobytes(), (n, k, iterations, i)
+                assert rec.fidelity.hex() == fid.hex(), (n, k, iterations, i)
+
+
 def test_train_scores_each_iteration_in_one_batched_call(monkeypatch):
     config, sample, theta0 = _toy_task(2)
     shapes = []

@@ -21,8 +21,7 @@ _THETA_J = "theta_{j}"  # one column per weight, j = 0..2n-1
 REPORT_COLUMNS = {
     "verify-basis": {
         "n": _ECHO,
-        "blade_count": "unasserted: the basis stack's length; basis-independence holds "
-                       "gram_rank, the same length when basis-orthogonality holds, to 4^n",
+        "blade_count": ("basis-count",),
         "max_hermiticity_defect": ("basis-hermiticity",),
         "max_generator_relation_defect": ("generator-relations",),
         "gram_rank": ("basis-independence",),
