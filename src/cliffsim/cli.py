@@ -388,7 +388,8 @@ def _cmd_train_cqp(cfg):
     sample = cqp.TrainingSample(x_coeffs, cfg["beta"])
     try:
         thetas, fids = cqp.ascent(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
-    except ValueError as exc:  # every ValueError of ascent is a guard on its inputs
+    except ValueError as exc:  # a guard on ascent's inputs, or a check of a value it
+        # computed (fidelity, activation output, gradient): each exits 3 here
         raise ConfigError(str(exc)) from None
     # one pass checks each fidelity and builds its row from ascent's lists of
     # floats; a detail is built only for the first iteration that fails

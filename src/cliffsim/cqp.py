@@ -1,12 +1,13 @@
 """The Type II Clifford quantum perceptron: the 2n generators of n qubits and
 a tanh activation.
 
-A config is n and an output index.  Inputs are |x> = exp(i * sum_j c_j B_j)
-|0..0> over the 2n generators B_j; any two anticommute, so
-|x> = cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, with iB|0..0> cached
-read-only per n.  encode and forward work on stacks of rows, and every
-guard (finite coefficients with a finite norm; activation output in
-[-1, 1], never NaN) applies to each row, with the bits of its one-row call.
+A config is n and an output index, and each perceptron function takes one.
+Inputs are |x> = exp(i * sum_j c_j B_j)|0..0> over the 2n generators B_j;
+any two anticommute, so |x> = cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, with
+iB|0..0> cached read-only per n, the one source of every iB_j|0..0> here.
+encode and forward work on stacks of rows, and every guard (finite
+coefficients with a finite norm; activation output in [-1, 1], never NaN)
+applies to each row, with the bits of its one-row call.
 
 Forward pass: phi = arccos(tanh(Re<x|w>)), then y = exp(i phi B_mu)|0..0>
 for the output generator B_mu.  |Re<x|w>| <= 1 puts phi in
@@ -84,24 +85,16 @@ class PerceptronConfig:
         return cls(n, output_index, **kw)
 
     @property
-    def active_blades(self) -> tuple[Blade, ...]:
-        return _generators(self.n)[0]
-
-    @property
-    def output_blade(self) -> Blade:
-        return _generators(self.n)[0][self.output_index]
-
-    @property
     def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every generator, (2n, d)
-        return _generators(self.n)[1]
+        return _generators(self.n)
 
 
 @functools.cache
-def _generators(n: int) -> tuple[tuple[Blade, ...], np.ndarray]:
-    """The 2n generators on n qubits as blades, in order, and i times column 0
-    of each, read-only (2n, d); shared by every config on n qubits."""
-    blades = tuple(Blade(n, (a,)) for a in range(2 * n))
-    return blades, _read_only(1j * blade_products(n, blades)[:, :, 0])
+def _generators(n: int) -> np.ndarray:
+    """i times column 0 of each of the 2n generators on n qubits, in order,
+    read-only (2n, d); shared by every config on n qubits."""
+    blades = [Blade(n, (a,)) for a in range(2 * n)]
+    return _read_only(1j * blade_products(n, blades)[:, :, 0])
 
 
 # Built at import for n = 1..3, as clifford builds those basis stacks, so no
@@ -150,33 +143,35 @@ def _one_state(x) -> np.ndarray:
     return x
 
 
-def forward(x, w, activation: Activation, output_blade: Blade) -> tuple[np.ndarray, np.ndarray]:
-    """Perceptron forward pass of input states x (..., d) against weight
+def forward(config: PerceptronConfig, x, w) -> tuple[np.ndarray, np.ndarray]:
+    """The config's forward pass of input states x (..., d) against weight
     states w (..., d), paired row by row with broadcasting, so one x may meet
-    a stack of w: returns (phi, output states (..., d)) over the broadcast
-    rows, with phi = arccos(activation(Re<x|w>)); every row's activation
+    a stack of w: (phi, y) over the broadcast rows, with phi =
+    arccos(activation(Re<x|w>)) and y = exp(i phi B_mu)|0..0> (..., d) for the
+    config's activation and output generator B_mu; every row's activation
     output must lie in [-1, 1] (NaN does not)."""
     x, w = np.asarray(x), np.asarray(w)
     if x.ndim == 0 or w.ndim == 0 or x.shape[-1] != w.shape[-1]:
         raise ValueError(f"x and w must be states of one length d, "
                          f"got shapes {x.shape} and {w.shape}")
-    v = activation.apply(np.sum(w * np.conj(x), axis=-1).real)
+    v = config.activation.apply(np.sum(w * np.conj(x), axis=-1).real)
     # |Re<x|w>| <= 1 for unit states, and |tanh u| <= 1 for every double u, in
     # math.tanh and in numpy's loops alike, so no output needs a clip; the
     # guard stops a NaN
     if not np.abs(v).max(initial=0.0) <= 1.0:
         raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0)][0])
     phi = np.arccos(v)
-    return phi, _rotate_ground(1j * output_blade.dense()[:, 0], phi)
+    return phi, _rotate_ground(config._i_blade_columns[config.output_index], phi)
 
 
-def target_state(output_blade: Blade, target_angle: float) -> np.ndarray:
-    """Reference state rotated opposite to the output rotation."""
-    return _rotate_ground(1j * output_blade.dense()[:, 0], -target_angle)
+def target_state(config: PerceptronConfig, target_angle: float) -> np.ndarray:
+    """r = exp(-i * target_angle * B_mu)|0..0> for the output generator B_mu."""
+    return _rotate_ground(config._i_blade_columns[config.output_index], -target_angle)
 
 
-def fidelity(y, target_angle: float, output_blade: Blade) -> float:
-    f = abs(inner(target_state(output_blade, target_angle), np.asarray(y, dtype=complex)))
+def fidelity(config: PerceptronConfig, y, target_angle: float) -> float:
+    """|<r|y>| for the config's target state r at target_angle, capped at 1."""
+    f = abs(inner(target_state(config, target_angle), np.asarray(y, dtype=complex)))
     return float(min(f, 1.0))
 
 
@@ -227,7 +222,7 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     of encode and forward; the rows are scored on Python floats from the sums
     |theta|^2 and theta.b."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
-    ref = np.conj(target_state(config.output_blade, sample.target_angle))
+    ref = np.conj(target_state(config, sample.target_angle))
     # gamma_0 and gamma_1 are real, since a generator has a zero diagonal
     gamma0 = float(ref[0].real)
     gamma1 = float((ref @ config._i_blade_columns[config.output_index]).real)
@@ -350,9 +345,8 @@ def equivalence_defects(config: PerceptronConfig, u, x_coeffs, w_coeffs):
     """
     x = encode(config, x_coeffs)
     w = encode(config, w_coeffs)
-    phi, y = forward(x, w, config.activation, config.output_blade)
-    phi_u, y_u = forward((u @ x[..., None])[..., 0], (u @ w[..., None])[..., 0],
-                         config.activation, config.output_blade)
+    phi, y = forward(config, x, w)
+    phi_u, y_u = forward(config, (u @ x[..., None])[..., 0], (u @ w[..., None])[..., 0])
     phi_defect, state_defect = np.abs(phi - phi_u), np.linalg.norm(y - y_u, axis=-1)
     if phi_defect.ndim == 0:
         return float(phi_defect), float(state_defect)

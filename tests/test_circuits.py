@@ -1,4 +1,5 @@
 """Two-level decomposition, controlled-gate compilation, entangling check."""
+import math
 import re
 from types import SimpleNamespace
 
@@ -91,6 +92,21 @@ def test_decompose_random_eight_dim():
         gates = circuits.two_level_decompose(u)
         assert len(gates) <= 28
         np.testing.assert_allclose(circuits.gates_product(gates, 8), u, atol=1e-9)
+
+
+@pytest.mark.parametrize("u", [circuits.xy_yx_unitary(math.pi, 0.0),  # about -I
+                               np.diag(np.exp(1j * np.array([0.3, 1.1, -0.7, 0.2])))],
+                         ids=["xy-yx-pi", "diagonal-phases"])
+def test_decompose_absorbs_an_untouched_pivot_phase(u):
+    """A column with nothing below its pivot leaves a pivot phase != 1,
+    which decompose absorbs as a one-level factor diag(phase, 1)."""
+    dim = u.shape[0]
+    gates = circuits.two_level_decompose(u)
+    assert len(gates) <= dim * (dim - 1) // 2
+    assert linalg.frobenius_norm(circuits.gates_product(gates, dim) - u) <= 1e-9
+    assert linalg.frobenius_norm(circuits.compile_unitary(u, 2).dense() - u) <= 1e-9
+    assert any(g.block[0, 1] == g.block[1, 0] == 0 and g.block[1, 1] == 1
+               and g.block[0, 0] != 1 for g in gates)
 
 
 def test_decompose_rejects_non_unitary():
@@ -277,3 +293,26 @@ def test_decompose_report_decomposes_once(monkeypatch):
     monkeypatch.setattr(circuits, "two_level_decompose", counting)
     circuits.decompose_report(0.3, -0.7)
     assert len(calls) == 1
+
+
+_I2 = np.eye(2, dtype=complex)
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: TwoLevelGate(4, 2, 1, _I2),
+                 "need 0 <= i < j < dim, got i=2, j=1, dim=4", id="gate-order"),
+    pytest.param(lambda: circuits.gates_product([TwoLevelGate(4, 0, 1, _I2)], 8),
+                 "gate dimension 4 != 8", id="product-dim"),
+    pytest.param(lambda: circuits.two_level_decompose(np.eye(1)),
+                 "need 2 <= dim <= 16, got (1, 1)", id="decompose-dim-1"),
+    pytest.param(lambda: circuits.two_level_decompose(np.eye(32)),
+                 "need 2 <= dim <= 16, got (32, 32)", id="decompose-dim-32"),
+    pytest.param(lambda: circuits.compile_two_level(TwoLevelGate(4, 0, 1, _I2), 3),
+                 "gate dimension 4 is not 2^3", id="compile-dim"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

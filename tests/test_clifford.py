@@ -2,6 +2,7 @@
 generator products, and the parity rules, cross-checked against
 independent dense oracles (Kronecker-built Pauli words, dense commutators)."""
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -607,3 +608,25 @@ def test_lie_embedding_check_shape_mismatch():
     for bad, message in ((np.zeros((3, 3)), "2x2"), (np.full((2, 2), np.nan), "non-finite")):
         with pytest.raises(ValueError, match=message):
             clifford.lie_embedding_check(good, [good[0], bad])
+
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: Blade(1, (1, 0)),
+                 "indices must be strictly ascending, got (1, 0)", id="blade-unordered"),
+    pytest.param(lambda: Blade(1, (0, 2)),
+                 "indices (0, 2) out of range for n=1", id="blade-out-of-range"),
+    pytest.param(lambda: clifford.PauliString(0, ()), "need n >= 1, got 0", id="pauli-empty"),
+    pytest.param(lambda: clifford.PauliString(2, ("X",)),
+                 "expected 2 letters, got 1", id="pauli-short"),
+    pytest.param(lambda: clifford.PauliString(1, ("Q",)),
+                 "invalid Pauli letters: ['Q']", id="pauli-letter"),
+    pytest.param(lambda: clifford.pauli_coefficients(np.eye(4), 1),
+                 "expected 2x2 matrix for n=1, got (4, 4)", id="coefficients-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -11,6 +11,11 @@ from cliffsim.clifford import Blade, blade_products
 from cliffsim.cqp import Activation, PerceptronConfig, TrainingSample
 
 
+def _generator_blades(n):
+    """The 2n generators on n qubits, in order, built here as the oracle."""
+    return [Blade(n, (a,)) for a in range(2 * n)]
+
+
 def test_encode_zero_coeffs_is_ground_state():
     config = PerceptronConfig.type_ii(2)
     np.testing.assert_allclose(
@@ -37,7 +42,7 @@ def test_type_ii_encode_matches_expm_i_route(n):
     config = PerceptronConfig.type_ii(n)
     rng = np.random.default_rng(60 + n)
     for c in [np.zeros(2 * n), *rng.uniform(-2.0, 2.0, size=(5, 2 * n))]:
-        h = sum(cj * b.dense() for cj, b in zip(c, config.active_blades))
+        h = sum(cj * b.dense() for cj, b in zip(c, _generator_blades(n)))
         want = linalg.expm_i(h) @ simulator.basis_state(n, 0)
         np.testing.assert_allclose(cqp.encode(config, c), want, atol=1e-12)
 
@@ -51,19 +56,19 @@ _STACK_CONFIGS = [
 
 @pytest.mark.parametrize("config", _STACK_CONFIGS)
 def test_stacked_encode_and_forward_equal_per_row_calls(config):
-    m = len(config.active_blades)
+    m = 2 * config.n
     rng = np.random.default_rng(80 + m)
     coeffs = rng.uniform(-2.0, 2.0, size=(2, 3, m))
     coeffs[1, 2] = 0.0  # a zero row inside the stack gives |0..0>
     states = cqp.encode(config, coeffs)
     assert states.shape == (2, 3, 2 ** config.n)
     x = cqp.encode(config, rng.uniform(-2.0, 2.0, m))
-    phis, ys = cqp.forward(x, states, config.activation, config.output_blade)
+    phis, ys = cqp.forward(config, x, states)
     assert phis.shape == (2, 3) and ys.shape == states.shape
     for idx in np.ndindex(2, 3):
         row = cqp.encode(config, coeffs[idx])
         np.testing.assert_allclose(states[idx], row, rtol=0, atol=1e-14)
-        phi, y = cqp.forward(x, row, config.activation, config.output_blade)
+        phi, y = cqp.forward(config, x, row)
         assert abs(phis[idx] - phi) <= 1e-14
         np.testing.assert_allclose(ys[idx], y, rtol=0, atol=1e-14)
     np.testing.assert_allclose(states[1, 2], simulator.basis_state(config.n, 0), atol=0)
@@ -71,7 +76,7 @@ def test_stacked_encode_and_forward_equal_per_row_calls(config):
 
 @pytest.mark.parametrize("config", [_STACK_CONFIGS[1], _STACK_CONFIGS[-1]])
 def test_stack_with_one_non_finite_row_raises(config):
-    coeffs = np.zeros((3, len(config.active_blades)))
+    coeffs = np.zeros((3, 2 * config.n))
     coeffs[1, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         cqp.encode(config, coeffs)
@@ -81,23 +86,23 @@ def test_stack_with_one_non_finite_row_raises(config):
 def test_forward_pairs_stacked_rows_bit_for_bit(config):
     """forward pairs x (..., d) with w (..., d) row by row, broadcasting; each
     pair has the bits of its own one-row call."""
-    m, d = len(config.active_blades), 2 ** config.n
+    m, d = 2 * config.n, 2 ** config.n
     rng = np.random.default_rng(140 + m)
     xs = cqp.encode(config, rng.uniform(-1.0, 1.0, (2, 3, m)))
     ws = cqp.encode(config, rng.uniform(-1.0, 1.0, (3, m)))  # broadcasts against xs
     for x, w in ((xs, ws), (xs[0, 0], ws), (xs, ws[0])):
-        phis, ys = cqp.forward(x, w, config.activation, config.output_blade)
+        phis, ys = cqp.forward(config, x, w)
         shape = np.broadcast_shapes(x.shape, w.shape)
         assert phis.shape == shape[:-1] and ys.shape == shape
         for idx in np.ndindex(shape[:-1]):
-            phi, y = cqp.forward(np.broadcast_to(x, shape)[idx], np.broadcast_to(w, shape)[idx],
-                                 config.activation, config.output_blade)
+            phi, y = cqp.forward(config, np.broadcast_to(x, shape)[idx],
+                                 np.broadcast_to(w, shape)[idx])
             assert phis[idx] == phi and np.array_equal(ys[idx], y)
     for bad in (np.zeros((3, 2 * d), dtype=complex), np.complex128(1.0)):
         with pytest.raises(ValueError, match="states of one length d"):
-            cqp.forward(xs, bad, config.activation, config.output_blade)
+            cqp.forward(config, xs, bad)
         with pytest.raises(ValueError, match="states of one length d"):
-            cqp.forward(bad, xs, config.activation, config.output_blade)
+            cqp.forward(config, bad, xs)
 
 
 def test_fidelity_scorer_takes_one_input_state():
@@ -114,22 +119,23 @@ def test_encode_does_not_overflow_the_norm():
     assert np.isfinite(got).all()
     assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-14)
     norm = math.hypot(*c)
-    column = sum(cj / norm * b.dense()[:, 0] for cj, b in zip(c, config.active_blades))
+    column = sum(cj / norm * b.dense()[:, 0] for cj, b in zip(c, _generator_blades(1)))
     want = math.cos(norm) * simulator.basis_state(1, 0) + 1j * math.sin(norm) * column
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("activation", list(Activation))
 def test_nan_weight_row_fails_the_activation_guard(activation):
+    config = PerceptronConfig.type_ii(1, activation=activation)
     x = simulator.basis_state(1, 0)
     for w in (np.array([np.nan, 0j]), np.array([x, [np.nan, 0j]])):
         with pytest.raises(ValueError, match="activation output nan is outside"):
-            cqp.forward(x, w, activation, Blade(1, (0,)))
+            cqp.forward(config, x, w)
 
 
 @pytest.mark.parametrize("config", [_STACK_CONFIGS[0], _STACK_CONFIGS[3]])
 def test_encode_rejects_an_overflowing_norm(config):
-    coeffs = np.zeros((2, len(config.active_blades)))
+    coeffs = np.zeros((2, 2 * config.n))
     coeffs[1, :2] = 1.5e308  # finite coefficients whose norm is not
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="norm overflows"):
         cqp.encode(config, coeffs)
@@ -157,7 +163,7 @@ def test_encode_equals_the_two_term_formula():
     for n in (1, 2, 3):
         config = PerceptronConfig.type_ii(n)
         e0 = simulator.basis_state(n, 0)
-        columns = blade_products(n, config.active_blades)[:, :, 0]
+        columns = blade_products(n, _generator_blades(n))[:, :, 0]
         for norm in _ANGLES:
             unit = rng.normal(size=np.shape(norm) + (2 * n,))
             unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
@@ -170,20 +176,35 @@ def test_encode_equals_the_two_term_formula():
 @pytest.mark.parametrize("config", [
     *(PerceptronConfig.type_ii(n) for n in (1, 2, 3, 4)), *_STACK_CONFIGS[3:]])
 def test_blade_stack_equals_the_stacked_blade_matrices(config):
-    want = np.stack([b.dense() for b in config.active_blades])
-    assert np.array_equal(blade_products(config.n, config.active_blades), want)
+    generators = _generator_blades(config.n)
+    want = np.stack([b.dense() for b in generators])
+    assert np.array_equal(blade_products(config.n, generators), want)
 
 
-def test_active_blades_are_the_generators_in_order():
-    """Every config on n qubits shares one tuple of the 2n generators; its
-    output blade is generator output_index."""
+def test_i_blade_columns_are_i_times_column_0_of_each_generator():
+    """Row k of the cached column table is i * B_k|0..0>, bit for bit the
+    column of the blade's own dense matrix."""
     for n in (1, 2, 3, 4):
-        generators = tuple(Blade(n, (a,)) for a in range(2 * n))
         for k in range(2 * n):
-            config = PerceptronConfig.type_ii(n, k)
-            assert config.active_blades == generators
-            assert config.active_blades is PerceptronConfig.type_ii(n).active_blades
-            assert config.output_blade == Blade(n, (k,))
+            want = 1j * Blade(n, (k,)).dense()[:, 0]
+            assert PerceptronConfig.type_ii(n, k)._i_blade_columns[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_forward_and_target_state_equal_the_dense_column_route(n):
+    """At every output index, forward's output states and target_state have
+    the bytes of the rotation of i times the output blade's dense column 0."""
+    rng = np.random.default_rng(190 + n)
+    for k in range(2 * n):
+        config = PerceptronConfig.type_ii(n, k)
+        icol = 1j * Blade(n, (k,)).dense()[:, 0]
+        x = cqp.encode(config, rng.uniform(-1.0, 1.0, 2 * n))
+        ws = cqp.encode(config, rng.uniform(-1.0, 1.0, (3, 2 * n)))
+        phis, ys = cqp.forward(config, x, ws)
+        assert ys.tobytes() == cqp._rotate_ground(icol, phis).tobytes()
+        for angle in (0.0, 0.7, -2.3, math.pi, 1e6):
+            want = cqp._rotate_ground(icol, -angle)
+            assert cqp.target_state(config, angle).tobytes() == want.tobytes()
 
 
 def test_activation_apply_is_elementwise():
@@ -258,15 +279,15 @@ def test_forward_identical_states():
     # Re<x|x> = 1 gives the smallest angle, arccos(tanh 1)
     config = PerceptronConfig.type_ii(1)
     x = cqp.encode(config, [0.2, 0.1])
-    phi, y = cqp.forward(x, x, Activation.TANH, config.output_blade)
+    phi, y = cqp.forward(config, x, x)
     want = math.acos(math.tanh(1.0))
     assert phi == pytest.approx(want, abs=1e-12)
     np.testing.assert_allclose(y, [math.cos(want), 1j * math.sin(want)], atol=1e-12)
 
 
 def test_forward_orthogonal_states():
-    phi, _ = cqp.forward(simulator.basis_state(1, 0), simulator.basis_state(1, 1),
-                         Activation.TANH, Blade(1, (0,)))
+    phi, _ = cqp.forward(PerceptronConfig.type_ii(1), simulator.basis_state(1, 0),
+                         simulator.basis_state(1, 1))
     assert phi == pytest.approx(np.pi / 2, abs=1e-12)
 
 
@@ -275,7 +296,7 @@ def test_forward_output_rotation_closed_form():
     w = simulator.basis_state(1, 0)
     v = math.atanh(0.5)
     x = np.array([v, math.sqrt(1.0 - v * v) * 1j])  # Re<x|w> = atanh(0.5)
-    phi, y = cqp.forward(x, w, Activation.TANH, Blade(1, (0,)))
+    phi, y = cqp.forward(PerceptronConfig.type_ii(1), x, w)
     assert phi == pytest.approx(np.pi / 3, abs=1e-12)
     np.testing.assert_allclose(
         y, [np.cos(np.pi / 3), 1j * np.sin(np.pi / 3)], atol=1e-12)
@@ -284,20 +305,13 @@ def test_forward_output_rotation_closed_form():
 
 
 def test_fidelity_angle_law_zero_expectation_blade():
+    config = PerceptronConfig.type_ii(1)
     blade = Blade(1, (0,))
     for phi in np.linspace(0.0, np.pi, 5):
         for beta in np.linspace(-1.0, 2.5, 4):
             y = linalg.expm_i(blade.dense(), phi) @ simulator.basis_state(1, 0)
-            got = cqp.fidelity(y, beta, blade)
+            got = cqp.fidelity(config, y, beta)
             assert got == pytest.approx(abs(np.cos(phi + beta)), abs=1e-10)
-
-
-def test_fidelity_diagonal_blade_is_constant():
-    blade = Blade(1, (0, 1))  # dense form -Z, diagonal in the basis
-    for phi in (0.0, 0.4, 1.3):
-        for beta in (0.0, 0.9, 2.2):
-            y = linalg.expm_i(blade.dense(), phi) @ simulator.basis_state(1, 0)
-            assert cqp.fidelity(y, beta, blade) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_max_fidelity_exact_values():
@@ -419,12 +433,13 @@ def _oracle_fidelity(config, sample, theta):
     """F(theta) by dense eigendecomposition exponentials, not encode/forward;
     the activation is tanh."""
     e0 = simulator.basis_state(config.n, 0)
+    generators = _generator_blades(config.n)
 
     def state(c):
-        return linalg.expm_i(sum(cj * b.dense() for cj, b in zip(c, config.active_blades))) @ e0
+        return linalg.expm_i(sum(cj * b.dense() for cj, b in zip(c, generators))) @ e0
 
     phi = math.acos(math.tanh(np.vdot(state(sample.input_coeffs), state(theta)).real))
-    out = config.output_blade.dense()
+    out = Blade(config.n, (config.output_index,)).dense()
     y = linalg.expm_i(out, phi) @ e0
     ref = linalg.expm_i(out, -sample.target_angle) @ e0
     return min(abs(np.vdot(ref, y)), 1.0)
@@ -436,7 +451,7 @@ def _oracle_fidelity(config, sample, theta):
     PerceptronConfig.type_ii(3, output_index=5, activation=Activation.TANH, eta=0.5),
 ])
 def test_one_training_step_matches_a_scalar_oracle(config):
-    m = len(config.active_blades)
+    m = 2 * config.n
     rng = np.random.default_rng(90 + m)
     sample = TrainingSample(rng.uniform(0.1, 0.6, m), 0.7)
     theta0 = rng.uniform(0.0, 0.5, m)
@@ -457,13 +472,12 @@ def test_one_training_step_matches_a_scalar_oracle(config):
 def _reference_train(config, sample, theta0, iterations, fd_step):
     """train as a loop over the public encode and forward: one (2m + 1, m)
     stack per iteration, everything else recomputed on every call."""
-    m = len(config.active_blades)
+    m = 2 * config.n
     x = cqp.encode(config, sample.input_coeffs)
-    ref = np.conj(cqp.target_state(config.output_blade, sample.target_angle))
+    ref = np.conj(cqp.target_state(config, sample.target_angle))
 
     def score(thetas):
-        _, y = cqp.forward(x, cqp.encode(config, thetas), config.activation,
-                           config.output_blade)
+        _, y = cqp.forward(config, x, cqp.encode(config, thetas))
         return np.minimum(np.abs(y @ ref), 1.0)
 
     bumps = fd_step * np.eye(m)
@@ -500,7 +514,7 @@ _SCORE_DELTA = 1e-15
 @pytest.mark.parametrize("config", _TRAIN_CONFIGS, ids=_TRAIN_IDS)
 def test_train_equals_a_loop_over_encode_and_forward(config, activation):
     config = dataclasses.replace(config, activation=activation)
-    m = len(config.active_blades)
+    m = 2 * config.n
     rng = np.random.default_rng(110 + m)
     sample = TrainingSample(rng.uniform(0.1, 0.6, m), 0.7)
     theta0 = rng.uniform(0.0, 0.5, m)
@@ -520,7 +534,7 @@ def _unfused_train(config, sample, theta0, iterations, fd_step):
     """train's loop over the real scorer with a gradient list, a separate
     finiteness pass and a step list per iteration: (iteration, theta list,
     fidelity) per record."""
-    m = len(config.active_blades)
+    m = 2 * config.n
     score = cqp._fidelity_scorer(config, sample)
     theta, records = np.asarray(theta0, dtype=float).tolist(), []
     for k in range(iterations):
@@ -630,7 +644,7 @@ def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, 
     per_iteration = []
     for n in (1, 2):  # 5 rows, then 9 rows per iteration
         config = PerceptronConfig.type_ii(n, activation=activation)
-        m = len(config.active_blades)
+        m = 2 * config.n
         sample = TrainingSample(np.full(m, 0.3), 0.7)
         cqp.train(config, sample, np.full(m, 0.2), iterations=1)  # fills the blade cache
         counts = []
@@ -702,7 +716,7 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
     rng = np.random.default_rng(130 + 10 * n + output_index)
     config = PerceptronConfig.type_ii(n, output_index=output_index,
                                       activation=Activation.TANH)
-    m = len(config.active_blades)
+    m = 2 * config.n
     for target in (0.7, -0.4, -2.3):  # negative target angles too
         coeffs = rng.uniform(-1.0, 1.0, m)
         coeffs[0] = -abs(coeffs[0])
@@ -758,7 +772,7 @@ def test_configs_with_one_blade_list_share_its_invariants():
         assert first._i_blade_columns is second._i_blade_columns
         with pytest.raises(ValueError, match="read-only"):
             first._i_blade_columns[0, 0] = 0.0
-        want = 1j * blade_products(n, first.active_blades)[:, :, 0]
+        want = 1j * blade_products(n, _generator_blades(n))[:, :, 0]
         assert first._i_blade_columns.dtype == want.dtype
         assert first._i_blade_columns.tobytes() == want.tobytes()
     assert (PerceptronConfig.type_ii(2)._i_blade_columns
@@ -777,7 +791,7 @@ _COEFFICIENT_GUARDS = [  # (config, the first two components of a spoiled theta,
 @pytest.mark.parametrize("config, bad, message", _COEFFICIENT_GUARDS)
 def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, config, bad,
                                                               message, spoiled_call):
-    m = len(config.active_blades)
+    m = 2 * config.n
     calls = []
     spoil = lambda score, theta, h: score([*bad, *theta[2:]], h)  # noqa: E731
     monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(spoil, spoiled_call, calls))
@@ -825,7 +839,7 @@ def test_every_training_guard_fires_at_every_iteration(monkeypatch, activation, 
     call 5 scores the final theta, which has no gradient.  The guard raises its
     message in the spoiled call, before the next one."""
     config = PerceptronConfig.type_ii(n, activation=activation)
-    m = len(config.active_blades)
+    m = 2 * config.n
     sample = TrainingSample(np.full(m, 0.3), 0.7)
     spoil, message = _TRAIN_GUARDS[guard]
     float_form = activation.float_form
@@ -914,3 +928,22 @@ def test_activation_ranges():
             assert np.abs(got).max() < 0.77
     assert Activation.TANH.apply(50.0) <= 1.0
     assert Activation.TANH.float_form(-math.inf) == -1.0
+
+
+_ASCENT_ARGS = (PerceptronConfig.type_ii(1), TrainingSample([0.3, 0.2], 0.7))
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: cqp.ascent(*_ASCENT_ARGS, [0.1, 0.1], -1),
+                 "need iterations >= 0, got -1", id="ascent-iterations"),
+    pytest.param(lambda: cqp.ascent(*_ASCENT_ARGS, [0.1, 0.1], 1, fd_step=0.0),
+                 "fd_step 0.0 outside (0, 0.01)", id="ascent-fd-step"),
+    pytest.param(lambda: cqp.ascent(*_ASCENT_ARGS, [0.1], 1),
+                 "theta0 must have 2 components, got (1,)", id="ascent-theta0"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

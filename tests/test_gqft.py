@@ -1,4 +1,6 @@
 """Generalized Fourier transform: dense vs factored paths, distance bound."""
+import re
+
 import numpy as np
 import pytest
 
@@ -389,3 +391,16 @@ def test_distance_scales_linearly_for_small_theta():
         rep = gqft.distance_report(GqftParams(2, theta, axes))
         ratios.append(rep.distance_to_qft / theta)
     assert abs(ratios[1] - ratios[0]) <= 0.05 * ratios[0]
+
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: GqftParams(2, 0.1, gqft.random_axes(3, np.random.default_rng(0))),
+                 "axes must have shape (2, 2, 3), got (3, 2, 3)", id="params-axes-shape"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

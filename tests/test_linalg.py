@@ -1,4 +1,6 @@
 """Dense kernel tests: eigendecomposition, exponentials, norms, tensors."""
+import re
+
 import numpy as np
 import pytest
 
@@ -375,3 +377,18 @@ def test_random_hermitian_draws_real_then_imaginary_parts():
             m = re + 1j * ref.normal(size=(dim, dim))
             assert np.array_equal(h, (m + linalg.adjoint(m)) / 2.0)
             assert rng.normal() == ref.normal()  # both generators are at the same state
+
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: linalg.as_matrix(np.zeros((2, 2, 2)), "where"),
+                 "where: expected a 2-d matrix, got ndim=3", id="matrix-ndim"),
+    pytest.param(lambda: linalg.embed_qubit_operator(np.eye(2), 3, 2),
+                 "qubit index 3 out of range 1..2", id="embed-qubit"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

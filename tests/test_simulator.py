@@ -1,4 +1,6 @@
 """Statevector, swap-test and entanglement-entropy tests."""
+import re
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,28 @@ def test_entanglement_entropy_rejects_bad_cut():
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     with pytest.raises(ValueError):
         simulator.entanglement_entropy(bell, 2)
+
+
+_GROUND = simulator.basis_state(1, 0)
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: simulator.ShotTally(0, 0, 1),
+                 "need shots >= 1, got 0", id="tally-no-shots"),
+    pytest.param(lambda: simulator.ShotTally(5, 6, 1),
+                 "zero_count 6 out of range 0..5", id="tally-zeros"),
+    pytest.param(lambda: simulator.apply(np.eye(3), np.full(3, 3 ** -0.5)),
+                 "state length 3 is not a power of two", id="apply-length"),
+    pytest.param(lambda: simulator.apply(np.eye(2), np.array([1.0, 1.0])),
+                 "state is not normalized: |norm - 1| = 4.142e-01", id="apply-norm"),
+    pytest.param(lambda: simulator.basis_state(1, 2),
+                 "basis index 2 out of range for n=1", id="basis-index"),
+    pytest.param(lambda: simulator.swap_test_sampled(_GROUND, _GROUND, shots=0, seed=0),
+                 "need shots >= 1, got 0", id="sampled-shots"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

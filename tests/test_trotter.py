@@ -1,5 +1,6 @@
 """Product-formula error measurements against the analytic envelopes."""
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -199,3 +200,18 @@ def test_error_sweep_edge_cases():
         trotter.error_sweep(terms, 1.0, [2.5])
     reports = trotter.error_sweep(terms, 1.0, np.array([3, 1]))
     assert [(rep.r, type(rep.r)) for rep in reports] == [(3, int), (1, int)]
+
+
+# Input guards that no other test reaches, each with its exact message
+_INPUT_GUARDS = [
+    pytest.param(lambda: HamiltonianTerm(float("inf"), Blade(1, (0,))),
+                 "coefficient must be finite, got inf", id="term-coefficient"),
+    pytest.param(lambda: trotter.random_instance(1, 4, 0),
+                 "num_terms must be in 1..3 for n=1, got 4", id="instance-terms"),
+]
+
+
+@pytest.mark.parametrize("call, message", _INPUT_GUARDS)
+def test_input_guards_raise_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
