@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,26 +46,24 @@ def xy_yx_unitary(theta1: float, theta2: float) -> np.ndarray:
     return linalg.expm_i(gen)
 
 
-@dataclass(frozen=True)
-class TwoLevelGate:
-    dim: int
-    i: int
-    j: int
-    block: np.ndarray  # 2x2 unitary acting on basis indices (i, j)
+class TwoLevelGate(namedtuple("TwoLevelGate", "dim i j block")):
+    """block is the 2x2 unitary acting on basis indices (i, j)."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: int, i: int, j: int, block: np.ndarray):
         # plain ints for the netlist's bit arithmetic: no 0.5, no True
-        for name in ("dim", "i", "j"):
-            value = getattr(self, name)
+        ints = []
+        for name, value in (("dim", dim), ("i", i), ("j", j)):
             if isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, not a bool")
-            object.__setattr__(self, name, operator.index(value))
-        if not 0 <= self.i < self.j < self.dim:
-            raise ValueError(f"need 0 <= i < j < dim, got i={self.i}, j={self.j}, dim={self.dim}")
-        b = linalg.require_unitary(self.block, "TwoLevelGate")
+            ints.append(operator.index(value))
+        dim, i, j = ints
+        if not 0 <= i < j < dim:
+            raise ValueError(f"need 0 <= i < j < dim, got i={i}, j={j}, dim={dim}")
+        b = linalg.require_unitary(block, "TwoLevelGate")
         if b.shape != (2, 2):
             raise ValueError(f"block must be 2x2, got {b.shape}")
-        object.__setattr__(self, "block", b)
+        return super().__new__(cls, dim, i, j, b)
 
     def embed(self) -> np.ndarray:
         m = np.eye(self.dim, dtype=complex)
@@ -126,16 +124,16 @@ def two_level_decompose(u) -> list[TwoLevelGate]:
     return factors
 
 
-@dataclass(frozen=True)
-class GateCircuit:
-    n: int
-    gates: tuple[TwoLevelGate, ...]  # each pair of indices differs in one bit
+class GateCircuit(namedtuple("GateCircuit", "n gates")):
+    """Each gate's pair of indices differs in one bit."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, gates: tuple[TwoLevelGate, ...]):
         # a gate of another register would format as that register's netlist
-        for g in self.gates:
-            if g.dim != 2 ** self.n:
-                raise ValueError(f"gate dimension {g.dim} is not 2^{self.n}")
+        for g in gates:
+            if g.dim != 2 ** n:
+                raise ValueError(f"gate dimension {g.dim} is not 2^{n}")
+        return super().__new__(cls, n, gates)
 
     def dense(self) -> np.ndarray:
         # gates are listed in application order, so the last one is leftmost

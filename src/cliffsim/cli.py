@@ -5,20 +5,21 @@ lets flags override file values, runs its computation with an explicit
 64-bit seed, writes a CSV report (or a textual netlist for ``decompose``)
 and exits 0 only if every invariant asserted by that command holds.
 
-Parsing takes the first of three routes that applies, and each gives the
-namespace the next would.  An argv whose first token names a command, and
-whose every later token is ``--flag value`` or ``--flag=value`` with the
-flag spelled in full and a value that is not empty and does not start with
-'-', is read in one pass over a table of that command's flags: argparse
-matches an exact option before any prefix, splits at the first '=', and
-stores the last value of each flag as a string.  Any other argv led by a
-command (abbreviations, negative values, -h, unknown flags, positionals,
-a missing value) goes to that command's subparser alone, which is what the
-top-level parser would hand the rest to, at about half the cost; any other
-argv at all (none, --help, --version, an unknown command) goes to the
-top-level parser.  Only stderr can tell the last two apart: an
-unrecognized argument is reported as ``cliffsim <command>: error:`` under
-the command's usage (exit code 2 either way).
+Parsing takes the first of three routes that applies, and each gives a
+namespace with the attributes the next would.  An argv whose first token
+names a command, and whose every later token is ``--flag value`` or
+``--flag=value`` with the flag spelled in full and a value that is not
+empty and does not start with '-', is read in one pass over a table of that
+command's flags, without importing argparse: argparse matches an exact
+option before any prefix, splits at the first '=', and stores the last
+value of each flag as a string.  Any other argv led by a command
+(abbreviations, negative values, -h, unknown flags, positionals, a missing
+value) goes to that command's subparser alone, which is what the top-level
+parser would hand the rest to, at about half the cost; any other argv at
+all (none, --help, --version, an unknown command) goes to the top-level
+parser.  Only stderr can tell the last two apart: an unrecognized argument
+is reported as ``cliffsim <command>: error:`` under the command's usage
+(exit code 2 either way).
 
 Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
 is printed), 2 unknown command / unparseable flags, 3 invalid config
@@ -30,17 +31,21 @@ the seed, package version and command line rides in trailing # comments.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, circuits, clifford, cqp, gqft, linalg, simulator, trotter
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class ConfigError(Exception):
@@ -132,7 +137,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _load_config(command: str, args: argparse.Namespace) -> dict:
+def _load_config(command: str, args: SimpleNamespace | argparse.Namespace) -> dict:
     keys = dict(_COMMON_KEYS)
     keys.update(_COMMAND_KEYS[command])
     cfg = {k: default for k, (_, default) in keys.items()}
@@ -531,8 +536,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     on first use and reused by every main() call.
 
     Each parse returns a fresh namespace whose flags default to None, so no
-    value carries over from one call to the next.
+    value carries over from one call to the next.  argparse is imported here,
+    not with the module: an argv the flag table reads never needs it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cliffsim",
         description="Clifford-algebra quantum network verification tools")
@@ -545,7 +553,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _table_parse(command: str, rest: list[str]) -> argparse.Namespace | None:
+def _table_parse(command: str, rest: list[str]) -> SimpleNamespace | None:
     """The namespace command's subparser gives rest, when every token of rest
     is --flag value or --flag=value with the flag spelled in full and a value
     that is not empty and does not start with '-'; else None."""
@@ -559,10 +567,10 @@ def _table_parse(command: str, rest: list[str]) -> argparse.Namespace | None:
         if flag not in dests or value[:1] in ("", "-"):
             return None
         values[dests[flag]] = value
-    return argparse.Namespace(command=command, **values)
+    return SimpleNamespace(command=command, **values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
     """argv's namespace, from the flag table, else argv[0]'s subparser when
     argv[0] names a command, else from the top-level parser (see the module
     docstring); SystemExit as argparse raises it."""

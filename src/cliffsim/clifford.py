@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,21 +60,19 @@ PAULI = {
 }
 
 
-@dataclass(frozen=True)
-class PauliString:
+class PauliString(namedtuple("PauliString", "n letters")):
     """A phase-free tensor word over {I, X, Y, Z}."""
+    __slots__ = ()
 
-    n: int
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        if len(self.letters) != self.n:
-            raise ValueError(f"expected {self.n} letters, got {len(self.letters)}")
-        bad = [c for c in self.letters if c not in PAULI]
+    def __new__(cls, n: int, letters: tuple[str, ...]):
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+        if len(letters) != n:
+            raise ValueError(f"expected {n} letters, got {len(letters)}")
+        bad = [c for c in letters if c not in PAULI]
         if bad:
             raise ValueError(f"invalid Pauli letters: {bad}")
+        return super().__new__(cls, n, letters)
 
     def dense(self) -> np.ndarray:
         return linalg.tensor(*(PAULI[c] for c in self.letters))
@@ -111,21 +109,18 @@ _GENERATORS = {n: tuple(_read_only(gamma(n, a).dense()) for a in range(2 * n))
                for n in REGISTER_SIZES}
 
 
-@dataclass(frozen=True)
-class Blade:
+class Blade(namedtuple("Blade", "n indices")):
     """Hermitian product omega * gamma_{j1} ... gamma_{jz}, indices ascending."""
+    __slots__ = ()
 
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_register_size(self.n)
-        idx = tuple(self.indices)
+    def __new__(cls, n: int, indices: Iterable[int]):
+        _check_register_size(n)
+        idx = tuple(indices)
         if list(idx) != sorted(set(idx)):
             raise ValueError(f"indices must be strictly ascending, got {idx}")
-        if idx and not (0 <= idx[0] and idx[-1] <= 2 * self.n - 1):
-            raise ValueError(f"indices {idx} out of range for n={self.n}")
-        object.__setattr__(self, "indices", idx)
+        if idx and not (0 <= idx[0] and idx[-1] <= 2 * n - 1):
+            raise ValueError(f"indices {idx} out of range for n={n}")
+        return super().__new__(cls, n, idx)
 
     @property
     def grade(self) -> int:

@@ -35,7 +35,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import index, mul
 from typing import Callable, NamedTuple
 
@@ -62,23 +62,20 @@ class Activation(enum.Enum):
         return math.tanh
 
 
-@dataclass(frozen=True)
-class PerceptronConfig:
+class PerceptronConfig(namedtuple("PerceptronConfig", "n output_index activation eta")):
     """The Type II unit on n qubits: its active blades are the 2n generators,
     in order, and its output blade is generator output_index."""
-    n: int
-    output_index: int = 0
-    activation: Activation = Activation.TANH
-    eta: float = 0.1
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_register_size(self.n)
-        k = index(self.output_index)  # TypeError for a non-integer
-        if not 0 <= k < 2 * self.n:
-            raise ValueError(f"output_index {k} out of range 0..{2 * self.n - 1}")
-        object.__setattr__(self, "output_index", k)
-        if not self.eta > 0:
-            raise ValueError(f"need eta > 0, got {self.eta}")
+    def __new__(cls, n: int, output_index: int = 0,
+                activation: Activation = Activation.TANH, eta: float = 0.1):
+        _check_register_size(n)
+        k = index(output_index)  # TypeError for a non-integer
+        if not 0 <= k < 2 * n:
+            raise ValueError(f"output_index {k} out of range 0..{2 * n - 1}")
+        if not eta > 0:
+            raise ValueError(f"need eta > 0, got {eta}")
+        return super().__new__(cls, n, k, activation, eta)
 
     @classmethod
     def type_ii(cls, n: int, output_index: int = 0, **kw) -> "PerceptronConfig":
@@ -191,14 +188,11 @@ def max_fidelity(target_angle: float) -> float:
     return 1.0 if c <= t else t * c + math.sqrt((1.0 - t * t) * ((1.0 - c) * (1.0 + c)))
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    input_coeffs: np.ndarray
-    target_angle: float
+class TrainingSample(namedtuple("TrainingSample", "input_coeffs target_angle")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_coeffs",
-                           np.asarray(self.input_coeffs, dtype=float))
+    def __new__(cls, input_coeffs: np.ndarray, target_angle: float):
+        return super().__new__(cls, np.asarray(input_coeffs, dtype=float), target_angle)
 
 
 class TrainRecord(NamedTuple):

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,17 +78,15 @@ def _checked_grid(axes, thetas) -> tuple[np.ndarray, np.ndarray]:
     return ax, th
 
 
-@dataclass(frozen=True)
-class GqftParams:
-    n: int
-    theta: float
-    axes: np.ndarray  # shape (n, 2, 3); axes[l-1][b] is the unit axis for bit b
+class GqftParams(namedtuple("GqftParams", "n theta axes")):
+    """axes has shape (n, 2, 3); axes[l-1][b] is the unit axis for bit b."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        ax, _ = _checked_grid(self.axes, [self.theta])
-        if len(ax) != self.n:
-            raise ValueError(f"axes must have shape ({self.n}, 2, 3), got {ax.shape}")
-        object.__setattr__(self, "axes", ax)
+    def __new__(cls, n: int, theta: float, axes: np.ndarray):
+        ax, _ = _checked_grid(axes, [theta])
+        if len(ax) != n:
+            raise ValueError(f"axes must have shape ({n}, 2, 3), got {ax.shape}")
+        return super().__new__(cls, n, theta, ax)
 
 
 def random_axes(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -246,8 +244,7 @@ def distance_bound(n: int, theta: float) -> float:
     return 2.0 ** (1.5 * n) * theta * n * math.sqrt(2.0) * math.exp(theta * n * math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class GqftReport:
+class GqftReport(NamedTuple):
     n: int
     theta: float
     unitarity_defect: float

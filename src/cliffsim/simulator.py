@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -74,18 +74,16 @@ def apply(u, state) -> np.ndarray:
     return m @ v
 
 
-@dataclass(frozen=True)
-class ShotTally:
-    shots: int
-    zero_count: int
-    seed: int
-    clamped: bool = False  # sampling noise pushed the radicand below zero
+class ShotTally(namedtuple("ShotTally", "shots zero_count seed clamped")):
+    """clamped is set when sampling noise pushed the radicand below zero."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"need shots >= 1, got {self.shots}")
-        if not 0 <= self.zero_count <= self.shots:
-            raise ValueError(f"zero_count {self.zero_count} out of range 0..{self.shots}")
+    def __new__(cls, shots: int, zero_count: int, seed: int, clamped: bool = False):
+        if shots < 1:
+            raise ValueError(f"need shots >= 1, got {shots}")
+        if not 0 <= zero_count <= shots:
+            raise ValueError(f"zero_count {zero_count} out of range 0..{shots}")
+        return super().__new__(cls, shots, zero_count, seed, clamped)
 
 
 def _state_pair(psi, phi) -> tuple[np.ndarray, np.ndarray]:

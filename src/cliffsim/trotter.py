@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,18 +43,16 @@ from .clifford import Blade, _basis_indices, anticommutation_matrix, blade_produ
 R_MAX = 10 ** 6
 
 
-@dataclass(frozen=True)
-class HamiltonianTerm:
-    coeff: float
-    blade: Blade
+class HamiltonianTerm(namedtuple("HamiltonianTerm", "coeff blade")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.coeff):
-            raise ValueError(f"coefficient must be finite, got {self.coeff!r}")
+    def __new__(cls, coeff: float, blade: Blade):
+        if not math.isfinite(coeff):
+            raise ValueError(f"coefficient must be finite, got {coeff!r}")
+        return super().__new__(cls, coeff, blade)
 
 
-@dataclass(frozen=True)
-class TrotterReport:
+class TrotterReport(NamedTuple):
     r: int
     t: float
     measured_error: float

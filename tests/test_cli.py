@@ -1,8 +1,11 @@
 """End-to-end command tests: exit codes, schemas, determinism, config files."""
 import argparse
 import itertools
+import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from decimal import Decimal, localcontext
@@ -297,6 +300,49 @@ def test_only_an_argv_led_by_a_command_skips_the_top_level_parser(argv, by_top_l
         rest = argv if by_top_level else argv[1:]
         assert calls == [(by_top_level, cli._join_float_values(rest))]
     capsys.readouterr()
+
+
+def _fresh_python(code, *args, cwd=None):
+    """Run code in a fresh interpreter, under -X dev, that imports this cliffsim."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-X", "dev", "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+
+
+def test_cli_import_loads_no_dataclasses_argparse_or_gettext():
+    """A fresh import of cliffsim.cli adds none of these to the modules the
+    bare interpreter, site hooks included, already had: the records are plain
+    tuples, and argparse (which imports gettext) is the fallback route's alone."""
+    added = _fresh_python("import sys; bare = set(sys.modules); import cliffsim.cli; "
+                          "print(*sorted(set(sys.modules) - bare))").stdout.split()
+    assert "cliffsim.cli" in added
+    assert not {"dataclasses", "argparse", "gettext"} & set(added)
+
+
+def test_argparse_is_imported_for_the_fallback_route_alone(tmp_path):
+    """In one fresh process: the flag table reads an argv of full flags
+    without argparse; an abbreviated flag, -h and --version take the argparse
+    route and exit 0 as before, with no warning under -X dev."""
+    argvs = [["omega-count", "--n", "2", "--seed", "5", "--out", "table.csv"],
+             ["omega-count", "--n", "2", "--se", "5", "--out", "abbreviated.csv"],
+             ["-h"], ["--version"]]
+    proc = _fresh_python("import json, sys\n"
+                         "from cliffsim import cli\n"
+                         "for argv in json.loads(sys.argv[1]):\n"
+                         "    code = cli.main(argv)\n"
+                         "    print('#', code, 'argparse' in sys.modules)\n",
+                         json.dumps(argvs), cwd=tmp_path)
+    assert proc.stderr == ""
+    assert [ln for ln in proc.stdout.splitlines() if ln.startswith("# ")] == [
+        "# 0 False", "# 0 True", "# 0 True", "# 0 True"]
+    assert "OK wrote abbreviated.csv" in proc.stdout
+    assert "usage: cliffsim [-h] [--version] command ..." in proc.stdout
+    assert f"\n{cli.__version__}\n" in proc.stdout
+    table, abbreviated = ((tmp_path / name).read_text().splitlines()
+                          for name in ("table.csv", "abbreviated.csv"))
+    assert table[:-1] == abbreviated[:-1]  # all but the # command = line
 
 
 def _parse_outcome(parse, argv):
