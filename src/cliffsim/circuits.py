@@ -16,6 +16,8 @@ controls.  A single-qubit gate controlled on every other qubit is itself
 a two-level gate on the two basis states its target flips between, so a
 compiled gate is a ``TwoLevelGate`` whose indices differ in the target's
 bit alone; the netlist derives its kind, target and controls from (i, j).
+A gate whose indices already differ in one bit is returned as its own
+one-gate circuit, not rebuilt.
 ``decompose_report`` decomposes once and compiles the factors it already
 has.
 
@@ -34,16 +36,19 @@ import numpy as np
 
 from . import linalg
 from .clifford import PAULI
+from .linalg import _read_only
 
 _DROP_TOL = 1e-12      # factors this close to the identity are omitted
 _ELIM_TOL = 1e-14      # entries this small are treated as already zero
 
+# the two commuting generators of xy_yx_unitary, built once
+_XY = _read_only(linalg.tensor(PAULI["X"], PAULI["Y"]))
+_YX = _read_only(linalg.tensor(PAULI["Y"], PAULI["X"]))
+
 
 def xy_yx_unitary(theta1: float, theta2: float) -> np.ndarray:
     """exp(i (theta1 X(x)Y + theta2 Y(x)X)) on two qubits."""
-    gen = (theta1 * linalg.tensor(PAULI["X"], PAULI["Y"])
-           + theta2 * linalg.tensor(PAULI["Y"], PAULI["X"]))
-    return linalg.expm_i(gen)
+    return linalg.expm_i(theta1 * _XY + theta2 * _YX)
 
 
 class TwoLevelGate(namedtuple("TwoLevelGate", "dim i j block")):
@@ -148,6 +153,9 @@ def compile_two_level(gate: TwoLevelGate, n: int) -> GateCircuit:
     # walk from i toward j, flipping the differing bits most significant
     # first; the last flip is performed by the controlled block itself
     flips = [1 << k for k in reversed(range(n)) if (gate.i ^ gate.j) >> k & 1]
+    if len(flips) == 1:
+        # i and j differ in one bit: the gate is already its own circuit
+        return GateCircuit(n, (gate,))
     cur = gate.i
     routing = []
     for bit in flips[:-1]:
@@ -208,6 +216,9 @@ def format_two_level(gates: Sequence[TwoLevelGate]) -> list[str]:
     return lines
 
 
+_X_ENTRIES = PAULI["X"].ravel().tolist()  # a cx block's entries, as Python complex
+
+
 def format_circuit(circuit: GateCircuit) -> list[str]:
     """One line per gate.  Qubits are 1-based with qubit 1 on the most
     significant bit: the target is the one bit in which i and j differ, and
@@ -220,7 +231,8 @@ def format_circuit(circuit: GateCircuit) -> list[str]:
             raise ValueError(f"gate on ({g.i}, {g.j}) flips more than one qubit")
         target = n + 1 - flip.bit_length()
         ctl = ",".join(f"{q}:{g.i >> (n - q) & 1}" for q in range(1, n + 1) if q != target) or "-"
-        kind = "cx" if np.abs(g.block - PAULI["X"]).max() <= 1e-12 else "cu"
-        entries = " ".join(_fmt_complex(z) for z in g.block.ravel().tolist())
+        block = g.block.ravel().tolist()
+        kind = "cx" if max(map(abs, map(operator.sub, block, _X_ENTRIES))) <= 1e-12 else "cu"
+        entries = " ".join(map(_fmt_complex, block))
         lines.append(f"{kind} target={target} controls={ctl} block {entries}")
     return lines

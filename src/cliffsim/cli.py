@@ -22,7 +22,9 @@ is reported as ``cliffsim <command>: error:`` under the command's usage
 (exit code 2 either way).
 
 Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
-is printed), 2 unknown command / unparseable flags, 3 invalid config
+is printed; a kernel that rejects its own result, as ``hermitian_eigen``
+does an eigensolve that fails its residual or orthonormality check, prints
+``FAIL invariant``), 2 unknown command / unparseable flags, 3 invalid config
 (including a config file that cannot be read or decoded as UTF-8, and a
 report path that cannot be written).
 Data rows are deterministic: identical command, config and seed give
@@ -38,7 +40,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -179,9 +181,11 @@ def _finite(compute) -> bool:
         return False
 
 
-def _check(cond: bool, name: str, detail: str) -> None:
+def _check(cond: bool, name: str, detail: Callable[[], str]) -> None:
+    """CheckFailure(name, detail()) unless cond holds; the detail text is built
+    only for a check that fails."""
     if not cond:
-        raise CheckFailure(name, detail)
+        raise CheckFailure(name, detail())
 
 
 def _cell_format(kind: type) -> str:
@@ -215,11 +219,11 @@ def _format_row(row) -> str:
 def _cmd_verify_basis(cfg):
     n = cfg["n"]
     _, count, herm, gen, rank, orthogonality_failure = clifford.basis_report(n)
-    _check(herm <= 1e-12, "basis-hermiticity", f"max defect {herm:.3e}")
-    _check(gen <= 1e-12, "generator-relations", f"max defect {gen:.3e}")
-    _check(rank == 4 ** n, "basis-independence", f"gram rank {rank} != {4 ** n}")
-    _check(orthogonality_failure is None, "basis-orthogonality", orthogonality_failure)
-    _check(count == 4 ** n, "basis-count", f"blade count {count} != {4 ** n}")
+    _check(herm <= 1e-12, "basis-hermiticity", lambda: f"max defect {herm:.3e}")
+    _check(gen <= 1e-12, "generator-relations", lambda: f"max defect {gen:.3e}")
+    _check(rank == 4 ** n, "basis-independence", lambda: f"gram rank {rank} != {4 ** n}")
+    _check(orthogonality_failure is None, "basis-orthogonality", lambda: orthogonality_failure)
+    _check(count == 4 ** n, "basis-count", lambda: f"blade count {count} != {4 ** n}")
     header = ["n", "blade_count", "max_hermiticity_defect",
               "max_generator_relation_defect", "gram_rank"]
     rows = [[n, count, herm, gen, rank]]
@@ -231,11 +235,11 @@ def _cmd_omega_count(cfg):
     n = cfg["n"]
     parity = clifford.omega_count(n)
     dense = clifford.omega_count_dense(n)
-    _check(parity == dense, "omega-agreement", f"parity {parity} != dense {dense}")
+    _check(parity == dense, "omega-agreement", lambda: f"parity {parity} != dense {dense}")
     # every non-identity Pauli word anticommutes with half of the 4^n words
     closed = 4 ** (n - 1) * (4 ** n - 1)
     _check(parity == closed, "omega-closed-form",
-           f"parity = dense = {parity} != 4^(n-1) * (4^n - 1) = {closed}")
+           lambda: f"parity = dense = {parity} != 4^(n-1) * (4^n - 1) = {closed}")
     header = ["n", "omega_parity_rule", "omega_bruteforce"]
     return header, [[n, parity, dense]], [f"omega-count: n={n}, omega={parity}"]
 
@@ -264,9 +268,9 @@ def _cmd_verify_gqft(cfg):
     rows = []
     for theta, seed, (defect, fact) in _gqft_grid(cfg, gqft.unitarity_grid):
         _check(defect <= 1e-10, "gqft-unitarity",
-               f"theta={theta} seed={seed} defect {defect:.3e}")
+               lambda: f"theta={theta} seed={seed} defect {defect:.3e}")
         _check(fact <= 1e-10, "gqft-factorization",
-               f"theta={theta} seed={seed} error {fact:.3e}")
+               lambda: f"theta={theta} seed={seed} error {fact:.3e}")
         rows.append([theta, cfg["n"], seed, defect, fact])
     header = ["theta", "n", "seed", "unitarity_defect", "factorization_error"]
     return header, rows, [f"verify-gqft: {len(rows)} rows, "
@@ -280,7 +284,7 @@ def _cmd_gqft_distance(cfg):
         # 1e-12 absorbs roundoff: at theta = 0 the bound is 0 and the
         # distance is rounding alone
         _check(distance <= bound + 1e-12, "gqft-distance-bound",
-               f"theta={theta} seed={seed} distance {distance:.6e} > bound {bound:.6e}")
+               lambda: f"theta={theta} seed={seed} distance {distance:.6e} > bound {bound:.6e}")
         rows.append([theta, cfg["n"], seed, distance, bound])
     header = ["theta", "n", "seed", "distance", "bound"]
     return header, rows, [f"gqft-distance: {len(rows)} rows, all within bound"]
@@ -305,7 +309,7 @@ def _cmd_trotter_sweep(cfg):
         # for contractions ||A^r - B^r|| <= r ||A - B||, so V is off r times that
         roundoff = rep.r * terms_n * 2 ** n * 2.0 ** -52
         _check(rep.measured_error <= rep.bound_full + roundoff, "trotter-bound",
-               f"r={rep.r}: measured {rep.measured_error:.6e} "
+               lambda: f"r={rep.r}: measured {rep.measured_error:.6e} "
                f"> bound_full {rep.bound_full:.6e} + roundoff {roundoff:.6e}")
         rows.append([rep.r, rep.t, rep.measured_error, rep.bound_simple,
                      rep.bound_full, rep.bound_commutator, rep.omega])
@@ -341,13 +345,13 @@ def _cmd_swap_test(cfg):
     # the ancilla route never calls inner, so this also reads exact_overlap
     p_protocol = simulator.swap_test_circuit_probability(psi, phi)
     _check(abs(p0 - p_protocol) <= simulator.STATE_TOL, "swap-agreement",  # NaN fails
-           f"formula {p0!r} vs protocol {p_protocol!r}")
+           lambda: f"formula {p0!r} vs protocol {p_protocol!r}")
     rows = []
     for shots, row_seed in zip(cfg["shots"], row_seeds):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
         inverted = math.sqrt(max(2.0 * tally.zero_count / shots - 1.0, 0.0))
         _check(estimate == inverted, "swap-estimate",
-               f"shots={shots}: estimate {estimate!r} != sqrt(max(2 zeros/shots - 1, 0)) "
+               lambda: f"shots={shots}: estimate {estimate!r} != sqrt(max(2 zeros/shots - 1, 0)) "
                f"= {inverted!r}")
         # Chernoff-Hoeffding in KL form (Hoeffding 1963): the frequency q of
         # ancilla zeros has Pr[shots * KL(q || p0) > 32] <= 2e^-32, and in the
@@ -356,7 +360,7 @@ def _cmd_swap_test(cfg):
         excess = shots * (_relative_entropy(q, p0) + _relative_entropy(
             (shots - tally.zero_count) / shots, 1.0 - p0))
         _check(excess <= 32.0, "swap-concentration",
-               f"shots={shots}: shots * KL(zeros/shots || p0) = {excess:.6e} > 32 "
+               lambda: f"shots={shots}: shots * KL(zeros/shots || p0) = {excess:.6e} > 32 "
                f"(zeros/shots = {q:.6e}, p0 = {p0:.6e})")
         rows.append([tally.shots, tally.seed, tally.zero_count, estimate, overlap])
     header = ["shots", "seed", "zero_count", "estimate", "exact_overlap"]
@@ -410,7 +414,7 @@ def _cmd_train_cqp(cfg):
         prev = f
     final = prev
     _check(final >= cfg["require_fidelity"], "train-converged",
-           f"final fidelity {final:.6f} < {cfg['require_fidelity']}")
+           lambda: f"final fidelity {final:.6f} < {cfg['require_fidelity']}")
     header = ["iteration", "fidelity"] + [f"theta_{j}" for j in range(2 * n)]
     return header, rows, [f"train-cqp: n={n}, {cfg['iterations']} iterations, "
                           f"fidelity {fids[0]:.6f} -> {final:.6f}, "
@@ -449,7 +453,7 @@ def _cmd_equivalence(cfg):
         for seed, phi_defect, state_defect in zip(block, phi_defects.tolist(),
                                                   state_defects.tolist()):
             _check(phi_defect <= 1e-10 and state_defect <= 1e-10, "equivalence-defect",
-                   f"seed={seed}: phi defect {phi_defect:.3e}, "
+                   lambda: f"seed={seed}: phi defect {phi_defect:.3e}, "
                    f"state defect {state_defect:.3e}")
             rows.append([seed, n, phi_defect, state_defect])
     header = ["seed", "n", "phi_defect", "state_defect"]
@@ -463,8 +467,8 @@ def _cmd_decompose(cfg):
     _require(math.isfinite(abs(theta1) + abs(theta2)), "theta1, theta2",
              "|theta1| + |theta2| must be finite")
     factors, circuit, recon, compiled = circuits.decompose_report(theta1, theta2)
-    _check(recon <= 1e-9, "decompose-reconstruction", f"defect {recon:.3e}")
-    _check(compiled <= 1e-9, "decompose-compilation", f"defect {compiled:.3e}")
+    _check(recon <= 1e-9, "decompose-reconstruction", lambda: f"defect {recon:.3e}")
+    _check(compiled <= 1e-9, "decompose-compilation", lambda: f"defect {compiled:.3e}")
     lines = [f"# two-level factors ({len(factors)})"]
     lines += circuits.format_two_level(factors)
     lines.append(f"# compiled circuit ({len(circuit.gates)} gates)")
@@ -610,6 +614,9 @@ def main(argv=None) -> int:
         return 3
     except CheckFailure as exc:
         print(f"FAIL {exc.name} ({exc.detail})")
+        return 1
+    except np.linalg.LinAlgError as exc:  # a kernel's check of its own result
+        print(f"FAIL invariant ({exc})")
         return 1
     suffix = ".csv" if header is not None else ".txt"
     out = Path(args.out) if args.out is not None else Path(f"{args.command}{suffix}")

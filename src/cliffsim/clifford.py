@@ -51,12 +51,14 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
+from .linalg import _read_only
 
+# read-only: every routing gate of a compiled circuit holds PAULI["X"] itself
 PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _read_only(np.eye(2, dtype=complex)),
+    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -96,11 +98,6 @@ def gamma(n: int, a: int) -> PauliString:
     head = "X" if a % 2 == 0 else "Y"
     letters = ["I"] * (n - k - 1) + [head] + ["Z"] * k
     return PauliString(n, tuple(letters))
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
 
 
 # The 2n generator matrices of every register size, built once at import so

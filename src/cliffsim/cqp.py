@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .clifford import REGISTER_SIZES, Blade, _check_register_size, _read_only, blade_products
+from .clifford import REGISTER_SIZES, Blade, _check_register_size, blade_products
+from .linalg import _read_only
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
 FD_STEP_MAX = 1e-2  # finite-difference steps must lie in (0, FD_STEP_MAX)

@@ -40,15 +40,33 @@ stack of these one-generator calls.
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
-coerce, check against DEFAULT_TOL and return their input.
+coerce, check against DEFAULT_TOL and return their input.  Each guard
+coerces its input once and runs each check on it once: ``require_unitary``
+measures the defect of the array it coerced, and ``expm_i`` has no
+Hermiticity check of its own but relies on the one ``hermitian_eigen`` runs
+before LAPACK is entered, so a non-Hermitian input to ``expm_i`` is
+reported under ``hermitian_eigen``'s name.  The identity these checks
+subtract is built once per d and is read-only.
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_TOL = 1e-10
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The real d x d identity, built once per d and shared, so read-only."""
+    return _read_only(np.eye(d))
 
 
 def as_matrix(a, where: str) -> np.ndarray:
@@ -133,7 +151,7 @@ def require_unitary(a, where: str) -> np.ndarray:
     """The input as a finite complex matrix unitary to DEFAULT_TOL, else
     ValueError naming `where`."""
     m = as_matrix(a, where)
-    defect = unitarity_defect(m)
+    defect = _unitarity_defect(m)
     if defect > DEFAULT_TOL:
         raise ValueError(f"{where}: input is not unitary "
                          f"(defect {defect:.3e} > tol {DEFAULT_TOL:.3e})")
@@ -150,8 +168,12 @@ def unitarity_defect(a) -> float | np.ndarray:
     per matrix of a stack (..., d, d) (see frobenius_norm).  For a square M
     this equals the norm of M^dag M - I: both are the norm of Sigma^2 - I
     over M's singular values."""
-    m = _square_stack(a, "unitarity_defect")
-    return frobenius_norm(m @ adjoint(m) - np.eye(m.shape[-1]))
+    return _unitarity_defect(_square_stack(a, "unitarity_defect"))
+
+
+def _unitarity_defect(m: np.ndarray) -> float | np.ndarray:
+    """unitarity_defect of an already coerced stack (..., d, d)."""
+    return frobenius_norm(m @ adjoint(m) - _identity(m.shape[-1]))
 
 
 class HermitianEigen(NamedTuple):
@@ -174,7 +196,7 @@ def hermitian_eigen(h) -> HermitianEigen:
     # each matrix's residual is measured against its own max(1, max|lam|)
     scale = np.abs(lam).max(axis=-1, keepdims=True, initial=1.0)
     residual = (np.abs(a @ v - v * lam[..., None, :]) / scale[..., None]).max(initial=0.0)
-    ortho = np.abs(adjoint(v) @ v - np.eye(a.shape[-1])).max(initial=0.0)
+    ortho = np.abs(adjoint(v) @ v - _identity(a.shape[-1])).max(initial=0.0)
     if residual > DEFAULT_TOL or ortho > DEFAULT_TOL:
         raise np.linalg.LinAlgError(
             f"hermitian_eigen: eigh result fails its check (relative residual "
@@ -190,11 +212,10 @@ def expm_i(h, s=1.0) -> np.ndarray:
     exp(i*s*H) from the one eigendecomposition, shape S + (..., d, d).  An s
     with a nonzero imaginary part (the result would not be unitary) or a
     non-finite s*lambda (s not finite, or the product overflowing) raises
-    ValueError.
+    ValueError.  A non-finite, non-square or non-Hermitian h is rejected by
+    hermitian_eigen's guard, before any eigensolve, under its name.
     """
-    # also checked in hermitian_eigen; a bad input must stop before it is entered
-    m = require_hermitian(h, "expm_i")
-    lam, v = hermitian_eigen(m)
+    lam, v = hermitian_eigen(h)
     s = np.asarray(s)
     if np.iscomplexobj(s) and (s.imag != 0).any():
         raise ValueError("expm_i: s has a nonzero imaginary part, so exp(i*s*H) is not unitary")
@@ -234,8 +255,11 @@ def expm_i_involution(h, s=1.0) -> np.ndarray:
 def spectral_norm(a) -> float | np.ndarray:
     """Largest singular value of a matrix, or one per matrix of a stack
     (..., d, d), from one LAPACK SVD call; a float for one matrix, an array
-    of shape (...) for a stack (see frobenius_norm)."""
-    norms = np.linalg.norm(_square_stack(a, "spectral_norm"), 2, axis=(-2, -1))
+    of shape (...) for a stack (see frobenius_norm).  The bits are those of
+    np.linalg.norm(a, 2, axis=(-2, -1)), the largest of the same singular
+    values, without its axis bookkeeping; a 0 x 0 matrix gives 0.0."""
+    sigma = np.linalg.svd(_square_stack(a, "spectral_norm"), compute_uv=False)
+    norms = sigma.max(axis=-1, initial=0.0)
     return float(norms) if norms.ndim == 0 else norms
 
 

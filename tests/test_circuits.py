@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cliffsim import circuits, linalg, simulator
+from cliffsim import circuits, clifford, linalg, simulator
 from cliffsim.circuits import TwoLevelGate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,6 +125,33 @@ def test_compile_adjacent_indices_single_gate():
     assert (g.i, g.j) == (2, 3)
     assert circuits.format_circuit(circuit)[0].startswith("cu target=2 controls=1:1 block")
     np.testing.assert_allclose(circuit.dense(), gate.embed(), atol=1e-9)
+
+
+def test_compile_adjacent_indices_returns_the_gate_itself():
+    gate = TwoLevelGate(8, 1, 5, linalg.expm_i(Y, 0.3))
+    assert circuits.compile_two_level(gate, 3).gates == (gate,)
+    assert circuits.compile_two_level(gate, 3).gates[0] is gate
+
+
+def test_writing_into_a_compiled_gate_block_raises():
+    """Routing gates hold clifford.PAULI["X"] itself as their block, so the
+    Pauli matrices are read-only: a write must not reach the module constant."""
+    circuit = circuits.compile_two_level(TwoLevelGate(4, 0, 3, linalg.expm_i(Y, 0.23)), 2)
+    routing = circuit.gates[0]
+    assert routing.block is clifford.PAULI["X"]
+    with pytest.raises(ValueError, match="read-only"):
+        routing.block[0, 0] = 2
+    assert clifford.PAULI["X"].tolist() == X.tolist()
+    assert not any(m.flags.writeable for m in clifford.PAULI.values())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compiled_gates_pass_the_gate_guards_when_rebuilt(n):
+    u = linalg.random_unitary(2 ** n, np.random.default_rng(40 + n))
+    for g in circuits.compile_unitary(u, n).gates:
+        rebuilt = TwoLevelGate(g.dim, g.i, g.j, g.block)
+        assert (rebuilt.dim, rebuilt.i, rebuilt.j) == (g.dim, g.i, g.j)
+        assert rebuilt.block.tobytes() == g.block.tobytes()
 
 
 def test_compile_distant_indices_routes_through_gray_code():

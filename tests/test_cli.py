@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -446,7 +447,7 @@ def test_check_failure_exits_1(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 1
     printed = capsys.readouterr().out
-    assert printed.startswith("FAIL train-converged")
+    assert re.fullmatch(r"FAIL train-converged \(final fidelity 0\.\d{6} < 0\.999\)\n", printed)
     assert not out.exists()
 
 
@@ -546,13 +547,68 @@ LIBRARY_BREAKS = {
 }
 
 
+# a number as %.3e or %.6e formats it, and one as repr does
+_E3, _E6, _REPR = r"-?\d\.\d{3}e[-+]\d\d", r"-?\d\.\d{6}e[-+]\d\d", r"-?\d+\.\d+(e[-+]\d+)?"
+
+# check name -> its whole detail under LIBRARY_BREAKS, as a regular expression
+LIBRARY_DETAILS = {
+    "basis-hermiticity": rf"max defect {_E3}",
+    "generator-relations": rf"max defect {_E3}",
+    "basis-independence": r"gram rank 15 != 16",
+    "basis-orthogonality": r"basis_report: a real or imaginary part of the n=2 basis stack "
+                           r"is not -1, 0 or 1, so its float32 products are not certified exact",
+    "basis-count": r"blade count 17 != 16",
+    "omega-agreement": r"parity 60 != dense 60\.000001",
+    "gqft-factorization": rf"theta=0\.1 seed=0 error {_E3}",
+    "gqft-distance-bound": rf"theta=0\.1 seed=0 distance {_E6} > bound {_E6}",
+    "swap-agreement": rf"formula {_REPR} vs protocol {_REPR}",
+    "swap-concentration": rf"shots=1000: shots \* KL\(zeros/shots \|\| p0\) = {_E6} > 32 "
+                          rf"\(zeros/shots = {_E6}, p0 = {_E6}\)",
+    "equivalence-defect": rf"seed=0: phi defect {_E3}, state defect {_E3}",
+    "trotter-bound": rf"r=1: measured {_E6} > bound_full {_E6} \+ roundoff {_E6}",
+    "train-monotone": rf"iteration 1: fidelity fell {_REPR} -> {_REPR}",
+    "decompose-reconstruction": rf"defect {_E3}",
+    "decompose-compilation": rf"defect {_E3}",
+}
+
+
 @pytest.mark.parametrize("check", sorted(LIBRARY_BREAKS))
 def test_library_check_failure_exits_1(tmp_path, capsys, monkeypatch, check):
+    """The one printed line carries the check's whole detail, which is built
+    only when the check fails."""
     command, module, name, patch = LIBRARY_BREAKS[check]
     monkeypatch.setattr(module, name, patch(getattr(module, name)))
     out = tmp_path / "r.csv"
     assert _run(command, out) == 1
-    assert capsys.readouterr().out.startswith(f"FAIL {check} (")
+    printed = capsys.readouterr().out
+    assert re.fullmatch(rf"FAIL {check} \({LIBRARY_DETAILS[check]}\)\n", printed), printed
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["non-orthonormal basis", "wrong eigenvalue"])
+@pytest.mark.parametrize("command", ["verify-gqft", "trotter-sweep", "equivalence",
+                                     "decompose"])
+def test_a_failed_eigensolve_check_is_a_failed_invariant(tmp_path, capsys, monkeypatch,
+                                                          command, fault):
+    """hermitian_eigen's residual or orthonormality check rejecting a LAPACK
+    result exits 1 with one FAIL invariant line, no traceback and no report."""
+    real = np.linalg.eigh
+
+    def corrupted(a):
+        lam, v = real(a)
+        if fault == "non-orthonormal basis":
+            v[..., :, 0] *= 1.0 + 1e-6
+        else:
+            lam[..., 0] += 1e-6
+        return lam, v
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    out = tmp_path / "r.csv"
+    assert _run(command, out) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        rf"FAIL invariant \(hermitian_eigen: eigh result fails its check \(relative residual "
+        rf"{_E3}, orthonormality defect {_E3}, tol 1\.000e-10\)\)\n", captured.out), captured.out
+    assert captured.err == ""
     assert not out.exists()
 
 

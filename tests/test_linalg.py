@@ -239,6 +239,42 @@ def test_spectral_norm_rejects_a_non_square_or_non_finite_stack(a):
         linalg.spectral_norm(a)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 3, 8, 8), (1, 1), (5, 1, 1),
+                                   (0, 4, 4)])
+def test_spectral_norm_has_the_bits_of_numpys_matrix_2_norm(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = linalg.spectral_norm(a)
+    want = np.linalg.norm(a, 2, axis=(-2, -1))
+    assert type(got) is (float if len(shape) == 2 else np.ndarray)
+    assert np.asarray(got).shape == want.shape
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def test_spectral_norm_of_an_empty_matrix_is_zero():
+    assert linalg.spectral_norm(np.zeros((0, 0))) == 0.0
+    assert linalg.spectral_norm(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_identity_is_shared_and_read_only(d):
+    eye = linalg._identity(d)
+    assert eye is linalg._identity(d)
+    assert eye.tobytes() == np.eye(d).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        eye[0, 0] = 2.0
+
+
+def test_expm_i_rejects_a_non_hermitian_input_before_eigh(monkeypatch):
+    """expm_i relies on hermitian_eigen's one Hermiticity check, which runs
+    before LAPACK is entered and names hermitian_eigen."""
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(ValueError, match="^hermitian_eigen: input is not Hermitian"):
+        linalg.expm_i([[0, 1], [0, 0]])
+
+
 def test_spectral_norm_examples():
     assert linalg.spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert linalg.spectral_norm(np.diag([3.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
