@@ -22,10 +22,10 @@ is reported as ``cliffsim <command>: error:`` under the command's usage
 (exit code 2 either way).
 
 Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
-is printed; a kernel that rejects its own result, as ``hermitian_eigen``
-does an eigensolve that fails its residual or orthonormality check, prints
-``FAIL invariant``), 2 unknown command / unparseable flags, 3 invalid config
-(including a config file that cannot be read or decoded as UTF-8, and a
+is printed; an eigensolve that fails ``hermitian_eigen``'s residual or
+orthonormality check, ``linalg.EigenCheckError``, prints ``FAIL invariant``;
+any other ``LinAlgError`` is not caught), 2 unknown command / unparseable
+flags, 3 invalid config (including a config file that cannot be read or decoded as UTF-8, and a
 report path that cannot be written).
 Data rows are deterministic: identical command, config and seed give
 byte-identical rows (floats carry 17 significant digits); metadata such as
@@ -615,7 +615,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL {exc.name} ({exc.detail})")
         return 1
-    except np.linalg.LinAlgError as exc:  # a kernel's check of its own result
+    except linalg.EigenCheckError as exc:
         print(f"FAIL invariant ({exc})")
         return 1
     suffix = ".csv" if header is not None else ".txt"

@@ -40,12 +40,9 @@ stack of these one-generator calls.
 
 Valid matrix input is decided here only: ``as_matrix`` coerces one finite
 square matrix; ``require_unitary`` and ``require_hermitian`` (also on stacks)
-coerce, check against DEFAULT_TOL and return their input.  Each guard
-coerces its input once and runs each check on it once: ``require_unitary``
-measures the defect of the array it coerced, and ``expm_i`` has no
-Hermiticity check of its own but relies on the one ``hermitian_eigen`` runs
-before LAPACK is entered, so a non-Hermitian input to ``expm_i`` is
-reported under ``hermitian_eigen``'s name.  The identity these checks
+coerce, check against DEFAULT_TOL and return their input.
+``require_unitary`` coerces its input once and measures the defect of the
+array it coerced.  The identity the unitarity and orthonormality checks
 subtract is built once per d and is read-only.
 """
 from __future__ import annotations
@@ -176,6 +173,11 @@ def _unitarity_defect(m: np.ndarray) -> float | np.ndarray:
     return frobenius_norm(m @ adjoint(m) - _identity(m.shape[-1]))
 
 
+class EigenCheckError(np.linalg.LinAlgError):
+    """An eigh result that fails hermitian_eigen's residual or orthonormality
+    check; LAPACK's own failures stay plain LinAlgError."""
+
+
 class HermitianEigen(NamedTuple):
     eigenvalues: np.ndarray   # real, ascending
     eigenvectors: np.ndarray  # orthonormal columns, paired with eigenvalues
@@ -187,8 +189,7 @@ def hermitian_eigen(h) -> HermitianEigen:
 
     Each result is re-checked: a residual max|AV - V diag(lam)| above
     DEFAULT_TOL * max(1, max|lam|) of its own matrix, or an orthonormality
-    defect max|V^dag V - I| above DEFAULT_TOL, raises
-    ``numpy.linalg.LinAlgError``.
+    defect max|V^dag V - I| above DEFAULT_TOL, raises EigenCheckError.
     """
     a = require_hermitian(h, "hermitian_eigen")
     a = a / 2.0 + adjoint(a) / 2.0  # halve first: no overflow near the float limit
@@ -198,7 +199,7 @@ def hermitian_eigen(h) -> HermitianEigen:
     residual = (np.abs(a @ v - v * lam[..., None, :]) / scale[..., None]).max(initial=0.0)
     ortho = np.abs(adjoint(v) @ v - _identity(a.shape[-1])).max(initial=0.0)
     if residual > DEFAULT_TOL or ortho > DEFAULT_TOL:
-        raise np.linalg.LinAlgError(
+        raise EigenCheckError(
             f"hermitian_eigen: eigh result fails its check (relative residual "
             f"{residual:.3e}, orthonormality defect {ortho:.3e}, tol {DEFAULT_TOL:.3e})")
     return HermitianEigen(lam, v)
@@ -212,10 +213,11 @@ def expm_i(h, s=1.0) -> np.ndarray:
     exp(i*s*H) from the one eigendecomposition, shape S + (..., d, d).  An s
     with a nonzero imaginary part (the result would not be unitary) or a
     non-finite s*lambda (s not finite, or the product overflowing) raises
-    ValueError.  A non-finite, non-square or non-Hermitian h is rejected by
-    hermitian_eigen's guard, before any eigensolve, under its name.
+    ValueError.
     """
-    lam, v = hermitian_eigen(h)
+    # also checked in hermitian_eigen; a bad input must stop before it is entered
+    m = require_hermitian(h, "expm_i")
+    lam, v = hermitian_eigen(m)
     s = np.asarray(s)
     if np.iscomplexobj(s) and (s.imag != 0).any():
         raise ValueError("expm_i: s has a nonzero imaginary part, so exp(i*s*H) is not unitary")

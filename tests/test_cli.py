@@ -612,6 +612,18 @@ def test_a_failed_eigensolve_check_is_a_failed_invariant(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_a_lapack_failure_is_not_reported_as_a_failed_invariant(tmp_path, monkeypatch):
+    """Only hermitian_eigen's check of a result maps to FAIL invariant; LAPACK
+    failing to converge is not an invariant failure and is not caught."""
+    def unconverged(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", unconverged)
+    out = tmp_path / "r.csv"
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        _run("equivalence", out)
+    assert not out.exists()
+
+
 def _estimate_squared(monkeypatch):
     """swap-test's estimate column as est^2: the tallies stay true."""
     real = simulator.swap_test_sampled
