@@ -52,7 +52,8 @@ def xy_yx_unitary(theta1: float, theta2: float) -> np.ndarray:
 
 
 class TwoLevelGate(namedtuple("TwoLevelGate", "dim i j block")):
-    """block is the 2x2 unitary acting on basis indices (i, j)."""
+    """block is the 2x2 unitary acting on basis indices (i, j), read-only: a
+    copy of the one given, unless that is read-only and owns its data."""
     __slots__ = ()
 
     def __new__(cls, dim: int, i: int, j: int, block: np.ndarray):
@@ -68,6 +69,8 @@ class TwoLevelGate(namedtuple("TwoLevelGate", "dim i j block")):
         b = linalg.require_unitary(block, "TwoLevelGate")
         if b.shape != (2, 2):
             raise ValueError(f"block must be 2x2, got {b.shape}")
+        if b.flags.writeable or b.base is not None:  # the caller's array, or a view
+            b = _read_only(b.copy())  # a read-only array that owns its data is shared
         return super().__new__(cls, dim, i, j, b)
 
     def embed(self) -> np.ndarray:

@@ -22,9 +22,11 @@ is reported as ``cliffsim <command>: error:`` under the command's usage
 (exit code 2 either way).
 
 Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
-is printed; an eigensolve that fails ``hermitian_eigen``'s residual or
-orthonormality check, ``linalg.EigenCheckError``, prints ``FAIL invariant``;
-any other ``LinAlgError`` is not caught), 2 unknown command / unparseable
+is printed; a computed value that fails the program's own check,
+``linalg.InvariantError``, prints ``FAIL invariant``: an eigensolve that fails
+``hermitian_eigen``'s residual or orthonormality check, or a training
+fidelity, activation output or gradient out of its range; any other
+``LinAlgError`` is not caught), 2 unknown command / unparseable
 flags, 3 invalid config (including a config file that cannot be read or decoded as UTF-8, and a
 report path that cannot be written).
 Data rows are deterministic: identical command, config and seed give
@@ -205,12 +207,12 @@ def _row_template(kinds: tuple[type, ...]) -> str:
     return ",".join(map(_cell_format, kinds))
 
 
-def _format_row(row) -> str:
+def _cell_types(row) -> tuple[type, ...]:
     # (*map(...),) builds the key from a list of known length.  tuple(map(...))
     # grows its tuple by resizing, which bypasses CPython's tuple free lists,
     # so each call left one more spare tuple on the list of the row's length
     # (up to 2000 of them): ~0.4 MB more peak RSS over a few thousand jobs
-    return _row_template((*map(type, row),)) % tuple(row)
+    return (*map(type, row),)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +399,8 @@ def _cmd_train_cqp(cfg):
     sample = cqp.TrainingSample(x_coeffs, cfg["beta"])
     try:
         thetas, fids = cqp.ascent(config, sample, theta0, cfg["iterations"], cfg["fd_step"])
-    except ValueError as exc:  # a guard on ascent's inputs, or a check of a value it
-        # computed (fidelity, activation output, gradient): each exits 3 here
+    except ValueError as exc:  # a guard on ascent's inputs exits 3; a failed check of
+        # a value it computed is a linalg.InvariantError, which main reports
         raise ConfigError(str(exc)) from None
     # one pass checks each fidelity and builds its row from ascent's lists of
     # floats; a detail is built only for the first iteration that fails
@@ -593,7 +595,12 @@ def _write_report(path: Path, header, payload, meta: list[str]) -> None:
     lines = []
     if header is not None:
         lines.append(",".join(header))
-        lines += map(_format_row, payload)
+        # one % per run of rows with the same cell types, the bytes of one per row;
+        # (*chain,) and not tuple(chain), for the free lists (see _cell_types)
+        for kinds, run in itertools.groupby(payload, _cell_types):
+            run = list(run)
+            lines.append("\n".join([_row_template(kinds)] * len(run))
+                         % (*itertools.chain.from_iterable(run),))
     else:
         lines += payload
     lines += [f"# {m}" for m in meta]
@@ -615,7 +622,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL {exc.name} ({exc.detail})")
         return 1
-    except linalg.EigenCheckError as exc:
+    except linalg.InvariantError as exc:
         print(f"FAIL invariant ({exc})")
         return 1
     suffix = ".csv" if header is not None else ".txt"

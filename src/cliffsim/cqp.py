@@ -23,11 +23,14 @@ b_j = Re<x|iB_j|0..0>.  A row c has the overlap
 v = alpha cos|c| + sin|c| (c.b)/|c| and, with a = tanh(v) in [-1, 1],
 the fidelity F = min(|gamma_0 a + gamma_1 sqrt((1 - a)(1 + a))|, 1).
 The 2m neighbours theta +- h e_j come from |theta|^2 and theta.b, so an
-iteration makes no numpy call; its central differences, their finiteness
-guard and the step are one loop over the components.  Each fidelity is
-checked once, when ascent scores it.  ascent returns the weights and
-fidelities as lists of Python floats, which the CLI writes as they are;
-train is their records, built once, when the run ends.
+iteration makes no numpy call.  An iteration is one pass: it scores theta,
+then the m rows theta + h e_j, then each row theta - h e_j together with
+component j's central difference, its finiteness guard and its step.  Each
+fidelity is checked once, when ascent scores it.  A guard on ascent's
+inputs raises ValueError; a check of a value it computed (a fidelity, an
+activation output, a gradient) raises linalg.InvariantError.  ascent
+returns the weights and fidelities as lists of Python floats, which the CLI
+writes as they are; train is their records, built once, when the run ends.
 """
 from __future__ import annotations
 
@@ -115,9 +118,8 @@ def _norm_error(c) -> ValueError:
                       else "coefficient norm overflows float64")
 
 
-def _activation_error(value) -> ValueError:
-    return ValueError(f"activation output {float(value)!r} "
-                      f"is outside [-1, 1]; arccos undefined")
+def _activation_message(value) -> str:
+    return f"activation output {float(value)!r} is outside [-1, 1]; arccos undefined"
 
 
 def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
@@ -157,7 +159,7 @@ def forward(config: PerceptronConfig, x, w) -> tuple[np.ndarray, np.ndarray]:
     # math.tanh and in numpy's loops alike, so no output needs a clip; the
     # guard stops a NaN
     if not np.abs(v).max(initial=0.0) <= 1.0:
-        raise _activation_error(np.asarray(v)[~(np.abs(v) <= 1.0)][0])
+        raise ValueError(_activation_message(np.asarray(v)[~(np.abs(v) <= 1.0)][0]))
     phi = np.arccos(v)
     return phi, _rotate_ground(config._i_blade_columns[config.output_index], phi)
 
@@ -206,16 +208,16 @@ class TrainRecord(NamedTuple):
 
 def _check_fidelity(f: float) -> None:
     if not 0.0 <= f <= 1.0 + 1e-10:
-        raise ValueError(f"fidelity {f} outside [0, 1]")
+        raise linalg.InvariantError(f"fidelity {f} outside [0, 1]")
 
 
 def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
-    """score(theta, h): the fidelities [F(theta), F(theta + h*e_0), ...,
-    F(theta + h*e_{m-1}), F(theta - h*e_0), ..., F(theta - h*e_{m-1})] of a
-    list theta of m floats, 2m + 1 Python floats, or [F(theta)] when h = 0,
-    for the sample's input and target angle.  Each row must pass the guards
-    of encode and forward; the rows are scored on Python floats from the sums
-    |theta|^2 and theta.b."""
+    """(b, centre, fidelity), the run's fidelity scorer for the sample's input
+    and target angle, on Python floats: b, the list of the b_j;
+    fidelity(r, d), the fidelity of a row c of norm r = |c| with c.b = d,
+    whose activation output must lie in [-1, 1]; and centre(theta),
+    (F(theta), |theta|, theta.b) for a list theta of m floats, which must
+    pass the coefficient guards of encode."""
     x_conj = np.conj(_one_state(encode(config, sample.input_coeffs)))
     ref = np.conj(target_state(config, sample.target_angle))
     # gamma_0 and gamma_1 are real, since a generator has a zero diagonal
@@ -223,36 +225,24 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     gamma1 = float((ref @ config._i_blade_columns[config.output_index]).real)
     alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
     act = config.activation.float_form
-    sqrt, cos, sin = math.sqrt, math.cos, math.sin
+    sqrt, cos, sin, hypot = math.sqrt, math.cos, math.sin, math.hypot
 
-    def score(theta, h) -> list[float]:
-        norm = math.hypot(*theta)  # overflows only if the norm does
+    def fidelity(r, d):
+        # cos(phi) = a and sin(phi) = sqrt((1 - a)(1 + a)) at phi = arccos(a)
+        a = act(alpha * cos(r) + sin(r) * (d / r) if r else alpha)
+        if not -1.0 <= a <= 1.0:  # |tanh u| <= 1 (see forward); NaN fails
+            raise linalg.InvariantError(_activation_message(a))
+        f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
+        return 1.0 if f > 1.0 else f  # keeps a NaN f for ascent's check
+
+    def centre(theta):
+        norm = hypot(*theta)  # overflows only if the norm does
         if not norm < math.inf:  # tested before math.sin, which raises on inf
             raise _norm_error(theta)
         dot = sum(map(mul, theta, b))
-        vs = [alpha * cos(norm) + sin(norm) * (dot / norm) if norm else alpha]
-        # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
-        # (theta +- h e_j).b = dot +- h b_j.  s is finite below |theta| =
-        # 2^511 (ascent keeps |theta_j| below 2^47); past it the h terms are
-        # below half an ulp of s, so each neighbour's norm rounds to |theta|
-        s = norm * norm + h * h
-        finite = s < math.inf
-        for hj in (h, -h) if h else ():
-            two_hj = 2.0 * hj
-            for t, bj in zip(theta, b):
-                r = s + two_hj * t  # may round below an exact 0
-                r = (sqrt(r) if r > 0.0 else 0.0) if finite else norm
-                vs.append(alpha * cos(r) + sin(r) * ((dot + hj * bj) / r) if r else alpha)
-        fids = []
-        for v in vs:  # cos(phi) = a and sin(phi) = sqrt((1 - a)(1 + a)) at phi = arccos(a)
-            a = act(v)
-            if not -1.0 <= a <= 1.0:  # |tanh u| <= 1 (see forward); NaN fails
-                raise _activation_error(a)
-            f = abs(gamma0 * a + gamma1 * sqrt((1.0 - a) * (1.0 + a)))
-            fids.append(1.0 if f > 1.0 else f)  # keeps a NaN f for ascent's check
-        return fids
+        return fidelity(norm, dot), norm, dot
 
-    return score
+    return b, centre, fidelity
 
 
 def ascent(config: PerceptronConfig, sample: TrainingSample, theta0,
@@ -261,18 +251,19 @@ def ascent(config: PerceptronConfig, sample: TrainingSample, theta0,
     iterations + 1 weight vectors, initial included, each a list of 2n
     Python floats, and the fidelity of each, a Python float.
 
-    theta is a list of floats.  Each iteration scores theta and its 2m
-    neighbours theta +- fd_step*e_j in one call of the run's fidelity scorer:
-    the first score is the record's fidelity and the others give the
-    central-difference gradient.  fd_step must move each component of theta0
-    both ways, and 1 too: the fidelities it differences are at most 1, and
-    rounded to about an ulp of 1, so a smaller step gives a difference that
-    is all rounding (zero, at a step of 1e-17) and trains nothing.  The same
-    holds for the theta of every later iteration, which a large step can
-    carry past the resolution of fd_step.  An iteration's central
-    differences, their finiteness guard and its step are one loop over the
-    components.  Each fidelity, the final theta's included, is checked once,
-    when scored.
+    theta is a list of floats.  Each iteration is one pass: it scores theta,
+    whose fidelity is the record's, then the m rows theta + fd_step*e_j, then
+    each row theta - fd_step*e_j together with component j's central
+    difference, its finiteness guard and its step.  fd_step must move each
+    component of theta0 both ways, and 1 too: the fidelities it differences
+    are at most 1, and rounded to about an ulp of 1, so a smaller step gives
+    a difference that is all rounding (zero, at a step of 1e-17) and trains
+    nothing.  The same holds for the theta of every later iteration, which a
+    large step can carry past the resolution of fd_step.  Each fidelity, the
+    final theta's included, is checked once, when scored.  A guard on the
+    inputs (iterations, fd_step, theta0, the coefficients and the resolution
+    of fd_step) raises ValueError; a check of a value ascent computed (a
+    fidelity, an activation output, a gradient) raises linalg.InvariantError.
     """
     if iterations < 0:
         raise ValueError(f"need iterations >= 0, got {iterations}")
@@ -289,34 +280,45 @@ def ascent(config: PerceptronConfig, sample: TrainingSample, theta0,
             raise ValueError(f"fd_step {fd_step!r} is below the float resolution of "
                              f"max(|theta_j|, 1) at component {j} of theta0 ({t!r}), "
                              f"iteration 0")
-    score = _fidelity_scorer(config, sample)
-    thetas, fids = [], []  # each fidelity checked when scored
-    two_h, eta, isfinite = 2.0 * fd_step, config.eta, math.isfinite
-    for k in range(iterations):
-        if k:  # after a step, one test at the largest |theta_j|, whose float
-            # resolution is the coarsest (theta0's test above covered 1)
+    b, centre, fidelity = _fidelity_scorer(config, sample)
+    thetas, fids = [], []
+    h, two_h, eta = fd_step, 2.0 * fd_step, config.eta
+    hb = [h * bj for bj in b]  # the h b_j, fixed for the run
+    sqrt, isfinite = math.sqrt, math.isfinite
+    for k in range(iterations + 1):
+        if 0 < k < iterations:  # after a step, one test at the largest |theta_j|, whose
+            # float resolution is the coarsest (theta0's test above covered 1)
             scale = max(map(abs, theta))
-            if (scale + fd_step == scale or scale - fd_step == scale) and math.isfinite(scale):
+            if (scale + fd_step == scale or scale - fd_step == scale) and isfinite(scale):
                 j = list(map(abs, theta)).index(scale)
                 raise ValueError(f"fd_step {fd_step!r} is below the float resolution of "
                                  f"max(|theta_j|, 1) at component {j} of theta "
                                  f"({theta[j]!r}), iteration {k}")
-        f = score(theta, fd_step)
-        _check_fidelity(f[0])
+        f, norm, dot = centre(theta)
+        _check_fidelity(f)
         thetas.append(theta)
-        fids.append(f[0])
-        step = []  # each component's central difference, its guard and its step
-        for t, up, down in zip(theta, f[1:m + 1], f[m + 1:]):
-            g = (up - down) / two_h
+        fids.append(f)
+        if k == iterations:
+            break
+        # |theta +- h e_j|^2 = s +- 2h theta_j with s = |theta|^2 + h^2, and
+        # (theta +- h e_j).b = dot +- h b_j.  s is finite: the resolution
+        # tests keep every |theta_j| below 2^47.  s +- 2h theta_j may round
+        # below an exact 0
+        s = norm * norm + h * h
+        ups = []  # a loop: before CPython 3.12 a comprehension is a call of its own
+        for t, hbj in zip(theta, hb):
+            r = s + two_h * t
+            ups.append(fidelity(sqrt(r) if r > 0.0 else 0.0, dot + hbj))
+        step = []
+        for t, hbj, up in zip(theta, hb, ups):
+            r = s - two_h * t
+            g = (up - fidelity(sqrt(r) if r > 0.0 else 0.0, dot - hbj)) / two_h
             if not isfinite(g):
-                raise ValueError(f"non-finite finite-difference gradient at component "
-                                 f"{len(step)} (activation kink or overflow)")
+                raise linalg.InvariantError(
+                    f"non-finite finite-difference gradient at component {len(step)} "
+                    f"(activation kink or overflow)")
             step.append(t + eta * g)
         theta = step
-    f = score(theta, 0.0)[0]
-    _check_fidelity(f)
-    thetas.append(theta)
-    fids.append(f)
     return thetas, fids
 
 

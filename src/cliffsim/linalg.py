@@ -173,7 +173,13 @@ def _unitarity_defect(m: np.ndarray) -> float | np.ndarray:
     return frobenius_norm(m @ adjoint(m) - _identity(m.shape[-1]))
 
 
-class EigenCheckError(np.linalg.LinAlgError):
+class InvariantError(Exception):
+    """A value the program computed fails a check the program makes on it;
+    the CLI reports it as ``FAIL invariant``.  Not a ValueError, the class of
+    the guards on inputs."""
+
+
+class EigenCheckError(np.linalg.LinAlgError, InvariantError):
     """An eigh result that fails hermitian_eigen's residual or orthonormality
     check; LAPACK's own failures stay plain LinAlgError."""
 

@@ -68,6 +68,24 @@ def test_two_level_gate_stores_plain_int_indices():
     assert circuits.format_two_level([gate])[0].startswith("twolevel dim=4 i=1 j=3 block")
 
 
+def test_two_level_gate_keeps_a_read_only_copy_of_its_block():
+    """A complex128 block, which needs no conversion, is copied too, as is a
+    read-only view of a writable array: writing into the caller's array
+    leaves the gate as built, and the gate's own block cannot be written."""
+    block = X.astype(complex)
+    view = block[:]
+    view.flags.writeable = False
+    for given in (block, view):
+        gate = TwoLevelGate(2, 0, 1, given)
+        assert not np.shares_memory(gate.block, block)
+        block[0, 0] = 5
+        assert np.array_equal(gate.block, X)
+        with pytest.raises(ValueError, match="read-only"):
+            gate.block[0, 0] = 5
+        assert np.array_equal(gate.block, X)
+        block[0, 0] = 0
+
+
 def test_decompose_two_level_input_is_single_factor():
     block = linalg.expm_i(Y, 0.9)
     u = TwoLevelGate(4, 0, 2, block).embed()

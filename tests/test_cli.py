@@ -612,6 +612,36 @@ def test_a_failed_eigensolve_check_is_a_failed_invariant(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("fidelity", "fidelity nan outside [0, 1]"),
+    ("activation", "activation output nan is outside [-1, 1]; arccos undefined"),
+    ("gradient", "non-finite finite-difference gradient at component 0 "
+                 "(activation kink or overflow)"),
+])
+def test_a_failed_training_check_is_a_failed_invariant(tmp_path, capsys, monkeypatch,
+                                                      fault, message):
+    """A value train-cqp computed that fails ascent's check (a NaN fidelity,
+    activation output or gradient) exits 1 with one FAIL invariant line, no
+    traceback and no report; it is not an invalid config."""
+    real = cqp._fidelity_scorer
+
+    def spoiled(cfg, smp):
+        b, centre, fidelity = real(cfg, smp)
+        if fault == "fidelity":
+            return b, lambda theta: (math.nan, *centre(theta)[1:]), fidelity
+        return b, centre, lambda r, d: math.nan
+    if fault == "activation":
+        monkeypatch.setattr(cqp.Activation, "float_form", property(lambda self: lambda u: math.nan))
+    else:
+        monkeypatch.setattr(cqp, "_fidelity_scorer", spoiled)
+    out = tmp_path / "r.csv"
+    assert cli.main(["train-cqp", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"FAIL invariant ({message})\n"
+    assert captured.err == ""
+    assert not out.exists()
+
+
 def test_a_lapack_failure_is_not_reported_as_a_failed_invariant(tmp_path, monkeypatch):
     """Only hermitian_eigen's check of a result maps to FAIL invariant; LAPACK
     failing to converge is not an invariant failure and is not caught."""
@@ -742,9 +772,14 @@ _CELLS = [
 ]
 
 
+def _format_row(row) -> str:
+    """One report row by its own % template, the writer's per-row reference."""
+    return cli._row_template(tuple(map(type, row))) % tuple(row)
+
+
 @pytest.mark.parametrize("value, text", _CELLS)
 def test_report_cell_format(value, text):
-    assert cli._format_row((value,)) == text
+    assert _format_row((value,)) == text
 
 
 def test_report_row_is_its_cells_joined(tmp_path):
@@ -753,9 +788,47 @@ def test_report_row_is_its_cells_joined(tmp_path):
     row = [value for value, _ in _CELLS]
     out = tmp_path / "r.csv"
     cli._write_report(out, ["h"], [row, row[::-1], row], ["meta"])
-    want = [",".join(cli._format_row((v,)) for v in r) for r in (row, row[::-1], row)]
+    want = [",".join(_format_row((v,)) for v in r) for r in (row, row[::-1], row)]
     assert out.read_bytes() == "\n".join(["h", *want, "# meta"]).encode() + b"\n"
     assert want[0] == ",".join(text for _, text in _CELLS)
+
+
+_RUNS = [  # rows whose cell types repeat, change and come back
+    [0, 0.5, 0.25], [1, 0.125, -0.0], [np.int64(2), 0.5, 0.25], [3, np.float32(0.1), 1e300],
+    [4, np.float32(0.2), np.float32(0.3)], [5, 0.5, 0.25], [True, "ok", 1.5], [False, "no", 2.5],
+    ["x", 1, 2], ["y", np.int64(-3), 4], [6, 0.75, 0.5],
+]
+
+
+@pytest.mark.parametrize("payload", [
+    _RUNS, _RUNS[:1], _RUNS[::-1], [_RUNS[0]] * 7, [_RUNS[0], _RUNS[2]] * 3, [],
+    [[], [], [1]], [(0.5,), ("a",), (0.5,)],
+], ids=["mixed", "one-row", "reversed", "one-run", "alternating", "empty", "no-cells",
+        "one-cell"])
+def test_report_runs_are_the_bytes_of_one_format_per_row(tmp_path, payload):
+    """Each run of rows with the same cell types is one %, byte for byte the
+    rows formatted one at a time: ints beside np.int64, floats beside
+    np.float32, bools, strings, a row of no cells and an empty payload."""
+    out = tmp_path / "r.csv"
+    cli._write_report(out, ["a", "b", "c"], payload, ["meta"])
+    want = "\n".join(["a,b,c", *map(_format_row, payload), "# meta"]) + "\n"
+    assert out.read_bytes() == want.encode()
+
+
+def test_writing_reports_keeps_no_spare_tuples(tmp_path):
+    """A run's % arguments are built as a tuple of known length: a tuple of
+    unknown length is built by resizing and, freed, goes to CPython's free
+    list of its size, one more per report (up to 2000), which a process
+    writing thousands of reports keeps as peak RSS."""
+    out = tmp_path / "r.csv"
+    # 15 cells: tuple() of an iterator first guesses 10, so it must resize
+    payload = [[1000, 1, 519, 0.25, 0.5], [10000, 2, 5118, 0.125, 0.5], [7, 3, 2, 0.5, 0.5]]
+    for _ in range(20):
+        cli._write_report(out, ["a", "b", "c", "d", "e"], payload, ["meta"])
+    before = sys.getallocatedblocks()
+    for _ in range(1000):
+        cli._write_report(out, ["a", "b", "c", "d", "e"], payload, ["meta"])
+    assert sys.getallocatedblocks() - before < 100
 
 
 @pytest.mark.parametrize("argv", [
@@ -1071,11 +1144,15 @@ def test_train_cqp_refuses_an_unreachable_fidelity(tmp_path, capsys):
 
 
 def _scorer_past_f_star(real):
-    """The scorer mutant whose fidelities are 1.05 times the real ones,
-    capped at 1."""
+    """The scorer mutant whose fidelities, theta's and each neighbour's, are
+    1.05 times the real ones, capped at 1."""
     def scorer(cfg, smp):
-        score = real(cfg, smp)
-        return lambda theta, h: [min(1.05 * f, 1.0) for f in score(theta, h)]
+        b, centre, fidelity = real(cfg, smp)
+
+        def centre_past(theta):
+            f, norm, dot = centre(theta)
+            return min(1.05 * f, 1.0), norm, dot
+        return b, centre_past, lambda r, d: min(1.05 * fidelity(r, d), 1.0)
     return scorer
 
 

@@ -528,28 +528,67 @@ def test_train_equals_a_loop_over_encode_and_forward(config, activation):
         assert abs(rec.fidelity - fid) <= bound
 
 
-def _unfused_train(config, sample, theta0, iterations, fd_step):
-    """train's loop over the real scorer with a gradient list, a separate
-    finiteness pass and a step list per iteration: (iteration, theta list,
-    fidelity) per record."""
+def _per_row_ascent(config, sample, theta0, iterations, fd_step):
+    """ascent written out row by row from the formulas of cqp's docstring:
+    (thetas, fidelities) as lists of Python floats.  An iteration scores
+    its 2m + 1 rows theta, theta + h e_j and theta - h e_j into one list,
+    then takes the central differences into a gradient list, checks them in
+    a separate pass and steps.  A row c = theta +- h e_j has
+    |c| = sqrt(|theta|^2 + h^2 +- 2h theta_j) and c.b = theta.b +- h b_j."""
+    e0 = simulator.basis_state(config.n, 0)
+    x = cqp.encode(config, sample.input_coeffs)
+    r = cqp.target_state(config, sample.target_angle)
+    columns = config._i_blade_columns  # iB_j|0..0>, each one entry of 1, -1, i or -i
+    # so each inner product below is exact, on any route
+    gamma0 = float(np.vdot(r, e0).real)
+    gamma1 = float(np.vdot(r, columns[config.output_index]).real)
+    alpha = float(np.vdot(x, e0).real)
+    b = [float(np.vdot(x, column).real) for column in columns]
+
+    def fidelity(norm, dot):
+        v = alpha * math.cos(norm) + math.sin(norm) * (dot / norm) if norm else alpha
+        a = math.tanh(v)
+        return min(abs(gamma0 * a + gamma1 * math.sqrt((1.0 - a) * (1.0 + a))), 1.0)
+
+    def rows(theta, h):  # the (|c|, c.b) of theta and its 2m neighbours
+        norm = math.hypot(*theta)
+        dot = sum(t * bj for t, bj in zip(theta, b))
+        s = norm * norm + h * h
+        out = [(norm, dot)]
+        for sign in (1.0, -1.0):
+            for t, bj in zip(theta, b):
+                q = s + sign * (2.0 * h * t)
+                out.append((math.sqrt(q) if q > 0.0 else 0.0, dot + sign * (h * bj)))
+        return out
+
     m = 2 * config.n
-    score = cqp._fidelity_scorer(config, sample)
-    theta, records = np.asarray(theta0, dtype=float).tolist(), []
-    for k in range(iterations):
-        f = score(theta, fd_step)
-        records.append((k, theta, f[0]))
+    theta, thetas, fids = np.asarray(theta0, dtype=float).tolist(), [], []
+    for _ in range(iterations):
+        f = [fidelity(*row) for row in rows(theta, fd_step)]
+        thetas.append(theta)
+        fids.append(f[0])
         grad = [(up - down) / (2.0 * fd_step) for up, down in zip(f[1:m + 1], f[m + 1:])]
         assert all(map(math.isfinite, grad))
         theta = [t + config.eta * g for t, g in zip(theta, grad)]
-    records.append((iterations, theta, score(theta, 0.0)[0]))
-    return records
+    thetas.append(theta)
+    fids.append(fidelity(*rows(theta, 0.0)[0]))
+    return thetas, fids
+
+
+def _assert_same_bits(got, want, where):
+    """ascent's (thetas, fidelities) equal want's, float for float, by float.hex."""
+    assert len(got[0]) == len(got[1]) == len(want[0]) == len(want[1])
+    assert all(type(t) is float for theta in got[0] for t in theta)
+    assert [list(map(float.hex, theta)) for theta in got[0]] == \
+        [list(map(float.hex, theta)) for theta in want[0]], where
+    assert list(map(float.hex, got[1])) == list(map(float.hex, want[1])), where
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_train_equals_the_unfused_loop_bit_for_bit(n):
     """At every output index and two learning rates, 60 iterations of train
-    give the unfused loop's records bit for bit, each theta a float64 array
-    of shape (2n,)."""
+    give the per-row reference's records bit for bit, each theta a float64
+    array of shape (2n,)."""
     rng = np.random.default_rng(200 + n)
     for k in range(2 * n):
         for eta in (0.1, 0.5):
@@ -557,15 +596,33 @@ def test_train_equals_the_unfused_loop_bit_for_bit(n):
             sample = TrainingSample(rng.uniform(0.1, 0.6, 2 * n), rng.uniform(-3.0, 3.0))
             theta0 = rng.uniform(0.0, 0.5, 2 * n)
             got = cqp.train(config, sample, theta0, iterations=60)
-            want = _unfused_train(config, sample, theta0, 60, 1e-5)
-            assert len(got) == len(want) == 61
+            thetas, fids = _per_row_ascent(config, sample, theta0, 60, 1e-5)
+            assert len(got) == len(thetas) == 61
             assert len({rec.theta.tobytes() for rec in got}) > 1  # training moved theta
-            for rec, (i, theta, fid) in zip(got, want):
+            for i, (rec, theta, fid) in enumerate(zip(got, thetas, fids)):
                 assert type(rec) is cqp.TrainRecord and type(rec.iteration) is int
                 assert rec.theta.dtype == np.float64 and rec.theta.shape == (2 * n,)
                 assert rec.iteration == i
                 assert rec.theta.tobytes() == np.array(theta).tobytes(), (n, k, eta, i)
                 assert rec.fidelity.hex() == fid.hex(), (n, k, eta, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ascent_equals_the_per_row_reference_bit_for_bit(n):
+    """At every output index, 0, 1 and 5 iterations and steps from 1e-7 to
+    0.0099, the largest the CLI takes, ascent's thetas and fidelities are the
+    per-row reference's, by float.hex; theta0 = 0 (neighbours of norm h) is
+    one of the starts."""
+    rng = np.random.default_rng(400 + n)
+    for k in range(2 * n):
+        config = PerceptronConfig.type_ii(n, k, eta=rng.uniform(0.05, 1.0))
+        sample = TrainingSample(rng.uniform(-1.0, 1.0, 2 * n), rng.uniform(-3.0, 3.0))
+        for theta0 in (np.zeros(2 * n), rng.uniform(-2.0, 2.0, 2 * n)):
+            for iterations in (0, 1, 5):
+                for step in (1e-7, 1e-5, 1e-3, 0.0099):
+                    got = cqp.ascent(config, sample, theta0, iterations, step)
+                    want = _per_row_ascent(config, sample, theta0, iterations, step)
+                    _assert_same_bits(got, want, (n, k, iterations, step))
 
 
 def test_train_checks_each_fidelity_once(monkeypatch):
@@ -659,37 +716,38 @@ def test_train_numpy_calls_per_iteration_do_not_grow_with_the_rows(monkeypatch, 
 _FIDELITY_SCORER = cqp._fidelity_scorer  # the real one, which the tests below patch
 
 
-def _spoiling_scorer(spoil, spoiled_call, calls):
-    """A stand-in for cqp._fidelity_scorer whose score(theta, h) records h and
-    runs spoil(score, theta, h) in call number spoiled_call (from 1), and
-    the real score elsewhere; an unspoiled call gives 2m + 1 scores for h > 0
-    and one for h = 0."""
+def _spoiling_scorer(calls, centre=None, row=None):
+    """A stand-in for cqp._fidelity_scorer whose centre and per-row fidelity
+    functions append "centre" or "row" to calls, then run
+    centre(real_centre, theta) or row(real_fidelity, r, d) where given, the
+    real function elsewhere.  ascent calls centre once per record, the final
+    theta's included, and the row function 2m times per iteration: the rows
+    theta + h e_j, then theta - h e_j, each for j = 0..m-1."""
     def scorer(cfg, smp):
-        score = _FIDELITY_SCORER(cfg, smp)
+        b, real_centre, real_fidelity = _FIDELITY_SCORER(cfg, smp)
 
-        def spoiled(theta, h):
-            calls.append(h)
-            if len(calls) == spoiled_call:
-                return spoil(score, theta, h)
-            fids = score(theta, h)
-            assert len(fids) == (2 * len(theta) + 1 if h else 1)
-            return fids
-        return spoiled
+        def spoiled_centre(theta):
+            calls.append("centre")
+            return centre(real_centre, theta) if centre else real_centre(theta)
+
+        def spoiled_fidelity(r, d):
+            calls.append("row")
+            return row(real_fidelity, r, d) if row else real_fidelity(r, d)
+        return b, spoiled_centre, spoiled_fidelity
     return scorer
 
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_non_finite_neighbour_score_names_its_component(monkeypatch, component):
     config, sample, theta0 = _toy_task(4)
+    calls = []
 
-    def nan_neighbour(score, theta, h):
-        fids = score(theta, h)
-        fids[1 + component] = math.nan  # the score of theta + h*e_component
-        return fids
+    def nan_neighbour(fidelity, r, d):  # the score of theta + h*e_component
+        return math.nan if calls.count("row") == 1 + component else fidelity(r, d)
 
-    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(nan_neighbour, 1, []))
-    with pytest.raises(ValueError, match=f"non-finite finite-difference gradient at "
-                                         f"component {component} "):
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(calls, row=nan_neighbour))
+    with pytest.raises(linalg.InvariantError, match=f"non-finite finite-difference gradient "
+                                                    f"at component {component} "):
         cqp.train(config, sample, theta0, iterations=2)
 
 
@@ -702,13 +760,34 @@ def _rows(theta, h):
     return np.concatenate([theta[None], theta + bumps, theta - bumps])
 
 
+def _first_scores(monkeypatch, config, sample, theta, h):
+    """The fidelities ascent scores in its first iteration at fd_step h, in
+    the order of _rows(theta, h); theta's alone for h = 0, as ascent scores
+    it in a run of no iterations."""
+    scores = []
+
+    def centre(real, theta):
+        f, norm, dot = real(theta)
+        scores.append(f)
+        return f, norm, dot
+
+    def row(real, r, d):
+        scores.append(real(r, d))
+        return scores[-1]
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer([], centre, row))
+    cqp.ascent(config, sample, theta, 1 if h else 0, h or 1e-5)
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _FIDELITY_SCORER)
+    return scores[:2 * len(theta) + 1]
+
+
 @pytest.mark.parametrize("n, output_index", [(1, 0), (1, 1), (2, 0), (2, 3)])
-def test_row_score_matches_the_dense_oracle(n, output_index):
-    """Every one of the 2m + 1 scores of a call, against the dense oracle on
-    its explicit row, at h = 0, the default step and 0.0099, the largest the
-    CLI takes: theta = 0 (c = 0, and neighbours of norm h) and six random
-    thetas in [-2, 2]^m at 1e-12, and a theta of norm 1e6.  One ulp of
-    |c| = 1e6 is 1.2e-10, so no double-precision route, the oracle's
+def test_row_score_matches_the_dense_oracle(monkeypatch, n, output_index):
+    """Every one of the 2m + 1 scores of an iteration, against the dense
+    oracle on its explicit row, at h = 0, the default step and 0.0099, the
+    largest the CLI takes: theta = 0 (c = 0, and neighbours of norm h) and
+    six random thetas in [-2, 2]^m at 1e-12, and a theta of norm 1e6.  One
+    ulp of |c| = 1e6 is 1.2e-10, so no double-precision route, the oracle's
     eigensolve included, pins F to 1e-12 there (the gap seen is up to 3.2
     ulps); its rows are allowed 1e-12 plus 8 ulps of their norm."""
     rng = np.random.default_rng(130 + 10 * n + output_index)
@@ -721,13 +800,12 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
         sample = TrainingSample(coeffs, target)
         x_conj = np.conj(cqp.encode(config, coeffs))
         assert (config._i_blade_columns @ x_conj).real[0] < 0  # a negative b_0
-        score = cqp._fidelity_scorer(config, sample)
         small = [np.zeros(m), *rng.uniform(-2.0, 2.0, (6, m))]
         big = rng.uniform(-1.0, 1.0, m)
         big *= 1e6 / np.linalg.norm(big)
         for theta, ulps in [*((t, 0) for t in small), (big, 8)]:
             for h in (0.0, 1e-5, 0.0099):
-                fids = score(theta.tolist(), h)
+                fids = _first_scores(monkeypatch, config, sample, theta, h)
                 rows = _rows(theta, h)
                 assert len(fids) == len(rows) and all(type(f) is float for f in fids)
                 for row, f in zip(rows, fids):
@@ -735,29 +813,40 @@ def test_row_score_matches_the_dense_oracle(n, output_index):
                     assert abs(f - _oracle_fidelity(config, sample, row)) <= tol
 
 
-def test_every_output_index_scores_as_the_dense_oracle():
+def test_every_output_index_scores_as_the_dense_oracle(monkeypatch):
     """At n = 1..3 and every output index, each of the 2m + 1 scores of one
-    call is the dense oracle's on its explicit row, to 1e-12."""
+    iteration is the dense oracle's on its explicit row, to 1e-12."""
     rng = np.random.default_rng(180)
     for n in (1, 2, 3):
         for k in range(2 * n):
             config = PerceptronConfig.type_ii(n, k)
             sample = TrainingSample(rng.uniform(-1.0, 1.0, 2 * n), rng.uniform(-3.0, 3.0))
             theta = rng.uniform(-2.0, 2.0, 2 * n)
-            fids = cqp._fidelity_scorer(config, sample)(theta.tolist(), 1e-3)
+            fids = _first_scores(monkeypatch, config, sample, theta, 1e-3)
             for row, f in zip(_rows(theta, 1e-3), fids, strict=True):
                 assert abs(f - _oracle_fidelity(config, sample, row)) <= 1e-12, (n, k)
 
 
-def test_neighbours_past_the_overflow_of_the_squared_norm_score_as_theta():
-    """Past |theta| = 2^511, |theta|^2 overflows, but the h terms of a
-    neighbour's squared norm are below half an ulp of it and its overlap
-    rounds to theta's, so every neighbour scores as theta does."""
-    config = PerceptronConfig.type_ii(2)
-    score = cqp._fidelity_scorer(config, TrainingSample(np.full(4, 0.3), 0.7))
-    for theta in ([1e200, 0.5, -3e199, 0.0], [0.0, 0.0, 0.0, -1.4e154]):
-        assert math.isinf(math.fsum(t * t for t in theta))
-        assert score(theta, 0.0099) == score(theta, 0.0) * 9
+def test_the_resolution_guards_keep_each_neighbours_norm_finite(monkeypatch):
+    """ascent forms a neighbour's squared norm as |theta|^2 + h^2 +- 2h theta_j
+    with no overflow test: the resolution guards stop any |theta_j| of 2^47 or
+    more, where even the largest step is below half an ulp, and below it the
+    squared norm of 8 components is far from overflowing."""
+    step, top = math.nextafter(cqp.FD_STEP_MAX, 0.0), math.nextafter(2.0 ** 47, 0.0)
+    config = PerceptronConfig.type_ii(4)
+    sample = TrainingSample(np.full(8, 0.3), 0.7)
+    norms = []
+
+    def row(real, r, d):
+        norms.append(r)
+        return real(r, d)
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer([], row=row))
+    cqp.ascent(config, sample, [top, -top] * 4, 1, step)
+    assert len(norms) == 16 and all(math.isfinite(r) for r in norms)
+    for bad in (2.0 ** 47, -2.0 ** 47, 1e300):
+        with pytest.raises(ValueError, match="below the float resolution"):
+            cqp.ascent(config, sample, [0.0] * 7 + [bad], 1, step)
 
 
 def test_configs_with_one_blade_list_share_its_invariants():
@@ -791,12 +880,17 @@ def test_train_runs_the_coefficient_guards_at_every_iteration(monkeypatch, confi
                                                               message, spoiled_call):
     m = 2 * config.n
     calls = []
-    spoil = lambda score, theta, h: score([*bad, *theta[2:]], h)  # noqa: E731
-    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(spoil, spoiled_call, calls))
+
+    def spoil(centre, theta):
+        if calls.count("centre") == spoiled_call:
+            theta = [*bad, *theta[2:]]
+        return centre(theta)
+
+    monkeypatch.setattr(cqp, "_fidelity_scorer", _spoiling_scorer(calls, centre=spoil))
     sample = TrainingSample(np.full(m, 0.3), 0.7)
     with pytest.raises(ValueError, match=f"^{message}$"):
         cqp.train(config, sample, np.full(m, 0.2), iterations=5)
-    assert calls == [1e-5] * spoiled_call
+    assert calls == (["centre"] + ["row"] * 2 * m) * (spoiled_call - 1) + ["centre"]
 
 
 def test_train_rejects_a_nan_activation_output(monkeypatch):
@@ -809,21 +903,29 @@ def test_train_rejects_a_nan_activation_output(monkeypatch):
         return math.nan if len(rows) == 3 else float_form(u)
 
     monkeypatch.setattr(Activation, "float_form", property(lambda self: nan_in_row_two))
-    with pytest.raises(ValueError, match=r"^activation output nan is outside \[-1, 1\]; "
-                                         r"arccos undefined$"):
+    with pytest.raises(linalg.InvariantError, match=r"^activation output nan is outside "
+                                                    r"\[-1, 1\]; arccos undefined$"):
         cqp.train(config, sample, theta0, iterations=2)
     assert len(rows) == 3
 
 
-_TRAIN_GUARDS = {  # guard: (what the spoiled scorer call returns, the message)
-    "finite-coefficients": (lambda score, theta, h: score([math.nan, *theta[1:]], h),
-                            "coefficients must be finite"),
-    "finite-norm": (lambda score, theta, h: score([1.5e308, 1.5e308, *theta[2:]], h),
-                    "coefficient norm overflows float64"),
-    "activation-range": (None, r"activation output nan is outside \[-1, 1\]; arccos undefined"),
-    "record-fidelity": (lambda score, theta, h: [math.nan, *score(theta, h)[1:]],
-                        r"fidelity nan outside \[0, 1\]"),
-    "finite-gradient": (lambda score, theta, h: [*score(theta, h)[:-1], math.nan],
+def test_a_failed_training_invariant_is_not_a_value_error():
+    """The CLI maps a ValueError from ascent to an invalid config; a check of
+    a value ascent computed raises InvariantError, which it must not catch."""
+    assert not issubclass(linalg.InvariantError, ValueError)
+    assert issubclass(linalg.EigenCheckError, linalg.InvariantError)
+
+
+_TRAIN_GUARDS = {  # guard: (the spoiled function, its spoil, the error, its message)
+    "finite-coefficients": ("centre", lambda centre, theta: centre([math.nan, *theta[1:]]),
+                            ValueError, "coefficients must be finite"),
+    "finite-norm": ("centre", lambda centre, theta: centre([1.5e308, 1.5e308, *theta[2:]]),
+                    ValueError, "coefficient norm overflows float64"),
+    "activation-range": ("centre", None, linalg.InvariantError,
+                         r"activation output nan is outside \[-1, 1\]; arccos undefined"),
+    "record-fidelity": ("centre", lambda centre, theta: (math.nan, *centre(theta)[1:]),
+                        linalg.InvariantError, r"fidelity nan outside \[0, 1\]"),
+    "finite-gradient": ("row", lambda fidelity, r, d: math.nan, linalg.InvariantError,
                         r"non-finite finite-difference gradient at component {last} "
                         r"\(activation kink or overflow\)"),
 }
@@ -833,32 +935,45 @@ _TRAIN_GUARDS = {  # guard: (what the spoiled scorer call returns, the message)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("activation", list(Activation))
 def test_every_training_guard_fires_at_every_iteration(monkeypatch, activation, n, guard):
-    """One scorer call at a time is spoiled: calls 1..4 are the iterations and
-    call 5 scores the final theta, which has no gradient.  The guard raises its
-    message in the spoiled call, before the next one."""
+    """One iteration at a time is spoiled: centre calls 1..4 score the
+    iterations' thetas and call 5 the final theta, which has no gradient;
+    the gradient guard is tripped by the last row of an iteration, the
+    neighbour theta - h e_{m-1}.  The guard raises its message in the spoiled
+    call, with no later row or centre scored."""
     config = PerceptronConfig.type_ii(n, activation=activation)
     m = 2 * config.n
     sample = TrainingSample(np.full(m, 0.3), 0.7)
-    spoil, message = _TRAIN_GUARDS[guard]
+    where, spoil, error, message = _TRAIN_GUARDS[guard]
     float_form = activation.float_form
     nan_activation = []  # non-empty while a call spoiled by the activation runs
     monkeypatch.setattr(Activation, "float_form", property(
         lambda self: lambda u: math.nan if nan_activation else float_form(u)))
     if spoil is None:
-        def spoil(score, theta, h):
+        def spoil(centre, theta):
             nan_activation.append(True)
             try:
-                return score(theta, h)
+                return centre(theta)
             finally:
                 nan_activation.clear()
 
-    for spoiled_call in range(1, 6) if guard != "finite-gradient" else range(1, 5):
+    for spoiled_call in range(1, 6) if where == "centre" else range(1, 5):
         calls = []
-        monkeypatch.setattr(cqp, "_fidelity_scorer",
-                            _spoiling_scorer(spoil, spoiled_call, calls))
-        with pytest.raises(ValueError, match=f"^{message.format(last=m - 1)}$"):
+        if where == "centre":
+            spoiled = lambda centre, theta: (  # noqa: E731
+                spoil(centre, theta) if calls.count("centre") == spoiled_call
+                else centre(theta))
+            want = (["centre"] + ["row"] * 2 * m) * (spoiled_call - 1) + ["centre"]
+            scorer = _spoiling_scorer(calls, centre=spoiled)
+        else:
+            spoiled = lambda fidelity, r, d: (  # noqa: E731
+                spoil(fidelity, r, d) if calls.count("row") == 2 * m * spoiled_call
+                else fidelity(r, d))
+            want = (["centre"] + ["row"] * 2 * m) * spoiled_call
+            scorer = _spoiling_scorer(calls, row=spoiled)
+        monkeypatch.setattr(cqp, "_fidelity_scorer", scorer)
+        with pytest.raises(error, match=f"^{message.format(last=m - 1)}$"):
             cqp.train(config, sample, np.full(m, 0.2), iterations=4)
-        assert calls == [1e-5] * min(spoiled_call, 4) + [0.0] * (spoiled_call == 5)
+        assert calls == want
 
 
 def test_type_equivalence_under_unitaries():
