@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .clifford import Blade, PauliString, anticommutes, gamma, hermitian_basis
+from .clifford import Blade, PauliString, gamma, hermitian_basis
 from .cqp import Activation, PerceptronConfig, TrainingSample
 from .gqft import GqftParams
 from .linalg import expm_i, hermitian_eigen
@@ -18,7 +18,6 @@ __all__ = [
     "PauliString",
     "PerceptronConfig",
     "TrainingSample",
-    "anticommutes",
     "basis_state",
     "expm_i",
     "gamma",

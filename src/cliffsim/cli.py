@@ -27,8 +27,8 @@ is printed; a computed value that fails the program's own check,
 ``hermitian_eigen``'s residual or orthonormality check, or a training
 fidelity, activation output or gradient out of its range; any other
 ``LinAlgError`` is not caught), 2 unknown command / unparseable
-flags, 3 invalid config (including a config file that cannot be read or decoded as UTF-8, and a
-report path that cannot be written).
+flags, 3 invalid config (including a config file that cannot be read or decoded as UTF-8, a
+report path that cannot be written, and a work flag past its cap in WORK_CAPS).
 Data rows are deterministic: identical command, config and seed give
 byte-identical rows (floats carry 17 significant digits); metadata such as
 the seed, package version and command line rides in trailing # comments.
@@ -106,6 +106,13 @@ _COMMAND_KEYS = {
     "decompose": {"theta1": ("float", math.pi / 8), "theta2": ("float", math.pi / 8)},
 }
 
+# The cap on each work flag: the trial count, and the number of values of each
+# list.  The largest runs the caps admit, measured in a fresh process (2-vCPU
+# Xeon VM): verify-gqft --n 4 with 1,000 trials of 100 thetas, 10^5 rows, takes
+# 3.1 s and 89 MB of peak RSS; trotter-sweep --n 4 --terms 255 with 100 r values
+# near R_MAX takes 0.4 s and 146 MB, most of it the (R, L, d, d) factor stack.
+WORK_CAPS = {"trials": 1000, "thetas": 100, "shots": 1000, "rs": 100}
+
 
 def _coerce(key: str, kind: str, raw):
     if not isinstance(raw, str):  # argparse gives [] for a value of "--"
@@ -158,6 +165,11 @@ def _load_config(command: str, args: SimpleNamespace | argparse.Namespace) -> di
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {cfg['seed']}")
     sizes = clifford.REGISTER_SIZES
     _require("n" not in cfg or cfg["n"] in sizes, "n", f"must be in {sizes[0]}..{sizes[-1]}")
+    for key, cap in WORK_CAPS.items():
+        if key in cfg:
+            count = isinstance(cfg[key], int)  # trials; the others are lists
+            size = cfg[key] if count else len(cfg[key])
+            _require(size <= cap, key, f"at most {cap}{'' if count else ' values'}, got {size}")
     return cfg
 
 

@@ -150,7 +150,14 @@ def _basis_indices(n: int) -> list[tuple[int, ...]]:
 
 def hermitian_basis(n: int) -> list[Blade]:
     """All 4^n blades, grade-major, index-lexicographic inside each grade."""
-    return [Blade(n, idx) for idx in _basis_indices(n)]
+    return list(_basis_blades(n))
+
+
+@functools.cache
+def _basis_blades(n: int) -> tuple[Blade, ...]:
+    """hermitian_basis(n) as a tuple, built once per n (at import for n <= 3,
+    by _basis_stack) and shared by every caller."""
+    return tuple(Blade(n, idx) for idx in _basis_indices(n))
 
 
 def pauli_word_basis(n: int) -> list[PauliString]:
@@ -182,7 +189,7 @@ def _basis_stack(n: int) -> np.ndarray:
     is certified Hermitian by exact equality.  A constant of n, built once
     per process and read-only; every caller shares it.  A bad n raises on
     every call, since exceptions are not cached."""
-    blades = hermitian_basis(n)
+    blades = _basis_blades(n)
     m = np.empty((len(blades), 2 ** n, 2 ** n), dtype=complex)
     m[:] = np.eye(2 ** n)
     for a, gen in enumerate(_GENERATORS[n]):
@@ -250,12 +257,6 @@ def anticommutation_matrix(index_sets: Sequence[Iterable[int]]) -> np.ndarray:
                    dtype=np.int64).reshape(len(sets), len(labels))
     sizes = inc.sum(axis=1)
     return (np.outer(sizes, sizes) - inc @ inc.T) % 2 == 1
-
-
-def anticommutes(j1: Iterable[int], j2: Iterable[int]) -> bool:
-    """Whether the blades with index sets j1, j2 anticommute: the two-set
-    case of anticommutation_matrix."""
-    return bool(anticommutation_matrix([j1, j2])[0, 1])
 
 
 def omega_count(n: int) -> int:

@@ -13,22 +13,21 @@ factorizes qubit by qubit:
 
 with R_l^b = exp(i theta n_l^b . sigma) = cos(theta) I + i sin(theta) n.sigma.
 A grid is one axis draw, shape (n, 2, 3), and a vector of T thetas.  The
-public routes are gamma_stack (every Gamma_k of an axis draw),
-gqft_dense_grid, gqft_column_factored_grid, unitarity_grid and
-distance_grid; each checks its input (GqftParams, one theta, uses the same
-check) in front of an unchecked kernel.  unitarity_grid runs both grid
-kernels on its once-checked grid, distance_grid the dense kernel only.
+public grid routes are unitarity_grid and distance_grid; each checks its
+grid (GqftParams, one theta, uses the same check) in front of unchecked
+kernels.  unitarity_grid runs both grid kernels on its once-checked grid,
+distance_grid the dense kernel only.
 The dense route builds only the distinct Gamma_k, by contracting the axes
 with a cached table of sigma_x, sigma_y, sigma_z embedded on each qubit,
 and exponentiates them in one
 eigendecomposition call: a qubit with equal axes gives every Gamma_k the
 same term, so the shared-axis draw needs one matrix.  Gamma_k depends on
-the axes only, so that one call serves every theta (gqft_dense_grid).  The
+the axes only, so that one call serves every theta (_dense_grid).  The
 factored route builds every column of every theta at once, as a
 column-wise Kronecker product of n (T, 2, 2^n) factors, built in one
 broadcast from one closed-form call (linalg.expm_i_involution) on the 2n
 2x2 matrices n_l^b . sigma at every theta and a cached read-only (n, 2^n)
-table of the column phases exp(2 pi i j / 2^l) (gqft_column_factored_grid).
+table of the column phases exp(2 pi i j / 2^l) (_factored_grid).
 The dense route exponentiates through an eigendecomposition, so the two
 routes share nothing beyond the Pauli matrices and cross-check each other.
 theta = 0 recovers the standard transform; the Frobenius distance from it
@@ -134,20 +133,12 @@ def _pauli_table(n: int) -> np.ndarray:
                                 for l in range(n)]))
 
 
-def gamma_stack(axes) -> np.ndarray:
-    """Gamma_k of the axes, shape (n, 2, 3), for every k in order, stacked
-    along the first axis: shape (2^n, 2^n, 2^n).
-
-    Gamma_k is the sum over qubits l of n_l^{k_l} . sigma embedded on qubit
-    l; the 2n embedded operators come from one contraction of the axes with
-    the embedded Pauli table and are picked by the bits of k.
-    """
-    axes = _checked_axes(axes)
-    return _gammas(axes, range(2 ** len(axes)))
-
-
 def _gammas(axes: np.ndarray, ks) -> np.ndarray:
-    """Gamma_k of checked axes for each k of ks, ints in 0..2^n - 1, unchecked."""
+    """Gamma_k of checked axes for each k of ks, ints in 0..2^n - 1, unchecked,
+    stacked (len(ks), 2^n, 2^n).  Gamma_k is the sum over qubits l of
+    n_l^{k_l} . sigma embedded on qubit l; the 2n embedded operators come from
+    one contraction of the axes with the embedded Pauli table and are picked
+    by the bits of k."""
     n, dim = len(axes), 2 ** len(axes)
     k = np.asarray(ks, dtype=int)
     # ops[l, b] = n_l^b . sigma on qubit l + 1, exact: each real or imaginary part
@@ -175,20 +166,15 @@ def _column_phases(n: int) -> np.ndarray:
     return _read_only(np.exp(2j * np.pi * j / 2 ** l))
 
 
-def gqft_dense_grid(axes, thetas: Sequence[float]) -> np.ndarray:
-    """Dense transforms of one axis draw, shape (n, 2, 3), at each of T
-    thetas, shape (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for every
-    k, times the standard transform.  Gamma_k does not depend on theta, so one
-    stacked eigendecomposition call serves every theta of the grid, with one
-    eigendecomposition per distinct Gamma_k: a qubit whose two axes are equal
-    contributes the same term whichever its bit, so Gamma_k = Gamma_{k & mask},
-    where mask keeps the bits of the qubits whose axes differ (one matrix for
-    random_axes, 2^n for random_bit_axes)."""
-    return _dense_grid(*_checked_grid(axes, thetas))
-
-
 def _dense_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """gqft_dense_grid of a checked grid, unchecked."""
+    """Dense transforms of one checked axis draw, shape (n, 2, 3), at each of T
+    checked thetas, shape (T, 2^n, 2^n): column k of exp(i theta Gamma_k) for
+    every k, times the standard transform.  Gamma_k does not depend on theta,
+    so one stacked eigendecomposition call serves every theta of the grid,
+    with one eigendecomposition per distinct Gamma_k: a qubit whose two axes
+    are equal contributes the same term whichever its bit, so
+    Gamma_k = Gamma_{k & mask}, where mask keeps the bits of the qubits whose
+    axes differ (one matrix for random_axes, 2^n for random_bit_axes)."""
     n = len(axes)
     differs = (axes[:, 0] != axes[:, 1]).any(axis=1).tolist()  # do qubit l's two axes differ
     # Plain Python on at most 16 ints: numpy forms of these lines (np.unique, or bit
@@ -202,9 +188,10 @@ def _dense_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return exps[:, index, :, k].transpose(1, 2, 0) @ standard_qft(n)
 
 
-def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
-    """Factored transforms of one axis draw, shape (n, 2, 3), at each of T
-    thetas, shape (T, 2^n, 2^n), every column of every theta at once.
+def _factored_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Factored transforms of one checked axis draw, shape (n, 2, 3), at each
+    of T checked thetas, shape (T, 2^n, 2^n), every column of every theta at
+    once.
 
     Column j is the Kronecker product over qubits l of
     (R_l^0 |0> + exp(2 pi i j / 2^l) R_l^1 |1>) / sqrt(2), where R_l^b is the
@@ -214,11 +201,6 @@ def gqft_column_factored_grid(axes, thetas: Sequence[float]) -> np.ndarray:
     the columns are their column-wise Kronecker product, one step per qubit
     after the first.
     """
-    return _factored_grid(*_checked_grid(axes, thetas))
-
-
-def _factored_grid(axes: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """gqft_column_factored_grid of a checked grid, unchecked."""
     n, dim, count = len(axes), 2 ** len(axes), len(thetas)
     # rot[t, l, b] = R_{l+1}^b at theta_t, shape (T, n, 2, 2, 2)
     rot = linalg.expm_i_involution(axis_dot_sigma(axes), thetas[:, None, None])
@@ -256,7 +238,7 @@ class GqftReport(NamedTuple):
 
 def unitarity_grid(axes, thetas: Sequence[float]) -> list[tuple[float, float]]:
     """(unitarity defect, largest column factorization error) of one axis
-    draw at each theta of a grid (see gqft_dense_grid), in theta order; each
+    draw at each theta of a grid (see _dense_grid), in theta order; each
     quantity is one stacked reduction over the grid.  The grid is checked
     once, here, and both routes run unchecked on it."""
     ax, th = _checked_grid(axes, thetas)

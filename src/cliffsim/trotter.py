@@ -21,12 +21,14 @@ error_sweep measures a whole r grid in one stacked pass.  The term blades
 come from one blade_products call, and H is summed from that stack.  U
 comes from one Hermitian eigendecomposition (linalg.expm_i).  V for every r
 comes from product_formulas: one closed-form call for every (r, term)
-factor, one stacked matmul per term, and one np.linalg.matrix_power call
-per r.  One stacked SVD then gives every ||U - V||.  The two routes share
-only the blade matrices; every V has the bits of the one-r computation.
+factor, one stacked matmul per term, and one binary ladder that raises every
+step to its r at once (_matrix_powers).  One stacked SVD then gives every
+||U - V||.  The two routes share only the blade matrices; every V has the
+bits of the one-r computation, np.linalg.matrix_power of its step.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import namedtuple
@@ -35,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .clifford import Blade, _basis_indices, anticommutation_matrix, blade_products
+from .clifford import Blade, _basis_blades, anticommutation_matrix, blade_products
 
 # Largest step count worth measuring.  In doubles the measured error has a
 # floor near 6e-9 * |t| (on a two-term instance at t = 1 and r = 1e9 it is
@@ -89,9 +91,10 @@ def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
 
     One closed-form call gives every factor exp(-i t/r eta_j B_j), shape
     (R, L, d, d); the steps are their products in term-list order, one
-    stacked matmul per term, and each step is raised to its r by
-    np.linalg.matrix_power.  Each slice has the bits of the one-r
-    computation: the same products of the same factors in the same order.
+    stacked matmul per term, and one binary ladder over the whole step stack
+    raises each step to its r (_matrix_powers).  Each slice has the bits of
+    the one-r computation: the same products of the same factors in the same
+    order, and then those of np.linalg.matrix_power.
     """
     rs = [operator.index(r) for r in rs]
     if any(r < 1 for r in rs):
@@ -102,9 +105,46 @@ def product_formulas(coeffs: np.ndarray, blades: np.ndarray, t: float,
     step = np.repeat(np.eye(blades.shape[-1], dtype=complex)[None], len(rs), axis=0)
     for j in range(len(coeffs)):
         step = step @ factors[:, j]
-    for i, r in enumerate(rs):
-        step[i] = np.linalg.matrix_power(step[i], r)
-    return step
+    return _matrix_powers(step, rs)
+
+
+def _matrix_powers(a: np.ndarray, rs: list[int]) -> np.ndarray:
+    """a[i] raised to rs[i], every r >= 1, for each slice of a (R, d, d)
+    stack: a new array with the bits of np.linalg.matrix_power(a[i], rs[i]).
+
+    matrix_power takes a^1 = a, a^2 = a a and a^3 = (a a) a, and for r >= 4
+    the binary method (Knuth, TAOCP vol. 2, 4.6.3): z runs through a^(2^k),
+    lowest bit first, and each set bit k of r multiplies the result on the
+    right by z, the first set bit taking z itself.  Here the slices are
+    visited in ascending r, so those with r >= 2^k, the ones that need
+    a^(2^k), form a suffix, and one stacked z @ z per level squares all of
+    them.  Each slice with bit k set then takes its own product with its own
+    z slice, in matrix_power's order: r = 3 multiplies its z on the left.
+    Only the current level and the results are held, O(R d^2).
+    """
+    out = np.empty_like(a)
+    if not rs:
+        return out
+    order = sorted(range(len(rs)), key=rs.__getitem__)
+    ascending = [rs[i] for i in order]
+    z = a if order == list(range(len(rs))) else a[order]  # z[p]: slice order[base + p]
+    base = 0
+    for k in range(ascending[-1].bit_length()):
+        if k:
+            start = bisect.bisect_left(ascending, 1 << k, base)
+            z = z[start - base:] @ z[start - base:]
+            base = start
+        for p in range(base, len(rs)):
+            r, i = ascending[p], order[p]
+            if not r >> k & 1:
+                continue
+            if not r & ((1 << k) - 1):
+                out[i] = z[p - base]
+            elif r == 3:
+                out[i] = z[p - base] @ out[i]
+            else:
+                out[i] = out[i] @ z[p - base]
+    return out
 
 
 def noncommuting_pair_count(terms: Sequence[HamiltonianTerm]) -> int:
@@ -143,15 +183,22 @@ def error_sweep(terms: Sequence[HamiltonianTerm], t: float,
             for r, measured in zip(map(operator.index, rs), errors.tolist())]
 
 
+# The two signs random_instance draws from, as a read-only array: rng.choice
+# then converts no list in each call.
+_SIGNS = linalg._read_only(np.array([-1.0, 1.0]))
+
+
 def random_instance(n: int, num_terms: int, seed: int) -> list[HamiltonianTerm]:
     """Seeded term list over distinct non-identity blades, coefficients in
-    +-[0.2, 1.0] (bounded away from zero so instances stay non-degenerate)."""
-    pool = _basis_indices(n)[1:]  # every non-identity index set
-    if not 1 <= num_terms <= len(pool):
-        raise ValueError(f"num_terms must be in 1..{len(pool)} for n={n}, got {num_terms}")
+    +-[0.2, 1.0] (bounded away from zero so instances stay non-degenerate).
+    The blades are those of the cached basis of the register: row 0 is the
+    identity, so pick p takes row p + 1."""
+    basis = _basis_blades(n)
+    if not 1 <= num_terms <= len(basis) - 1:
+        raise ValueError(f"num_terms must be in 1..{len(basis) - 1} for n={n}, got {num_terms}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(pool), size=num_terms, replace=False)
-    signs = rng.choice([-1.0, 1.0], size=num_terms)
+    picks = rng.choice(len(basis) - 1, size=num_terms, replace=False)
+    signs = rng.choice(_SIGNS, size=num_terms)
     mags = rng.uniform(0.2, 1.0, size=num_terms)
-    return [HamiltonianTerm(float(signs[i] * mags[i]), Blade(n, pool[int(picks[i])]))
-            for i in range(num_terms)]
+    return [HamiltonianTerm(coeff, basis[p + 1])
+            for coeff, p in zip((signs * mags).tolist(), picks.tolist())]

@@ -201,6 +201,58 @@ def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["undecodable.cfg"]
 
 
+def _at_cap(key, value, excess=0):
+    """--key with the cap's worth of values (a trial count of the cap), plus excess."""
+    size = cli.WORK_CAPS[key] + excess
+    return [f"--{key}", str(size) if key == "trials" else ",".join([value] * size)]
+
+
+# Each work flag one past its cap, for each command that takes it
+_PAST_CAP = [
+    (["verify-gqft", "--n", "1", *_at_cap("trials", "", 1)], "trials", ""),
+    (["gqft-distance", "--n", "1", *_at_cap("trials", "", 1)], "trials", ""),
+    (["equivalence", "--n", "1", *_at_cap("trials", "", 1)], "trials", ""),
+    (["verify-gqft", "--n", "1", "--trials", "1", *_at_cap("thetas", "0.5", 1)], "thetas",
+     " values"),
+    (["gqft-distance", "--n", "1", "--trials", "1", *_at_cap("thetas", "0.5", 1)], "thetas",
+     " values"),
+    (["swap-test", "--n", "1", *_at_cap("shots", "10", 1)], "shots", " values"),
+    (["trotter-sweep", "--n", "1", "--terms", "1", *_at_cap("rs", "1", 1)], "rs", " values"),
+]
+
+
+@pytest.mark.parametrize("argv, key, unit", _PAST_CAP)
+def test_work_flag_past_its_cap_exits_3(tmp_path, capsys, argv, key, unit):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    cap = cli.WORK_CAPS[key]
+    assert capsys.readouterr().err == (f"ERROR invalid config: {key}: at most {cap}{unit}, "
+                                       f"got {cap + 1}\n")
+    assert not out.exists()
+
+
+def test_work_cap_applies_to_a_config_file_value(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"trials = {cli.WORK_CAPS['trials'] + 1}\n")
+    assert cli.main(["equivalence", "--n", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 3
+    assert "trials: at most" in capsys.readouterr().err
+
+
+# Each work flag at its cap, on the cheapest command that takes it
+@pytest.mark.parametrize("argv", [
+    ["equivalence", "--n", "1", *_at_cap("trials", "")],
+    ["verify-gqft", "--n", "1", "--trials", "1", *_at_cap("thetas", "0.5")],
+    ["swap-test", "--n", "1", *_at_cap("shots", "10")],
+    ["trotter-sweep", "--n", "1", "--terms", "1", *_at_cap("rs", "1")],
+])
+def test_work_flag_at_its_cap_runs(tmp_path, argv):
+    out = tmp_path / "r.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = [ln for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
+    assert len(rows) == cli.WORK_CAPS[argv[-2].lstrip("-")]
+
+
 @pytest.mark.parametrize("argv, seed_column", [
     (["equivalence", "--n", "1", "--trials", "2", "--seed", str(2 ** 64 - 2)], 0),
     (["swap-test", "--n", "1", "--shots", "10,10", "--seed", str(2 ** 64 - 3)], 1),

@@ -1,10 +1,16 @@
 """Property test of the CLI input surface: every flag value, config file
 and report path, valid or not, ends in exit code 0, 1 or 3 and never in a
-traceback."""
+traceback, and an exit 1 prints one FAIL line that names a check."""
+import contextlib
+import io
+import re
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cliffsim import cli
+from test_report_columns import CHECK_NAMES
 
 _HUGE = st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30, 10 ** 400])
 _JUNK = st.sampled_from(["", "abc", "1.5", "0x10", "--"])
@@ -29,9 +35,10 @@ _FLOAT = _floats(-3.0, 3.0)
 _VALUES = {
     "seed": _ints(0, 2 ** 64 - 1),
     "n": _ints(1, 4),
-    # a huge trial or iteration count is a valid config, just a long job;
-    # only the rejected ones are drawn large
-    "trials": st.integers(-2, 2),
+    # a trial or iteration count under its cap can still be a long job; only
+    # the rejected ones are drawn large
+    "trials": st.one_of(st.integers(-2, 2),
+                        st.sampled_from([cli.WORK_CAPS["trials"] + 1, 10 ** 30])),
     "iterations": st.one_of(st.integers(-2, 4), st.sampled_from([20001, 10 ** 30])),
     "terms": _ints(1, 15),
     "output_index": _ints(0, 3),
@@ -88,4 +95,33 @@ def test_flag_surface_exits_0_1_or_3(tmp_path, data):
     # every --key=value form reaches both the flag table and argparse
     assert vars(cli._parse(argv)) == vars(
         cli._build_parser()[0].parse_args(cli._join_float_values(argv))), argv
-    assert cli.main(argv) in (0, 1, 3), argv
+    _assert_exit_contract(argv, tmp_path / out)
+
+
+def _assert_exit_contract(argv, out):
+    """main(argv) exits 0, 1 or 3; an exit 1 prints exactly one line,
+    FAIL <name> (<detail>), with name a check of the report-column table or
+    invariant, and writes no report at out."""
+    out.unlink(missing_ok=True)  # left by an earlier example
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(argv)
+    assert code in (0, 1, 3), argv
+    if code == 1:
+        [line] = stdout.getvalue().splitlines()
+        name = re.fullmatch(r"FAIL (\S+) \(.*\)", line).group(1)
+        assert name in CHECK_NAMES | {"invariant"}, (argv, line)
+        assert not out.exists(), argv
+    return code
+
+
+# Valid configs that exit 1, which the drawn examples rarely reach: a target
+# fidelity one step cannot reach, and a tanh run at large eta whose fidelity
+# falls (ROADMAP item 2)
+@pytest.mark.parametrize("argv", [
+    ["train-cqp", "--iterations", "1", "--require-fidelity", "0.999"],
+    ["train-cqp", "--n", "1", "--eta", "4.1", "--iterations", "38", "--require-fidelity", "0",
+     "--seed", "425344"],
+])
+def test_an_exit_1_names_one_check(tmp_path, argv):
+    assert _assert_exit_contract([*argv, f"--out={tmp_path / 'report'}"],
+                                 tmp_path / "report") == 1

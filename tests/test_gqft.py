@@ -18,6 +18,22 @@ def z_axes(n):
     return ax
 
 
+def dense_grid(axes, thetas):
+    """The dense kernel on a grid checked as the public routes check it."""
+    return gqft._dense_grid(*gqft._checked_grid(axes, thetas))
+
+
+def factored_grid(axes, thetas):
+    """The factored kernel on a grid checked as the public routes check it."""
+    return gqft._factored_grid(*gqft._checked_grid(axes, thetas))
+
+
+def gamma_stack(axes):
+    """Gamma_k of checked axes for every k in order, stacked (2^n, 2^n, 2^n)."""
+    axes = gqft._checked_axes(axes)
+    return gqft._gammas(axes, range(2 ** len(axes)))
+
+
 def axis_rotation(axis, theta):
     """exp(i theta n.sigma) as a whole 2x2 matrix, by the closed form
     cos(theta) I + i sin(theta) n.sigma written out here: the per-theta,
@@ -56,7 +72,7 @@ def test_standard_qft_two_qubits_roots_of_unity():
 
 def test_gamma_k_z_axes():
     z = np.diag([1.0, -1.0])
-    gammas = gqft.gamma_stack(z_axes(1))
+    gammas = gamma_stack(z_axes(1))
     assert gammas.shape == (2, 2, 2)
     np.testing.assert_allclose(gammas[0], z, atol=1e-15)
     np.testing.assert_allclose(gammas[1], z, atol=1e-15)
@@ -67,13 +83,13 @@ def test_gamma_k_uniform_x_axes():
     ax[:, :, 0] = 1.0
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     want = np.kron(x, np.eye(2)) + np.kron(np.eye(2), x)
-    for g in gqft.gamma_stack(ax):
+    for g in gamma_stack(ax):
         np.testing.assert_allclose(g, want, atol=1e-15)
 
 
 def test_gamma_k_spectrum_and_hermiticity():
     rng = np.random.default_rng(2)
-    for g in gqft.gamma_stack(gqft.random_bit_axes(2, rng)):
+    for g in gamma_stack(gqft.random_bit_axes(2, rng)):
         assert linalg.hermiticity_defect(g) <= 1e-12
         np.testing.assert_allclose(
             linalg.hermitian_eigen(g).eigenvalues, [-2.0, 0.0, 0.0, 2.0], atol=1e-10)
@@ -95,13 +111,13 @@ def test_batched_dense_transform_matches_a_per_k_loop(n):
     """Distinct bit axes make every Gamma_k differ, so a wrong k index in the
     stacked build or in the column pick cannot pass."""
     params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(30 + n)))
-    gammas = gqft.gamma_stack(params.axes)
+    gammas = gamma_stack(params.axes)
     cols = np.empty((2 ** n, 2 ** n), dtype=complex)
     for k in range(2 ** n):
         gamma = _gamma_k_by_kron(params, k)
         np.testing.assert_allclose(gammas[k], gamma, atol=1e-15)
         cols[:, k] = linalg.expm_i(gamma, params.theta) @ basis_state(n, k)
-    np.testing.assert_allclose(gqft.gqft_dense_grid(params.axes, [params.theta])[0],
+    np.testing.assert_allclose(dense_grid(params.axes, [params.theta])[0],
                                cols @ gqft.standard_qft(n), atol=1e-12)
 
 
@@ -129,7 +145,7 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
     n = axes.shape[0]
     thetas = (0.0, 1e-9, 0.7, 2.0)
     grid = [GqftParams(n, theta, axes) for theta in thetas]
-    dense = gqft.gqft_dense_grid(axes, thetas)
+    dense = dense_grid(axes, thetas)
     for params, f_g in zip(grid, dense):
         cols = np.empty((2 ** n, 2 ** n), dtype=complex)
         for k in range(2 ** n):
@@ -137,9 +153,9 @@ def test_dense_grid_matches_a_per_k_loop_for_each_draw(draw):
         np.testing.assert_allclose(f_g, cols @ gqft.standard_qft(n), rtol=0, atol=1e-15)
 
 
-def test_gamma_stack_rejects_malformed_axes():
+def test_checked_axes_rejects_malformed_axes():
     axes = gqft.random_bit_axes(2, np.random.default_rng(6))
-    assert gqft.gamma_stack(axes).shape == (4, 4, 4)
+    assert gamma_stack(axes).shape == (4, 4, 4)
     non_finite = axes.copy()
     non_finite[0, 1, 2] = np.inf
     for bad_axes, message in ((axes[:, 0], r"shape \(n, 2, 3\)"),
@@ -148,7 +164,7 @@ def test_gamma_stack_rejects_malformed_axes():
                               (non_finite, "non-finite"),
                               (z_axes(5), "1 <= n <= 4")):
         with pytest.raises(ValueError, match=message):
-            gqft.gamma_stack(bad_axes)
+            gamma_stack(bad_axes)
 
 
 @pytest.mark.parametrize("draw", DRAWS)
@@ -159,7 +175,7 @@ def test_dense_grid_solves_each_distinct_gamma_once(draw, monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eigen",
                         lambda h: sizes.append(np.shape(h)[:-2]) or real(h))
     n = axes.shape[0]
-    gqft.gqft_dense_grid(axes, (0.1, 0.5, 2.0))
+    dense_grid(axes, (0.1, 0.5, 2.0))
     assert sizes == [(distinct,)]
 
 
@@ -181,7 +197,7 @@ def _factored_by_kron(params):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factored_columns_match_kron_chains(n):
     params = GqftParams(n, 0.7, gqft.random_bit_axes(n, np.random.default_rng(40 + n)))
-    cols = gqft.gqft_column_factored_grid(params.axes, [params.theta])[0]
+    cols = factored_grid(params.axes, [params.theta])[0]
     assert cols.shape == (2 ** n, 2 ** n)
     np.testing.assert_allclose(cols, _factored_by_kron(params), atol=1e-15)
 
@@ -194,11 +210,11 @@ def test_factored_grid_matches_per_theta_columns(n, draw):
     axes = draw(n, np.random.default_rng(60 + n))
     thetas = [0.0, 1e-9, *np.linspace(0.3, 2.5, 2 ** n - 2)]
     grid = [GqftParams(n, theta, axes) for theta in thetas]
-    cols = gqft.gqft_column_factored_grid(axes, thetas)
+    cols = factored_grid(axes, thetas)
     assert cols.shape == (2 ** n, 2 ** n, 2 ** n)
     for params, c in zip(grid, cols):
         np.testing.assert_allclose(
-            c, gqft.gqft_column_factored_grid(axes, [params.theta])[0], rtol=0, atol=1e-15)
+            c, factored_grid(axes, [params.theta])[0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(c, _factored_by_kron(params), rtol=0, atol=1e-15)
 
 
@@ -229,18 +245,18 @@ def test_gqft_theta_zero_is_standard():
     for n in (1, 2, 3):
         rng = np.random.default_rng(n)
         params = GqftParams(n, 0.0, gqft.random_axes(n, rng))
-        np.testing.assert_allclose(gqft.gqft_dense_grid(params.axes, [params.theta])[0],
+        np.testing.assert_allclose(dense_grid(params.axes, [params.theta])[0],
                                    gqft.standard_qft(n), atol=1e-12)
 
 
 def test_gqft_z_axis_columns_closed_form():
     theta = 0.62
     params = GqftParams(1, theta, z_axes(1))
-    f = gqft.gqft_dense_grid(params.axes, [theta])[0]
+    f = dense_grid(params.axes, [theta])[0]
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)
     np.testing.assert_allclose(f[:, 0], np.array([ep, em]) / np.sqrt(2.0), atol=1e-12)
     np.testing.assert_allclose(f[:, 1], np.array([ep, -em]) / np.sqrt(2.0), atol=1e-12)
-    np.testing.assert_allclose(gqft.gqft_column_factored_grid(params.axes, [theta])[0], f,
+    np.testing.assert_allclose(factored_grid(params.axes, [theta])[0], f,
                                atol=1e-12)
 
 
@@ -250,7 +266,7 @@ def test_gqft_unitary_for_shared_axes():
             for s in range(5):
                 rng = np.random.default_rng(1000 * n + 10 * i + s)
                 params = GqftParams(n, theta, gqft.random_axes(n, rng))
-                dense = gqft.gqft_dense_grid(params.axes, [params.theta])[0]
+                dense = dense_grid(params.axes, [params.theta])[0]
                 assert linalg.unitarity_defect(dense) <= 1e-10
 
 
@@ -260,7 +276,7 @@ def test_unitarity_requires_shared_axes_per_qubit():
     unitarity checks keep drawing one axis per qubit."""
     rng = np.random.default_rng(7)
     params = GqftParams(3, 0.9, gqft.random_bit_axes(3, rng))
-    assert linalg.unitarity_defect(gqft.gqft_dense_grid(params.axes, [params.theta])[0]) > 0.1
+    assert linalg.unitarity_defect(dense_grid(params.axes, [params.theta])[0]) > 0.1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -270,14 +286,14 @@ def test_theta_grid_matches_per_theta_transforms(n):
     axes = gqft.random_bit_axes(n, np.random.default_rng(80 + n))
     thetas = np.linspace(0.05, 2.0, 2 ** n)
     grid = [GqftParams(n, theta, axes) for theta in thetas]
-    dense = gqft.gqft_dense_grid(axes, thetas)
+    dense = dense_grid(axes, thetas)
     assert dense.shape == (2 ** n, 2 ** n, 2 ** n)
     unitarity, distances = gqft.unitarity_grid(axes, thetas), gqft.distance_grid(axes, thetas)
     assert len(unitarity) == len(distances) == len(thetas)
     for params, f_g, (defect, col_err), (distance, bound) in zip(grid, dense, unitarity,
                                                                 distances):
         np.testing.assert_allclose(
-            f_g, gqft.gqft_dense_grid(axes, [params.theta])[0], rtol=0, atol=1e-14)
+            f_g, dense_grid(axes, [params.theta])[0], rtol=0, atol=1e-14)
         one = gqft.distance_report(params)
         assert one.theta == params.theta
         np.testing.assert_allclose(
@@ -287,19 +303,18 @@ def test_theta_grid_matches_per_theta_transforms(n):
         assert bound == one.bound == gqft.distance_bound(n, params.theta)
         # each stacked reduction gives the bits of its own per-theta form
         assert col_err == np.linalg.norm(
-            f_g - gqft.gqft_column_factored_grid(axes, [params.theta])[0], axis=0).max()
+            f_g - factored_grid(axes, [params.theta])[0], axis=0).max()
         assert defect == linalg.unitarity_defect(f_g)
         assert distance == linalg.frobenius_norm(f_g - gqft.standard_qft(n))
 
 
 def test_theta_grid_routes_reject_a_bad_draw():
-    """Each grid route checks its axes and thetas as GqftParams does: the
-    public routes in front of their kernels, unitarity_grid once for both."""
+    """Each public grid route checks its axes and thetas as GqftParams does,
+    in front of its kernels; unitarity_grid checks once for both."""
     axes = gqft.random_axes(2, np.random.default_rng(4))
     non_finite = axes.copy()
     non_finite[1, 0, 0] = np.nan
-    for route in (gqft.gqft_dense_grid, gqft.gqft_column_factored_grid, gqft.unitarity_grid,
-                  gqft.distance_grid):
+    for route in (gqft.unitarity_grid, gqft.distance_grid):
         for bad_axes, thetas, message in ((axes, [], "finite theta"),
                                           (axes, [0.1, -0.5], "finite theta"),
                                           (axes, [np.nan, 0.1], "finite theta"),
@@ -317,8 +332,8 @@ def test_theta_grid_routes_reject_a_bad_draw():
 
 @pytest.mark.parametrize("draw", DRAWS)
 def test_each_route_checks_its_axes_once(draw, monkeypatch):
-    """unitarity_grid checks its grid once and runs both kernels on it; each
-    public route, and GqftParams, checks its axes once in front of its kernel."""
+    """unitarity_grid checks its grid once and runs both kernels on it;
+    distance_grid, and GqftParams, check their axes once."""
     axes = DRAWS[draw][0]()
     n = axes.shape[0]
     calls = []
@@ -326,9 +341,6 @@ def test_each_route_checks_its_axes_once(draw, monkeypatch):
     monkeypatch.setattr(gqft, "_checked_axes", lambda ax: calls.append(1) or real(ax))
     for call in (lambda: gqft.unitarity_grid(axes, (0.1, 0.5, 2.0)),
                  lambda: gqft.distance_grid(axes, (0.1, 0.5, 2.0)),
-                 lambda: gqft.gqft_dense_grid(axes, (0.1, 0.5)),
-                 lambda: gqft.gqft_column_factored_grid(axes, (0.1, 0.5)),
-                 lambda: gqft.gamma_stack(axes),
                  lambda: gqft.GqftParams(n, 0.5, axes)):
         calls.clear()
         call()
@@ -340,8 +352,8 @@ def test_factored_columns_match_dense():
         for seed, draw in ((0, gqft.random_axes), (1, gqft.random_bit_axes)):
             rng = np.random.default_rng(50 * n + seed)
             params = GqftParams(n, 0.8, draw(n, rng))
-            dense = gqft.gqft_dense_grid(params.axes, [params.theta])[0]
-            factored = gqft.gqft_column_factored_grid(params.axes, [params.theta])[0]
+            dense = dense_grid(params.axes, [params.theta])[0]
+            factored = factored_grid(params.axes, [params.theta])[0]
             err = np.linalg.norm(dense - factored, axis=0)
             assert err.max() <= 1e-10
 

@@ -90,6 +90,14 @@ UNPRINTED_CHECKS = {
 }
 
 
+# The name of every check the table gives: each column's readers and the
+# unprinted checks.  test_every_column_is_read_or_labelled holds it equal to
+# the names cli.py raises.
+CHECK_NAMES = frozenset(itertools.chain(
+    UNPRINTED_CHECKS, *(readers for columns in REPORT_COLUMNS.values()
+                        for readers in columns.values() if not isinstance(readers, str))))
+
+
 def _raised_checks() -> set[str]:
     """The name of every check cli.py raises, by _check or by CheckFailure
     (outside _check, which passes its own name on)."""
@@ -130,12 +138,10 @@ def test_report_header_is_the_tables(tmp_path, case):
 def test_every_column_is_read_or_labelled():
     assert set(REPORT_COLUMNS) == set(cli._HANDLERS)
     assert set(REPORT_COLUMNS) == {argv[0] for argv in CASES.values()}
-    named = set(UNPRINTED_CHECKS)
     for command, columns in REPORT_COLUMNS.items():
         for column, readers in columns.items():
             if isinstance(readers, str):
                 assert readers.startswith(("echo: ", "unasserted: ")), (command, column)
             else:
                 assert readers, (command, column)
-                named.update(readers)
-    assert named == _raised_checks()
+    assert CHECK_NAMES == _raised_checks()

@@ -1,6 +1,7 @@
 """Product-formula error measurements against the analytic envelopes."""
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,63 @@ def test_stacked_product_formula_matches_a_per_r_loop(n, num_terms):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
         assert got.tobytes() == want.tobytes(), f"r={r}"
         assert _product_formula(terms, 0.9, r).tobytes() == want.tobytes()
+
+
+# Grids for the ladder: every r up to 70, R_MAX alone (20 bit levels),
+# unsorted and descending grids with repeats, r = 3 (which matrix_power takes
+# as (a a) a) and the empty grid
+_LADDER_GRIDS = {
+    "1..70": list(range(1, 71)),
+    "R_MAX": [trotter.R_MAX],
+    "unsorted": [7, 1, 3, 3, 1000, 2, trotter.R_MAX, 5, 1, 70, 7, 64, 63],
+    "descending": [trotter.R_MAX, 999_999, 524_288, 524_287, 3, 2, 1, 1],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("grid", _LADDER_GRIDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ladder_has_the_bits_of_matrix_power(n, grid):
+    """Every slice of product_formulas is byte for byte the per-r route,
+    whose power is np.linalg.matrix_power."""
+    rs = _LADDER_GRIDS[grid]
+    terms = trotter.random_instance(n, min(4 ** n - 1, 4), seed=10 + n)
+    stack = trotter.product_formulas([term.coeff for term in terms],
+                                     [term.blade.dense() for term in terms], -0.8, rs)
+    assert stack.shape == (len(rs), 2 ** n, 2 ** n)
+    for r, got in zip(rs, stack):
+        assert got.tobytes() == _per_r_product_formula(terms, -0.8, r).tobytes(), f"r={r}"
+
+
+@pytest.mark.parametrize("grid", _LADDER_GRIDS)
+def test_matrix_powers_of_a_stack_are_matrix_powers(grid):
+    """The ladder alone, on unitaries with nothing in common: each slice is
+    raised to its own r, and the input is left as it was."""
+    rs = _LADDER_GRIDS[grid]
+    rng = np.random.default_rng(3)
+    a = np.array([linalg.random_unitary(4, rng) for _ in rs]).reshape(len(rs), 4, 4)
+    before = a.copy()
+    powers = trotter._matrix_powers(a, rs)
+    assert powers.shape == a.shape and np.array_equal(a, before)
+    for r, slice_, got in zip(rs, a, powers):
+        assert got.tobytes() == np.linalg.matrix_power(slice_, r).tobytes(), f"r={r}"
+
+
+def test_matrix_powers_working_memory_is_linear_in_the_grid():
+    """The ladder holds the current squaring and the results, not one stack
+    per bit level: at R_MAX, 20 levels, a list of every level would peak
+    above 20 times the input; the ladder peaks at about 3 times (the results,
+    one level and the next, while it squares)."""
+    rng = np.random.default_rng(4)
+    a = np.stack([linalg.random_unitary(16, rng) for _ in range(32)])
+    tracemalloc.start()
+    try:
+        trotter._matrix_powers(a, [trotter.R_MAX] * len(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trotter.R_MAX.bit_length() == 20
+    assert peak <= 4 * a.nbytes
 
 
 def test_error_sweep_edge_cases():
