@@ -25,10 +25,11 @@ Exit codes: 0 all checks pass, 1 invariant failure (a ``FAIL <name>`` line
 is printed; a computed value that fails the program's own check,
 ``linalg.InvariantError``, prints ``FAIL invariant``: an eigensolve that fails
 ``hermitian_eigen``'s residual or orthonormality check, or a training
-fidelity, activation output or gradient out of its range; any other
-``LinAlgError`` is not caught), 2 unknown command / unparseable
-flags, 3 invalid config (including a config file that cannot be read or decoded as UTF-8, a
-report path that cannot be written, and a work flag past its cap in WORK_CAPS).
+fidelity, activation output or gradient out of its range; so does a
+``LinAlgError`` that LAPACK raises, an ``eigh`` or ``svd`` that does not
+converge), 2 unknown command / unparseable flags, 3 invalid config
+(including a config file that cannot be read or decoded as UTF-8, a report
+path that cannot be written, and a work flag past its cap in WORK_CAPS).
 Data rows are deterministic: identical command, config and seed give
 byte-identical rows (floats carry 17 significant digits); metadata such as
 the seed, package version and command line rides in trailing # comments.
@@ -634,7 +635,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL {exc.name} ({exc.detail})")
         return 1
-    except linalg.InvariantError as exc:
+    except (linalg.InvariantError, np.linalg.LinAlgError) as exc:
         print(f"FAIL invariant ({exc})")
         return 1
     suffix = ".csv" if header is not None else ".txt"

@@ -4,7 +4,8 @@ a tanh activation.
 A config is n and an output index, and each perceptron function takes one.
 Inputs are |x> = exp(i * sum_j c_j B_j)|0..0> over the 2n generators B_j;
 any two anticommute, so |x> = cos|c| |0..0> + sin|c| (c.iB/|c|)|0..0>, with
-iB|0..0> cached read-only per n, the one source of every iB_j|0..0> here.
+iB|0..0> read from one table per n, built at import from clifford's
+generator matrices, the one source of every iB_j|0..0> here.
 encode and forward work on stacks of rows, and every guard (finite
 coefficients with a finite norm; activation output in [-1, 1], never NaN)
 applies to each row, with the bits of its one-row call.
@@ -35,7 +36,6 @@ writes as they are; train is their records, built once, when the run ends.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from collections import namedtuple
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .clifford import REGISTER_SIZES, Blade, _check_register_size, blade_products
+from .clifford import REGISTER_SIZES, _GENERATORS, _check_register_size
 from .linalg import _read_only
 from .simulator import basis_state, inner  # noqa: F401  bench/test_bench.py traces this binding
 
@@ -85,23 +85,10 @@ class PerceptronConfig(namedtuple("PerceptronConfig", "n output_index activation
     def type_ii(cls, n: int, output_index: int = 0, **kw) -> "PerceptronConfig":
         return cls(n, output_index, **kw)
 
-    @property
-    def _i_blade_columns(self) -> np.ndarray:  # i * column 0 of every generator, (2n, d)
-        return _generators(self.n)
 
-
-@functools.cache
-def _generators(n: int) -> np.ndarray:
-    """i times column 0 of each of the 2n generators on n qubits, in order,
-    read-only (2n, d); shared by every config on n qubits."""
-    blades = [Blade(n, (a,)) for a in range(2 * n)]
-    return _read_only(1j * blade_products(n, blades)[:, :, 0])
-
-
-# Built at import for n = 1..3, as clifford builds those basis stacks, so no
-# job pays (or traces) them
-for _n in REGISTER_SIZES[:-1]:
-    _generators(_n)
+# iB_j|0..0>, i times column 0 of generator j, as row j of a read-only
+# (2n, d) table per register size, built at import from clifford's generators
+_I_COLUMNS = {n: _read_only(1j * np.stack(_GENERATORS[n])[:, :, 0]) for n in REGISTER_SIZES}
 
 
 def _rotate_ground(icol: np.ndarray, angle) -> np.ndarray:
@@ -133,7 +120,7 @@ def encode(config: PerceptronConfig, coeffs) -> np.ndarray:
     if not np.isfinite(norm).all():
         raise _norm_error(c)
     unit = c / np.where(norm > 0.0, norm, 1.0)[..., None]  # c = 0 gives |0..0>
-    return _rotate_ground(unit @ config._i_blade_columns, norm)
+    return _rotate_ground(unit @ _I_COLUMNS[config.n], norm)
 
 
 def _one_state(x) -> np.ndarray:
@@ -161,12 +148,12 @@ def forward(config: PerceptronConfig, x, w) -> tuple[np.ndarray, np.ndarray]:
     if not np.abs(v).max(initial=0.0) <= 1.0:
         raise ValueError(_activation_message(np.asarray(v)[~(np.abs(v) <= 1.0)][0]))
     phi = np.arccos(v)
-    return phi, _rotate_ground(config._i_blade_columns[config.output_index], phi)
+    return phi, _rotate_ground(_I_COLUMNS[config.n][config.output_index], phi)
 
 
 def target_state(config: PerceptronConfig, target_angle: float) -> np.ndarray:
     """r = exp(-i * target_angle * B_mu)|0..0> for the output generator B_mu."""
-    return _rotate_ground(config._i_blade_columns[config.output_index], -target_angle)
+    return _rotate_ground(_I_COLUMNS[config.n][config.output_index], -target_angle)
 
 
 def fidelity(config: PerceptronConfig, y, target_angle: float) -> float:
@@ -222,8 +209,9 @@ def _fidelity_scorer(config: PerceptronConfig, sample: TrainingSample):
     ref = np.conj(target_state(config, sample.target_angle))
     # gamma_0 and gamma_1 are real, since a generator has a zero diagonal
     gamma0 = float(ref[0].real)
-    gamma1 = float((ref @ config._i_blade_columns[config.output_index]).real)
-    alpha, b = float(x_conj[0].real), (config._i_blade_columns @ x_conj).real.tolist()
+    icols = _I_COLUMNS[config.n]
+    gamma1 = float((ref @ icols[config.output_index]).real)
+    alpha, b = float(x_conj[0].real), (icols @ x_conj).real.tolist()
     act = config.activation.float_form
     sqrt, cos, sin, hypot = math.sqrt, math.cos, math.sin, math.hypot
 

@@ -1,10 +1,12 @@
 """Property test of the CLI input surface: every flag value, config file
 and report path, valid or not, ends in exit code 0, 1 or 3 and never in a
-traceback, and an exit 1 prints one FAIL line that names a check."""
+traceback, and an exit 1 prints one FAIL line that names a check, a LAPACK
+failure included."""
 import contextlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -101,7 +103,7 @@ def test_flag_surface_exits_0_1_or_3(tmp_path, data):
 def _assert_exit_contract(argv, out):
     """main(argv) exits 0, 1 or 3; an exit 1 prints exactly one line,
     FAIL <name> (<detail>), with name a check of the report-column table or
-    invariant, and writes no report at out."""
+    invariant, and writes no report at out.  Gives the code and stdout."""
     out.unlink(missing_ok=True)  # left by an earlier example
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main(argv)
@@ -111,7 +113,7 @@ def _assert_exit_contract(argv, out):
         name = re.fullmatch(r"FAIL (\S+) \(.*\)", line).group(1)
         assert name in CHECK_NAMES | {"invariant"}, (argv, line)
         assert not out.exists(), argv
-    return code
+    return code, stdout.getvalue()
 
 
 # Valid configs that exit 1, which the drawn examples rarely reach: a target
@@ -123,5 +125,29 @@ def _assert_exit_contract(argv, out):
      "--seed", "425344"],
 ])
 def test_an_exit_1_names_one_check(tmp_path, argv):
-    assert _assert_exit_contract([*argv, f"--out={tmp_path / 'report'}"],
-                                 tmp_path / "report") == 1
+    code, _ = _assert_exit_contract([*argv, f"--out={tmp_path / 'report'}"],
+                                    tmp_path / "report")
+    assert code == 1
+
+
+# LAPACK's own failures, a plain LinAlgError, end in FAIL invariant too: each
+# command that runs an eigensolve (through linalg.hermitian_eigen) or an SVD
+# (through linalg.spectral_norm), with that call made to fail
+@pytest.mark.parametrize("function, argv", [
+    ("eigh", ["verify-gqft", "--n", "1", "--trials", "1"]),
+    ("eigh", ["trotter-sweep", "--n", "1", "--terms", "3"]),
+    ("eigh", ["equivalence", "--n", "1", "--trials", "1"]),
+    ("eigh", ["decompose"]),
+    ("svd", ["trotter-sweep", "--n", "1", "--terms", "3"]),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_a_lapack_failure_is_an_invariant_failure(tmp_path, monkeypatch, function, argv):
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(function)
+        raise np.linalg.LinAlgError(f"{function} did not converge")
+    monkeypatch.setattr(np.linalg, function, fail)
+    out = tmp_path / "report"
+    code, stdout = _assert_exit_contract([*argv, f"--out={out}"], out)
+    assert code == 1 and calls == [function]
+    assert stdout == f"FAIL invariant ({function} did not converge)\n"

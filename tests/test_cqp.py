@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cliffsim import cqp, linalg, simulator
-from cliffsim.clifford import Blade, blade_products
+from cliffsim.clifford import REGISTER_SIZES, Blade, blade_products
 from cliffsim.cqp import Activation, PerceptronConfig, TrainingSample
 
 
@@ -168,7 +168,7 @@ def test_encode_equals_the_two_term_formula():
             unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
             a = np.asarray(norm)[..., None]
             want = np.cos(a) * e0 + 1j * np.sin(a) * (unit @ columns)
-            got = cqp._rotate_ground(unit @ config._i_blade_columns, norm)
+            got = cqp._rotate_ground(unit @ cqp._I_COLUMNS[n], norm)
             assert np.array_equal(got, want)
 
 
@@ -181,12 +181,14 @@ def test_blade_stack_equals_the_stacked_blade_matrices(config):
 
 
 def test_i_blade_columns_are_i_times_column_0_of_each_generator():
-    """Row k of the cached column table is i * B_k|0..0>, bit for bit the
-    column of the blade's own dense matrix."""
+    """The column table of n qubits is i * B_a|0..0> stacked over the 2n
+    generators a, bit for bit column 0 of each blade's own dense matrix, a
+    row of the blade basis, which is built apart from the table."""
     for n in (1, 2, 3, 4):
-        for k in range(2 * n):
-            want = 1j * Blade(n, (k,)).dense()[:, 0]
-            assert PerceptronConfig.type_ii(n, k)._i_blade_columns[k].tobytes() == want.tobytes()
+        want = np.stack([1j * Blade(n, (a,)).dense()[:, 0] for a in range(2 * n)])
+        assert cqp._I_COLUMNS[n].dtype == want.dtype
+        assert cqp._I_COLUMNS[n].shape == want.shape == (2 * n, 2 ** n)
+        assert cqp._I_COLUMNS[n].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -538,7 +540,7 @@ def _per_row_ascent(config, sample, theta0, iterations, fd_step):
     e0 = simulator.basis_state(config.n, 0)
     x = cqp.encode(config, sample.input_coeffs)
     r = cqp.target_state(config, sample.target_angle)
-    columns = config._i_blade_columns  # iB_j|0..0>, each one entry of 1, -1, i or -i
+    columns = cqp._I_COLUMNS[config.n]  # iB_j|0..0>, each one entry of 1, -1, i or -i
     # so each inner product below is exact, on any route
     gamma0 = float(np.vdot(r, e0).real)
     gamma1 = float(np.vdot(r, columns[config.output_index]).real)
@@ -799,7 +801,7 @@ def test_row_score_matches_the_dense_oracle(monkeypatch, n, output_index):
         coeffs[0] = -abs(coeffs[0])
         sample = TrainingSample(coeffs, target)
         x_conj = np.conj(cqp.encode(config, coeffs))
-        assert (config._i_blade_columns @ x_conj).real[0] < 0  # a negative b_0
+        assert (cqp._I_COLUMNS[n] @ x_conj).real[0] < 0  # a negative b_0
         small = [np.zeros(m), *rng.uniform(-2.0, 2.0, (6, m))]
         big = rng.uniform(-1.0, 1.0, m)
         big *= 1e6 / np.linalg.norm(big)
@@ -849,21 +851,25 @@ def test_the_resolution_guards_keep_each_neighbours_norm_finite(monkeypatch):
             cqp.ascent(config, sample, [0.0] * 7 + [bad], 1, step)
 
 
-def test_configs_with_one_blade_list_share_its_invariants():
-    """i times column 0 of the generators is cached per n, not per config:
-    two configs on n qubits share one read-only array, bit for bit the
-    gathered blade matrices' columns."""
-    for n in (1, 2, 3, 4):
+def test_configs_with_one_blade_list_share_its_invariants(monkeypatch):
+    """i times column 0 of the generators is one read-only table per n, not
+    per config: the target states of two configs on n qubits rotate rows of
+    the same array."""
+    assert list(cqp._I_COLUMNS) == list(REGISTER_SIZES)
+    rows = []
+    monkeypatch.setattr(cqp, "_rotate_ground", lambda icol, angle: rows.append(icol))
+    for n in REGISTER_SIZES:
+        table = cqp._I_COLUMNS[n]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
         first, second = PerceptronConfig.type_ii(n), PerceptronConfig.type_ii(n, 1, eta=0.5)
         assert first is not second
-        assert first._i_blade_columns is second._i_blade_columns
-        with pytest.raises(ValueError, match="read-only"):
-            first._i_blade_columns[0, 0] = 0.0
-        want = 1j * blade_products(n, _generator_blades(n))[:, :, 0]
-        assert first._i_blade_columns.dtype == want.dtype
-        assert first._i_blade_columns.tobytes() == want.tobytes()
-    assert (PerceptronConfig.type_ii(2)._i_blade_columns
-            is not PerceptronConfig.type_ii(3)._i_blade_columns)
+        rows.clear()
+        cqp.target_state(first, 0.7)
+        cqp.target_state(second, 0.7)
+        assert all(row.base is table for row in rows)
+        assert [row.tobytes() for row in rows] == [table[0].tobytes(), table[1].tobytes()]
+    assert cqp._I_COLUMNS[2] is not cqp._I_COLUMNS[3]
 
 
 _COEFFICIENT_GUARDS = [  # (config, the first two components of a spoiled theta, error)
