@@ -29,7 +29,7 @@ fidelity, activation output or gradient out of its range; so does a
 ``LinAlgError`` that LAPACK raises, an ``eigh`` or ``svd`` that does not
 converge), 2 unknown command / unparseable flags, 3 invalid config
 (including a config file that cannot be read or decoded as UTF-8, a report
-path that cannot be written, and a work flag past its cap in WORK_CAPS).
+path that cannot be written, and a value outside its domain in _COMMAND_KEYS).
 Data rows are deterministic: identical command, config and seed give
 byte-identical rows (floats carry 17 significant digits); metadata such as
 the seed, package version and command line rides in trailing # comments.
@@ -43,7 +43,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -69,72 +69,131 @@ class CheckFailure(Exception):
 # ---------------------------------------------------------------------------
 # config plumbing
 
-_COMMON_KEYS = {"seed": ("int", 0)}
+class _Domain(NamedTuple):
+    """A config key's valid values: the ints lo..hi (ends ".."), or the floats
+    from lo to hi with each end in or out ("[)", say); a list holds 1..cap of
+    them.  hi may depend on n: (formula, its value at n).  A count's or a
+    list's cap is a work cap, whose fault reads "at most <cap>, got <size>"."""
+    lo: float
+    hi: float | tuple[str, Callable[[int], int]]
+    ends: str = ".."
+    cap: int = 0
 
-# verify-gqft and gqft-distance report on the same grid (_gqft_grid)
-_GQFT_KEYS = {
-    "n": ("int", 2),
-    "thetas": ("floats", (0.01, 0.1, 0.5, 1.0, 2.0)),
-    "trials": ("int", 5),
-}
+    def text(self, value) -> str:
+        """The domain as -h and a fault show it, for a value of value's shape."""
+        lo, hi, (left, right), cap = self
+        hi = hi[0] if isinstance(hi, tuple) else hi
+        span = f"in {lo}..{hi}" if left == "." else f"in {left}{lo}, {hi}{right}"
+        return f"1..{cap} values, each {span}" if isinstance(value, tuple) else span
 
-_COMMAND_KEYS = {
-    "verify-basis": {"n": ("int", 2)},
-    "omega-count": {"n": ("int", 2)},
-    "verify-gqft": _GQFT_KEYS,
-    "gqft-distance": _GQFT_KEYS,
-    "trotter-sweep": {
-        "n": ("int", 1),
-        "terms": ("int", 2),
-        "t": ("float", 1.0),
-        "rs": ("ints", (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)),
-    },
-    "swap-test": {
-        "n": ("int", 2),
-        "shots": ("ints", (1000, 10000, 100000)),
-    },
-    "train-cqp": {
-        "n": ("int", 1),
-        "beta": ("float", math.pi / 3),
-        "eta": ("float", 0.1),
-        "iterations": ("int", 500),
-        "activation": ("str", "tanh"),
-        "output_index": ("int", 0),
-        "fd_step": ("float", 1e-5),
-        "require_fidelity": ("float", 0.99),
-    },
-    "equivalence": {"n": ("int", 2), "trials": ("int", 50)},
-    "decompose": {"theta1": ("float", math.pi / 8), "theta2": ("float", math.pi / 8)},
-}
+    def fault(self, value, cfg) -> str | None:
+        """Why value is not valid in cfg, or None."""
+        lo, hi, (left, right), cap = self
+        if isinstance(hi, tuple):
+            hi = hi[1](cfg["n"])
+        many = value.__class__ is tuple
+        size = len(value) if many else value
+        if cap and size > cap:
+            return f"at most {cap}{' values' if many else ''}, got {size}"
+        for v in value if many else (value,):
+            if not ((lo < v or lo == v and left != "(") and (v < hi or v == hi and right != ")")):
+                return f"must be {self.text(value)}"
+        return None if value or not many else f"must be {self.text(value)}"
 
-# The cap on each work flag: the trial count, and the number of values of each
-# list.  The largest runs the caps admit, measured in a fresh process (2-vCPU
+
+# Each config key's row: (kind, default, domain, *rules).  kind parses a value
+# ([kind]: a comma list of them); domain is a _Domain, or activation's one value.
+# A rule (name, fault) reads keys of earlier rows and its own; fault(cfg) says
+# why cfg breaks it, or is None.  Rows are checked in table order, so an argv
+# that breaks two rules names the earlier.  Two rules stay outside, as they read
+# what no config holds: trotter-sweep's "t, rs" reads the drawn instance, and
+# cqp.ascent's ValueError guards read the weights (the resolution of fd_step).
+#
+# The largest runs the work caps admit, measured in a fresh process (2-vCPU
 # Xeon VM): verify-gqft --n 4 with 1,000 trials of 100 thetas, 10^5 rows, takes
 # 3.1 s and 89 MB of peak RSS; trotter-sweep --n 4 --terms 255 with 100 r values
 # near R_MAX takes 0.4 s and 146 MB, most of it the (R, L, d, d) factor stack.
-WORK_CAPS = {"trials": 1000, "thetas": 100, "shots": 1000, "rs": 100}
+_SEED = (int, 0, _Domain(0, 2 ** 64 - 1))  # every command's first key
+_N = _Domain(clifford.REGISTER_SIZES[0], clifford.REGISTER_SIZES[-1])
+_FINITE = _Domain(-math.inf, math.inf, "()")
+_TRIALS = _Domain(1, 1000, cap=1000)
+_TRIAL_SEEDS = ("seed", lambda c: None if c["seed"] + c["trials"] <= 2 ** 64 else
+                f"the derived seeds run to {c['seed'] + c['trials'] - 1}, past 2^64 - 1")
+
+# verify-gqft and gqft-distance report on the same grid (_gqft_grid)
+_GQFT_KEYS = {
+    "n": (int, 2, _N),
+    "thetas": ([float], (0.01, 0.1, 0.5, 1.0, 2.0), _Domain(0, math.inf, "[)", 100),
+               ("thetas", lambda c: None if _finite(
+                   lambda: [gqft.distance_bound(c["n"], t) for t in c["thetas"]])
+                else f"too large: the distance bound overflows at n={c['n']}")),
+    "trials": (int, 5, _TRIALS, _TRIAL_SEEDS),
+}
+
+_COMMAND_KEYS = {command: {"seed": _SEED, **keys} for command, keys in {
+    "verify-basis": {"n": (int, 2, _N)},
+    "omega-count": {"n": (int, 2, _N)},
+    "verify-gqft": _GQFT_KEYS,
+    "gqft-distance": _GQFT_KEYS,
+    "trotter-sweep": {
+        "n": (int, 1, _N),
+        "terms": (int, 2, _Domain(1, ("4^n-1", lambda n: 4 ** n - 1))),
+        "t": (float, 1.0, _FINITE),
+        "rs": ([int], (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
+               _Domain(1, trotter.R_MAX, cap=100)),
+    },
+    "swap-test": {
+        "n": (int, 2, _N),
+        "shots": ([int], (1000, 10000, 100000), _Domain(1, 2 ** 63 - 1, cap=1000),
+                  ("seed", lambda c: None if c["seed"] + len(c["shots"]) < 2 ** 64 else
+                   f"the derived seeds run to {c['seed'] + len(c['shots'])}, past 2^64 - 1")),
+    },
+    "train-cqp": {
+        "n": (int, 1, _N),
+        "beta": (float, math.pi / 3, _FINITE),
+        "eta": (float, 0.1, _Domain(0, math.inf, "()")),
+        "iterations": (int, 500, _Domain(1, 20000, cap=20000)),
+        "activation": (str, "tanh", "tanh", (
+            "activation", lambda c: None if c["activation"] == "tanh" else (
+                "must be tanh: identity reaches |v| = 1, where the slope of arccos is "
+                "unbounded, so train-monotone cannot hold"))),
+        "output_index": (int, 0, _Domain(0, ("2n-1", lambda n: 2 * n - 1))),
+        # theta0 lies in [0, 0.5) and fidelities in [0, 1], so one step moves a
+        # weight by at most eta / (2 fd_step)
+        "fd_step": (float, 1e-5, _Domain(0, cqp.FD_STEP_MAX, "()"), (
+            "eta, fd_step", lambda c: None if math.isfinite(math.sqrt(2 * c["n"]) * (
+                0.5 + c["iterations"] * c["eta"] / (2.0 * c["fd_step"])))
+            else "eta / fd_step too large: the weight bound overflows")),
+        "require_fidelity": (float, 0.99, _Domain(0, 1, "[]"), (
+            "require_fidelity", lambda c: None if c["require_fidelity"] <= cqp.max_fidelity(
+                c["beta"]) + cqp.MAX_FIDELITY_SLACK else f"{c['require_fidelity']!r} exceeds "
+            f"F*(beta) = {cqp.max_fidelity(c['beta'])!r}, the largest fidelity any weights "
+            f"reach at beta = {c['beta']!r}")),
+    },
+    "equivalence": {"n": (int, 2, _N), "trials": (int, 50, _TRIALS, _TRIAL_SEEDS)},
+    # the generator's entries are sums of the two angles
+    "decompose": {"theta1": (float, math.pi / 8, _FINITE),
+                  "theta2": (float, math.pi / 8, _FINITE, (
+                      "theta1, theta2", lambda c: None if math.isfinite(
+                          abs(c["theta1"]) + abs(c["theta2"]))
+                      else "|theta1| + |theta2| must be finite"))},
+}.items()}
 
 
-def _coerce(key: str, kind: str, raw):
+def _coerce(key: str, kind, raw):
     if not isinstance(raw, str):  # argparse gives [] for a value of "--"
         raise ConfigError(f"bad value for {key!r}: {raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "ints":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        return raw
+        if isinstance(kind, list):
+            return tuple(kind[0](p) for p in raw.split(",") if p.strip())
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, str] = {}
@@ -150,48 +209,33 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _load_config(command: str, args: SimpleNamespace | argparse.Namespace) -> dict:
-    keys = dict(_COMMON_KEYS)
-    keys.update(_COMMAND_KEYS[command])
-    cfg = {k: default for k, (_, default) in keys.items()}
+    """command's config: defaults, then the --config file, then flags, each key
+    read and checked in table order (see _COMMAND_KEYS); else ConfigError.  A
+    default lies in its domain (a test checks), so only a value read from the
+    file or a flag, a new object, is checked against it."""
+    keys = _COMMAND_KEYS[command]
+    cfg = {key: row[1] for key, row in keys.items()}
     if args.config is not None:
         for key, raw in _read_config_file(args.config).items():
             if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
             cfg[key] = _coerce(key, keys[key][0], raw)
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            cfg[key] = _coerce(key, keys[key][0], flag_val)
-    if not 0 <= cfg["seed"] < 2 ** 64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {cfg['seed']}")
-    sizes = clifford.REGISTER_SIZES
-    _require("n" not in cfg or cfg["n"] in sizes, "n", f"must be in {sizes[0]}..{sizes[-1]}")
-    for key, cap in WORK_CAPS.items():
-        if key in cfg:
-            count = isinstance(cfg[key], int)  # trials; the others are lists
-            size = cfg[key] if count else len(cfg[key])
-            _require(size <= cap, key, f"at most {cap}{'' if count else ' values'}, got {size}")
+    for key, (kind, default, domain, *rules) in keys.items():
+        if (flag_val := getattr(args, key, None)) is not None:
+            cfg[key] = _coerce(key, kind, flag_val)
+        if (cfg[key] is not default and isinstance(domain, _Domain)
+                and (detail := domain.fault(cfg[key], cfg)) is not None):
+            raise ConfigError(f"{key}: {detail}")
+        for name, fault in rules:
+            if (detail := fault(cfg)) is not None:
+                raise ConfigError(f"{name}: {detail}")
     return cfg
-
-
-def _require(cond: bool, key: str, detail: str) -> None:
-    if not cond:
-        raise ConfigError(f"{key}: {detail}")
-
-
-def _derived_seeds(cfg, offset: int, count: int) -> range:
-    """The count >= 1 seeds cfg["seed"] + offset + i, each an unsigned 64-bit
-    integer as a --seed must be, else ConfigError."""
-    first = cfg["seed"] + offset
-    _require(first + count - 1 < 2 ** 64, "seed",
-             f"the derived seeds run to {first + count - 1}, past 2^64 - 1")
-    return range(first, first + count)
 
 
 def _finite(compute) -> bool:
     """Whether compute() gives finite doubles rather than overflowing."""
     try:
-        return bool(np.isfinite(compute()).all())
+        return all(map(math.isfinite, compute()))
     except OverflowError:
         return False
 
@@ -263,15 +307,10 @@ def _gqft_grid(cfg, grid):
     """(theta, seed, grid's values at theta) for each theta and seed of the
     config, theta-major; grid is gqft.unitarity_grid or gqft.distance_grid."""
     n = cfg["n"]
-    _require(cfg["trials"] >= 1, "trials", "must be >= 1")
-    _require(len(cfg["thetas"]) >= 1 and all(t >= 0 for t in cfg["thetas"]), "thetas",
-             "need at least one theta, all >= 0")
-    _require(_finite(lambda: [gqft.distance_bound(n, t) for t in cfg["thetas"]]),
-             "thetas", f"too large: the distance bound overflows at n={n}")
     # one axis draw per seed, and one theta grid per draw: one eigendecomposition
     # per distinct Gamma_k (one for the shared-axis draw), and for
     # unitarity_grid one factored pass, serve every theta
-    seeds = _derived_seeds(cfg, 0, cfg["trials"])
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["trials"])
     by_seed = [grid(gqft.random_axes(n, np.random.default_rng(seed)), cfg["thetas"])
                for seed in seeds]
     for t, theta in enumerate(cfg["thetas"]):  # rows stay theta-major
@@ -307,16 +346,13 @@ def _cmd_gqft_distance(cfg):
 
 def _cmd_trotter_sweep(cfg):
     n, terms_n, t = cfg["n"], cfg["terms"], cfg["t"]
-    _require(1 <= terms_n <= 4 ** n - 1, "terms", f"must be in 1..{4 ** n - 1} for n={n}")
-    _require(len(cfg["rs"]) >= 1 and all(1 <= r <= trotter.R_MAX for r in cfg["rs"]), "rs",
-             f"need at least one r, all in 1..{trotter.R_MAX}")
     terms = trotter.random_instance(n, terms_n, cfg["seed"])
     # every bound falls as r grows and none falls as the pair count grows, so
     # finite at the smallest r and at the most pairs, L (L - 1) / 2, means finite
     # at every r and the true count
-    _require(_finite(lambda: trotter.bounds(terms, t, min(cfg["rs"]),
-                                            terms_n * (terms_n - 1) // 2)),
-             "t, rs", "must keep every Trotter bound finite")
+    if not _finite(lambda: trotter.bounds(terms, t, min(cfg["rs"]),
+                                          terms_n * (terms_n - 1) // 2)):
+        raise ConfigError("t, rs: must keep every Trotter bound finite")
     rows = []
     for rep in trotter.error_sweep(terms, t, cfg["rs"]):
         # roundoff of product_formulas: a step multiplies L rounded 2^n x 2^n
@@ -349,9 +385,6 @@ def _relative_entropy(a: float, b: float) -> float:
 
 def _cmd_swap_test(cfg):
     n = cfg["n"]
-    _require(len(cfg["shots"]) >= 1 and all(1 <= s < 2 ** 63 for s in cfg["shots"]),
-             "shots", "need at least one shot count, all in 1..2^63-1")
-    row_seeds = _derived_seeds(cfg, 1, len(cfg["shots"]))
     rng = np.random.default_rng(cfg["seed"])
     psi = simulator.random_state(n, rng)
     phi = simulator.random_state(n, rng)
@@ -362,7 +395,7 @@ def _cmd_swap_test(cfg):
     _check(abs(p0 - p_protocol) <= simulator.STATE_TOL, "swap-agreement",  # NaN fails
            lambda: f"formula {p0!r} vs protocol {p_protocol!r}")
     rows = []
-    for shots, row_seed in zip(cfg["shots"], row_seeds):
+    for shots, row_seed in zip(cfg["shots"], itertools.count(cfg["seed"] + 1)):
         tally, estimate = simulator.swap_test_sampled(psi, phi, shots, row_seed)
         inverted = math.sqrt(max(2.0 * tally.zero_count / shots - 1.0, 0.0))
         _check(estimate == inverted, "swap-estimate",
@@ -385,26 +418,7 @@ def _cmd_swap_test(cfg):
 
 def _cmd_train_cqp(cfg):
     n = cfg["n"]
-    _require(math.isfinite(cfg["beta"]), "beta", "must be finite")
-    _require(0 < cfg["eta"] < math.inf, "eta", "must be finite and > 0")
-    _require(0 < cfg["fd_step"] < cqp.FD_STEP_MAX, "fd_step",
-             f"must be in (0, {cqp.FD_STEP_MAX})")
-    _require(1 <= cfg["iterations"] <= 20000, "iterations", "must be in 1..20000")
-    # theta0 lies in [0, 0.5) and fidelities in [0, 1], so one step moves a
-    # weight by at most eta / (2 fd_step)
-    weight_bound = 0.5 + cfg["iterations"] * cfg["eta"] / (2.0 * cfg["fd_step"])
-    _require(math.isfinite(math.sqrt(2 * n) * weight_bound), "eta, fd_step",
-             "eta / fd_step too large: the weight bound overflows")
-    _require(0 <= cfg["output_index"] < 2 * n, "output_index",
-             f"must be in 0..{2 * n - 1}")
-    _require(0 <= cfg["require_fidelity"] <= 1, "require_fidelity", "must be in [0, 1]")
-    _require(cfg["activation"] == "tanh", "activation",
-             "must be tanh: identity reaches |v| = 1, where the slope of arccos is "
-             "unbounded, so train-monotone cannot hold")
     best = cqp.max_fidelity(cfg["beta"])
-    _require(cfg["require_fidelity"] <= best + cqp.MAX_FIDELITY_SLACK, "require_fidelity",
-             f"{cfg['require_fidelity']!r} exceeds F*(beta) = {best!r}, the largest "
-             f"fidelity any weights reach at beta = {cfg['beta']!r}")
     config = cqp.PerceptronConfig.type_ii(n, cfg["output_index"], eta=cfg["eta"])
     rng = np.random.default_rng(cfg["seed"])
     x_coeffs = rng.uniform(0.1, 0.6, 2 * n)
@@ -459,10 +473,10 @@ def _equivalence_blocks(n: int, seeds: range):
 
 def _cmd_equivalence(cfg):
     n = cfg["n"]
-    _require(cfg["trials"] >= 1, "trials", "must be >= 1")
     config = cqp.PerceptronConfig.type_ii(n)
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["trials"])
     rows = []
-    for block, us, xs, ws in _equivalence_blocks(n, _derived_seeds(cfg, 0, cfg["trials"])):
+    for block, us, xs, ws in _equivalence_blocks(n, seeds):
         phi_defects, state_defects = cqp.equivalence_defects(config, us, xs, ws)
         # checked in seed order, so the first failing seed is the one named
         for seed, phi_defect, state_defect in zip(block, phi_defects.tolist(),
@@ -478,9 +492,6 @@ def _cmd_equivalence(cfg):
 
 def _cmd_decompose(cfg):
     theta1, theta2 = cfg["theta1"], cfg["theta2"]
-    # the generator's entries are sums of the two angles
-    _require(math.isfinite(abs(theta1) + abs(theta2)), "theta1, theta2",
-             "|theta1| + |theta2| must be finite")
     factors, circuit, recon, compiled = circuits.decompose_report(theta1, theta2)
     _check(recon <= 1e-9, "decompose-reconstruction", lambda: f"defect {recon:.3e}")
     _check(compiled <= 1e-9, "decompose-compilation", lambda: f"defect {compiled:.3e}")
@@ -509,7 +520,6 @@ _HANDLERS = {
 _COMMON_FLAGS = {  # every command's flags besides its config keys, with their help
     "config": "key = value config file",
     "out": "output report path",
-    "seed": "64-bit RNG seed",
 }
 # each command's flags, spelled in full, and their dests: the subparser's options
 _FLAG_DESTS = {command: {f"--{key.replace('_', '-')}": key
@@ -568,8 +578,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     for command, flags in _FLAG_DESTS.items():
         p = sub.add_parser(command)
         for flag, dest in flags.items():
-            p.add_argument(flag, dest=dest, default=None, help=_COMMON_FLAGS.get(dest))
+            p.add_argument(flag, dest=dest, default=None, help=_COMMON_FLAGS.get(dest)
+                           or _key_help(*_COMMAND_KEYS[command][dest]))
     return parser, sub.choices
+
+
+def _key_help(kind, default, domain, *rules) -> str:
+    """A config key's -h text: its domain, and its default as a flag value."""
+    shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+    return f"{domain if kind is str else domain.text(default)} (default: {shown})"
 
 
 def _table_parse(command: str, rest: list[str]) -> SimpleNamespace | None:

@@ -119,6 +119,45 @@ def test_config_file_and_flag_override(tmp_path):
     assert [ln.split(",")[0] for ln in rows] == ["5"]
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    """A UTF-8 file saved with a BOM gives the report of the same file without one."""
+    cfg, out = tmp_path / "c.cfg", tmp_path / "r.csv"
+    reports = []
+    for head in (b"", b"\xef\xbb\xbf"):
+        cfg.write_bytes(head + b"n = 3\nseed = 7\n")
+        assert cli.main(["omega-count", "--config", str(cfg), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b"3,1008,1008\n" in reports[0]
+    assert capsys.readouterr().err == ""
+
+
+def test_help_names_each_key_default_and_domain(capsys):
+    for command, keys in cli._COMMAND_KEYS.items():
+        assert cli.main([command, "-h"]) == 0
+        # each option's help, wrapped or not, as one line led by its flag
+        helps = {" ".join(entry.split()[:1]): " ".join(entry.split())
+                 for entry in re.split(r"\n(?=  -)", capsys.readouterr().out)}
+        for key, (_, default, domain, *_) in keys.items():
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            line = helps[f"--{key.replace('_', '-')}"]
+            assert line.endswith(f" (default: {shown})"), line
+            if isinstance(getattr(domain, "hi", None), tuple):  # a bound that depends on n
+                assert f"..{domain.hi[0]} " in line, line
+
+
+def test_every_default_lies_in_its_domain():
+    """_load_config checks a value only when a file or a flag sets it."""
+    for keys in cli._COMMAND_KEYS.values():
+        for n in clifford.REGISTER_SIZES:
+            cfg = {key: row[1] for key, row in keys.items()} | {"n": n}
+            for key, (_, default, domain, *_) in keys.items():
+                if isinstance(domain, cli._Domain):
+                    assert domain.fault(default, cfg) is None, (key, n)
+                else:
+                    assert default == domain, key  # activation's one value
+
+
 def test_unknown_config_key_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n")
@@ -201,10 +240,15 @@ def test_out_of_range_value_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert [p.name for p in tmp_path.iterdir()] == ["undecodable.cfg"]
 
 
+def _cap(key):
+    """The work cap of key, a count or a list, from the key table."""
+    return next(keys[key][2].cap for keys in cli._COMMAND_KEYS.values() if key in keys)
+
+
 def _at_cap(key, value, excess=0):
-    """--key with the cap's worth of values (a trial count of the cap), plus excess."""
-    size = cli.WORK_CAPS[key] + excess
-    return [f"--{key}", str(size) if key == "trials" else ",".join([value] * size)]
+    """--key with the cap's worth of values (a count of the cap), plus excess."""
+    size = _cap(key) + excess
+    return [f"--{key}", ",".join([value] * size) if value else str(size)]
 
 
 # Each work flag one past its cap, for each command that takes it
@@ -218,6 +262,7 @@ _PAST_CAP = [
      " values"),
     (["swap-test", "--n", "1", *_at_cap("shots", "10", 1)], "shots", " values"),
     (["trotter-sweep", "--n", "1", "--terms", "1", *_at_cap("rs", "1", 1)], "rs", " values"),
+    (["train-cqp", *_at_cap("iterations", "", 1)], "iterations", ""),
 ]
 
 
@@ -225,7 +270,7 @@ _PAST_CAP = [
 def test_work_flag_past_its_cap_exits_3(tmp_path, capsys, argv, key, unit):
     out = tmp_path / "r.csv"
     assert cli.main([*argv, "--out", str(out)]) == 3
-    cap = cli.WORK_CAPS[key]
+    cap = _cap(key)
     assert capsys.readouterr().err == (f"ERROR invalid config: {key}: at most {cap}{unit}, "
                                        f"got {cap + 1}\n")
     assert not out.exists()
@@ -233,7 +278,7 @@ def test_work_flag_past_its_cap_exits_3(tmp_path, capsys, argv, key, unit):
 
 def test_work_cap_applies_to_a_config_file_value(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"trials = {cli.WORK_CAPS['trials'] + 1}\n")
+    cfg.write_text(f"trials = {_cap('trials') + 1}\n")
     assert cli.main(["equivalence", "--n", "1", "--config", str(cfg),
                      "--out", str(tmp_path / "r.csv")]) == 3
     assert "trials: at most" in capsys.readouterr().err
@@ -250,7 +295,7 @@ def test_work_flag_at_its_cap_runs(tmp_path, argv):
     out = tmp_path / "r.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     rows = [ln for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
-    assert len(rows) == cli.WORK_CAPS[argv[-2].lstrip("-")]
+    assert len(rows) == _cap(argv[-2].lstrip("-"))
 
 
 @pytest.mark.parametrize("argv, seed_column", [

@@ -4,6 +4,7 @@ traceback, and an exit 1 prints one FAIL line that names a check, a LAPACK
 failure included."""
 import contextlib
 import io
+import math
 import re
 
 import numpy as np
@@ -11,87 +12,71 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cliffsim import cli
+from cliffsim import cli, clifford
 from test_report_columns import CHECK_NAMES
 
-_HUGE = st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64, 10 ** 30, 10 ** 400])
 _JUNK = st.sampled_from(["", "abc", "1.5", "0x10", "--"])
-_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 
-def _ints(lo, hi):
-    """Small in-range ints, values just outside [lo, hi], huge ints, junk."""
-    return st.one_of(st.integers(lo, hi), st.sampled_from([lo - 1, hi + 1, -(10 ** 30)]),
-                     _HUGE, _JUNK)
+def _values(row, in_range):
+    """Flag text for one row of the key table: in range, or unless in_range
+    past a bound of its domain or junk; or None, the default, but for a count,
+    a work key, which is drawn in range from its low end.  A bound that depends
+    on n is met at every n and passed at each."""
+    kind, _, domain = row[:3]
+    if kind is str:
+        inside, past = st.just(domain), st.sampled_from(["identity", "relu", ""])
+    else:
+        his = ([domain.hi[1](n) for n in clifford.REGISTER_SIZES]
+               if isinstance(domain.hi, tuple) else [domain.hi])
+        lo, hi, (left, right) = domain.lo, his[0], domain.ends
+        if domain.ends == "..":
+            inside = st.integers(lo, lo + 3 if kind is int and domain.cap else hi)
+            past = [lo - 1, *(h + 1 for h in his), 10 ** 30]
+        else:
+            inside = st.floats(max(lo, -3.0), min(hi, 3.0), exclude_min=left == "(",
+                               exclude_max=right == ")" and hi <= 3.0)
+            past = [lo if left == "(" else math.nextafter(lo, -math.inf),
+                    hi if right == ")" else math.nextafter(hi, math.inf), math.nan]
+        inside, past = inside.map(str), st.sampled_from(past).map(str)
+    if isinstance(kind, list):
+        some = st.lists(inside, min_size=1, max_size=3).map(",".join)
+        inside, past = some, st.builds("{},{}".format, some, past) | st.sampled_from(
+            ["", ",".join([str(domain.lo)] * (domain.cap + 1))])
+    values = inside if in_range else st.one_of(inside, past, _JUNK)
+    return values if kind is int and domain.cap else st.none() | values
 
 
-def _floats(lo, hi):
-    return st.one_of(st.floats(lo, hi), _ANY_FLOAT, st.sampled_from([1e308, -1e-300]), _JUNK)
-
-
-def _csv(element):
-    return st.lists(element, max_size=3).map(lambda xs: ",".join(str(x) for x in xs))
-
-
-_FLOAT = _floats(-3.0, 3.0)
-_VALUES = {
-    "seed": _ints(0, 2 ** 64 - 1),
-    "n": _ints(1, 4),
-    # a trial or iteration count under its cap can still be a long job; only
-    # the rejected ones are drawn large
-    "trials": st.one_of(st.integers(-2, 2),
-                        st.sampled_from([cli.WORK_CAPS["trials"] + 1, 10 ** 30])),
-    "iterations": st.one_of(st.integers(-2, 4), st.sampled_from([20001, 10 ** 30])),
-    "terms": _ints(1, 15),
-    "output_index": _ints(0, 3),
-    "t": _FLOAT,
-    "beta": _FLOAT,
-    "eta": _floats(0.0, 1.0),
-    "fd_step": _floats(0.0, 0.02),
-    "require_fidelity": st.one_of(st.just(0.0), _floats(0.0, 1.0)),
-    "theta1": _FLOAT,
-    "theta2": _FLOAT,
-    "thetas": _csv(st.one_of(st.floats(0.0, 3.0), _ANY_FLOAT)),
-    "shots": _csv(st.one_of(st.integers(-1, 10 ** 6), _HUGE)),
-    "rs": _csv(st.one_of(st.integers(-1, 10 ** 6 + 1), _HUGE)),
-    "activation": st.sampled_from(["tanh", "identity", "clamp", "relu", ""]),
-}
-_ALWAYS_SET = {"trials", "iterations"}  # their defaults are the slow end
-
-
-def _config_line(key):
-    """A `key = value` line, an unknown key, or a junk line."""
-    known = st.builds("{} = {}".format, st.just(key), _VALUES[key])
-    unknown = st.builds("{} = {}".format, st.sampled_from(["bogus", "out", "config"]),
-                        st.text(max_size=8))
-    return st.one_of(known, unknown, st.text(max_size=12))
-
-
-def _config_file(command):
-    """Config-file contents: arbitrary bytes, or lines for the command's keys.
-
-    Flags are set after a file is read, so a file can never make the
-    always-set trial and iteration counts large."""
-    keys = st.sampled_from(["seed", *cli._COMMAND_KEYS[command]])
-    lines = st.lists(keys.flatmap(_config_line), max_size=4)
-    return st.one_of(st.binary(max_size=40),
-                     lines.map(lambda ls: "\n".join(ls).encode("utf-8")))
+def _config_file(data, keys, in_range):
+    """`key = value` lines; unless in_range, an unknown key or a junk line may
+    follow them, or the file may be arbitrary bytes."""
+    lines = []
+    for key in data.draw(st.lists(st.sampled_from(sorted(keys)), max_size=3), label="file keys"):
+        value = data.draw(_values(keys[key], in_range), label=key)
+        lines += [] if value is None else [f"{key} = {value}"]
+    if not in_range:
+        lines += data.draw(st.lists(st.text(max_size=12) | st.sampled_from(
+            ["bogus = 1", "out = x", "config = y"]), max_size=1), label="file junk")
+    text = "\n".join(lines).encode("utf-8")
+    return text if in_range else data.draw(st.just(text) | st.binary(max_size=40))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flag_surface_exits_0_1_or_3(tmp_path, data):
+    """Half the examples draw every value in range; the rest draw each value
+    in range, past a bound of its domain in the key table, or junk."""
     command = data.draw(st.sampled_from(sorted(cli._COMMAND_KEYS)), label="command")
-    out = data.draw(st.sampled_from(["report", "missing/report"]), label="out")
+    in_range = data.draw(st.booleans(), label="in range")
+    out = "report" if in_range else data.draw(st.sampled_from(["report", "missing/report"]))
     argv = [command, f"--out={tmp_path / out}"]
-    config = data.draw(st.none() | _config_file(command), label="config")
-    if config is not None:
-        (tmp_path / "fuzz.cfg").write_bytes(config)
+    keys = cli._COMMAND_KEYS[command]
+    if data.draw(st.booleans(), label="config"):
+        (tmp_path / "fuzz.cfg").write_bytes(_config_file(data, keys, in_range))
         argv.append(f"--config={tmp_path / 'fuzz.cfg'}")
-    for key in ["seed", *cli._COMMAND_KEYS[command]]:
-        values = _VALUES[key] if key in _ALWAYS_SET else st.none() | _VALUES[key]
-        value = data.draw(values, label=key)
+    for key, row in keys.items():
+        value = data.draw(_values(row, in_range), label=key)
         if value is not None:
             argv.append(f"--{key.replace('_', '-')}={value}")
     # every --key=value form reaches both the flag table and argparse

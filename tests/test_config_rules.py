@@ -15,9 +15,8 @@ _RULES = [
     (["omega-count", "--config", "bogus.cfg"], "unknown config key 'bogus' for omega-count"),
     (["trotter-sweep", "--rs", "ten"],
      "bad value for 'rs': 'ten' (invalid literal for int() with base 10: 'ten')"),
-    (["omega-count", "--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
-    (["omega-count", "--seed", str(_SEED_END)],
-     f"seed must be an unsigned 64-bit integer, got {_SEED_END}"),
+    (["omega-count", "--seed", "-1"], f"seed: must be in 0..{_SEED_END - 1}"),
+    (["omega-count", "--seed", str(_SEED_END)], f"seed: must be in 0..{_SEED_END - 1}"),
     (["omega-count", "--n", "5"], "n: must be in 1..4"),
     (["verify-gqft", "--n", "1", "--trials", "1001"], "trials: at most 1000, got 1001"),
     (["equivalence", "--n", "1", "--trials", "1001"], "trials: at most 1000, got 1001"),
@@ -27,28 +26,29 @@ _RULES = [
      "shots: at most 1000 values, got 1001"),
     (["trotter-sweep", "--n", "1", "--terms", "1", "--rs", _values("1", 101)],
      "rs: at most 100 values, got 101"),
-    (["train-cqp", "--iterations", "20001"], "iterations: must be in 1..20000"),
+    (["train-cqp", "--iterations", "20001"], "iterations: at most 20000, got 20001"),
     (["verify-gqft", "--n", "1", "--trials", "2", "--seed", str(_SEED_END - 1)],
      f"seed: the derived seeds run to {_SEED_END}, past 2^64 - 1"),
     (["equivalence", "--n", "1", "--trials", "2", "--seed", str(_SEED_END - 1)],
      f"seed: the derived seeds run to {_SEED_END}, past 2^64 - 1"),
     (["swap-test", "--n", "1", "--shots", "10,10", "--seed", str(_SEED_END - 2)],
      f"seed: the derived seeds run to {_SEED_END}, past 2^64 - 1"),
-    (["verify-gqft", "--trials", "0"], "trials: must be >= 1"),
-    (["gqft-distance", "--thetas=-1"], "thetas: need at least one theta, all >= 0"),
+    (["verify-gqft", "--trials", "0"], "trials: must be in 1..1000"),
+    (["gqft-distance", "--thetas=-1"], "thetas: must be 1..100 values, each in [0, inf)"),
     (["gqft-distance", "--n", "4", "--thetas", "400"],
      "thetas: too large: the distance bound overflows at n=4"),
-    (["trotter-sweep", "--n", "1", "--terms", "4"], "terms: must be in 1..3 for n=1"),
-    (["trotter-sweep", "--rs", "0"], "rs: need at least one r, all in 1..1000000"),
+    (["trotter-sweep", "--n", "1", "--terms", "4"], "terms: must be in 1..4^n-1"),
+    (["trotter-sweep", "--rs", "0"], "rs: must be 1..100 values, each in 1..1000000"),
     (["trotter-sweep", "--t", "1e308"], "t, rs: must keep every Trotter bound finite"),
-    (["swap-test", "--shots", "0"], "shots: need at least one shot count, all in 1..2^63-1"),
-    (["train-cqp", "--beta", "nan"], "beta: must be finite"),
-    (["train-cqp", "--eta", "0"], "eta: must be finite and > 0"),
+    (["swap-test", "--shots", "0"],
+     f"shots: must be 1..1000 values, each in 1..{2 ** 63 - 1}"),
+    (["train-cqp", "--beta", "nan"], "beta: must be in (-inf, inf)"),
+    (["train-cqp", "--eta", "0"], "eta: must be in (0, inf)"),
     (["train-cqp", "--fd-step", "0.5"], "fd_step: must be in (0, 0.01)"),
     (["train-cqp", "--iterations", "0"], "iterations: must be in 1..20000"),
     (["train-cqp", "--fd-step", "1e-320"],
      "eta, fd_step: eta / fd_step too large: the weight bound overflows"),
-    (["train-cqp", "--n", "1", "--output-index", "2"], "output_index: must be in 0..1"),
+    (["train-cqp", "--n", "1", "--output-index", "2"], "output_index: must be in 0..2n-1"),
     (["train-cqp", "--require-fidelity", "1.5"], "require_fidelity: must be in [0, 1]"),
     (["train-cqp", "--activation", "identity"],
      "activation: must be tanh: identity reaches |v| = 1, where the slope of arccos is "
@@ -60,8 +60,8 @@ _RULES = [
     (["train-cqp", "--eta", "1e290", "--iterations", "3", "--require-fidelity", "0"],
      "fd_step 1e-05 is below the float resolution of max(|theta_j|, 1) at component 0 of "
      "theta (-2.6035828010750886e+289), iteration 1"),
-    (["equivalence", "--trials", "0"], "trials: must be >= 1"),
-    (["decompose", "--theta1", "inf"], "theta1, theta2: |theta1| + |theta2| must be finite"),
+    (["equivalence", "--trials", "0"], "trials: must be in 1..1000"),
+    (["decompose", "--theta1", "inf"], "theta1: must be in (-inf, inf)"),
     (["decompose", "--theta1=1.7e308", "--theta2=1.7e308"],
      "theta1, theta2: |theta1| + |theta2| must be finite"),
 ]
