@@ -18,11 +18,12 @@ from test_report_columns import CHECK_NAMES
 _JUNK = st.sampled_from(["", "abc", "1.5", "0x10", "--"])
 
 
-def _values(row, in_range):
-    """Flag text for one row of the key table: in range, or unless in_range
-    past a bound of its domain or junk; or None, the default, but for a count,
-    a work key, which is drawn in range from its low end.  A bound that depends
-    on n is met at every n and passed at each."""
+def _values(row):
+    """Strategies for the flag text of one row of the key table: (kept, broken).
+    kept draws a value in range, or None (the default) but for a count, a work
+    key, which is drawn from its low end; broken draws a value just past a
+    bound of its domain (or, for a float, at an end), or junk.  A bound that
+    depends on n is met at every n and passed at each."""
     kind, _, domain = row[:3]
     if kind is str:
         inside, past = st.just(domain), st.sampled_from(["identity", "relu", ""])
@@ -36,47 +37,52 @@ def _values(row, in_range):
         else:
             inside = st.floats(max(lo, -3.0), min(hi, 3.0), exclude_min=left == "(",
                                exclude_max=right == ")" and hi <= 3.0)
-            past = [lo if left == "(" else math.nextafter(lo, -math.inf),
-                    hi if right == ")" else math.nextafter(hi, math.inf), math.nan]
+            # each end and its neighbours: by an infinite end, the largest finite float
+            past = [math.nan, *(math.nextafter(x, to) for x in (lo, hi)
+                                for to in (-math.inf, x, math.inf))]
         inside, past = inside.map(str), st.sampled_from(past).map(str)
     if isinstance(kind, list):
         some = st.lists(inside, min_size=1, max_size=3).map(",".join)
         inside, past = some, st.builds("{},{}".format, some, past) | st.sampled_from(
             ["", ",".join([str(domain.lo)] * (domain.cap + 1))])
-    values = inside if in_range else st.one_of(inside, past, _JUNK)
-    return values if kind is int and domain.cap else st.none() | values
+    return inside if kind is int and domain.cap else st.none() | inside, past | _JUNK
 
 
-def _config_file(data, keys, in_range):
-    """`key = value` lines; unless in_range, an unknown key or a junk line may
-    follow them, or the file may be arbitrary bytes."""
+# each key's strategies, by name: a key's domain is the same in every command
+_STRATEGIES = {key: _values(row) for keys in cli._COMMAND_KEYS.values()
+               for key, row in keys.items()}
+
+
+def _config_file(data, keys, broken):
+    """`key = value` lines; with a broken key, an unknown key or a junk line
+    may follow them, or the file may be arbitrary bytes."""
     lines = []
     for key in data.draw(st.lists(st.sampled_from(sorted(keys)), max_size=3), label="file keys"):
-        value = data.draw(_values(keys[key], in_range), label=key)
+        value = data.draw(_STRATEGIES[key][key == broken], label=key)
         lines += [] if value is None else [f"{key} = {value}"]
-    if not in_range:
+    if broken is not None:
         lines += data.draw(st.lists(st.text(max_size=12) | st.sampled_from(
             ["bogus = 1", "out = x", "config = y"]), max_size=1), label="file junk")
     text = "\n".join(lines).encode("utf-8")
-    return text if in_range else data.draw(st.just(text) | st.binary(max_size=40))
+    return text if broken is None else data.draw(st.just(text) | st.binary(max_size=40))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flag_surface_exits_0_1_or_3(tmp_path, data):
-    """Half the examples draw every value in range; the rest draw each value
-    in range, past a bound of its domain in the key table, or junk."""
+    """About half the examples draw every value in range; each other one
+    breaks one key (see _values), or the config file."""
     command = data.draw(st.sampled_from(sorted(cli._COMMAND_KEYS)), label="command")
-    in_range = data.draw(st.booleans(), label="in range")
-    out = "report" if in_range else data.draw(st.sampled_from(["report", "missing/report"]))
-    argv = [command, f"--out={tmp_path / out}"]
     keys = cli._COMMAND_KEYS[command]
+    broken = data.draw(st.none() | st.sampled_from(sorted(keys)), label="broken key")
+    out = "report" if broken is None else data.draw(st.sampled_from(["report", "missing/report"]))
+    argv = [command, f"--out={tmp_path / out}"]
     if data.draw(st.booleans(), label="config"):
-        (tmp_path / "fuzz.cfg").write_bytes(_config_file(data, keys, in_range))
+        (tmp_path / "fuzz.cfg").write_bytes(_config_file(data, keys, broken))
         argv.append(f"--config={tmp_path / 'fuzz.cfg'}")
-    for key, row in keys.items():
-        value = data.draw(_values(row, in_range), label=key)
+    for key in keys:
+        value = data.draw(_STRATEGIES[key][key == broken], label=key)
         if value is not None:
             argv.append(f"--{key.replace('_', '-')}={value}")
     # every --key=value form reaches both the flag table and argparse
