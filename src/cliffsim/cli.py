@@ -220,13 +220,15 @@ def _load_config(command: str, args: SimpleNamespace | argparse.Namespace) -> di
             if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for {command}")
             cfg[key] = _coerce(key, keys[key][0], raw)
-    for key, (kind, default, domain, *rules) in keys.items():
+    # each row is (kind, default, domain, *rules), read by index: unpacking *rules
+    # would build a list per key, which costs more than most checks
+    for key, row in keys.items():
         if (flag_val := getattr(args, key, None)) is not None:
-            cfg[key] = _coerce(key, kind, flag_val)
-        if (cfg[key] is not default and isinstance(domain, _Domain)
-                and (detail := domain.fault(cfg[key], cfg)) is not None):
+            cfg[key] = _coerce(key, row[0], flag_val)
+        if (cfg[key] is not row[1] and isinstance(row[2], _Domain)
+                and (detail := row[2].fault(cfg[key], cfg)) is not None):
             raise ConfigError(f"{key}: {detail}")
-        for name, fault in rules:
+        for name, fault in row[3:]:
             if (detail := fault(cfg)) is not None:
                 raise ConfigError(f"{name}: {detail}")
     return cfg
